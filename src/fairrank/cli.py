@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 
 from . import errors
-from .fixpoint import RecalcConfig, linear_fair_ranking
+from .fixpoint import linear_fair_ranking
 from .optimize import (
     emn_sweep_composite,
     min_backward_fair,
@@ -21,9 +21,9 @@ from .optimize import (
 )
 from .ranking import (
     FairnessClass,
-    Ranking,
     backward_arcs,
     copeland_ranking,
+    fraction_json,
     is_fair,
     parse_ranking,
     serialize_ranking,
@@ -99,11 +99,10 @@ def cmd_rank(args) -> int:
         _write(args.out, serialize_ranking(r))
         print(f"method=copeland bw={frac_str(report.fraction)}")
         return EXIT_OK
-    result = linear_fair_ranking(t, RecalcConfig())
+    result = linear_fair_ranking(t)
     report = backward_arcs(t, result.ranking)
     _write(args.out, serialize_ranking(result.ranking))
-    print(f"method=linear-fair bw={frac_str(report.fraction)} "
-          f"escalations={result.escalations}")
+    print(f"method=linear-fair bw={frac_str(report.fraction)}")
     for comp in result.components:
         if comp.perron is None:
             print(f"  component {list(comp.vertices)}: singleton")
@@ -152,11 +151,8 @@ def cmd_emn(args) -> int:
             payload = {
                 "n": report.n,
                 "checked": report.checked,
-                "bound": {"num": report.bound.numerator, "den": report.bound.denominator},
-                "max_fraction": {
-                    "num": report.max_fraction.numerator,
-                    "den": report.max_fraction.denominator,
-                },
+                "bound": fraction_json(report.bound),
+                "max_fraction": fraction_json(report.max_fraction),
                 "all_within": report.all_within,
             }
             print(json.dumps(payload, indent=2))
@@ -256,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("dump", help="ASCII table of a tournament")
     d.add_argument("--in", dest="in_path", required=True)
     d.add_argument("--ranking", default=None)
-    d.add_argument("--table", action="store_true", default=True)
     d.set_defaults(func=cmd_dump)
 
     return p

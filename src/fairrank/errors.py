@@ -50,7 +50,7 @@ class NotStronglyConnectedError(FairrankError):
 
 
 class VerificationFailedError(FairrankError):
-    """A constructed ranking failed its fairness verification after all retries."""
+    """A constructed ranking failed its fairness verification."""
 
     def __init__(self, certificate, message: str = ""):
         self.certificate = certificate

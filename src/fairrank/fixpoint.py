@@ -2,10 +2,10 @@
 
 The recalculation sends a simplicial ranking r to the normalized vector of
 out-neighborhood rank sums.  Its fixed points on a strongly connected
-tournament are Perron eigenvectors of the 0/1 adjacency matrix; combining
-per-component eigenvectors with geometric scaling yields a strictly
-positive ranking that satisfies the linear fairness axiom on any
-tournament.
+tournament are Perron eigenvectors of the 0/1 adjacency matrix; scaling
+each component's eigenvector by one factor, so that every component sits
+strictly above the ones it beats, yields in one pass a strictly positive
+ranking that satisfies the linear fairness axiom on any tournament.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from .errors import (
     VerificationFailedError,
     ZeroNormalizerError,
 )
-from .ranking import DEFAULT_EPS, FairnessClass, Ranking, is_fair
-from .tournament import SccDecomposition, Tournament, scc_decompose
+from .ranking import FairnessClass, Ranking, is_fair
+from .tournament import Tournament, scc_decompose
 
 SimplicialRanking = Dict[int, Union[float, "Fraction"]]  # vertex -> mass, sums to 1
 
@@ -146,9 +146,7 @@ class LinearFairResult:
 
     ranking: Ranking
     components: Tuple[ComponentSolve, ...]
-    mu: Tuple[float, ...]
     verified: bool
-    escalations: int
 
     def to_json(self) -> dict:
         return {
@@ -161,61 +159,51 @@ class LinearFairResult:
                 }
                 for c in self.components
             ],
-            "mu": list(self.mu),
             "ranking": [self.ranking[v] for v in sorted(self.ranking.values.keys())],
             "verified": self.verified,
-            "escalations": self.escalations,
         }
 
 
 def linear_fair_ranking(
-    t: Tournament,
-    cfg: RecalcConfig = RecalcConfig(),
-    predicate_eps: float = DEFAULT_EPS,
-    gap: float = 2.0,
-    max_escalations: int = 20,
+    t: Tournament, cfg: RecalcConfig = RecalcConfig()
 ) -> LinearFairResult:
     """Construct a strictly positive ranking satisfying the linear fairness axiom.
 
-    Per-component Perron eigenvectors (singletons get rank 1) are scaled so
-    each component sits strictly above the previous one; the assembly is
-    verified against the linear fairness predicate and the inter-component
-    gap factor is escalated (squared) on failure.
+    Components are placed losers-first.  Component i's Perron vector p_i
+    (singletons: p = 1) is multiplied by the single factor
+    c_i = ((1 + 1/n) * top + 1) / min(p_i), where top is the largest value
+    placed so far, so every component sits strictly above all earlier ones.
+
+    Why this is linear fair: inside a component one factor keeps
+    sum(x) = c_i * lambda_i * p_i(x) + (sum of all lower components), so sums
+    and ranks order alike.  Across components, x above y beats all of y's
+    component and everything below it while y's out-set lies in that set
+    minus y, so sum(x) >= sum(y) + r(y) > sum(y): strict separation of the
+    ranks is all that is needed.  The 1/n relative margin keeps that
+    separation under float rounding, where a bare +1 vanishes at large
+    magnitudes.  The assembly is checked once; a failed check or a
+    non-finite value raises VerificationFailedError.
     """
-    decomp = scc_decompose(t)
     solves: List[ComponentSolve] = []
-    base: List[Dict[int, float]] = []
-    for comp in decomp.components:
+    values: Dict[int, float] = {}
+    top = 0.0
+    for comp in scc_decompose(t).components:
         verts = tuple(sorted(comp))
         if len(verts) == 1:
             solves.append(ComponentSolve(verts, None))
-            base.append({verts[0]: 1.0})
+            p = {verts[0]: 1.0}
         else:
             res = perron_fixed_point(t, cfg, verts)
             solves.append(ComponentSolve(verts, res))
-            base.append(dict(res.ranking))
-
-    g = gap
-    last_verdict = None
-    for escalation in range(max_escalations + 1):
-        mu = [1.0]
-        for i in range(1, len(base)):
-            prev_max = max(base[i - 1].values())
-            cur_min = min(base[i].values())
-            mu.append(mu[i - 1] * (prev_max / cur_min) * g)
-        values = {}
-        for i, b in enumerate(base):
-            for v, val in b.items():
-                values[v] = mu[i] * val
-        if all(math.isfinite(val) for val in values.values()):
-            ranking = Ranking.approx(values, predicate_eps)
-            verdict = is_fair(t, ranking, FairnessClass.LIN)
-            if verdict.ok:
-                return LinearFairResult(
-                    ranking, tuple(solves), tuple(mu), True, escalation
-                )
-            last_verdict = verdict
-        g = g * g
-    raise VerificationFailedError(
-        None if last_verdict is None else last_verdict.certificate
-    )
+            p = res.ranking
+        c = ((1.0 + 1.0 / t.n) * top + 1.0) / min(p.values())
+        for v, val in p.items():
+            values[v] = c * val
+        top = max(values[v] for v in verts)
+    if not all(math.isfinite(val) for val in values.values()):
+        raise VerificationFailedError(None, "assembled ranking is not finite")
+    ranking = Ranking.approx(values)
+    verdict = is_fair(t, ranking, FairnessClass.LIN)
+    if not verdict.ok:
+        raise VerificationFailedError(verdict.certificate)
+    return LinearFairResult(ranking, tuple(solves), True)

@@ -9,17 +9,17 @@ order induced by the ranks; for the linear axiom the integer level values
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import EmptyClassError, ResourceLimitError
 from .ranking import (
-    BackwardReport,
     FairnessClass,
     Ranking,
     backward_arcs,
     copeland_ranking,
+    fraction_json,
     is_fair,
 )
 from .tournament import Tournament, enumerate_all, gen_composite, gen_random
@@ -202,8 +202,8 @@ class EmnRow:
             "n": self.n,
             "edges": self.edges,
             "min_backward": self.min_backward,
-            "fraction": {"num": self.fraction.numerator, "den": self.fraction.denominator},
-            "bound": {"num": self.bound.numerator, "den": self.bound.denominator},
+            "fraction": fraction_json(self.fraction),
+            "bound": fraction_json(self.bound),
             "materialized": self.materialized,
         }
 
@@ -218,7 +218,7 @@ class EmnReport:
         return {
             "family": self.family,
             "rows": [row.to_json() for row in self.rows],
-            "limit": {"num": self.limit.numerator, "den": self.limit.denominator},
+            "limit": fraction_json(self.limit),
         }
 
     def to_csv(self) -> str:

@@ -7,18 +7,23 @@ compare exactly; float rankings compare with an absolute tolerance eps
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import permutations
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
-from .errors import DomainMismatchError, TournamentSyntaxError, UnknownVertexError
+from .errors import DomainMismatchError, TournamentSyntaxError
 from .tournament import Tournament
 
 Rank = Union[int, float, Fraction]
 
 DEFAULT_EPS = 1e-9
+
+
+def fraction_json(f: Fraction) -> dict:
+    """JSON encoding of an exact fraction."""
+    return {"num": f.numerator, "den": f.denominator}
 
 
 class FairnessClass(Enum):
@@ -93,7 +98,7 @@ class BackwardReport:
         return {
             "backward": [[x, y] for x, y in self.backward],
             "total": self.total,
-            "fraction": {"num": self.fraction.numerator, "den": self.fraction.denominator},
+            "fraction": fraction_json(self.fraction),
         }
 
 

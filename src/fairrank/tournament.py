@@ -116,12 +116,6 @@ class SccDecomposition:
     def __len__(self) -> int:
         return len(self.components)
 
-    def component_of(self, x: int) -> int:
-        for i, comp in enumerate(self.components):
-            if x in comp:
-                return i
-        raise UnknownVertexError(f"vertex {x} in no component")
-
 
 # -- construction and validation ------------------------------------------
 

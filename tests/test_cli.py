@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from fairrank import gen_random, serialize_tournament
 from fairrank.cli import main
 
 CYCLE = "3\n010\n001\n100\n"
@@ -55,6 +56,12 @@ class TestRank:
         payload = json.loads(report.read_text())
         assert payload["verified"] is True
         assert len(payload["components"]) == 1
+
+    def test_linear_fair_on_random_500(self, tmp_path):
+        t = tmp_path / "t.txt"
+        t.write_text(serialize_tournament(gen_random(500, 1)))
+        assert main(["rank", "--in", str(t), "--method", "linear-fair",
+                     "--out", str(tmp_path / "r.txt")]) == 0
 
     def test_parse_error(self, tmp_path):
         bad = tmp_path / "bad.txt"
@@ -123,7 +130,7 @@ class TestEmn:
 
 class TestDump:
     def test_plain_grid(self, cycle_path, capsys):
-        assert main(["dump", "--in", cycle_path, "--table"]) == 0
+        assert main(["dump", "--in", cycle_path]) == 0
         out = capsys.readouterr().out
         assert "*" in out and "[" not in out
 

@@ -24,6 +24,13 @@ from fairrank import (
 
 FC = FairnessClass
 
+# n = 6 tournament on which additive offsets 2i + p/max(p) break LIN
+TRAP_OUT = {1: {2, 3, 4, 6}, 2: {3, 4, 5, 6}, 3: {4, 5, 6}, 4: {5, 6}, 5: {1, 6}, 6: set()}
+
+
+def transitive(n):
+    return build_tournament(n, [(x, y) for x in range(1, n + 1) for y in range(x + 1, n + 1)])
+
 
 def uniform_exact(t):
     return {x: Fraction(1, t.n) for x in t.vertices()}
@@ -127,7 +134,7 @@ class TestLinearFair:
         res = linear_fair_ranking(three_cycle)
         assert res.verified
         for v in three_cycle.vertices():
-            assert abs(res.ranking[v] - 1 / 3) <= 1e-9
+            assert abs(res.ranking[v] - 1.0) <= 1e-9
 
     def test_chain_strictly_increasing(self, chain3):
         res = linear_fair_ranking(chain3)
@@ -152,6 +159,20 @@ class TestLinearFair:
             t = gen_random(10, seed)
             res = linear_fair_ranking(t)
             assert all(v > 0 for v in res.ranking.values.values())
+
+    @pytest.mark.parametrize(
+        "make",
+        [pytest.param(lambda n=n, s=s: gen_random(n, s), id=f"random-{n}-{s}")
+         for n in (400, 500) for s in (1, 3, 4)]
+        + [pytest.param(lambda: transitive(1100), id="transitive-1100"),
+           pytest.param(lambda: build_tournament(
+               6, [(x, y) for x, ys in TRAP_OUT.items() for y in ys]), id="trap-6")],
+    )
+    def test_lin_holds_on_reproduced_failures(self, make):
+        # near-tied Perron entries inside one component (random), overflow
+        # of geometric scaling across 1100 components (transitive)
+        t = make()
+        assert is_fair(t, linear_fair_ranking(t).ranking, FC.LIN).ok
 
     def test_report_shape(self, chain3):
         res = linear_fair_ranking(chain3)
