@@ -53,7 +53,6 @@ from .ranking import (
     parse_ranking,
     serialize_ranking,
     spectral_leq,
-    spectral_leq_bruteforce,
     spectral_strict_less,
 )
 from .tournament import (

@@ -76,7 +76,6 @@ def recalc_apply(t: Tournament, r: SimplicialRanking) -> SimplicialRanking:
 
 
 def iterate_to_fixed_point(
-    t: Tournament,
     recalc: Callable[[SimplicialRanking], SimplicialRanking],
     r0: SimplicialRanking,
     cfg: RecalcConfig = RecalcConfig(),

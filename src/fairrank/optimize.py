@@ -24,7 +24,7 @@ from .ranking import (
 )
 from .tournament import Tournament, enumerate_all, gen_composite, gen_random
 
-INJECTIVE_SEARCH_CAP = 10
+INJECTIVE_SEARCH_CAP = 16
 WEAK_ORDER_CAP = 6
 
 
@@ -74,49 +74,40 @@ def weak_order_ranking(blocks: Sequence[Sequence[int]]) -> Ranking:
 
 
 def min_backward_injective(t: Tournament) -> MinBackwardResult:
-    """Exact minimum over all injective rankings, by branch and bound.
+    """Exact minimum over all injective rankings, by a subset DP.
 
-    Orders are built lowest rank first; placing v adds one backward arc per
-    out-neighbor still unplaced.  A first pass finds the optimum with
-    aggressive pruning; a second lexicographic pass recovers the lex-least
-    optimal placement order.
+    Orders are built lowest rank first; placing v while the set u is still
+    unplaced makes v's arcs into u - {v} backward, so with vertices as bits
+    cost[u] = min over v in u of |out(v) & (u - v)| + cost[u - v].  The
+    witness takes the smallest v whose choice is tight at every step, which
+    gives the lex-least optimal placement order.
     """
     if t.n > INJECTIVE_SEARCH_CAP:
         raise ResourceLimitError(f"permutation search capped at n <= {INJECTIVE_SEARCH_CAP}")
-    verts = list(t.vertices())
-    best = t.num_arcs + 1
+    bits = [(1 << (v - 1), sum(1 << (w - 1) for w in t.out_set(v))) for v in t.vertices()]
+    cost = [0] * (1 << t.n)
+    for u in range(1, 1 << t.n):
+        best = t.num_arcs
+        for b, out in bits:
+            if u & b:
+                c = (out & (u ^ b)).bit_count() + cost[u ^ b]
+                if c < best:
+                    best = c
+        cost[u] = best
 
-    def search(unplaced: frozenset, cost: int) -> None:
-        nonlocal best
-        if cost >= best:
-            return
-        if not unplaced:
-            best = cost
-            return
-        for v in sorted(unplaced):
-            rest = unplaced - {v}
-            search(rest, cost + len(t.out_set(v) & rest))
-
-    search(frozenset(verts), 0)
-
-    witness_order: List[int] = []
-
-    def recover(unplaced: frozenset, cost: int, prefix: List[int]) -> bool:
-        if cost > best:
-            return False
-        if not unplaced:
-            witness_order.extend(prefix)
-            return cost == best
-        for v in sorted(unplaced):
-            rest = unplaced - {v}
-            if recover(rest, cost + len(t.out_set(v) & rest), prefix + [v]):
-                return True
-        return False
-
-    recover(frozenset(verts), 0, [])
-    witness = Ranking.exact({v: pos for pos, v in enumerate(witness_order, start=1)})
-    fraction = Fraction(best, t.num_arcs) if t.num_arcs else Fraction(0)
-    return MinBackwardResult(best, fraction, witness, "permutations")
+    order: List[int] = []
+    u = (1 << t.n) - 1
+    while u:
+        v, b = next(
+            (v, b) for v, (b, out) in enumerate(bits, start=1)
+            if u & b and (out & (u ^ b)).bit_count() + cost[u ^ b] == cost[u]
+        )
+        order.append(v)
+        u ^= b
+    witness = Ranking.exact({v: pos for pos, v in enumerate(order, start=1)})
+    count = cost[-1]
+    fraction = Fraction(count, t.num_arcs) if t.num_arcs else Fraction(0)
+    return MinBackwardResult(count, fraction, witness, "permutations")
 
 
 def min_backward_copeland_closed_form(t: Tournament) -> MinBackwardResult:

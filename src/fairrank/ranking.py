@@ -7,10 +7,10 @@ compare exactly; float rankings compare with an absolute tolerance eps
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import permutations
 from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import DomainMismatchError, TournamentSyntaxError
@@ -149,29 +149,12 @@ def sorted_dominance(sx: Sequence[Rank], sy: Sequence[Rank], leq) -> bool:
     return all(leq(a, b) for a, b in zip(ax, ay))
 
 
-def injection_exists(sx: Sequence[Rank], sy: Sequence[Rank], leq) -> bool:
-    """Brute-force search for a rank-non-decreasing injection from sx into sy."""
-    if len(sx) > len(sy):
-        return False
-    for image in permutations(sy, len(sx)):
-        if all(leq(a, b) for a, b in zip(sx, image)):
-            return True
-    return False
-
-
 def spectral_leq(t: Tournament, r: Ranking, x: int, y: int) -> bool:
     """x <= y in the spectral preorder of r (via the dominance shortcut)."""
     r.require_domain(t)
     sx = [r[z] for z in t.out_set(x)]
     sy = [r[z] for z in t.out_set(y)]
     return sorted_dominance(sx, sy, r.leq)
-
-
-def spectral_leq_bruteforce(t: Tournament, r: Ranking, x: int, y: int) -> bool:
-    r.require_domain(t)
-    sx = [r[z] for z in t.out_set(x)]
-    sy = [r[z] for z in t.out_set(y)]
-    return injection_exists(sx, sy, r.leq)
 
 
 def spectral_strict_less(t: Tournament, r: Ranking, x: int, y: int) -> bool:
@@ -260,7 +243,10 @@ def serialize_ranking(r: Ranking) -> str:
 
 
 def parse_ranking(text: str, eps: float = DEFAULT_EPS) -> Ranking:
-    """Parse "vertex value" lines; p/q and integers give an exact ranking."""
+    """Parse "vertex value" lines; p/q and integers give an exact ranking.
+
+    Floats must be finite: nan and inf have no place in a rank order.
+    """
     values: Dict[int, Rank] = {}
     exact = True
     for ln in text.strip().splitlines():
@@ -284,10 +270,13 @@ def parse_ranking(text: str, eps: float = DEFAULT_EPS) -> Ranking:
                 raise TournamentSyntaxError(f"bad value {raw!r}") from None
         else:
             try:
-                values[v] = float(raw)
-                exact = False
+                value = float(raw)
             except ValueError:
                 raise TournamentSyntaxError(f"bad value {raw!r}") from None
+            if not math.isfinite(value):
+                raise TournamentSyntaxError(f"non-finite value {raw!r}")
+            values[v] = value
+            exact = False
     if not values:
         raise TournamentSyntaxError("empty ranking")
     if exact:

@@ -34,7 +34,7 @@ class Tournament:
 
     __slots__ = ("n", "_out")
 
-    def __init__(self, n: int, out_sets: Sequence[frozenset]):
+    def __init__(self, n: int, out_sets: Sequence[Iterable[int]]):
         if n < 1:
             raise ValueError("tournament needs at least one vertex")
         if len(out_sets) != n:
@@ -84,9 +84,7 @@ class Tournament:
             self._check_vertex(v)
         keep = set(old)
         index = {v: i + 1 for i, v in enumerate(old)}
-        out_sets = [
-            frozenset(index[w] for w in self._out[v - 1] if w in keep) for v in old
-        ]
+        out_sets = [{index[w] for w in self._out[v - 1] if w in keep} for v in old]
         return Tournament(len(old), out_sets), old
 
     # -- dunder ------------------------------------------------------------
@@ -120,32 +118,37 @@ class SccDecomposition:
 # -- construction and validation ------------------------------------------
 
 
+def _require_within_cap(n: int) -> None:
+    if n > DEFAULT_VERTEX_CAP:
+        raise ResourceLimitError(f"{n} vertices exceed the cap of {DEFAULT_VERTEX_CAP}")
+
+
 def build_tournament(n: int, arc_list: Iterable[Tuple[int, int]]) -> Tournament:
     """Validate an explicit arc list and build the tournament.
 
     Every unordered pair must be covered exactly once and in one direction.
+    The out-sets being filled are the only record of the arcs seen so far.
     """
     if n < 1:
         raise ValueError("n must be positive")
+    _require_within_cap(n)
     out = [set() for _ in range(n)]
-    seen = set()
+    added = 0
     for (x, y) in arc_list:
         if not (1 <= x <= n) or not (1 <= y <= n):
             raise UnknownVertexError(f"arc ({x},{y}) references vertex outside 1..{n}")
         if x == y:
             raise LoopArcError(f"loop arc ({x},{x})")
-        if (x, y) in seen or (y, x) in seen:
+        if y in out[x - 1] or x in out[y - 1]:
             raise DuplicateOrConflictError(f"pair {{{x},{y}}} oriented twice")
-        seen.add((x, y))
         out[x - 1].add(y)
-    expected = n * (n - 1) // 2
-    if len(seen) != expected:
+        added += 1
+    if added != n * (n - 1) // 2:
         for x in range(1, n + 1):
             for y in range(x + 1, n + 1):
-                if (x, y) not in seen and (y, x) not in seen:
+                if y not in out[x - 1] and x not in out[y - 1]:
                     raise MissingPairError(f"pair {{{x},{y}}} has no arc")
-        raise MissingPairError("arc list does not cover all pairs")
-    return Tournament(n, [frozenset(s) for s in out])
+    return Tournament(n, out)
 
 
 # -- generators ------------------------------------------------------------
@@ -156,9 +159,8 @@ def gen_rotational(l: int) -> Tournament:
     if l < 1:
         raise ValueError("l must be >= 1")
     n = 2 * l + 1
-    out_sets = []
-    for i in range(1, n + 1):
-        out_sets.append(frozenset((i - 1 + k) % n + 1 for k in range(1, l + 1)))
+    _require_within_cap(n)
+    out_sets = [{(i - 1 + k) % n + 1 for k in range(1, l + 1)} for i in range(1, n + 1)]
     return Tournament(n, out_sets)
 
 
@@ -167,7 +169,7 @@ def composite_vertex(m: int, i: int, l: int) -> int:
     return (m - 1) * (2 * l + 1) + i
 
 
-def gen_composite(l: int, max_vertices: int = DEFAULT_VERTEX_CAP) -> Tournament:
+def gen_composite(l: int) -> Tournament:
     """Layered tournament on (2l+1)^2 vertices over the rotational pattern.
 
     Vertex (m, i) beats (n, j) iff
@@ -179,10 +181,7 @@ def gen_composite(l: int, max_vertices: int = DEFAULT_VERTEX_CAP) -> Tournament:
         raise ValueError("l must be >= 1")
     s = 2 * l + 1
     n_total = s * s
-    if n_total > max_vertices:
-        raise ResourceLimitError(
-            f"composite instance needs {n_total} vertices, cap is {max_vertices}"
-        )
+    _require_within_cap(n_total)
     rot = gen_rotational(l)
     out_sets = []
     for m in range(1, s + 1):
@@ -198,7 +197,7 @@ def gen_composite(l: int, max_vertices: int = DEFAULT_VERTEX_CAP) -> Tournament:
                 for j in range(1, s + 1):
                     if j != i:
                         targets.add(composite_vertex(nn, j, l))
-            out_sets.append(frozenset(targets))
+            out_sets.append(targets)
     return Tournament(n_total, out_sets)
 
 
@@ -206,6 +205,7 @@ def gen_random(n: int, seed: int) -> Tournament:
     """Orient each pair by one coin flip of a seeded generator."""
     if n < 1:
         raise ValueError("n must be positive")
+    _require_within_cap(n)
     rng = random.Random(seed)
     out = [set() for _ in range(n)]
     for x in range(1, n + 1):
@@ -214,7 +214,7 @@ def gen_random(n: int, seed: int) -> Tournament:
                 out[x - 1].add(y)
             else:
                 out[y - 1].add(x)
-    return Tournament(n, [frozenset(s) for s in out])
+    return Tournament(n, out)
 
 
 def enumerate_all(n: int) -> Iterator[Tournament]:
@@ -231,7 +231,7 @@ def enumerate_all(n: int) -> Iterator[Tournament]:
                 out[y - 1].add(x)
             else:
                 out[x - 1].add(y)
-        yield Tournament(n, [frozenset(s) for s in out])
+        yield Tournament(n, out)
 
 
 # -- strongly connected components ----------------------------------------
@@ -339,11 +339,10 @@ def parse_tournament(text: str) -> Tournament:
         raise TournamentSyntaxError(f"bad vertex count {head!r}") from None
     if len(lines) != n + 1:
         raise TournamentSyntaxError(f"expected {n} matrix rows, found {len(lines) - 1}")
-    arcs = []
-    for x, row in enumerate(lines[1:], start=1):
+    rows = lines[1:]
+    for row in rows:
         if len(row) != n or any(c not in "01" for c in row):
             raise TournamentSyntaxError(f"bad matrix row {row!r}")
-        for y, c in enumerate(row, start=1):
-            if c == "1":
-                arcs.append((x, y))
-    return build_tournament(n, arcs)
+    ones = ((x, y) for x, row in enumerate(rows, start=1)
+            for y, c in enumerate(row, start=1) if c == "1")
+    return build_tournament(n, ones)

@@ -1,0 +1,70 @@
+"""Brute-force oracles that the library's fast paths are checked against."""
+
+from fractions import Fraction
+from itertools import permutations
+from typing import List, Sequence
+
+from fairrank.optimize import MinBackwardResult
+from fairrank.ranking import Rank, Ranking
+from fairrank.tournament import Tournament
+
+
+def injection_exists(sx: Sequence[Rank], sy: Sequence[Rank], leq) -> bool:
+    """Brute-force search for a rank-non-decreasing injection from sx into sy."""
+    if len(sx) > len(sy):
+        return False
+    for image in permutations(sy, len(sx)):
+        if all(leq(a, b) for a, b in zip(sx, image)):
+            return True
+    return False
+
+
+def spectral_leq_bruteforce(t: Tournament, r: Ranking, x: int, y: int) -> bool:
+    r.require_domain(t)
+    sx = [r[z] for z in t.out_set(x)]
+    sy = [r[z] for z in t.out_set(y)]
+    return injection_exists(sx, sy, r.leq)
+
+
+def min_backward_injective_bnb(t: Tournament) -> MinBackwardResult:
+    """Exact minimum over all injective rankings, by branch and bound.
+
+    Orders are built lowest rank first; placing v adds one backward arc per
+    out-neighbor still unplaced.  A first pass finds the optimum with
+    aggressive pruning; a second lexicographic pass recovers the lex-least
+    optimal placement order.
+    """
+    verts = list(t.vertices())
+    best = t.num_arcs + 1
+
+    def search(unplaced: frozenset, cost: int) -> None:
+        nonlocal best
+        if cost >= best:
+            return
+        if not unplaced:
+            best = cost
+            return
+        for v in sorted(unplaced):
+            rest = unplaced - {v}
+            search(rest, cost + len(t.out_set(v) & rest))
+
+    search(frozenset(verts), 0)
+
+    witness_order: List[int] = []
+
+    def recover(unplaced: frozenset, cost: int, prefix: List[int]) -> bool:
+        if cost > best:
+            return False
+        if not unplaced:
+            witness_order.extend(prefix)
+            return cost == best
+        for v in sorted(unplaced):
+            rest = unplaced - {v}
+            if recover(rest, cost + len(t.out_set(v) & rest), prefix + [v]):
+                return True
+        return False
+
+    recover(frozenset(verts), 0, [])
+    witness = Ranking.exact({v: pos for pos, v in enumerate(witness_order, start=1)})
+    fraction = Fraction(best, t.num_arcs) if t.num_arcs else Fraction(0)
+    return MinBackwardResult(best, fraction, witness, "permutations")

@@ -32,8 +32,9 @@ from fairrank.optimize import (
     iter_weak_orders,
     weak_order_ranking,
 )
-from fairrank.ranking import injection_exists, sorted_dominance
+from fairrank.ranking import sorted_dominance
 from fairrank.tournament import composite_vertex
+from oracles import injection_exists
 
 FC = FairnessClass
 EPS = 1e-9

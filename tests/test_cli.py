@@ -68,6 +68,12 @@ class TestRank:
         bad.write_text("garbage")
         assert main(["rank", "--in", str(bad), "--method", "copeland"]) == 2
 
+    def test_header_above_vertex_cap(self, tmp_path, capsys):
+        big = tmp_path / "big.txt"
+        big.write_text("n=100000000\n1 2\n")
+        assert main(["rank", "--in", str(big), "--method", "copeland"]) == 2
+        assert "cap" in capsys.readouterr().err
+
 
 class TestCheck:
     def test_constant_is_nscop(self, cycle_path, tmp_path, capsys):
@@ -93,6 +99,12 @@ class TestCheck:
         for cls in ("lin", "spec", "weak"):
             assert main(["check", "--in", cycle_path, "--ranking", str(r),
                          "--class", cls]) == 0
+
+    def test_nan_rank_is_input_error(self, cycle_path, tmp_path):
+        r = tmp_path / "r.txt"
+        r.write_text("1 nan\n2 1\n3 2\n")
+        assert main(["check", "--in", cycle_path, "--ranking", str(r),
+                     "--class", "lin"]) == 2
 
     def test_domain_mismatch(self, cycle_path, tmp_path):
         r = tmp_path / "r.txt"

@@ -70,21 +70,19 @@ class TestRecalc:
 class TestIterationDriver:
     def test_identity_returns_start(self, three_cycle):
         r0 = uniform_ranking(three_cycle)
-        assert iterate_to_fixed_point(three_cycle, lambda r: r, r0) == r0
+        assert iterate_to_fixed_point(lambda r: r, r0) == r0
 
     def test_constant_map(self, three_cycle):
         r0 = {1: 1.0, 2: 0.0, 3: 0.0}
         target = uniform_ranking(three_cycle)
-        out = iterate_to_fixed_point(three_cycle, lambda r: dict(target), r0)
+        out = iterate_to_fixed_point(lambda r: dict(target), r0)
         assert metric_distance(out, target) <= 1e-12
 
     def test_periodic_orbit_raises(self, three_cycle):
         r0 = {1: 1.0, 2: 0.0, 3: 0.0}
         cfg = RecalcConfig(max_iterations=500)
         with pytest.raises(NoConvergenceError):
-            iterate_to_fixed_point(
-                three_cycle, lambda r: recalc_apply(three_cycle, r), r0, cfg
-            )
+            iterate_to_fixed_point(lambda r: recalc_apply(three_cycle, r), r0, cfg)
 
 
 class TestPerron:

@@ -21,6 +21,7 @@ from fairrank import (
     reversal_bound_check,
     verify_copeland_upper_bound,
 )
+from oracles import min_backward_injective_bnb
 
 FC = FairnessClass
 
@@ -63,7 +64,20 @@ class TestInjective:
 
     def test_cap(self):
         with pytest.raises(ResourceLimitError):
-            min_backward_injective(gen_random(11, 0))
+            min_backward_injective(gen_random(17, 0))
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_matches_branch_and_bound_exhaustive(self, n):
+        for t in enumerate_all(n):
+            res, oracle = min_backward_injective(t), min_backward_injective_bnb(t)
+            assert (res.count, res.witness) == (oracle.count, oracle.witness)
+
+    def test_matches_branch_and_bound_random(self):
+        for n in (8, 9, 10):
+            for seed in range(20):
+                t = gen_random(n, seed)
+                res, oracle = min_backward_injective(t), min_backward_injective_bnb(t)
+                assert (res.count, res.witness) == (oracle.count, oracle.witness)
 
 
 class TestClosedForm:

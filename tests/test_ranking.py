@@ -9,6 +9,7 @@ from fairrank import (
     DomainMismatchError,
     FairnessClass,
     Ranking,
+    TournamentSyntaxError,
     backward_arcs,
     copeland_ranking,
     enumerate_all,
@@ -18,10 +19,10 @@ from fairrank import (
     parse_ranking,
     serialize_ranking,
     spectral_leq,
-    spectral_leq_bruteforce,
     spectral_strict_less,
 )
-from fairrank.ranking import injection_exists, sorted_dominance
+from fairrank.ranking import sorted_dominance
+from oracles import injection_exists, spectral_leq_bruteforce
 
 FC = FairnessClass
 
@@ -223,3 +224,8 @@ class TestRankingIO:
         r = parse_ranking("1 3/4\n2 1\n")
         assert r.is_exact
         assert r[1] == Fraction(3, 4)
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_rejected(self, raw):
+        with pytest.raises(TournamentSyntaxError):
+            parse_ranking(f"1 {raw}\n2 1\n")

@@ -19,7 +19,7 @@ from fairrank import (
     scc_decompose,
     serialize_tournament,
 )
-from fairrank.tournament import composite_vertex
+from fairrank.tournament import DEFAULT_VERTEX_CAP, composite_vertex
 
 
 class TestBuild:
@@ -49,6 +49,10 @@ class TestBuild:
         t = build_tournament(2, [(1, 2)])
         with pytest.raises(UnknownVertexError):
             t.out_degree(5)
+
+    def test_vertex_cap(self):
+        with pytest.raises(ResourceLimitError):
+            build_tournament(DEFAULT_VERTEX_CAP + 1, [])
 
 
 class TestGenerators:
@@ -108,6 +112,10 @@ class TestGenerators:
 
     def test_random_seed_sensitivity(self):
         assert gen_random(8, seed=1) != gen_random(8, seed=2)
+
+    def test_random_cap(self):
+        with pytest.raises(ResourceLimitError):
+            gen_random(DEFAULT_VERTEX_CAP + 1, 0)
 
     def test_random_single_vertex(self):
         t = gen_random(1, seed=0)
@@ -201,3 +209,15 @@ class TestTextFormat:
     def test_bad_row(self):
         with pytest.raises(TournamentSyntaxError):
             parse_tournament("2\n0x\n10\n")
+
+    def test_header_above_cap(self):
+        with pytest.raises(ResourceLimitError):
+            parse_tournament("n=100000000\n1 2\n")
+
+    def test_matrix_diagonal_is_loop(self):
+        with pytest.raises(LoopArcError):
+            parse_tournament("2\n11\n00\n")
+
+    def test_edge_list_unknown_vertex(self):
+        with pytest.raises(UnknownVertexError):
+            parse_tournament("n=2\n1 3\n")
