@@ -56,7 +56,6 @@ from .ranking import (
     spectral_strict_less,
 )
 from .tournament import (
-    SccDecomposition,
     Tournament,
     build_tournament,
     enumerate_all,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
@@ -25,7 +26,7 @@ from .errors import (
 from .ranking import FairnessClass, Ranking, is_fair
 from .tournament import Tournament, scc_decompose
 
-SimplicialRanking = Dict[int, Union[float, "Fraction"]]  # vertex -> mass, sums to 1
+SimplicialRanking = Dict[int, Union[float, Fraction]]  # vertex -> mass, sums to 1
 
 
 @dataclass(frozen=True)
@@ -107,7 +108,6 @@ def perron_fixed_point(
     Stops when the unshifted residual max|lambda*r - A*r| <= tolerance.
     """
     if vertices is None:
-        vertices = tuple(t.vertices())
         sub, labels = t, tuple(t.vertices())
     else:
         sub, labels = t.induced(vertices)
@@ -186,7 +186,7 @@ def linear_fair_ranking(
     solves: List[ComponentSolve] = []
     values: Dict[int, float] = {}
     top = 0.0
-    for comp in scc_decompose(t).components:
+    for comp in scc_decompose(t):
         verts = tuple(sorted(comp))
         if len(verts) == 1:
             solves.append(ComponentSolve(verts, None))

@@ -3,8 +3,10 @@
 All fractions in this module are exact rationals.  Minima over rank classes
 are taken over weak orders (ordered set partitions of the vertex set),
 since the backward count and every predicate here depend only on the weak
-order induced by the ranks; for the linear axiom the integer level values
-1..k are representatives, so those minima are lower-bound candidates.
+order induced by the ranks.  The linear axiom depends on the values too,
+and the integer level values 1..k reach only part of that class: its
+minima here are upper bounds on the true minima, and an EmptyClassError
+for it does not prove the class empty.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .ranking import (
 from .tournament import Tournament, enumerate_all, gen_composite, gen_random
 
 INJECTIVE_SEARCH_CAP = 16
+EMN_LMAX_CAP = 10_000
 WEAK_ORDER_CAP = 6
 
 
@@ -129,6 +132,10 @@ def min_backward_fair(t: Tournament, c: FairnessClass) -> MinBackwardResult:
 
     The k levels of each weak order get values 1..k, which is positive (as
     the linear axiom requires) and covers every rank-induced weak order.
+    For LIN, whose verdict depends on the values and not only on their
+    order, that covers only the level-valued members: the result is an
+    upper bound on the minimum, and EmptyClassError does not prove the
+    class empty.
     """
     if t.n > WEAK_ORDER_CAP:
         raise ResourceLimitError(f"weak-order enumeration capped at n <= {WEAK_ORDER_CAP}")
@@ -231,6 +238,8 @@ def emn_sweep_composite(l_max: int, materialize_up_to: int = 0) -> EmnReport:
     """
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
+    if l_max > EMN_LMAX_CAP:
+        raise ResourceLimitError(f"sweep capped at l_max <= {EMN_LMAX_CAP}")
     rows = []
     for l in range(1, l_max + 1):
         n = (2 * l + 1) ** 2

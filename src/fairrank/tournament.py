@@ -7,7 +7,6 @@ for every unordered pair exactly one of the two directed arcs is present.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence, Tuple
 
@@ -99,20 +98,6 @@ class Tournament:
 
     def __repr__(self) -> str:
         return f"Tournament(n={self.n}, arcs={self.num_arcs})"
-
-
-@dataclass(frozen=True)
-class SccDecomposition:
-    """Strongly connected components ordered losers-first.
-
-    For x in components[i] and y in components[j] with i < j, the cross
-    arc is y -> x: component 0 is the sink of the condensation.
-    """
-
-    components: Tuple[frozenset, ...]
-
-    def __len__(self) -> int:
-        return len(self.components)
 
 
 # -- construction and validation ------------------------------------------
@@ -237,62 +222,27 @@ def enumerate_all(n: int) -> Iterator[Tournament]:
 # -- strongly connected components ----------------------------------------
 
 
-def scc_decompose(t: Tournament) -> SccDecomposition:
-    """Tarjan's algorithm, iterative.
+def scc_decompose(t: Tournament) -> Tuple[frozenset, ...]:
+    """Strongly connected components ordered losers-first, cut from the scores.
 
-    Tarjan emits components sinks-first, which is exactly the losers-first
-    order required here: every cross arc goes from a later component to an
-    earlier one.
+    For x in components[i] and y in components[j] with i < j, the cross
+    arc is y -> x: component 0 is the sink of the condensation.
+
+    A vertex in a later component beats every vertex of the earlier ones,
+    so it outscores them all: components are contiguous in ascending score
+    order and ties never straddle a cut.  The first k vertices in that
+    order have score sum C(k,2) plus the number of arcs leaving them, so
+    they form a union of bottom components exactly when the sum is C(k,2).
     """
-    n = t.n
-    index = [0] * (n + 1)
-    low = [0] * (n + 1)
-    on_stack = [False] * (n + 1)
-    visited = [False] * (n + 1)
-    stack = []
+    order = sorted(t.vertices(), key=t.out_degree)
     components = []
-    counter = [1]
-
-    for root in range(1, n + 1):
-        if visited[root]:
-            continue
-        work = [(root, iter(sorted(t.out_set(root))))]
-        visited[root] = True
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if not visited[w]:
-                    visited[w] = True
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(sorted(t.out_set(w)))))
-                    advanced = True
-                    break
-                elif on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = set()
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.add(w)
-                    if w == v:
-                        break
-                components.append(frozenset(comp))
-    return SccDecomposition(tuple(components))
+    start = total = 0
+    for k, v in enumerate(order, start=1):
+        total += t.out_degree(v)
+        if total == k * (k - 1) // 2:
+            components.append(frozenset(order[start:k]))
+            start = k
+    return tuple(components)
 
 
 def is_strongly_connected(t: Tournament) -> bool:

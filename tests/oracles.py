@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 from itertools import permutations
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 from fairrank.optimize import MinBackwardResult
 from fairrank.ranking import Rank, Ranking
@@ -68,3 +68,61 @@ def min_backward_injective_bnb(t: Tournament) -> MinBackwardResult:
     witness = Ranking.exact({v: pos for pos, v in enumerate(witness_order, start=1)})
     fraction = Fraction(best, t.num_arcs) if t.num_arcs else Fraction(0)
     return MinBackwardResult(best, fraction, witness, "permutations")
+
+
+def scc_decompose_tarjan(t: Tournament) -> Tuple[frozenset, ...]:
+    """Tarjan's algorithm, iterative.
+
+    Tarjan emits components sinks-first, which is exactly the losers-first
+    order required here: every cross arc goes from a later component to an
+    earlier one.
+    """
+    n = t.n
+    index = [0] * (n + 1)
+    low = [0] * (n + 1)
+    on_stack = [False] * (n + 1)
+    visited = [False] * (n + 1)
+    stack = []
+    components = []
+    counter = [1]
+
+    for root in range(1, n + 1):
+        if visited[root]:
+            continue
+        work = [(root, iter(sorted(t.out_set(root))))]
+        visited[root] = True
+        index[root] = low[root] = counter[0]
+        counter[0] += 1
+        stack.append(root)
+        on_stack[root] = True
+        while work:
+            v, it = work[-1]
+            advanced = False
+            for w in it:
+                if not visited[w]:
+                    visited[w] = True
+                    index[w] = low[w] = counter[0]
+                    counter[0] += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(sorted(t.out_set(w)))))
+                    advanced = True
+                    break
+                elif on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[v])
+            if low[v] == index[v]:
+                comp = set()
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp.add(w)
+                    if w == v:
+                        break
+                components.append(frozenset(comp))
+    return tuple(components)

@@ -135,6 +135,10 @@ class TestEmn:
         payload = json.loads(capsys.readouterr().out)
         assert payload["limit"] == {"num": 3, "den": 4}
 
+    def test_huge_lmax_is_input_error(self, capsys):
+        assert main(["emn", "--lmax", "1000000000000"]) == 2
+        assert "capped" in capsys.readouterr().err
+
     def test_exhaustive(self, capsys):
         assert main(["emn", "--exhaustive", "4"]) == 0
         assert "within=yes" in capsys.readouterr().out

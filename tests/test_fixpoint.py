@@ -32,6 +32,12 @@ def transitive(n):
     return build_tournament(n, [(x, y) for x in range(1, n + 1) for y in range(x + 1, n + 1)])
 
 
+def cycle_above_pair():
+    """The 3-cycle 1 -> 2 -> 3 -> 1 beating both of 4 -> 5."""
+    arcs = [(1, 2), (2, 3), (3, 1), (4, 5)]
+    return build_tournament(5, arcs + [(x, y) for x in (1, 2, 3) for y in (4, 5)])
+
+
 def uniform_exact(t):
     return {x: Fraction(1, t.n) for x in t.vertices()}
 
@@ -119,6 +125,11 @@ class TestPerron:
     def test_reducible_rejected(self, chain3):
         with pytest.raises(NotStronglyConnectedError):
             perron_fixed_point(chain3)
+
+    @pytest.mark.parametrize("vertices", [(1, 2, 3, 4), (1, 2, 4), (1, 2)])
+    def test_reducible_vertex_subset_rejected(self, vertices):
+        with pytest.raises(NotStronglyConnectedError):
+            perron_fixed_point(cycle_above_pair(), vertices=vertices)
 
     def test_shift_preserves_eigenvector(self, three_cycle):
         # same fixed point whether the iteration is shifted or not

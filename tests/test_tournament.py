@@ -7,6 +7,7 @@ from fairrank import (
     LoopArcError,
     MissingPairError,
     ResourceLimitError,
+    Tournament,
     TournamentSyntaxError,
     UnknownVertexError,
     build_tournament,
@@ -20,6 +21,7 @@ from fairrank import (
     serialize_tournament,
 )
 from fairrank.tournament import DEFAULT_VERTEX_CAP, composite_vertex
+from oracles import scc_decompose_tarjan
 
 
 class TestBuild:
@@ -137,14 +139,17 @@ class TestEnumeration:
             assert sum(t.out_degree(x) for x in t.vertices()) == 6
 
 
+def transitive(n):
+    """Vertex x beats every y < x, so the components are {1}, {2}, ..., {n}."""
+    return Tournament(n, [range(1, x) for x in range(1, n + 1)])
+
+
 class TestScc:
     def test_cycle_single_component(self, three_cycle):
-        d = scc_decompose(three_cycle)
-        assert d.components == (frozenset({1, 2, 3}),)
+        assert scc_decompose(three_cycle) == (frozenset({1, 2, 3}),)
 
     def test_chain_singletons_losers_first(self, chain3):
-        d = scc_decompose(chain3)
-        assert d.components == (frozenset({3}), frozenset({2}), frozenset({1}))
+        assert scc_decompose(chain3) == (frozenset({3}), frozenset({2}), frozenset({1}))
 
     def test_composite_strongly_connected(self):
         assert is_strongly_connected(gen_composite(1))
@@ -152,7 +157,7 @@ class TestScc:
     def test_cross_arc_convention(self):
         for seed in range(30):
             t = gen_random(7, seed)
-            comps = scc_decompose(t).components
+            comps = scc_decompose(t)
             for i, ci in enumerate(comps):
                 for j in range(i + 1, len(comps)):
                     for x in ci:
@@ -162,18 +167,39 @@ class TestScc:
     def test_components_are_strongly_connected(self):
         for seed in range(20):
             t = gen_random(8, seed)
-            for comp in scc_decompose(t).components:
+            for comp in scc_decompose(t):
                 if len(comp) > 1:
                     sub, _ = t.induced(comp)
-                    assert is_strongly_connected(sub)
+                    assert len(scc_decompose_tarjan(sub)) == 1
 
     @given(st.integers(min_value=1, max_value=20), st.integers())
     @settings(max_examples=50, deadline=None)
     def test_components_partition_vertices(self, n, seed):
         t = gen_random(n, seed)
-        comps = scc_decompose(t).components
+        comps = scc_decompose(t)
         seen = [v for c in comps for v in c]
         assert sorted(seen) == list(t.vertices())
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_matches_tarjan_exhaustive(self, n):
+        for t in enumerate_all(n):
+            assert scc_decompose(t) == scc_decompose_tarjan(t)
+
+    @pytest.mark.parametrize("n", [20, 50, 200])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_tarjan_random(self, n, seed):
+        t = gen_random(n, seed)
+        assert scc_decompose(t) == scc_decompose_tarjan(t)
+
+    def test_matches_tarjan_transitive(self):
+        t = transitive(300)
+        assert scc_decompose(t) == scc_decompose_tarjan(t)
+        assert scc_decompose(t) == tuple(frozenset({v}) for v in t.vertices())
+
+    @pytest.mark.parametrize("l", [1, 2, 3])
+    def test_matches_tarjan_composite(self, l):
+        t = gen_composite(l)
+        assert scc_decompose(t) == scc_decompose_tarjan(t)
 
 
 class TestTextFormat:
