@@ -117,9 +117,8 @@ def perron_fixed_point(
             f"component of size {k} is not a strongly connected tournament with n >= 3"
         )
     a = np.zeros((k, k))
-    for x in range(1, k + 1):
-        for y in sub.out_set(x):
-            a[x - 1, y - 1] = 1.0
+    for x in sub.vertices():
+        a[x - 1, np.fromiter(sub.out_set(x), dtype=np.intp) - 1] = 1.0
     r = np.full(k, 1.0 / k)
     for it in range(1, cfg.max_iterations + 1):
         ar = a @ r

@@ -3,6 +3,31 @@
 A ranking maps each vertex to a number.  Exact rankings hold Fractions and
 compare exactly; float rankings compare with an absolute tolerance eps
 (a < b iff b - a > eps, a == b iff |a - b| <= eps).
+
+Every predicate and the backward-arc report compare through one rule on
+per-vertex keys: x ranks below y iff key[y] - key[x] > e.  A float ranking
+keys on its values with e = eps.  An exact ranking keys on its values
+times the LCM of their denominators, integers in the same ratios, with
+e = 0: comparisons stay exact, and the linear axiom's out-sums, the one
+place where values matter beyond their order, are integer sums instead of
+Fraction sums.  Float out-sums are added over the out-set in its own order
+from 0.0, as `linear_sums` adds them, so float verdicts do not move by a
+rounding.
+
+The Copeland axioms and the linear axiom share one shape: key(x) <= key(y)
+implies rank(x) <= rank(y), and key(x) < key(y) implies rank(x) < rank(y),
+with the out-degree (Copeland) or the out-neighborhood rank sum (linear)
+as the key.  One sort by key decides them in O(n log n) once the keys are
+known, instead of a scan of all n(n - 1) ordered pairs: the y whose key is
+not below x's form a suffix of the sorted order, so do the y whose key is
+above x's, and x breaks an implication against some y of its suffix iff it
+breaks it against the least rank there.  This holds under eps as well,
+because the rounded difference fl(a - b) never decreases as a grows or as
+b shrinks, so each comparison above is monotone in either operand.  Only
+the least violating x has its row scanned, to name the least y, so the
+certificate is the lex-least violating pair, as a full scan finds it.
+Backward arcs cost one key comparison per arc; the injective and spectral
+axioms scan pairs, and the weak axiom only the pairs where y beats x.
 """
 
 from __future__ import annotations
@@ -11,7 +36,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import DomainMismatchError, TournamentSyntaxError
 from .tournament import Tournament
@@ -114,15 +139,36 @@ class FairnessVerdict:
         return self.ok
 
 
+def _keys(t: Tournament, r: Ranking) -> Tuple[List[Rank], Rank]:
+    """Comparison keys indexed by vertex and the tolerance e.
+
+    x ranks below y iff key[y] - key[x] > e.  An exact ranking keys on its
+    values times the LCM of their denominators, integers in the same
+    ratios, with e = 0; a float ranking keys on its values with e = eps.
+    Index 0 holds the zero of the key type, 0 or 0.0.
+    """
+    values = [r[v] for v in t.vertices()]
+    if r.is_exact:
+        scale = math.lcm(*[v.denominator for v in values])
+        return [0] + [v.numerator * (scale // v.denominator) for v in values], 0
+    return [0.0] + values, r.eps
+
+
 def backward_arcs(t: Tournament, r: Ranking) -> BackwardReport:
-    """Partition arcs by rank comparison and report the backward ones."""
+    """Partition arcs by rank comparison and report the backward ones.
+
+    The arc x -> y is backward when key[y] - key[x] > e (see the module
+    docstring); the arcs are listed in lexicographic order.
+    """
     r.require_domain(t)
-    backward = tuple(
-        (x, y) for (x, y) in t.arcs() if r.lt(r[x], r[y])
-    )
+    key, e = _keys(t, r)
+    backward = []
+    for x in t.vertices():
+        kx = key[x]
+        backward.extend((x, y) for y in sorted([y for y in t.out_set(x) if key[y] - kx > e]))
     total = t.num_arcs
     fraction = Fraction(len(backward), total) if total else Fraction(0)
-    return BackwardReport(backward, total, fraction)
+    return BackwardReport(tuple(backward), total, fraction)
 
 
 def linear_sums(t: Tournament, r: Ranking) -> Dict[int, Rank]:
@@ -171,56 +217,118 @@ def _ordered_pairs(n: int):
                 yield x, y
 
 
+def _monotone_verdict(
+    key: List[Rank],
+    key_e: Rank,
+    rank: List[Rank],
+    rank_e: Rank,
+    nonstrict: Optional[str],
+    strict: Optional[str],
+) -> FairnessVerdict:
+    """Decide key(x) <= key(y) => rank(x) <= rank(y) and, separately,
+    key(x) < key(y) => rank(x) < rank(y) over all ordered pairs x != y.
+
+    Each implication is checked when its reason string is given.  The
+    lists are indexed by vertex from 1; a < b means b - a > e, with key_e
+    for keys and rank_e for ranks.  In ascending key order, the y with key
+    not below x's form a suffix order[i:], and the y with key above x's a
+    suffix order[j:]; both start points only move right as x moves right.
+    x breaks an implication against some y of its suffix iff it breaks it
+    against the suffix's least rank low[i] or low[j], since fl(a - b) is
+    monotone in each argument.
+    """
+    n = len(key) - 1
+    order = sorted(range(1, n + 1), key=key.__getitem__)
+    low = [rank[v] for v in order]
+    for j in range(n - 2, -1, -1):
+        if low[j + 1] < low[j]:
+            low[j] = low[j + 1]
+    first = n + 1
+    i = j = 0
+    for x in order:
+        kx, rx = key[x], rank[x]
+        while kx - key[order[i]] > key_e:
+            i += 1
+        while j < n and not key[order[j]] - kx > key_e:
+            j += 1
+        if x < first and (
+            (nonstrict and rx - low[i] > rank_e)
+            or (strict and j < n and not low[j] - rx > rank_e)
+        ):
+            first = x
+    if first > n:
+        return FairnessVerdict(True)
+    x = first
+    for y in range(1, n + 1):
+        if y == x:
+            continue
+        if nonstrict and not key[x] - key[y] > key_e and rank[x] - rank[y] > rank_e:
+            return FairnessVerdict(False, (x, y), nonstrict)
+        if strict and key[y] - key[x] > key_e and not rank[y] - rank[x] > rank_e:
+            return FairnessVerdict(False, (x, y), strict)
+    raise AssertionError(f"vertex {x} flagged without a violating pair")
+
+
 def is_fair(t: Tournament, r: Ranking, c: FairnessClass) -> FairnessVerdict:
     """Check a fairness axiom; on failure return the lex-least violating pair."""
     r.require_domain(t)
-
-    if c is FairnessClass.INJ:
-        for x, y in _ordered_pairs(t.n):
-            if x < y and r.eq(r[x], r[y]):
-                return FairnessVerdict(False, (x, y), "equal ranks")
-        return FairnessVerdict(True)
-
-    if c in (FairnessClass.NSCOP, FairnessClass.SCOP, FairnessClass.COP):
-        deg = {x: t.out_degree(x) for x in t.vertices()}
-        for x, y in _ordered_pairs(t.n):
-            if c in (FairnessClass.NSCOP, FairnessClass.COP):
-                if deg[x] <= deg[y] and not r.leq(r[x], r[y]):
-                    return FairnessVerdict(False, (x, y), "non-strict Copeland violated")
-            if c in (FairnessClass.SCOP, FairnessClass.COP):
-                if deg[x] < deg[y] and not r.lt(r[x], r[y]):
-                    return FairnessVerdict(False, (x, y), "strict Copeland violated")
-        return FairnessVerdict(True)
-
-    if c is FairnessClass.WEAK:
-        for x, y in _ordered_pairs(t.n):
-            # proper containment is automatic: x+ never contains x, y+ never y
-            if t.out_set(x) <= t.out_set(y) and not r.lt(r[x], r[y]):
-                return FairnessVerdict(False, (x, y), "weak fairness violated")
-        return FairnessVerdict(True)
-
-    if c is FairnessClass.SPEC:
-        spectra = {x: [r[z] for z in t.out_set(x)] for x in t.vertices()}
-        leq = {}
-        for x, y in _ordered_pairs(t.n):
-            leq[(x, y)] = sorted_dominance(spectra[x], spectra[y], r.leq)
-        for x, y in _ordered_pairs(t.n):
-            if leq[(x, y)] and not r.leq(r[x], r[y]):
-                return FairnessVerdict(False, (x, y), "non-strict spectral violated")
-            if leq[(x, y)] and not leq[(y, x)] and not r.lt(r[x], r[y]):
-                return FairnessVerdict(False, (x, y), "strict spectral violated")
-        return FairnessVerdict(True)
+    n = t.n
+    key, e = _keys(t, r)
 
     if c is FairnessClass.LIN:
         for x in t.vertices():
-            if r[x] <= 0:
+            if key[x] <= 0:
                 return FairnessVerdict(False, (x, x), "non-positive rank")
-        sums = linear_sums(t, r)
-        for x, y in _ordered_pairs(t.n):
-            if r.leq(sums[x], sums[y]) and not r.leq(r[x], r[y]):
-                return FairnessVerdict(False, (x, y), "non-strict linear violated")
-            if r.lt(sums[x], sums[y]) and not r.lt(r[x], r[y]):
-                return FairnessVerdict(False, (x, y), "strict linear violated")
+        zero = key[0]  # 0.0 for floats: the start linear_sums adds from
+        sums = [zero] + [sum([key[z] for z in t.out_set(x)], zero) for x in t.vertices()]
+        return _monotone_verdict(
+            sums, e, key, e, "non-strict linear violated", "strict linear violated"
+        )
+
+    if c in (FairnessClass.NSCOP, FairnessClass.SCOP, FairnessClass.COP):
+        degree = [0] + [t.out_degree(x) for x in t.vertices()]
+        return _monotone_verdict(
+            degree, 0, key, e,
+            None if c is FairnessClass.SCOP else "non-strict Copeland violated",
+            None if c is FairnessClass.NSCOP else "strict Copeland violated",
+        )
+
+    if c is FairnessClass.INJ:
+        for x in range(1, n + 1):
+            for y in range(x + 1, n + 1):
+                if abs(key[x] - key[y]) <= e:
+                    return FairnessVerdict(False, (x, y), "equal ranks")
+        return FairnessVerdict(True)
+
+    if c is FairnessClass.WEAK:
+        # x+ ⊆ y+ forces y -> x, since x -> y would put y in y+
+        out = [frozenset()] + [t.out_set(x) for x in t.vertices()]
+        beaten_by: List[List[int]] = [[] for _ in range(n + 1)]
+        for y in t.vertices():
+            for x in out[y]:
+                beaten_by[x].append(y)
+        for x in t.vertices():
+            kx, ox = key[x], out[x]
+            for y in beaten_by[x]:
+                if not key[y] - kx > e and ox <= out[y]:
+                    return FairnessVerdict(False, (x, y), "weak fairness violated")
+        return FairnessVerdict(True)
+
+    if c is FairnessClass.SPEC:
+        spectra = [()] + [sorted([key[z] for z in t.out_set(x)], reverse=True)
+                          for x in t.vertices()]
+
+        def leq(x: int, y: int) -> bool:
+            sx, sy = spectra[x], spectra[y]
+            return len(sx) <= len(sy) and all(not a - b > e for a, b in zip(sx, sy))
+
+        for x, y in _ordered_pairs(n):
+            if key[y] - key[x] > e or not leq(x, y):
+                continue
+            if key[x] - key[y] > e:
+                return FairnessVerdict(False, (x, y), "non-strict spectral violated")
+            if not leq(y, x):
+                return FairnessVerdict(False, (x, y), "strict spectral violated")
         return FairnessVerdict(True)
 
     raise ValueError(f"unhandled fairness class {c}")

@@ -10,6 +10,8 @@ import random
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence, Tuple
 
+import numpy as np
+
 from .errors import (
     DuplicateOrConflictError,
     LoopArcError,
@@ -291,8 +293,39 @@ def parse_tournament(text: str) -> Tournament:
         raise TournamentSyntaxError(f"expected {n} matrix rows, found {len(lines) - 1}")
     rows = lines[1:]
     for row in rows:
-        if len(row) != n or any(c not in "01" for c in row):
+        if len(row) != n or row.count("0") + row.count("1") != n:
             raise TournamentSyntaxError(f"bad matrix row {row!r}")
-    ones = ((x, y) for x, row in enumerate(rows, start=1)
-            for y, c in enumerate(row, start=1) if c == "1")
-    return build_tournament(n, ones)
+    return _tournament_from_rows(n, rows)
+
+
+def _tournament_from_rows(n: int, rows: Sequence[str]) -> Tournament:
+    """Validate n checked '0'/'1' rows as one array and build the tournament.
+
+    The first error in row-major order is the one that `build_tournament`
+    finds when fed the '1' cells in that order: a '1' on the diagonal is a
+    loop, a '1' below the diagonal whose mirror is '1' orients its pair
+    twice, and only then does the first pair x < y with two '0's count as
+    missing.  Each check compares one row with its column, so the n x n
+    matrix is the only large allocation.
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    _require_within_cap(n)
+    a = np.empty((n, n), dtype=bool)
+    for i, row in enumerate(rows):
+        a[i] = np.frombuffer(row.encode("ascii"), dtype=np.uint8) == ord("1")
+    for i in range(n):
+        twice = a[i, : i + 1] & a[: i + 1, i]  # at i itself, the loop
+        if twice.any():
+            x, y = i + 1, int(np.argmax(twice)) + 1
+            if x == y:
+                raise LoopArcError(f"loop arc ({x},{x})")
+            raise DuplicateOrConflictError(f"pair {{{x},{y}}} oriented twice")
+    for i in range(n):
+        missing = ~(a[i, i + 1 :] | a[i + 1 :, i])
+        if missing.any():
+            x, y = i + 1, i + 2 + int(np.argmax(missing))
+            raise MissingPairError(f"pair {{{x},{y}}} has no arc")
+    # sets filled in ascending order, as build_tournament fills them, so the
+    # frozen out-sets iterate in the same order
+    return Tournament(n, [set((row.nonzero()[0] + 1).tolist()) for row in a])

@@ -5,7 +5,14 @@ from itertools import permutations
 from typing import List, Sequence, Tuple
 
 from fairrank.optimize import MinBackwardResult
-from fairrank.ranking import Rank, Ranking
+from fairrank.ranking import (
+    FairnessClass,
+    FairnessVerdict,
+    Rank,
+    Ranking,
+    linear_sums,
+    sorted_dominance,
+)
 from fairrank.tournament import Tournament
 
 
@@ -126,3 +133,70 @@ def scc_decompose_tarjan(t: Tournament) -> Tuple[frozenset, ...]:
                         break
                 components.append(frozenset(comp))
     return tuple(components)
+
+
+def backward_arcs_pairs(t: Tournament, r: Ranking) -> Tuple[Tuple[int, int], ...]:
+    """Backward arcs by comparing the ranks of every arc's ends."""
+    r.require_domain(t)
+    return tuple((x, y) for (x, y) in t.arcs() if r.lt(r[x], r[y]))
+
+
+def _ordered_pairs(n: int):
+    for x in range(1, n + 1):
+        for y in range(1, n + 1):
+            if x != y:
+                yield x, y
+
+
+def is_fair_pairs(t: Tournament, r: Ranking, c: FairnessClass) -> FairnessVerdict:
+    """Fairness check by a scan of all ordered pairs in lexicographic order."""
+    r.require_domain(t)
+
+    if c is FairnessClass.INJ:
+        for x, y in _ordered_pairs(t.n):
+            if x < y and r.eq(r[x], r[y]):
+                return FairnessVerdict(False, (x, y), "equal ranks")
+        return FairnessVerdict(True)
+
+    if c in (FairnessClass.NSCOP, FairnessClass.SCOP, FairnessClass.COP):
+        deg = {x: t.out_degree(x) for x in t.vertices()}
+        for x, y in _ordered_pairs(t.n):
+            if c in (FairnessClass.NSCOP, FairnessClass.COP):
+                if deg[x] <= deg[y] and not r.leq(r[x], r[y]):
+                    return FairnessVerdict(False, (x, y), "non-strict Copeland violated")
+            if c in (FairnessClass.SCOP, FairnessClass.COP):
+                if deg[x] < deg[y] and not r.lt(r[x], r[y]):
+                    return FairnessVerdict(False, (x, y), "strict Copeland violated")
+        return FairnessVerdict(True)
+
+    if c is FairnessClass.WEAK:
+        for x, y in _ordered_pairs(t.n):
+            if t.out_set(x) <= t.out_set(y) and not r.lt(r[x], r[y]):
+                return FairnessVerdict(False, (x, y), "weak fairness violated")
+        return FairnessVerdict(True)
+
+    if c is FairnessClass.SPEC:
+        spectra = {x: [r[z] for z in t.out_set(x)] for x in t.vertices()}
+        leq = {}
+        for x, y in _ordered_pairs(t.n):
+            leq[(x, y)] = sorted_dominance(spectra[x], spectra[y], r.leq)
+        for x, y in _ordered_pairs(t.n):
+            if leq[(x, y)] and not r.leq(r[x], r[y]):
+                return FairnessVerdict(False, (x, y), "non-strict spectral violated")
+            if leq[(x, y)] and not leq[(y, x)] and not r.lt(r[x], r[y]):
+                return FairnessVerdict(False, (x, y), "strict spectral violated")
+        return FairnessVerdict(True)
+
+    if c is FairnessClass.LIN:
+        for x in t.vertices():
+            if r[x] <= 0:
+                return FairnessVerdict(False, (x, x), "non-positive rank")
+        sums = linear_sums(t, r)
+        for x, y in _ordered_pairs(t.n):
+            if r.leq(sums[x], sums[y]) and not r.leq(r[x], r[y]):
+                return FairnessVerdict(False, (x, y), "non-strict linear violated")
+            if r.lt(sums[x], sums[y]) and not r.lt(r[x], r[y]):
+                return FairnessVerdict(False, (x, y), "strict linear violated")
+        return FairnessVerdict(True)
+
+    raise ValueError(f"unhandled fairness class {c}")
