@@ -37,7 +37,6 @@ from .optimize import (
     min_backward_copeland_closed_form,
     min_backward_fair,
     min_backward_injective,
-    reversal_bound_check,
     verify_copeland_upper_bound,
     weak_order_ranking,
 )
@@ -49,11 +48,8 @@ from .ranking import (
     backward_arcs,
     copeland_ranking,
     is_fair,
-    linear_sums,
     parse_ranking,
     serialize_ranking,
-    spectral_leq,
-    spectral_strict_less,
 )
 from .tournament import (
     Tournament,

@@ -117,7 +117,6 @@ def cmd_rank(args) -> int:
 def cmd_check(args) -> int:
     t = _load_tournament(args.in_path)
     r = parse_ranking(_read(args.ranking))
-    r.require_domain(t)
     c = FairnessClass.from_string(args.cls)
     verdict = is_fair(t, r, c)
     report = backward_arcs(t, r)
@@ -146,7 +145,7 @@ def cmd_minimize(args) -> int:
 
 def cmd_emn(args) -> int:
     if args.exhaustive is not None:
-        report = verify_copeland_upper_bound(args.exhaustive, mode="exhaustive")
+        report = verify_copeland_upper_bound(args.exhaustive)
         if args.format == "json":
             payload = {
                 "n": report.n,
@@ -242,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     m.set_defaults(func=cmd_minimize)
 
     e = sub.add_parser("emn", help="backward-fraction harness for the 3/4 limit")
-    e.add_argument("--family", choices=["composite"], default="composite")
     e.add_argument("--lmax", type=int, default=4)
     e.add_argument("--materialize", type=int, default=0)
     e.add_argument("--exhaustive", type=int, default=None)

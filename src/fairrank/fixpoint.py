@@ -20,11 +20,12 @@ import numpy as np
 from .errors import (
     NoConvergenceError,
     NotStronglyConnectedError,
+    UnknownVertexError,
     VerificationFailedError,
     ZeroNormalizerError,
 )
 from .ranking import FairnessClass, Ranking, is_fair
-from .tournament import Tournament, scc_decompose
+from .tournament import Tournament, _score_components, scc_decompose
 
 SimplicialRanking = Dict[int, Union[float, Fraction]]  # vertex -> mass, sums to 1
 
@@ -102,23 +103,32 @@ def perron_fixed_point(
 ) -> PerronResult:
     """Dominant eigenvector of one strongly connected component.
 
+    `vertices` names the component (default: all of t).  Its 0/1 matrix is
+    filled straight from t's out-sets, rows and columns in ascending label
+    order, and the score cut on the row sums decides strong connectivity.
     Power iteration on A + shift*I; the shift makes the iteration matrix
     primitive for every irreducible component (the plain recalculation can
     cycle, e.g. with period 3 on the 3-cycle) without moving eigenvectors.
     Stops when the unshifted residual max|lambda*r - A*r| <= tolerance.
     """
     if vertices is None:
-        sub, labels = t, tuple(t.vertices())
+        labels = tuple(t.vertices())
     else:
-        sub, labels = t.induced(vertices)
-    k = sub.n
-    if k < 3 or len(scc_decompose(sub)) != 1:
+        labels = tuple(sorted(set(vertices)))
+        for v in labels:
+            if not 1 <= v <= t.n:
+                raise UnknownVertexError(f"vertex {v} not in 1..{t.n}")
+    k = len(labels)
+    column = np.full(t.n + 1, -1, dtype=np.intp)  # label -> column, -1 outside
+    column[list(labels)] = np.arange(k)
+    a = np.zeros((k, k))
+    for i, x in enumerate(labels):
+        cols = column[np.fromiter(t.out_set(x), dtype=np.intp)]
+        a[i, cols[cols >= 0]] = 1.0
+    if k < 3 or len(_score_components(np.count_nonzero(a, axis=1).tolist())) != 1:
         raise NotStronglyConnectedError(
             f"component of size {k} is not a strongly connected tournament with n >= 3"
         )
-    a = np.zeros((k, k))
-    for x in sub.vertices():
-        a[x - 1, np.fromiter(sub.out_set(x), dtype=np.intp) - 1] = 1.0
     r = np.full(k, 1.0 / k)
     for it in range(1, cfg.max_iterations + 1):
         ar = a @ r

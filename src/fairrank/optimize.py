@@ -24,7 +24,7 @@ from .ranking import (
     fraction_json,
     is_fair,
 )
-from .tournament import Tournament, enumerate_all, gen_composite, gen_random
+from .tournament import Tournament, enumerate_all, gen_composite
 
 INJECTIVE_SEARCH_CAP = 16
 EMN_LMAX_CAP = 10_000
@@ -118,13 +118,11 @@ def min_backward_copeland_closed_form(t: Tournament) -> MinBackwardResult:
 
     Any strict Copeland fair ranking makes every arc that rises in
     out-degree backward, and the out-degree ranking makes exactly those
-    arcs backward, so the minimum is the count of degree-rising arcs.
+    arcs backward, so the minimum is the backward count of that ranking.
     """
-    deg = {x: t.out_degree(x) for x in t.vertices()}
-    count = sum(1 for (x, y) in t.arcs() if deg[x] < deg[y])
     witness = copeland_ranking(t)
-    fraction = Fraction(count, t.num_arcs) if t.num_arcs else Fraction(0)
-    return MinBackwardResult(count, fraction, witness, "closedForm")
+    report = backward_arcs(t, witness)
+    return MinBackwardResult(report.count, report.fraction, witness, "closedForm")
 
 
 def min_backward_fair(t: Tournament, c: FairnessClass) -> MinBackwardResult:
@@ -266,7 +264,6 @@ def emn_sweep_composite(l_max: int, materialize_up_to: int = 0) -> EmnReport:
 @dataclass(frozen=True)
 class BoundCheckReport:
     n: int
-    mode: str
     checked: int
     bound: Fraction
     max_fraction: Fraction
@@ -274,24 +271,16 @@ class BoundCheckReport:
     all_within: bool
 
 
-def verify_copeland_upper_bound(
-    n: int, mode: str = "exhaustive", samples: int = 100, seed: int = 0
-) -> BoundCheckReport:
-    """Check the per-size strict-Copeland bound over all (or sampled) tournaments."""
-    if mode == "exhaustive":
-        if n > 5:
-            raise ResourceLimitError("exhaustive bound check capped at n <= 5")
-        instances = enumerate_all(n)
-    elif mode == "random":
-        instances = (gen_random(n, seed + i) for i in range(samples))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+def verify_copeland_upper_bound(n: int) -> BoundCheckReport:
+    """Check the per-size strict-Copeland bound over all tournaments on n <= 5 vertices."""
+    if n > 5:
+        raise ResourceLimitError("exhaustive bound check capped at n <= 5")
     bound = copeland_bound(n)
     max_fraction = Fraction(0)
     witness = None
     checked = 0
     ok = True
-    for t in instances:
+    for t in enumerate_all(n):
         frac = min_backward_copeland_closed_form(t).fraction
         checked += 1
         if frac > max_fraction or witness is None:
@@ -299,39 +288,4 @@ def verify_copeland_upper_bound(
             witness = t
         if frac > bound or frac >= Fraction(3, 4):
             ok = False
-    return BoundCheckReport(n, mode, checked, bound, max_fraction, witness, ok)
-
-
-@dataclass(frozen=True)
-class ReversalRow:
-    seed: Optional[int]
-    min_backward: int
-    half_edges: int
-
-    @property
-    def ok(self) -> bool:
-        return self.min_backward <= self.half_edges
-
-
-@dataclass(frozen=True)
-class ReversalReport:
-    n: int
-    rows: Tuple[ReversalRow, ...]
-
-    @property
-    def all_within(self) -> bool:
-        return all(row.ok for row in self.rows)
-
-
-def reversal_bound_check(n: int, samples: int = 100, seed: int = 0) -> ReversalReport:
-    """Min injective backward count never exceeds half the arcs: an ordering
-    or its reverse keeps at least half the arcs forward."""
-    if n > 7:
-        raise ResourceLimitError("exact reversal check capped at n <= 7")
-    rows = []
-    half = n * (n - 1) // 2 // 2
-    for i in range(samples):
-        t = gen_random(n, seed + i)
-        res = min_backward_injective(t)
-        rows.append(ReversalRow(seed + i, res.count, half))
-    return ReversalReport(n, tuple(rows))
+    return BoundCheckReport(n, checked, bound, max_fraction, witness, ok)

@@ -10,9 +10,9 @@ keys on its values with e = eps.  An exact ranking keys on its values
 times the LCM of their denominators, integers in the same ratios, with
 e = 0: comparisons stay exact, and the linear axiom's out-sums, the one
 place where values matter beyond their order, are integer sums instead of
-Fraction sums.  Float out-sums are added over the out-set in its own order
-from 0.0, as `linear_sums` adds them, so float verdicts do not move by a
-rounding.
+Fraction sums.  Float out-sums are added over the out-set in its own
+iteration order from 0.0, as the pair-scan reference in `tests/oracles.py`
+adds them, so the two agree on float verdicts to the last bit.
 
 The Copeland axioms and the linear axiom share one shape: key(x) <= key(y)
 implies rank(x) <= rank(y), and key(x) < key(y) implies rank(x) < rank(y),
@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from .errors import DomainMismatchError, TournamentSyntaxError
 from .tournament import Tournament
@@ -86,19 +86,6 @@ class Ranking:
 
     def __getitem__(self, v: int) -> Rank:
         return self.values[v]
-
-    def lt(self, a: Rank, b: Rank) -> bool:
-        if self.is_exact:
-            return a < b
-        return b - a > self.eps
-
-    def eq(self, a: Rank, b: Rank) -> bool:
-        if self.is_exact:
-            return a == b
-        return abs(a - b) <= self.eps
-
-    def leq(self, a: Rank, b: Rank) -> bool:
-        return not self.lt(b, a)
 
     def require_domain(self, t: Tournament) -> None:
         if set(self.values.keys()) != set(t.vertices()):
@@ -171,40 +158,9 @@ def backward_arcs(t: Tournament, r: Ranking) -> BackwardReport:
     return BackwardReport(tuple(backward), total, fraction)
 
 
-def linear_sums(t: Tournament, r: Ranking) -> Dict[int, Rank]:
-    """Sum of ranks over each vertex's out-neighborhood."""
-    r.require_domain(t)
-    zero: Rank = Fraction(0) if r.is_exact else 0.0
-    return {x: sum((r[z] for z in t.out_set(x)), zero) for x in t.vertices()}
-
-
 def copeland_ranking(t: Tournament) -> Ranking:
     """The out-degree ranking; Copeland fair (and weakly fair) on every tournament."""
     return Ranking.exact({x: t.out_degree(x) for x in t.vertices()})
-
-
-# -- spectral preorder -----------------------------------------------------
-
-
-def sorted_dominance(sx: Sequence[Rank], sy: Sequence[Rank], leq) -> bool:
-    """Dominance shortcut: |sx| <= |sy| and the k-th largest of sx is <= that of sy."""
-    if len(sx) > len(sy):
-        return False
-    ax = sorted(sx, reverse=True)
-    ay = sorted(sy, reverse=True)
-    return all(leq(a, b) for a, b in zip(ax, ay))
-
-
-def spectral_leq(t: Tournament, r: Ranking, x: int, y: int) -> bool:
-    """x <= y in the spectral preorder of r (via the dominance shortcut)."""
-    r.require_domain(t)
-    sx = [r[z] for z in t.out_set(x)]
-    sy = [r[z] for z in t.out_set(y)]
-    return sorted_dominance(sx, sy, r.leq)
-
-
-def spectral_strict_less(t: Tournament, r: Ranking, x: int, y: int) -> bool:
-    return spectral_leq(t, r, x, y) and not spectral_leq(t, r, y, x)
 
 
 # -- fairness predicates ---------------------------------------------------
@@ -279,7 +235,7 @@ def is_fair(t: Tournament, r: Ranking, c: FairnessClass) -> FairnessVerdict:
         for x in t.vertices():
             if key[x] <= 0:
                 return FairnessVerdict(False, (x, x), "non-positive rank")
-        zero = key[0]  # 0.0 for floats: the start linear_sums adds from
+        zero = key[0]  # 0 or 0.0, the start of every out-sum
         sums = [zero] + [sum([key[z] for z in t.out_set(x)], zero) for x in t.vertices()]
         return _monotone_verdict(
             sums, e, key, e, "non-strict linear violated", "strict linear violated"

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -73,20 +73,6 @@ class Tournament:
 
     def vertices(self) -> range:
         return range(1, self.n + 1)
-
-    def induced(self, vertex_subset: Iterable[int]) -> Tuple["Tournament", Tuple[int, ...]]:
-        """Induced subtournament on the given vertices.
-
-        Returns the subtournament (relabeled 1..k in increasing original
-        label order) together with the tuple mapping new labels to old ones.
-        """
-        old = tuple(sorted(set(vertex_subset)))
-        for v in old:
-            self._check_vertex(v)
-        keep = set(old)
-        index = {v: i + 1 for i, v in enumerate(old)}
-        out_sets = [{index[w] for w in self._out[v - 1] if w in keep} for v in old]
-        return Tournament(len(old), out_sets), old
 
     # -- dunder ------------------------------------------------------------
 
@@ -224,27 +210,37 @@ def enumerate_all(n: int) -> Iterator[Tournament]:
 # -- strongly connected components ----------------------------------------
 
 
+def _score_components(scores: Sequence[int]) -> List[List[int]]:
+    """Strong components of a tournament given by its score list, losers-first.
+
+    scores[i] is the out-degree of the vertex at index i; each component is
+    a list of indices in ascending score order, ties by index.  A vertex in
+    a later component beats every vertex of the earlier ones, so it
+    outscores them all: components are contiguous in ascending score order
+    and ties never straddle a cut.  The first k vertices in that order have
+    score sum C(k,2) plus the number of arcs leaving them, so they form a
+    union of bottom components exactly when the sum is C(k,2).
+    """
+    order = sorted(range(len(scores)), key=scores.__getitem__)
+    components = []
+    start = total = 0
+    for k, i in enumerate(order, start=1):
+        total += scores[i]
+        if total == k * (k - 1) // 2:
+            components.append(order[start:k])
+            start = k
+    return components
+
+
 def scc_decompose(t: Tournament) -> Tuple[frozenset, ...]:
     """Strongly connected components ordered losers-first, cut from the scores.
 
     For x in components[i] and y in components[j] with i < j, the cross
-    arc is y -> x: component 0 is the sink of the condensation.
-
-    A vertex in a later component beats every vertex of the earlier ones,
-    so it outscores them all: components are contiguous in ascending score
-    order and ties never straddle a cut.  The first k vertices in that
-    order have score sum C(k,2) plus the number of arcs leaving them, so
-    they form a union of bottom components exactly when the sum is C(k,2).
+    arc is y -> x: component 0 is the sink of the condensation.  See
+    `_score_components` for the cut.
     """
-    order = sorted(t.vertices(), key=t.out_degree)
-    components = []
-    start = total = 0
-    for k, v in enumerate(order, start=1):
-        total += t.out_degree(v)
-        if total == k * (k - 1) // 2:
-            components.append(frozenset(order[start:k]))
-            start = k
-    return tuple(components)
+    scores = [t.out_degree(v) for v in t.vertices()]
+    return tuple(frozenset(i + 1 for i in comp) for comp in _score_components(scores))
 
 
 def is_strongly_connected(t: Tournament) -> bool:

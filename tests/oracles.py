@@ -1,8 +1,9 @@
 """Brute-force oracles that the library's fast paths are checked against."""
 
 from fractions import Fraction
+from functools import partial
 from itertools import permutations
-from typing import List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from fairrank.optimize import MinBackwardResult
 from fairrank.ranking import (
@@ -10,10 +11,75 @@ from fairrank.ranking import (
     FairnessVerdict,
     Rank,
     Ranking,
-    linear_sums,
-    sorted_dominance,
 )
 from fairrank.tournament import Tournament
+
+# -- raw-value comparators ------------------------------------------------
+# The documented rule, applied to rank values directly rather than through
+# the library's per-vertex keys: exact ranks compare with < and ==, float
+# ranks with a < b iff b - a > eps and a == b iff |a - b| <= eps.
+
+
+def lt(r: Ranking, a: Rank, b: Rank) -> bool:
+    if r.is_exact:
+        return a < b
+    return b - a > r.eps
+
+
+def eq(r: Ranking, a: Rank, b: Rank) -> bool:
+    if r.is_exact:
+        return a == b
+    return abs(a - b) <= r.eps
+
+
+def leq(r: Ranking, a: Rank, b: Rank) -> bool:
+    return not lt(r, b, a)
+
+
+def linear_sums(t: Tournament, r: Ranking) -> Dict[int, Rank]:
+    """Sum of ranks over each vertex's out-neighborhood, in out-set order."""
+    r.require_domain(t)
+    zero: Rank = Fraction(0) if r.is_exact else 0.0
+    return {x: sum((r[z] for z in t.out_set(x)), zero) for x in t.vertices()}
+
+
+def induced(t: Tournament, vertex_subset: Iterable[int]) -> Tuple[Tournament, Tuple[int, ...]]:
+    """Induced subtournament on the given vertices.
+
+    Returns the subtournament (relabeled 1..k in increasing original label
+    order) together with the tuple mapping new labels to old ones.
+    """
+    old = tuple(sorted(set(vertex_subset)))
+    keep = set(old)
+    index = {v: i + 1 for i, v in enumerate(old)}
+    out_sets = [{index[w] for w in t.out_set(v) if w in keep} for v in old]
+    return Tournament(len(old), out_sets), old
+
+
+# -- spectral preorder ----------------------------------------------------
+
+
+def sorted_dominance(sx: Sequence[Rank], sy: Sequence[Rank], leq) -> bool:
+    """Dominance shortcut: |sx| <= |sy| and the k-th largest of sx is <= that of sy."""
+    if len(sx) > len(sy):
+        return False
+    ax = sorted(sx, reverse=True)
+    ay = sorted(sy, reverse=True)
+    return all(leq(a, b) for a, b in zip(ax, ay))
+
+
+def _spectra(t: Tournament, r: Ranking, x: int, y: int):
+    r.require_domain(t)
+    return [r[z] for z in t.out_set(x)], [r[z] for z in t.out_set(y)]
+
+
+def spectral_leq(t: Tournament, r: Ranking, x: int, y: int) -> bool:
+    """x <= y in the spectral preorder of r (via the dominance shortcut)."""
+    return sorted_dominance(*_spectra(t, r, x, y), partial(leq, r))
+
+
+def spectral_strict_less(t: Tournament, r: Ranking, x: int, y: int) -> bool:
+    return spectral_leq(t, r, x, y) and not spectral_leq(t, r, y, x)
 
 
 def injection_exists(sx: Sequence[Rank], sy: Sequence[Rank], leq) -> bool:
@@ -27,10 +93,7 @@ def injection_exists(sx: Sequence[Rank], sy: Sequence[Rank], leq) -> bool:
 
 
 def spectral_leq_bruteforce(t: Tournament, r: Ranking, x: int, y: int) -> bool:
-    r.require_domain(t)
-    sx = [r[z] for z in t.out_set(x)]
-    sy = [r[z] for z in t.out_set(y)]
-    return injection_exists(sx, sy, r.leq)
+    return injection_exists(*_spectra(t, r, x, y), partial(leq, r))
 
 
 def min_backward_injective_bnb(t: Tournament) -> MinBackwardResult:
@@ -138,7 +201,7 @@ def scc_decompose_tarjan(t: Tournament) -> Tuple[frozenset, ...]:
 def backward_arcs_pairs(t: Tournament, r: Ranking) -> Tuple[Tuple[int, int], ...]:
     """Backward arcs by comparing the ranks of every arc's ends."""
     r.require_domain(t)
-    return tuple((x, y) for (x, y) in t.arcs() if r.lt(r[x], r[y]))
+    return tuple((x, y) for (x, y) in t.arcs() if lt(r, r[x], r[y]))
 
 
 def _ordered_pairs(n: int):
@@ -154,7 +217,7 @@ def is_fair_pairs(t: Tournament, r: Ranking, c: FairnessClass) -> FairnessVerdic
 
     if c is FairnessClass.INJ:
         for x, y in _ordered_pairs(t.n):
-            if x < y and r.eq(r[x], r[y]):
+            if x < y and eq(r, r[x], r[y]):
                 return FairnessVerdict(False, (x, y), "equal ranks")
         return FairnessVerdict(True)
 
@@ -162,28 +225,28 @@ def is_fair_pairs(t: Tournament, r: Ranking, c: FairnessClass) -> FairnessVerdic
         deg = {x: t.out_degree(x) for x in t.vertices()}
         for x, y in _ordered_pairs(t.n):
             if c in (FairnessClass.NSCOP, FairnessClass.COP):
-                if deg[x] <= deg[y] and not r.leq(r[x], r[y]):
+                if deg[x] <= deg[y] and not leq(r, r[x], r[y]):
                     return FairnessVerdict(False, (x, y), "non-strict Copeland violated")
             if c in (FairnessClass.SCOP, FairnessClass.COP):
-                if deg[x] < deg[y] and not r.lt(r[x], r[y]):
+                if deg[x] < deg[y] and not lt(r, r[x], r[y]):
                     return FairnessVerdict(False, (x, y), "strict Copeland violated")
         return FairnessVerdict(True)
 
     if c is FairnessClass.WEAK:
         for x, y in _ordered_pairs(t.n):
-            if t.out_set(x) <= t.out_set(y) and not r.lt(r[x], r[y]):
+            if t.out_set(x) <= t.out_set(y) and not lt(r, r[x], r[y]):
                 return FairnessVerdict(False, (x, y), "weak fairness violated")
         return FairnessVerdict(True)
 
     if c is FairnessClass.SPEC:
         spectra = {x: [r[z] for z in t.out_set(x)] for x in t.vertices()}
-        leq = {}
+        below = {}
         for x, y in _ordered_pairs(t.n):
-            leq[(x, y)] = sorted_dominance(spectra[x], spectra[y], r.leq)
+            below[(x, y)] = sorted_dominance(spectra[x], spectra[y], partial(leq, r))
         for x, y in _ordered_pairs(t.n):
-            if leq[(x, y)] and not r.leq(r[x], r[y]):
+            if below[(x, y)] and not leq(r, r[x], r[y]):
                 return FairnessVerdict(False, (x, y), "non-strict spectral violated")
-            if leq[(x, y)] and not leq[(y, x)] and not r.lt(r[x], r[y]):
+            if below[(x, y)] and not below[(y, x)] and not lt(r, r[x], r[y]):
                 return FairnessVerdict(False, (x, y), "strict spectral violated")
         return FairnessVerdict(True)
 
@@ -193,9 +256,9 @@ def is_fair_pairs(t: Tournament, r: Ranking, c: FairnessClass) -> FairnessVerdic
                 return FairnessVerdict(False, (x, x), "non-positive rank")
         sums = linear_sums(t, r)
         for x, y in _ordered_pairs(t.n):
-            if r.leq(sums[x], sums[y]) and not r.leq(r[x], r[y]):
+            if leq(r, sums[x], sums[y]) and not leq(r, r[x], r[y]):
                 return FairnessVerdict(False, (x, y), "non-strict linear violated")
-            if r.lt(sums[x], sums[y]) and not r.lt(r[x], r[y]):
+            if lt(r, sums[x], sums[y]) and not lt(r, r[x], r[y]):
                 return FairnessVerdict(False, (x, y), "strict linear violated")
         return FairnessVerdict(True)
 

@@ -7,6 +7,7 @@ from fairrank import (
     NoConvergenceError,
     NotStronglyConnectedError,
     RecalcConfig,
+    UnknownVertexError,
     ZeroNormalizerError,
     build_tournament,
     gen_composite,
@@ -21,6 +22,7 @@ from fairrank import (
     scc_decompose,
     uniform_ranking,
 )
+from oracles import induced
 
 FC = FairnessClass
 
@@ -36,6 +38,16 @@ def cycle_above_pair():
     """The 3-cycle 1 -> 2 -> 3 -> 1 beating both of 4 -> 5."""
     arcs = [(1, 2), (2, 3), (3, 1), (4, 5)]
     return build_tournament(5, arcs + [(x, y) for x in (1, 2, 3) for y in (4, 5)])
+
+
+def stacked_three_cycles(blocks):
+    """Block b is the 3-cycle on 3b+1..3b+3; every later block beats every earlier one."""
+    arcs = []
+    for b in range(blocks):
+        u, v, w = 3 * b + 1, 3 * b + 2, 3 * b + 3
+        arcs += [(u, v), (v, w), (w, u)]
+        arcs += [(x, y) for x in (u, v, w) for y in range(1, 3 * b + 1)]
+    return build_tournament(3 * blocks, arcs)
 
 
 def uniform_exact(t):
@@ -130,6 +142,35 @@ class TestPerron:
     def test_reducible_vertex_subset_rejected(self, vertices):
         with pytest.raises(NotStronglyConnectedError):
             perron_fixed_point(cycle_above_pair(), vertices=vertices)
+
+    @pytest.mark.parametrize("vertices", [(0, 1, 2), (-1, 2, 3), (1, 2, 6)])
+    def test_label_outside_range_rejected(self, vertices):
+        # labels are checked against 1..n before they index any array
+        with pytest.raises(UnknownVertexError):
+            perron_fixed_point(cycle_above_pair(), vertices=vertices)
+
+    @pytest.mark.parametrize(
+        "make",
+        [pytest.param(lambda n=n, s=s: gen_random(n, s), id=f"random-{n}-{s}")
+         for n in (12, 50, 200) for s in range(3)]
+        + [pytest.param(lambda: stacked_three_cycles(300), id="stacked-3-cycles-300")],
+    )
+    def test_component_solve_matches_induced_copy(self, make):
+        # the matrix filled in place equals the one of the copied component,
+        # so the power iteration takes the same steps to the same floats
+        t = make()
+        solved = 0
+        for comp in linear_fair_ranking(t).components:
+            if comp.perron is None:
+                continue
+            sub, labels = induced(t, comp.vertices)
+            ref = perron_fixed_point(sub)
+            assert comp.perron.vertices == labels
+            assert comp.perron.ranking == {labels[i - 1]: v for i, v in ref.ranking.items()}
+            assert (comp.perron.eigenvalue, comp.perron.residual, comp.perron.iterations) == (
+                ref.eigenvalue, ref.residual, ref.iterations)
+            solved += 1
+        assert solved
 
     def test_shift_preserves_eigenvector(self, three_cycle):
         # same fixed point whether the iteration is shifted or not

@@ -3,7 +3,10 @@
 The references in `oracles.py` are the pair-by-pair implementations that
 the library used before: a scan of all ordered pairs for `is_fair`, a
 comparison per arc for `backward_arcs`, and `build_tournament` fed the '1'
-cells of a matrix in row-major order for the matrix parser.
+cells of a matrix in row-major order for the matrix parser.  They compare
+rank values with the raw-value comparators `lt`, `eq` and `leq` of
+`oracles.py` (exact ranks with < and ==, float ranks with b - a > eps and
+|a - b| <= eps), never through the library's per-vertex keys.
 """
 
 import random

@@ -15,14 +15,17 @@ from fairrank import (
     enumerate_all,
     gen_random,
     is_fair,
-    linear_sums,
     parse_ranking,
     serialize_ranking,
+)
+from oracles import (
+    injection_exists,
+    linear_sums,
+    sorted_dominance,
     spectral_leq,
+    spectral_leq_bruteforce,
     spectral_strict_less,
 )
-from fairrank.ranking import sorted_dominance
-from oracles import injection_exists, spectral_leq_bruteforce
 
 FC = FairnessClass
 

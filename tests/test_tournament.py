@@ -21,7 +21,7 @@ from fairrank import (
     serialize_tournament,
 )
 from fairrank.tournament import DEFAULT_VERTEX_CAP, composite_vertex
-from oracles import scc_decompose_tarjan
+from oracles import induced, scc_decompose_tarjan
 
 
 class TestBuild:
@@ -169,7 +169,7 @@ class TestScc:
             t = gen_random(8, seed)
             for comp in scc_decompose(t):
                 if len(comp) > 1:
-                    sub, _ = t.induced(comp)
+                    sub, _ = induced(t, comp)
                     assert len(scc_decompose_tarjan(sub)) == 1
 
     @given(st.integers(min_value=1, max_value=20), st.integers())
