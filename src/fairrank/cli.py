@@ -184,19 +184,20 @@ def cmd_dump(args) -> int:
         r = None
     if r is None:
         order = list(t.vertices())
-        backward = set()
+        backward = (0,) * t.n
     else:
         order = sorted(t.vertices(), key=lambda v: (r[v], v))
-        backward = set(backward_arcs(t, r).backward)
+        backward = backward_arcs(t, r).rows
     header = "    " + " ".join(f"{v:>3d}" for v in order)
     print(header)
     for x in order:
+        out, back = t.out[x - 1], backward[x - 1]
         cells = []
         for y in order:
             if x == y:
                 cells.append("  . ")
-            elif t.has_arc(x, y):
-                cells.append("[*] " if (x, y) in backward else " *  ")
+            elif out >> (y - 1) & 1:
+                cells.append("[*] " if back >> (y - 1) & 1 else " *  ")
             else:
                 cells.append(" .  ")
         print(f"{x:>3d} " + "".join(cells))

@@ -25,7 +25,7 @@ from .errors import (
     ZeroNormalizerError,
 )
 from .ranking import FairnessClass, Ranking, is_fair
-from .tournament import Tournament, _score_components, scc_decompose
+from .tournament import Tournament, _score_components, members, scc_decompose
 
 SimplicialRanking = Dict[int, Union[float, Fraction]]  # vertex -> mass, sums to 1
 
@@ -70,7 +70,7 @@ def recalc_apply(t: Tournament, r: SimplicialRanking) -> SimplicialRanking:
 
     Works on floats and on exact Fractions alike.
     """
-    sums = {x: sum(r[z] for z in t.out_set(x)) for x in t.vertices()}
+    sums = {x: sum(r[z] for z in members(o)) for x, o in enumerate(t.out, start=1)}
     lam = sum(sums.values())
     if lam == 0:
         raise ZeroNormalizerError("rank-sum normalizer is zero")
@@ -104,7 +104,7 @@ def perron_fixed_point(
     """Dominant eigenvector of one strongly connected component.
 
     `vertices` names the component (default: all of t).  Its 0/1 matrix is
-    filled straight from t's out-sets, rows and columns in ascending label
+    filled straight from t's out-set bitsets, rows and columns in ascending label
     order, and the score cut on the row sums decides strong connectivity.
     Power iteration on A + shift*I; the shift makes the iteration matrix
     primitive for every irreducible component (the plain recalculation can
@@ -123,7 +123,7 @@ def perron_fixed_point(
     column[list(labels)] = np.arange(k)
     a = np.zeros((k, k))
     for i, x in enumerate(labels):
-        cols = column[np.fromiter(t.out_set(x), dtype=np.intp)]
+        cols = column[members(t.out[x - 1])]
         a[i, cols[cols >= 0]] = 1.0
     if k < 3 or len(_score_components(np.count_nonzero(a, axis=1).tolist())) != 1:
         raise NotStronglyConnectedError(

@@ -87,7 +87,7 @@ def min_backward_injective(t: Tournament) -> MinBackwardResult:
     """
     if t.n > INJECTIVE_SEARCH_CAP:
         raise ResourceLimitError(f"permutation search capped at n <= {INJECTIVE_SEARCH_CAP}")
-    bits = [(1 << (v - 1), sum(1 << (w - 1) for w in t.out_set(v))) for v in t.vertices()]
+    bits = [(1 << (v - 1), out) for v, out in enumerate(t.out, start=1)]
     cost = [0] * (1 << t.n)
     for u in range(1, 1 << t.n):
         best = t.num_arcs

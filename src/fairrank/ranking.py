@@ -10,8 +10,8 @@ keys on its values with e = eps.  An exact ranking keys on its values
 times the LCM of their denominators, integers in the same ratios, with
 e = 0: comparisons stay exact, and the linear axiom's out-sums, the one
 place where values matter beyond their order, are integer sums instead of
-Fraction sums.  Float out-sums are added over the out-set in its own
-iteration order from 0.0, as the pair-scan reference in `tests/oracles.py`
+Fraction sums.  Float out-sums are added over the out-set in ascending
+vertex order from 0.0, as the pair-scan reference in `tests/oracles.py`
 adds them, so the two agree on float verdicts to the last bit.
 
 The Copeland axioms and the linear axiom share one shape: key(x) <= key(y)
@@ -26,8 +26,8 @@ because the rounded difference fl(a - b) never decreases as a grows or as
 b shrinks, so each comparison above is monotone in either operand.  Only
 the least violating x has its row scanned, to name the least y, so the
 certificate is the lex-least violating pair, as a full scan finds it.
-Backward arcs cost one key comparison per arc; the injective and spectral
-axioms scan pairs, and the weak axiom only the pairs where y beats x.
+Backward arcs take the same sort and one mask per vertex; the injective and
+spectral axioms scan pairs, and the weak axiom only the pairs where y beats x.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from .errors import DomainMismatchError, TournamentSyntaxError
-from .tournament import Tournament
+from .tournament import Tournament, members
 
 Rank = Union[int, float, Fraction]
 
@@ -96,15 +96,24 @@ class Ranking:
 
 @dataclass(frozen=True)
 class BackwardReport:
-    """Backward arcs of a ranking, with the exact backward fraction."""
+    """Backward arcs of a ranking: rows[x - 1] is the bitset of the y for
+    which x -> y is backward, and total is the number of arcs."""
 
-    backward: Tuple[Tuple[int, int], ...]
+    rows: Tuple[int, ...]
     total: int
-    fraction: Fraction
 
     @property
     def count(self) -> int:
-        return len(self.backward)
+        return sum(row.bit_count() for row in self.rows)
+
+    @property
+    def fraction(self) -> Fraction:
+        return Fraction(self.count, self.total) if self.total else Fraction(0)
+
+    @property
+    def backward(self) -> Tuple[Tuple[int, int], ...]:
+        """The backward arcs (x, y) in lexicographic order."""
+        return tuple((x, y) for x, row in enumerate(self.rows, start=1) for y in members(row))
 
     def to_json(self) -> dict:
         return {
@@ -144,23 +153,27 @@ def _keys(t: Tournament, r: Ranking) -> Tuple[List[Rank], Rank]:
 def backward_arcs(t: Tournament, r: Ranking) -> BackwardReport:
     """Partition arcs by rank comparison and report the backward ones.
 
-    The arc x -> y is backward when key[y] - key[x] > e (see the module
-    docstring); the arcs are listed in lexicographic order.
+    The arc x -> y is backward when key[y] - key[x] > e.  Those y form a
+    suffix of the ascending key order that grows as key[x] falls (see the
+    module docstring), so one walk down the order keeps their mask `above`.
     """
     r.require_domain(t)
     key, e = _keys(t, r)
-    backward = []
-    for x in t.vertices():
-        kx = key[x]
-        backward.extend((x, y) for y in sorted([y for y in t.out_set(x) if key[y] - kx > e]))
-    total = t.num_arcs
-    fraction = Fraction(len(backward), total) if total else Fraction(0)
-    return BackwardReport(tuple(backward), total, fraction)
+    order = sorted(t.vertices(), key=key.__getitem__)
+    rows = [0] * t.n
+    above = 0
+    j = t.n - 1
+    for x in reversed(order):
+        while j >= 0 and key[order[j]] - key[x] > e:
+            above |= 1 << (order[j] - 1)
+            j -= 1
+        rows[x - 1] = t.out[x - 1] & above
+    return BackwardReport(tuple(rows), t.num_arcs)
 
 
 def copeland_ranking(t: Tournament) -> Ranking:
     """The out-degree ranking; Copeland fair (and weakly fair) on every tournament."""
-    return Ranking.exact({x: t.out_degree(x) for x in t.vertices()})
+    return Ranking.exact({x: o.bit_count() for x, o in enumerate(t.out, start=1)})
 
 
 # -- fairness predicates ---------------------------------------------------
@@ -236,13 +249,13 @@ def is_fair(t: Tournament, r: Ranking, c: FairnessClass) -> FairnessVerdict:
             if key[x] <= 0:
                 return FairnessVerdict(False, (x, x), "non-positive rank")
         zero = key[0]  # 0 or 0.0, the start of every out-sum
-        sums = [zero] + [sum([key[z] for z in t.out_set(x)], zero) for x in t.vertices()]
+        sums = [zero] + [sum([key[z] for z in members(o)], zero) for o in t.out]
         return _monotone_verdict(
             sums, e, key, e, "non-strict linear violated", "strict linear violated"
         )
 
     if c in (FairnessClass.NSCOP, FairnessClass.SCOP, FairnessClass.COP):
-        degree = [0] + [t.out_degree(x) for x in t.vertices()]
+        degree = [0] + [o.bit_count() for o in t.out]
         return _monotone_verdict(
             degree, 0, key, e,
             None if c is FairnessClass.SCOP else "non-strict Copeland violated",
@@ -258,21 +271,16 @@ def is_fair(t: Tournament, r: Ranking, c: FairnessClass) -> FairnessVerdict:
 
     if c is FairnessClass.WEAK:
         # x+ ⊆ y+ forces y -> x, since x -> y would put y in y+
-        out = [frozenset()] + [t.out_set(x) for x in t.vertices()]
-        beaten_by: List[List[int]] = [[] for _ in range(n + 1)]
-        for y in t.vertices():
-            for x in out[y]:
-                beaten_by[x].append(y)
-        for x in t.vertices():
-            kx, ox = key[x], out[x]
-            for y in beaten_by[x]:
-                if not key[y] - kx > e and ox <= out[y]:
+        everyone = (1 << n) - 1
+        for x, ox in enumerate(t.out, start=1):
+            kx = key[x]
+            for y in members(everyone & ~ox & ~(1 << (x - 1))):
+                if not key[y] - kx > e and ox & ~t.out[y - 1] == 0:
                     return FairnessVerdict(False, (x, y), "weak fairness violated")
         return FairnessVerdict(True)
 
     if c is FairnessClass.SPEC:
-        spectra = [()] + [sorted([key[z] for z in t.out_set(x)], reverse=True)
-                          for x in t.vertices()]
+        spectra = [()] + [sorted([key[z] for z in members(o)], reverse=True) for o in t.out]
 
         def leq(x: int, y: int) -> bool:
             sx, sy = spectra[x], spectra[y]

@@ -7,7 +7,7 @@ for every unordered pair exactly one of the two directed arcs is present.
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, compress, count, islice
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
@@ -28,20 +28,22 @@ ENUMERATION_CAP = 6
 class Tournament:
     """Immutable tournament on vertices 1..n.
 
-    Out-neighborhoods are stored as frozensets, so arc tests are O(1).
-    Instances built through this constructor are trusted; use
-    :func:`build_tournament` to validate raw arc lists.
+    Each out-neighborhood is one int bitset, bit y - 1 standing for vertex
+    y, so an arc test is a shift and a mask and an out-degree a bit count;
+    `members` decodes a bitset to its labels.  Instances built through this
+    constructor are trusted; use :func:`build_tournament` to validate raw
+    arc lists.
     """
 
-    __slots__ = ("n", "_out")
+    __slots__ = ("n", "out")
 
-    def __init__(self, n: int, out_sets: Sequence[Iterable[int]]):
+    def __init__(self, n: int, out: Sequence[int]):
         if n < 1:
             raise ValueError("tournament needs at least one vertex")
-        if len(out_sets) != n:
-            raise ValueError("out_sets length must equal n")
+        if len(out) != n:
+            raise ValueError("out length must equal n")
         self.n = n
-        self._out: Tuple[frozenset, ...] = tuple(frozenset(s) for s in out_sets)
+        self.out: Tuple[int, ...] = tuple(out)
 
     # -- queries -----------------------------------------------------------
 
@@ -52,24 +54,15 @@ class Tournament:
     def has_arc(self, x: int, y: int) -> bool:
         self._check_vertex(x)
         self._check_vertex(y)
-        return y in self._out[x - 1]
-
-    def out_set(self, x: int) -> frozenset:
-        self._check_vertex(x)
-        return self._out[x - 1]
+        return bool(self.out[x - 1] >> (y - 1) & 1)
 
     def out_degree(self, x: int) -> int:
-        return len(self.out_set(x))
+        self._check_vertex(x)
+        return self.out[x - 1].bit_count()
 
     @property
     def num_arcs(self) -> int:
         return self.n * (self.n - 1) // 2
-
-    def arcs(self) -> Iterator[Tuple[int, int]]:
-        """Yield all arcs in lexicographic order of (x, y)."""
-        for x in range(1, self.n + 1):
-            for y in sorted(self._out[x - 1]):
-                yield (x, y)
 
     def vertices(self) -> range:
         return range(1, self.n + 1)
@@ -79,13 +72,21 @@ class Tournament:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Tournament):
             return NotImplemented
-        return self.n == other.n and self._out == other._out
+        return self.n == other.n and self.out == other.out
 
     def __hash__(self) -> int:
-        return hash((self.n, self._out))
+        return hash((self.n, self.out))
 
     def __repr__(self) -> str:
         return f"Tournament(n={self.n}, arcs={self.num_arcs})"
+
+
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def members(bits: int) -> List[int]:
+    """The labels of the set bits of a bitset, ascending: bit y - 1 is vertex y."""
+    return list(compress(count(1), bin(bits)[:1:-1].encode().translate(_BITS)))
 
 
 # -- construction and validation ------------------------------------------
@@ -100,28 +101,35 @@ def build_tournament(n: int, arc_list: Iterable[Tuple[int, int]]) -> Tournament:
     """Validate an explicit arc list and build the tournament.
 
     Every unordered pair must be covered exactly once and in one direction.
-    The out-sets being filled are the only record of the arcs seen so far.
+    The out-sets being filled are the only record of the arcs seen so far;
+    arcs are read one at a time, and the first bad one raises.
     """
     if n < 1:
         raise ValueError("n must be positive")
     _require_within_cap(n)
-    out = [set() for _ in range(n)]
+    out = [0] * n
     added = 0
     for (x, y) in arc_list:
         if not (1 <= x <= n) or not (1 <= y <= n):
             raise UnknownVertexError(f"arc ({x},{y}) references vertex outside 1..{n}")
         if x == y:
             raise LoopArcError(f"loop arc ({x},{x})")
-        if y in out[x - 1] or x in out[y - 1]:
+        if out[x - 1] >> (y - 1) & 1 or out[y - 1] >> (x - 1) & 1:
             raise DuplicateOrConflictError(f"pair {{{x},{y}}} oriented twice")
-        out[x - 1].add(y)
+        out[x - 1] |= 1 << (y - 1)
         added += 1
     if added != n * (n - 1) // 2:
         for x in range(1, n + 1):
             for y in range(x + 1, n + 1):
-                if y not in out[x - 1] and x not in out[y - 1]:
+                if not (out[x - 1] >> (y - 1) & 1 or out[y - 1] >> (x - 1) & 1):
                     raise MissingPairError(f"pair {{{x},{y}}} has no arc")
     return Tournament(n, out)
+
+
+def _from_matrix(a: np.ndarray) -> Tournament:
+    """The tournament of a checked n x n bool adjacency matrix, row x - 1 for vertex x."""
+    packed = np.packbits(a, axis=1, bitorder="little")
+    return Tournament(len(a), [int.from_bytes(row.tobytes(), "little") for row in packed])
 
 
 # -- generators ------------------------------------------------------------
@@ -133,8 +141,9 @@ def gen_rotational(l: int) -> Tournament:
         raise ValueError("l must be >= 1")
     n = 2 * l + 1
     _require_within_cap(n)
-    out_sets = [{(i - 1 + k) % n + 1 for k in range(1, l + 1)} for i in range(1, n + 1)]
-    return Tournament(n, out_sets)
+    everyone = (1 << n) - 1
+    first = ((1 << l) - 1) << 1  # vertex 1 beats 2..l+1
+    return Tournament(n, [(first << s | first >> (n - s)) & everyone for s in range(n)])
 
 
 def composite_vertex(m: int, i: int, l: int) -> int:
@@ -155,39 +164,32 @@ def gen_composite(l: int) -> Tournament:
     s = 2 * l + 1
     n_total = s * s
     _require_within_cap(n_total)
-    rot = gen_rotational(l)
-    out_sets = []
-    for m in range(1, s + 1):
-        beats_m = rot.out_set(m)
-        for i in range(1, s + 1):
-            beats_i = rot.out_set(i)
-            targets = set()
-            for mm in range(1, m):
-                targets.add(composite_vertex(mm, i, l))
-            for j in beats_i:
-                targets.add(composite_vertex(m, j, l))
-            for nn in beats_m:
-                for j in range(1, s + 1):
-                    if j != i:
-                        targets.add(composite_vertex(nn, j, l))
-            out_sets.append(targets)
-    return Tournament(n_total, out_sets)
+    rot = gen_rotational(l).out
+    layer = (1 << s) - 1
+    column = sum(1 << (m * s) for m in range(s))  # (m, 1) for every layer m
+    out = []
+    for m in range(s):
+        below = (1 << (m * s)) - 1
+        beaten = sum(layer << ((k - 1) * s) for k in members(rot[m]))
+        for i in range(s):
+            same_i = column << i
+            out.append((same_i & below) | (rot[i] << (m * s)) | (beaten & ~same_i))
+    return Tournament(n_total, out)
 
 
 def gen_random(n: int, seed: int) -> Tournament:
-    """Orient each pair by one coin flip of a seeded generator."""
+    """Orient each pair x < y by one coin flip of a seeded generator, in
+    lexicographic order of (x, y): x -> y when the draw is below 1/2."""
     if n < 1:
         raise ValueError("n must be positive")
     _require_within_cap(n)
     rng = random.Random(seed)
-    out = [set() for _ in range(n)]
-    for x in range(1, n + 1):
-        for y in range(x + 1, n + 1):
-            if rng.random() < 0.5:
-                out[x - 1].add(y)
-            else:
-                out[y - 1].add(x)
-    return Tournament(n, out)
+    a = np.zeros((n, n), dtype=bool)
+    for i in range(n - 1):
+        wins = np.array([rng.random() for _ in range(n - 1 - i)]) < 0.5
+        a[i, i + 1 :] = wins
+        a[i + 1 :, i] = ~wins
+    return _from_matrix(a)
 
 
 def enumerate_all(n: int) -> Iterator[Tournament]:
@@ -196,14 +198,14 @@ def enumerate_all(n: int) -> Iterator[Tournament]:
         raise ResourceLimitError(f"enumeration capped at n <= {ENUMERATION_CAP}")
     if n < 1:
         raise ValueError("n must be positive")
-    pairs = list(combinations(range(1, n + 1), 2))
+    pairs = list(combinations(range(n), 2))
     for mask in range(1 << len(pairs)):
-        out = [set() for _ in range(n)]
-        for k, (x, y) in enumerate(pairs):
+        out = [0] * n
+        for k, (i, j) in enumerate(pairs):
             if mask >> k & 1:
-                out[y - 1].add(x)
+                out[j] |= 1 << i
             else:
-                out[x - 1].add(y)
+                out[i] |= 1 << j
         yield Tournament(n, out)
 
 
@@ -239,7 +241,7 @@ def scc_decompose(t: Tournament) -> Tuple[frozenset, ...]:
     arc is y -> x: component 0 is the sink of the condensation.  See
     `_score_components` for the cut.
     """
-    scores = [t.out_degree(v) for v in t.vertices()]
+    scores = [o.bit_count() for o in t.out]
     return tuple(frozenset(i + 1 for i in comp) for comp in _score_components(scores))
 
 
@@ -252,15 +254,25 @@ def is_strongly_connected(t: Tournament) -> bool:
 
 def serialize_tournament(t: Tournament) -> str:
     """Canonical matrix format: n, then n rows of '0'/'1' characters."""
-    lines = [str(t.n)]
-    for x in range(1, t.n + 1):
-        row = t.out_set(x)
-        lines.append("".join("1" if y in row else "0" for y in range(1, t.n + 1)))
-    return "\n".join(lines) + "\n"
+    rows = [format(bits, f"0{t.n}b")[::-1] for bits in t.out]
+    return "\n".join([str(t.n)] + rows) + "\n"
+
+
+def _edge_list(lines: Iterable[str]) -> Iterator[Tuple[int, int]]:
+    for ln in lines:
+        try:
+            u, v = map(int, ln.split())  # two integers, or ValueError
+        except ValueError:
+            raise TournamentSyntaxError(f"bad edge line {ln!r}") from None
+        yield u, v
 
 
 def parse_tournament(text: str) -> Tournament:
-    """Parse the matrix format or the "n=<N>" edge-list format."""
+    """Parse the matrix format or the "n=<N>" edge-list format.
+
+    Edge lines are parsed as `build_tournament` reads them, after its cap
+    check: the first bad line in file order raises, malformed or a bad arc.
+    """
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
     if not lines:
         raise TournamentSyntaxError("empty input")
@@ -270,17 +282,7 @@ def parse_tournament(text: str) -> Tournament:
             n = int(head[2:])
         except ValueError:
             raise TournamentSyntaxError(f"bad header {head!r}") from None
-        arcs = []
-        for ln in lines[1:]:
-            parts = ln.split()
-            if len(parts) != 2:
-                raise TournamentSyntaxError(f"bad edge line {ln!r}")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise TournamentSyntaxError(f"bad edge line {ln!r}") from None
-            arcs.append((u, v))
-        return build_tournament(n, arcs)
+        return build_tournament(n, _edge_list(islice(lines, 1, None)))
     try:
         n = int(head)
     except ValueError:
@@ -322,6 +324,4 @@ def _tournament_from_rows(n: int, rows: Sequence[str]) -> Tournament:
         if missing.any():
             x, y = i + 1, i + 2 + int(np.argmax(missing))
             raise MissingPairError(f"pair {{{x},{y}}} has no arc")
-    # sets filled in ascending order, as build_tournament fills them, so the
-    # frozen out-sets iterate in the same order
-    return Tournament(n, [set((row.nonzero()[0] + 1).tolist()) for row in a])
+    return _from_matrix(a)

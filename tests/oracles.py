@@ -14,6 +14,20 @@ from fairrank.ranking import (
 )
 from fairrank.tournament import Tournament
 
+# -- adjacency, decoded bit by bit ---------------------------------------
+
+
+def out_set(t: Tournament, x: int) -> frozenset:
+    """The out-neighborhood of x, read from its bitset one bit at a time."""
+    bits = t.out[x - 1]
+    return frozenset(y for y in t.vertices() if bits >> (y - 1) & 1)
+
+
+def arcs(t: Tournament) -> List[Tuple[int, int]]:
+    """All arcs in lexicographic order of (x, y)."""
+    return [(x, y) for x in t.vertices() for y in sorted(out_set(t, x))]
+
+
 # -- raw-value comparators ------------------------------------------------
 # The documented rule, applied to rank values directly rather than through
 # the library's per-vertex keys: exact ranks compare with < and ==, float
@@ -37,10 +51,10 @@ def leq(r: Ranking, a: Rank, b: Rank) -> bool:
 
 
 def linear_sums(t: Tournament, r: Ranking) -> Dict[int, Rank]:
-    """Sum of ranks over each vertex's out-neighborhood, in out-set order."""
+    """Sum of ranks over each vertex's out-neighborhood, in ascending vertex order."""
     r.require_domain(t)
     zero: Rank = Fraction(0) if r.is_exact else 0.0
-    return {x: sum((r[z] for z in t.out_set(x)), zero) for x in t.vertices()}
+    return {x: sum((r[z] for z in sorted(out_set(t, x))), zero) for x in t.vertices()}
 
 
 def induced(t: Tournament, vertex_subset: Iterable[int]) -> Tuple[Tournament, Tuple[int, ...]]:
@@ -52,8 +66,8 @@ def induced(t: Tournament, vertex_subset: Iterable[int]) -> Tuple[Tournament, Tu
     old = tuple(sorted(set(vertex_subset)))
     keep = set(old)
     index = {v: i + 1 for i, v in enumerate(old)}
-    out_sets = [{index[w] for w in t.out_set(v) if w in keep} for v in old]
-    return Tournament(len(old), out_sets), old
+    out = [sum(1 << (index[w] - 1) for w in out_set(t, v) if w in keep) for v in old]
+    return Tournament(len(old), out), old
 
 
 # -- spectral preorder ----------------------------------------------------
@@ -70,7 +84,7 @@ def sorted_dominance(sx: Sequence[Rank], sy: Sequence[Rank], leq) -> bool:
 
 def _spectra(t: Tournament, r: Ranking, x: int, y: int):
     r.require_domain(t)
-    return [r[z] for z in t.out_set(x)], [r[z] for z in t.out_set(y)]
+    return [r[z] for z in out_set(t, x)], [r[z] for z in out_set(t, y)]
 
 
 def spectral_leq(t: Tournament, r: Ranking, x: int, y: int) -> bool:
@@ -105,6 +119,7 @@ def min_backward_injective_bnb(t: Tournament) -> MinBackwardResult:
     optimal placement order.
     """
     verts = list(t.vertices())
+    outs = {v: out_set(t, v) for v in verts}
     best = t.num_arcs + 1
 
     def search(unplaced: frozenset, cost: int) -> None:
@@ -116,7 +131,7 @@ def min_backward_injective_bnb(t: Tournament) -> MinBackwardResult:
             return
         for v in sorted(unplaced):
             rest = unplaced - {v}
-            search(rest, cost + len(t.out_set(v) & rest))
+            search(rest, cost + len(outs[v] & rest))
 
     search(frozenset(verts), 0)
 
@@ -130,7 +145,7 @@ def min_backward_injective_bnb(t: Tournament) -> MinBackwardResult:
             return cost == best
         for v in sorted(unplaced):
             rest = unplaced - {v}
-            if recover(rest, cost + len(t.out_set(v) & rest), prefix + [v]):
+            if recover(rest, cost + len(outs[v] & rest), prefix + [v]):
                 return True
         return False
 
@@ -159,7 +174,7 @@ def scc_decompose_tarjan(t: Tournament) -> Tuple[frozenset, ...]:
     for root in range(1, n + 1):
         if visited[root]:
             continue
-        work = [(root, iter(sorted(t.out_set(root))))]
+        work = [(root, iter(sorted(out_set(t, root))))]
         visited[root] = True
         index[root] = low[root] = counter[0]
         counter[0] += 1
@@ -175,7 +190,7 @@ def scc_decompose_tarjan(t: Tournament) -> Tuple[frozenset, ...]:
                     counter[0] += 1
                     stack.append(w)
                     on_stack[w] = True
-                    work.append((w, iter(sorted(t.out_set(w)))))
+                    work.append((w, iter(sorted(out_set(t, w)))))
                     advanced = True
                     break
                 elif on_stack[w]:
@@ -201,7 +216,7 @@ def scc_decompose_tarjan(t: Tournament) -> Tuple[frozenset, ...]:
 def backward_arcs_pairs(t: Tournament, r: Ranking) -> Tuple[Tuple[int, int], ...]:
     """Backward arcs by comparing the ranks of every arc's ends."""
     r.require_domain(t)
-    return tuple((x, y) for (x, y) in t.arcs() if lt(r, r[x], r[y]))
+    return tuple((x, y) for (x, y) in arcs(t) if lt(r, r[x], r[y]))
 
 
 def _ordered_pairs(n: int):
@@ -233,13 +248,14 @@ def is_fair_pairs(t: Tournament, r: Ranking, c: FairnessClass) -> FairnessVerdic
         return FairnessVerdict(True)
 
     if c is FairnessClass.WEAK:
+        outs = {x: out_set(t, x) for x in t.vertices()}
         for x, y in _ordered_pairs(t.n):
-            if t.out_set(x) <= t.out_set(y) and not lt(r, r[x], r[y]):
+            if outs[x] <= outs[y] and not lt(r, r[x], r[y]):
                 return FairnessVerdict(False, (x, y), "weak fairness violated")
         return FairnessVerdict(True)
 
     if c is FairnessClass.SPEC:
-        spectra = {x: [r[z] for z in t.out_set(x)] for x in t.vertices()}
+        spectra = {x: [r[z] for z in out_set(t, x)] for x in t.vertices()}
         below = {}
         for x, y in _ordered_pairs(t.n):
             below[(x, y)] = sorted_dominance(spectra[x], spectra[y], partial(leq, r))

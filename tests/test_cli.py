@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +8,7 @@ from fairrank import gen_random, serialize_tournament
 from fairrank.cli import main
 
 CYCLE = "3\n010\n001\n100\n"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 @pytest.fixture
@@ -163,3 +166,19 @@ class TestDump:
         r.write_text("1 3\n2 2\n3 1\n")
         assert main(["dump", "--in", str(t), "--ranking", str(r)]) == 0
         assert "[*]" not in capsys.readouterr().out
+
+
+def readme_examples():
+    """The `fairrank ...` lines of the sh block under "CLI examples" in README.md."""
+    section = README.read_text(encoding="utf-8").split("## CLI examples", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(ln, comments=True)[1:] for ln in block.splitlines()
+            if ln.startswith("fairrank ")]
+
+
+def test_readme_examples_run_in_order(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    examples = readme_examples()
+    assert len(examples) >= 6
+    for argv in examples:
+        assert main(argv) == 0, (argv, capsys.readouterr().err)

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,8 +22,8 @@ from fairrank import (
     scc_decompose,
     serialize_tournament,
 )
-from fairrank.tournament import DEFAULT_VERTEX_CAP, composite_vertex
-from oracles import induced, scc_decompose_tarjan
+from fairrank.tournament import DEFAULT_VERTEX_CAP, composite_vertex, members
+from oracles import arcs, induced, out_set, scc_decompose_tarjan
 
 
 class TestBuild:
@@ -60,7 +62,7 @@ class TestBuild:
 class TestGenerators:
     def test_rotational_l1_is_three_cycle(self):
         t = gen_rotational(1)
-        assert sorted(t.arcs()) == [(1, 2), (2, 3), (3, 1)]
+        assert arcs(t) == [(1, 2), (2, 3), (3, 1)]
 
     def test_rotational_l2(self):
         t = gen_rotational(2)
@@ -81,7 +83,7 @@ class TestGenerators:
         t = gen_rotational(l)
         n = t.n
         shift = lambda v: v % n + 1
-        for (x, y) in t.arcs():
+        for (x, y) in arcs(t):
             assert t.has_arc(shift(x), shift(y))
 
     @pytest.mark.parametrize("l", [1, 2, 3, 4])
@@ -121,7 +123,33 @@ class TestGenerators:
 
     def test_random_single_vertex(self):
         t = gen_random(1, seed=0)
-        assert list(t.arcs()) == []
+        assert arcs(t) == []
+
+
+class TestBitsets:
+    @pytest.mark.parametrize("n, seed, digest", [
+        (9, 0, "af1688f340c7d82edfe1a876cfd20eb50e601c8d42a4b7fea4f67a4826d38248"),
+        (100, 1, "dcc0ec3e8c27a4c53d2913db8936be38eaf130165e96188055bade21c65d328d"),
+        (1000, 7, "251f33a563cfc0457c5508cf47099bc8f2eeed8ebe5eb6390ec158437eb87f70"),
+    ])
+    def test_gen_random_output_pinned(self, n, seed, digest):
+        # digests of the output of the frozenset implementation
+        text = serialize_tournament(gen_random(n, seed))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 15, 16, 17, 63, 64, 65])
+    def test_roundtrip_across_byte_padding(self, n):
+        t = gen_random(n, n)
+        assert parse_tournament(serialize_tournament(t)) == t
+
+    def test_members_extremes(self):
+        assert members(0) == []
+        assert members(1 << 9999) == [10000]
+
+    def test_members_matches_bitwise_decoding(self):
+        for t in [gen_random(65, 3), gen_composite(2)]:
+            for x in t.vertices():
+                assert members(t.out[x - 1]) == sorted(out_set(t, x))
 
 
 class TestEnumeration:
@@ -141,7 +169,7 @@ class TestEnumeration:
 
 def transitive(n):
     """Vertex x beats every y < x, so the components are {1}, {2}, ..., {n}."""
-    return Tournament(n, [range(1, x) for x in range(1, n + 1)])
+    return Tournament(n, [(1 << (x - 1)) - 1 for x in range(1, n + 1)])
 
 
 class TestScc:
@@ -205,11 +233,11 @@ class TestScc:
 class TestTextFormat:
     def test_parse_matrix(self):
         t = parse_tournament("3\n010\n001\n100\n")
-        assert sorted(t.arcs()) == [(1, 2), (2, 3), (3, 1)]
+        assert arcs(t) == [(1, 2), (2, 3), (3, 1)]
 
     def test_parse_edge_list(self):
         t = parse_tournament("n=3\n1 2\n2 3\n3 1\n")
-        assert sorted(t.arcs()) == [(1, 2), (2, 3), (3, 1)]
+        assert arcs(t) == [(1, 2), (2, 3), (3, 1)]
 
     def test_roundtrip(self):
         s = "3\n010\n001\n100\n"
@@ -243,6 +271,18 @@ class TestTextFormat:
     def test_matrix_diagonal_is_loop(self):
         with pytest.raises(LoopArcError):
             parse_tournament("2\n11\n00\n")
+
+    @pytest.mark.parametrize("text, error", [
+        # edge lines are read in file order: the first bad one decides
+        ("n=4\n1 2\n2 1\n1 3\nx y\n", DuplicateOrConflictError),
+        ("n=4\n1 2\nx y\n1 3\n3 1\n", TournamentSyntaxError),
+        ("n=4\n1 2\n2 3 4\n", TournamentSyntaxError),
+        # the cap is checked before any edge line is read
+        ("n=100000000\nx y\n", ResourceLimitError),
+    ])
+    def test_edge_list_errors_in_file_order(self, text, error):
+        with pytest.raises(error):
+            parse_tournament(text)
 
     def test_edge_list_unknown_vertex(self):
         with pytest.raises(UnknownVertexError):
