@@ -33,12 +33,11 @@ from .optimize import (
     composite_fraction,
     copeland_bound,
     emn_sweep_composite,
-    iter_weak_orders,
     min_backward_copeland_closed_form,
     min_backward_fair,
     min_backward_injective,
     verify_copeland_upper_bound,
-    weak_order_ranking,
+    weak_order_levels,
 )
 from .ranking import (
     BackwardReport,

@@ -7,13 +7,18 @@ order induced by the ranks.  The linear axiom depends on the values too,
 and the integer level values 1..k reach only part of that class: its
 minima here are upper bounds on the true minima, and an EmptyClassError
 for it does not prove the class empty.
+
+Weak orders are enumerated as integer level vectors (`weak_order_levels`).
+Each candidate is checked as an exact ranking that holds those ints, which
+the predicates key like Fractions with denominator 1, so no Fraction is
+built per candidate; only the reported witness holds Fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from .errors import EmptyClassError, ResourceLimitError
 from .ranking import (
@@ -42,35 +47,24 @@ class MinBackwardResult:
 # -- weak order enumeration -------------------------------------------------
 
 
-def iter_weak_orders(items: Sequence[int]) -> Iterator[Tuple[Tuple[int, ...], ...]]:
-    """All ordered set partitions of items, blocks listed bottom level first.
+def weak_order_levels(n: int) -> Iterator[Tuple[int, ...]]:
+    """Every weak order on the vertices 1..n once, as its level vector.
 
-    Deterministic order: the first block runs through the nonempty subsets
-    of the remaining items in increasing bitmask order.
+    levels[v - 1] is the level of vertex v, and the levels used are exactly
+    1..k for some k (a surjection onto 1..k).  The orders on 1..m come from
+    those on 1..m-1 by inserting vertex m into one of their k levels, or as
+    a new level j in 1..k+1 that lifts the levels from j on by one.  Deleting
+    vertex m undoes exactly one such insertion, so no order repeats.
     """
-    items = tuple(sorted(items))
-
-    def rec(rest: Tuple[int, ...]) -> Iterator[Tuple[Tuple[int, ...], ...]]:
-        if not rest:
-            yield ()
-            return
-        k = len(rest)
-        for mask in range(1, 1 << k):
-            block = tuple(rest[i] for i in range(k) if mask >> i & 1)
-            remaining = tuple(rest[i] for i in range(k) if not mask >> i & 1)
-            for tail in rec(remaining):
-                yield (block,) + tail
-
-    return rec(items)
-
-
-def weak_order_ranking(blocks: Sequence[Sequence[int]]) -> Ranking:
-    """Assign level value k to the k-th block (1-based); exact and positive."""
-    values = {}
-    for level, block in enumerate(blocks, start=1):
-        for v in block:
-            values[v] = Fraction(level)
-    return Ranking.exact(values)
+    if n == 0:
+        yield ()
+        return
+    for levels in weak_order_levels(n - 1):
+        k = max(levels, default=0)
+        for j in range(1, k + 1):
+            yield levels + (j,)
+        for j in range(1, k + 2):
+            yield tuple(level + (level >= j) for level in levels) + (j,)
 
 
 # -- exact minimizers -------------------------------------------------------
@@ -134,21 +128,27 @@ def min_backward_fair(t: Tournament, c: FairnessClass) -> MinBackwardResult:
     order, that covers only the level-valued members: the result is an
     upper bound on the minimum, and EmptyClassError does not prove the
     class empty.
+
+    Every level vector of `weak_order_levels` is checked once, as an exact
+    ranking of ints.  Among the members with the least backward count the
+    witness is the one whose levels, read in vertex order, are
+    lexicographically least; it is built once, with Fraction values.
     """
     if t.n > WEAK_ORDER_CAP:
         raise ResourceLimitError(f"weak-order enumeration capped at n <= {WEAK_ORDER_CAP}")
-    best: Optional[Tuple[int, Tuple[Fraction, ...], Ranking]] = None
-    for blocks in iter_weak_orders(list(t.vertices())):
-        r = weak_order_ranking(blocks)
+    vertices = t.vertices()
+    best: Optional[Tuple[int, Tuple[int, ...]]] = None
+    for levels in weak_order_levels(t.n):
+        r = Ranking(dict(zip(vertices, levels)), True)
         if not is_fair(t, r, c):
             continue
-        count = backward_arcs(t, r).count
-        key = (count, tuple(r[v] for v in t.vertices()))
-        if best is None or key < (best[0], best[1]):
-            best = (key[0], key[1], r)
+        candidate = (backward_arcs(t, r).count, levels)
+        if best is None or candidate < best:
+            best = candidate
     if best is None:
         raise EmptyClassError(f"no weak-order ranking satisfies {c.value}")
-    count, _, witness = best
+    count, levels = best
+    witness = Ranking.exact(dict(zip(vertices, levels)))
     fraction = Fraction(count, t.num_arcs) if t.num_arcs else Fraction(0)
     return MinBackwardResult(count, fraction, witness, "weakOrders")
 
@@ -231,11 +231,14 @@ class EmnReport:
 def emn_sweep_composite(l_max: int, materialize_up_to: int = 0) -> EmnReport:
     """Backward fractions of the layered family approaching 3/4 from below.
 
-    For l <= materialize_up_to the tournament is actually built and the
-    closed-form count cross-checked against the degree-rising arc count.
+    For l <= materialize_up_to (which must be >= 0) the tournament is
+    actually built and the closed-form count cross-checked against the
+    degree-rising arc count.
     """
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
+    if materialize_up_to < 0:
+        raise ValueError("materialize_up_to must be >= 0")
     if l_max > EMN_LMAX_CAP:
         raise ResourceLimitError(f"sweep capped at l_max <= {EMN_LMAX_CAP}")
     rows = []

@@ -2,7 +2,10 @@
 
 A ranking maps each vertex to a number.  Exact rankings hold Fractions and
 compare exactly; float rankings compare with an absolute tolerance eps
-(a < b iff b - a > eps, a == b iff |a - b| <= eps).
+(a < b iff b - a > eps, a == b iff |a - b| <= eps).  An exact ranking may
+also hold ints (the weak-order minimizer checks its candidates that way):
+an int has numerator and denominator like a Fraction, so it gets the same
+key and the same verdicts as the equal Fraction.
 
 Every predicate and the backward-arc report compare through one rule on
 per-vertex keys: x ranks below y iff key[y] - key[x] > e.  A float ranking
@@ -70,7 +73,7 @@ class FairnessClass(Enum):
 
 @dataclass(frozen=True)
 class Ranking:
-    """Vertex -> rank mapping, either exact (Fractions) or float with eps."""
+    """Vertex -> rank mapping, either exact (Fractions or ints) or float with eps."""
 
     values: Mapping[int, Rank]
     is_exact: bool
@@ -88,7 +91,7 @@ class Ranking:
         return self.values[v]
 
     def require_domain(self, t: Tournament) -> None:
-        if set(self.values.keys()) != set(t.vertices()):
+        if self.values.keys() != set(t.vertices()):
             raise DomainMismatchError(
                 f"ranking domain {sorted(self.values)} does not match 1..{t.n}"
             )
@@ -143,7 +146,7 @@ def _keys(t: Tournament, r: Ranking) -> Tuple[List[Rank], Rank]:
     ratios, with e = 0; a float ranking keys on its values with e = eps.
     Index 0 holds the zero of the key type, 0 or 0.0.
     """
-    values = [r[v] for v in t.vertices()]
+    values = list(map(r.values.__getitem__, t.vertices()))
     if r.is_exact:
         scale = math.lcm(*[v.denominator for v in values])
         return [0] + [v.numerator * (scale // v.denominator) for v in values], 0

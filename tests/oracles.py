@@ -3,14 +3,17 @@
 from fractions import Fraction
 from functools import partial
 from itertools import permutations
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from fairrank.errors import EmptyClassError
 from fairrank.optimize import MinBackwardResult
 from fairrank.ranking import (
     FairnessClass,
     FairnessVerdict,
     Rank,
     Ranking,
+    backward_arcs,
+    is_fair,
 )
 from fairrank.tournament import Tournament
 
@@ -153,6 +156,59 @@ def min_backward_injective_bnb(t: Tournament) -> MinBackwardResult:
     witness = Ranking.exact({v: pos for pos, v in enumerate(witness_order, start=1)})
     fraction = Fraction(best, t.num_arcs) if t.num_arcs else Fraction(0)
     return MinBackwardResult(best, fraction, witness, "permutations")
+
+
+# -- weak orders as ordered set partitions ---------------------------------
+
+
+def iter_weak_orders(items: Sequence[int]) -> Iterator[Tuple[Tuple[int, ...], ...]]:
+    """All ordered set partitions of items, blocks listed bottom level first.
+
+    Deterministic order: the first block runs through the nonempty subsets
+    of the remaining items in increasing bitmask order.
+    """
+    items = tuple(sorted(items))
+
+    def rec(rest: Tuple[int, ...]) -> Iterator[Tuple[Tuple[int, ...], ...]]:
+        if not rest:
+            yield ()
+            return
+        k = len(rest)
+        for mask in range(1, 1 << k):
+            block = tuple(rest[i] for i in range(k) if mask >> i & 1)
+            remaining = tuple(rest[i] for i in range(k) if not mask >> i & 1)
+            for tail in rec(remaining):
+                yield (block,) + tail
+
+    return rec(items)
+
+
+def weak_order_ranking(blocks: Sequence[Sequence[int]]) -> Ranking:
+    """Assign level value k to the k-th block (1-based); exact and positive."""
+    values = {}
+    for level, block in enumerate(blocks, start=1):
+        for v in block:
+            values[v] = Fraction(level)
+    return Ranking.exact(values)
+
+
+def min_backward_fair_blocks(t: Tournament, c: FairnessClass) -> MinBackwardResult:
+    """Minimum over a fairness class by ordered set partitions, one Fraction
+    ranking per partition; ties go to the least rank tuple in vertex order."""
+    best: Optional[Tuple[int, Tuple[Fraction, ...], Ranking]] = None
+    for blocks in iter_weak_orders(list(t.vertices())):
+        r = weak_order_ranking(blocks)
+        if not is_fair(t, r, c):
+            continue
+        count = backward_arcs(t, r).count
+        key = (count, tuple(r[v] for v in t.vertices()))
+        if best is None or key < (best[0], best[1]):
+            best = (key[0], key[1], r)
+    if best is None:
+        raise EmptyClassError(f"no weak-order ranking satisfies {c.value}")
+    count, _, witness = best
+    fraction = Fraction(count, t.num_arcs) if t.num_arcs else Fraction(0)
+    return MinBackwardResult(count, fraction, witness, "weakOrders")
 
 
 def scc_decompose_tarjan(t: Tournament) -> Tuple[frozenset, ...]:

@@ -26,14 +26,9 @@ from fairrank import (
     scc_decompose,
     verify_copeland_upper_bound,
 )
-from fairrank.optimize import (
-    composite_edge_count,
-    composite_min_backward_count,
-    iter_weak_orders,
-    weak_order_ranking,
-)
+from fairrank.optimize import composite_edge_count, composite_min_backward_count
 from fairrank.tournament import composite_vertex
-from oracles import injection_exists, sorted_dominance
+from oracles import injection_exists, iter_weak_orders, sorted_dominance, weak_order_ranking
 
 FC = FairnessClass
 EPS = 1e-9

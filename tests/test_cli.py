@@ -142,6 +142,10 @@ class TestEmn:
         assert main(["emn", "--lmax", "1000000000000"]) == 2
         assert "capped" in capsys.readouterr().err
 
+    def test_negative_materialize_is_input_error(self, capsys):
+        assert main(["emn", "--lmax", "3", "--materialize", "-1"]) == 2
+        assert "materialize_up_to must be >= 0" in capsys.readouterr().err
+
     def test_exhaustive(self, capsys):
         assert main(["emn", "--exhaustive", "4"]) == 0
         assert "within=yes" in capsys.readouterr().out

@@ -5,6 +5,7 @@ import pytest
 from fairrank import (
     EmptyClassError,
     FairnessClass,
+    MinBackwardResult,
     ResourceLimitError,
     backward_arcs,
     composite_fraction,
@@ -14,13 +15,13 @@ from fairrank import (
     gen_random,
     gen_rotational,
     is_fair,
-    iter_weak_orders,
     min_backward_copeland_closed_form,
     min_backward_fair,
     min_backward_injective,
     verify_copeland_upper_bound,
+    weak_order_levels,
 )
-from oracles import min_backward_injective_bnb
+from oracles import iter_weak_orders, min_backward_fair_blocks, min_backward_injective_bnb
 
 FC = FairnessClass
 
@@ -36,6 +37,54 @@ class TestWeakOrders:
         for blocks in iter_weak_orders([1, 2, 3, 4]):
             flat = [v for b in blocks for v in b]
             assert sorted(flat) == [1, 2, 3, 4]
+
+
+class TestWeakOrderLevels:
+    @pytest.mark.parametrize("n,count", sorted(FUBINI.items()))
+    def test_counts_without_repeats(self, n, count):
+        orders = list(weak_order_levels(n))
+        assert len(orders) == len(set(orders)) == count
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_surjective_onto_levels(self, n):
+        for levels in weak_order_levels(n):
+            assert len(levels) == n
+            assert set(levels) == set(range(1, max(levels) + 1))
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_same_orders_as_blocks(self, n):
+        from_blocks = set()
+        for blocks in iter_weak_orders(range(1, n + 1)):
+            level = {v: k for k, block in enumerate(blocks, start=1) for v in block}
+            from_blocks.add(tuple(level[v] for v in range(1, n + 1)))
+        assert set(weak_order_levels(n)) == from_blocks
+
+
+def block_loop_outcome(minimize, t, c):
+    try:
+        return minimize(t, c)
+    except EmptyClassError as exc:
+        return EmptyClassError, str(exc)
+
+
+def assert_matches_block_loop(t):
+    for c in FC:
+        res = block_loop_outcome(min_backward_fair, t, c)
+        assert res == block_loop_outcome(min_backward_fair_blocks, t, c), (t.out, c)
+        if isinstance(res, MinBackwardResult):
+            assert all(type(v) is Fraction for v in res.witness.values.values())
+
+
+class TestWeakOrderParity:
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_exhaustive(self, n):
+        for t in enumerate_all(n):
+            assert_matches_block_loop(t)
+
+    @pytest.mark.parametrize("n, seeds", [(5, range(40)), (6, range(6))])
+    def test_random(self, n, seeds):
+        for seed in seeds:
+            assert_matches_block_loop(gen_random(n, seed))
 
 
 class TestInjective:

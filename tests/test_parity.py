@@ -33,9 +33,8 @@ from fairrank import (
     parse_tournament,
     serialize_tournament,
 )
-from fairrank.optimize import iter_weak_orders, weak_order_ranking
 from fairrank.ranking import DEFAULT_EPS
-from oracles import backward_arcs_pairs, is_fair_pairs
+from oracles import backward_arcs_pairs, is_fair_pairs, iter_weak_orders, weak_order_ranking
 
 FC = FairnessClass
 MONOTONE = (FC.NSCOP, FC.SCOP, FC.COP, FC.LIN)
