@@ -13,18 +13,12 @@ from .errors import (
     TournamentSyntaxError,
     UnknownVertexError,
     VerificationFailedError,
-    ZeroNormalizerError,
 )
 from .fixpoint import (
     LinearFairResult,
     PerronResult,
-    RecalcConfig,
-    iterate_to_fixed_point,
     linear_fair_ranking,
-    metric_distance,
     perron_fixed_point,
-    recalc_apply,
-    uniform_ranking,
 )
 from .optimize import (
     EmnReport,

@@ -129,12 +129,13 @@ def cmd_check(args) -> int:
 
 
 def cmd_minimize(args) -> int:
+    if args.space == "injective" and args.cls is not None:
+        raise ValueError("--class applies only to --space weak-orders")
     t = _load_tournament(args.in_path)
     if args.space == "injective":
         res = min_backward_injective(t)
     else:
-        c = FairnessClass.from_string(args.cls)
-        res = min_backward_fair(t, c)
+        res = min_backward_fair(t, FairnessClass.from_string(args.cls or "weak"))
     print(f"space={args.space} count={res.count} fraction={frac_str(res.fraction)}")
     witness = " ".join(
         f"{v}:{res.witness[v]}" for v in sorted(res.witness.values.keys())
@@ -145,6 +146,8 @@ def cmd_minimize(args) -> int:
 
 def cmd_emn(args) -> int:
     if args.exhaustive is not None:
+        if args.format == "csv":
+            raise ValueError("--format csv applies only to the sweep, not to --exhaustive")
         report = verify_copeland_upper_bound(args.exhaustive)
         if args.format == "json":
             payload = {
@@ -237,8 +240,9 @@ def build_parser() -> argparse.ArgumentParser:
     m = sub.add_parser("minimize", help="minimize backward arcs over a ranking class")
     m.add_argument("--in", dest="in_path", required=True)
     m.add_argument("--space", choices=["injective", "weak-orders"], required=True)
-    m.add_argument("--class", dest="cls", default="weak",
-                   choices=[fc.value for fc in FairnessClass])
+    m.add_argument("--class", dest="cls", default=None,
+                   choices=[fc.value for fc in FairnessClass],
+                   help="fairness class for --space weak-orders (default: weak)")
     m.set_defaults(func=cmd_minimize)
 
     e = sub.add_parser("emn", help="backward-fraction harness for the 3/4 limit")

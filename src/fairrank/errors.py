@@ -33,16 +33,12 @@ class DomainMismatchError(FairrankError):
     """Ranking is not defined on exactly the tournament's vertices."""
 
 
-class ZeroNormalizerError(FairrankError):
-    """The recalculation normalizer is zero, so the map is undefined."""
-
-
 class NoConvergenceError(FairrankError):
     """Fixed-point iteration exhausted its iteration budget."""
 
-    def __init__(self, iterations: int, message: str = ""):
+    def __init__(self, iterations: int):
         self.iterations = iterations
-        super().__init__(message or f"no fixed point after {iterations} iterations")
+        super().__init__(f"no fixed point after {iterations} iterations")
 
 
 class NotStronglyConnectedError(FairrankError):

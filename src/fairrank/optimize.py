@@ -270,7 +270,6 @@ class BoundCheckReport:
     checked: int
     bound: Fraction
     max_fraction: Fraction
-    witness: Optional[Tournament]
     all_within: bool
 
 
@@ -280,15 +279,12 @@ def verify_copeland_upper_bound(n: int) -> BoundCheckReport:
         raise ResourceLimitError("exhaustive bound check capped at n <= 5")
     bound = copeland_bound(n)
     max_fraction = Fraction(0)
-    witness = None
     checked = 0
     ok = True
     for t in enumerate_all(n):
         frac = min_backward_copeland_closed_form(t).fraction
         checked += 1
-        if frac > max_fraction or witness is None:
-            max_fraction = frac
-            witness = t
+        max_fraction = max(max_fraction, frac)
         if frac > bound or frac >= Fraction(3, 4):
             ok = False
-    return BoundCheckReport(n, checked, bound, max_fraction, witness, ok)
+    return BoundCheckReport(n, checked, bound, max_fraction, ok)

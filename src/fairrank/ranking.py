@@ -1,11 +1,13 @@
 """Rankings, backward-arc metrics, and fairness predicates.
 
 A ranking maps each vertex to a number.  Exact rankings hold Fractions and
-compare exactly; float rankings compare with an absolute tolerance eps
-(a < b iff b - a > eps, a == b iff |a - b| <= eps).  An exact ranking may
-also hold ints (the weak-order minimizer checks its candidates that way):
-an int has numerator and denominator like a Fraction, so it gets the same
-key and the same verdicts as the equal Fraction.
+compare exactly; float rankings compare with the absolute tolerance
+eps = DEFAULT_EPS (a < b iff b - a > eps, a == b iff |a - b| <= eps).
+DEFAULT_EPS is the package's one comparison tolerance: no ranking, parser
+or predicate takes another.  An exact ranking may also hold ints (the
+weak-order minimizer checks its candidates that way): an int has numerator
+and denominator like a Fraction, so it gets the same key and the same
+verdicts as the equal Fraction.
 
 Every predicate and the backward-arc report compare through one rule on
 per-vertex keys: x ranks below y iff key[y] - key[x] > e.  A float ranking
@@ -73,19 +75,21 @@ class FairnessClass(Enum):
 
 @dataclass(frozen=True)
 class Ranking:
-    """Vertex -> rank mapping, either exact (Fractions or ints) or float with eps."""
+    """Vertex -> rank mapping, either exact (Fractions or ints) or float.
+
+    Float ranks compare with DEFAULT_EPS; a ranking carries no tolerance.
+    """
 
     values: Mapping[int, Rank]
     is_exact: bool
-    eps: float = 0.0
 
     @classmethod
     def exact(cls, values: Mapping[int, Rank]) -> "Ranking":
-        return cls({v: Fraction(r) for v, r in values.items()}, True, 0.0)
+        return cls({v: Fraction(r) for v, r in values.items()}, True)
 
     @classmethod
-    def approx(cls, values: Mapping[int, Rank], eps: float = DEFAULT_EPS) -> "Ranking":
-        return cls({v: float(r) for v, r in values.items()}, False, eps)
+    def approx(cls, values: Mapping[int, Rank]) -> "Ranking":
+        return cls({v: float(r) for v, r in values.items()}, False)
 
     def __getitem__(self, v: int) -> Rank:
         return self.values[v]
@@ -143,14 +147,14 @@ def _keys(t: Tournament, r: Ranking) -> Tuple[List[Rank], Rank]:
 
     x ranks below y iff key[y] - key[x] > e.  An exact ranking keys on its
     values times the LCM of their denominators, integers in the same
-    ratios, with e = 0; a float ranking keys on its values with e = eps.
-    Index 0 holds the zero of the key type, 0 or 0.0.
+    ratios, with e = 0; a float ranking keys on its values with
+    e = DEFAULT_EPS.  Index 0 holds the zero of the key type, 0 or 0.0.
     """
     values = list(map(r.values.__getitem__, t.vertices()))
     if r.is_exact:
         scale = math.lcm(*[v.denominator for v in values])
         return [0] + [v.numerator * (scale // v.denominator) for v in values], 0
-    return [0.0] + values, r.eps
+    return [0.0] + values, DEFAULT_EPS
 
 
 def backward_arcs(t: Tournament, r: Ranking) -> BackwardReport:
@@ -317,7 +321,7 @@ def serialize_ranking(r: Ranking) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_ranking(text: str, eps: float = DEFAULT_EPS) -> Ranking:
+def parse_ranking(text: str) -> Ranking:
     """Parse "vertex value" lines; p/q and integers give an exact ranking.
 
     Floats must be finite: nan and inf have no place in a rank order.
@@ -356,4 +360,4 @@ def parse_ranking(text: str, eps: float = DEFAULT_EPS) -> Ranking:
         raise TournamentSyntaxError("empty ranking")
     if exact:
         return Ranking.exact(values)
-    return Ranking.approx(values, eps)
+    return Ranking.approx(values)

@@ -3,11 +3,12 @@
 from fractions import Fraction
 from functools import partial
 from itertools import permutations
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from fairrank.errors import EmptyClassError
 from fairrank.optimize import MinBackwardResult
 from fairrank.ranking import (
+    DEFAULT_EPS,
     FairnessClass,
     FairnessVerdict,
     Rank,
@@ -34,19 +35,20 @@ def arcs(t: Tournament) -> List[Tuple[int, int]]:
 # -- raw-value comparators ------------------------------------------------
 # The documented rule, applied to rank values directly rather than through
 # the library's per-vertex keys: exact ranks compare with < and ==, float
-# ranks with a < b iff b - a > eps and a == b iff |a - b| <= eps.
+# ranks with a < b iff b - a > eps and a == b iff |a - b| <= eps, where
+# eps = DEFAULT_EPS.
 
 
 def lt(r: Ranking, a: Rank, b: Rank) -> bool:
     if r.is_exact:
         return a < b
-    return b - a > r.eps
+    return b - a > DEFAULT_EPS
 
 
 def eq(r: Ranking, a: Rank, b: Rank) -> bool:
     if r.is_exact:
         return a == b
-    return abs(a - b) <= r.eps
+    return abs(a - b) <= DEFAULT_EPS
 
 
 def leq(r: Ranking, a: Rank, b: Rank) -> bool:
@@ -71,6 +73,24 @@ def induced(t: Tournament, vertex_subset: Iterable[int]) -> Tuple[Tournament, Tu
     index = {v: i + 1 for i, v in enumerate(old)}
     out = [sum(1 << (index[w] - 1) for w in out_set(t, v) if w in keep) for v in old]
     return Tournament(len(old), out), old
+
+
+# -- rank-sum recalculation -----------------------------------------------
+
+
+def recalc_apply(t: Tournament, r: Mapping[int, Rank]) -> Dict[int, Rank]:
+    """One step of the rank-sum recalculation: r(x) <- sum over x's out-set, normalized.
+
+    Works on floats and on exact Fractions alike.
+    """
+    sums = {x: sum(r[z] for z in sorted(out_set(t, x))) for x in t.vertices()}
+    lam = sum(sums.values())
+    return {x: sums[x] / lam for x in t.vertices()}
+
+
+def metric_distance(r1: Mapping[int, float], r2: Mapping[int, float]) -> float:
+    """Max-norm distance between two rankings on the same vertex set."""
+    return max(abs(r1[v] - r2[v]) for v in r1)
 
 
 # -- spectral preorder ----------------------------------------------------

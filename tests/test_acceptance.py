@@ -18,17 +18,22 @@ from fairrank import (
     gen_rotational,
     is_fair,
     linear_fair_ranking,
-    metric_distance,
     min_backward_copeland_closed_form,
     min_backward_fair,
     min_backward_injective,
-    recalc_apply,
     scc_decompose,
     verify_copeland_upper_bound,
 )
 from fairrank.optimize import composite_edge_count, composite_min_backward_count
 from fairrank.tournament import composite_vertex
-from oracles import injection_exists, iter_weak_orders, sorted_dominance, weak_order_ranking
+from oracles import (
+    injection_exists,
+    iter_weak_orders,
+    metric_distance,
+    recalc_apply,
+    sorted_dominance,
+    weak_order_ranking,
+)
 
 FC = FairnessClass
 EPS = 1e-9

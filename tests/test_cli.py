@@ -126,6 +126,11 @@ class TestMinimize:
                      "--class", "nscop"]) == 0
         assert "count=0" in capsys.readouterr().out
 
+    def test_class_with_injective_is_input_error(self, cycle_path, capsys):
+        assert main(["minimize", "--in", cycle_path, "--space", "injective",
+                     "--class", "lin"]) == 2
+        assert "--class applies only to --space weak-orders" in capsys.readouterr().err
+
 
 class TestEmn:
     def test_sweep_rows(self, capsys):
@@ -149,6 +154,12 @@ class TestEmn:
     def test_exhaustive(self, capsys):
         assert main(["emn", "--exhaustive", "4"]) == 0
         assert "within=yes" in capsys.readouterr().out
+
+    def test_exhaustive_csv_is_input_error(self, capsys):
+        assert main(["emn", "--exhaustive", "4", "--format", "csv"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--format csv applies only to the sweep" in captured.err
 
 
 class TestDump:

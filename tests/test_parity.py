@@ -54,10 +54,10 @@ def perturbed(r, rng, k):
     """r with k random vertices moved to random values of r, plus or minus a step."""
     values = dict(r.values)
     pool = list(values.values())
-    step = Fraction(1, 2) if r.is_exact else r.eps / 2
+    step = Fraction(1, 2) if r.is_exact else DEFAULT_EPS / 2
     for v in rng.sample(sorted(values), k):
         values[v] = rng.choice(pool) + rng.choice((-step, 0, step))
-    return Ranking.exact(values) if r.is_exact else Ranking.approx(values, r.eps)
+    return Ranking.exact(values) if r.is_exact else Ranking.approx(values)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
