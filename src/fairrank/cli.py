@@ -1,18 +1,20 @@
 """Command-line front end: gen, rank, check, minimize, emn, dump.
 
 Exit codes: 0 success/PASS, 1 FAIL verdict, 2 input error, 3 I/O error,
-4 internal verification failure.
+4 internal verification failure.  This is the one module that knows an
+output format: the library returns report dataclasses, rendered here.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
 
 from . import errors
-from .fixpoint import linear_fair_ranking
+from .fixpoint import LinearFairResult, linear_fair_ranking
 from .optimize import (
     emn_sweep_composite,
     min_backward_fair,
@@ -23,7 +25,6 @@ from .ranking import (
     FairnessClass,
     backward_arcs,
     copeland_ranking,
-    fraction_json,
     is_fair,
     parse_ranking,
     serialize_ranking,
@@ -45,6 +46,44 @@ EXIT_VERIFY = 4
 
 def frac_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator} (~{float(f):.6f})"
+
+
+def _fraction_json(value) -> dict:
+    if not isinstance(value, Fraction):
+        raise TypeError(f"{type(value).__name__} is not JSON serializable")
+    return {"num": value.numerator, "den": value.denominator}
+
+
+def report_json(report) -> str:
+    """A report dataclass as JSON: its fields in declaration order, every
+    Fraction as {"num": p, "den": q}."""
+    return json.dumps(dataclasses.asdict(report), default=_fraction_json, indent=2)
+
+
+def linear_fair_json(result: LinearFairResult) -> dict:
+    """The `rank --json-report` payload: per-component Perron data and the
+    ranking in vertex order."""
+    return {
+        "components": [
+            {
+                "vertices": list(c.vertices),
+                "lambda": None if c.perron is None else c.perron.eigenvalue,
+                "residual": None if c.perron is None else c.perron.residual,
+                "iterations": 0 if c.perron is None else c.perron.iterations,
+            }
+            for c in result.components
+        ],
+        "ranking": [result.ranking[v] for v in sorted(result.ranking.values.keys())],
+        "verified": True,  # linear_fair_ranking returns only verified rankings
+    }
+
+
+def _reject_ignored(flags: dict, scope: str) -> None:
+    """A flag that the chosen mode would ignore is an input error (exit 2);
+    `flags` maps each such flag to its parsed value, None when absent."""
+    given = [flag for flag, value in flags.items() if value is not None]
+    if given:
+        raise ValueError(f"{given[0]} applies only to {scope}")
 
 
 def _read(path: str) -> str:
@@ -70,18 +109,16 @@ def _load_tournament(path: str):
 
 
 def cmd_gen(args) -> int:
-    if args.family == "rotational":
-        if args.l is None:
-            raise errors.TournamentSyntaxError("--l is required for rotational")
-        t = gen_rotational(args.l)
-    elif args.family == "composite":
-        if args.l is None:
-            raise errors.TournamentSyntaxError("--l is required for composite")
-        t = gen_composite(args.l)
-    else:
+    if args.family == "random":
+        _reject_ignored({"--l": args.l}, "--family rotational and composite")
         if args.n is None:
             raise errors.TournamentSyntaxError("--n is required for random")
-        t = gen_random(args.n, args.seed)
+        t = gen_random(args.n, args.seed or 0)
+    else:
+        _reject_ignored({"--n": args.n, "--seed": args.seed}, "--family random")
+        if args.l is None:
+            raise errors.TournamentSyntaxError(f"--l is required for {args.family}")
+        t = (gen_rotational if args.family == "rotational" else gen_composite)(args.l)
     _write(args.out, serialize_tournament(t))
     summary = f"n={t.n} edges={t.num_arcs}"
     if args.out == "-":
@@ -92,6 +129,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_rank(args) -> int:
+    if args.method == "copeland":
+        _reject_ignored({"--json-report": args.json_report}, "--method linear-fair")
     t = _load_tournament(args.in_path)
     if args.method == "copeland":
         r = copeland_ranking(t)
@@ -110,7 +149,7 @@ def cmd_rank(args) -> int:
             print(f"  component {list(comp.vertices)}: lambda={comp.perron.eigenvalue:.9f} "
                   f"residual={comp.perron.residual:.3e}")
     if args.json_report:
-        _write(args.json_report, json.dumps(result.to_json(), indent=2) + "\n")
+        _write(args.json_report, json.dumps(linear_fair_json(result), indent=2) + "\n")
     return EXIT_OK
 
 
@@ -129,8 +168,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_minimize(args) -> int:
-    if args.space == "injective" and args.cls is not None:
-        raise ValueError("--class applies only to --space weak-orders")
+    if args.space == "injective":
+        _reject_ignored({"--class": args.cls}, "--space weak-orders")
     t = _load_tournament(args.in_path)
     if args.space == "injective":
         res = min_backward_injective(t)
@@ -148,26 +187,25 @@ def cmd_emn(args) -> int:
     if args.exhaustive is not None:
         if args.format == "csv":
             raise ValueError("--format csv applies only to the sweep, not to --exhaustive")
+        _reject_ignored({"--lmax": args.lmax, "--materialize": args.materialize},
+                        "the sweep, not to --exhaustive")
         report = verify_copeland_upper_bound(args.exhaustive)
         if args.format == "json":
-            payload = {
-                "n": report.n,
-                "checked": report.checked,
-                "bound": fraction_json(report.bound),
-                "max_fraction": fraction_json(report.max_fraction),
-                "all_within": report.all_within,
-            }
-            print(json.dumps(payload, indent=2))
+            print(report_json(report))
         else:
             print(f"n={report.n} checked={report.checked} "
                   f"bound={frac_str(report.bound)} max={frac_str(report.max_fraction)} "
                   f"within={'yes' if report.all_within else 'NO'}")
         return EXIT_OK if report.all_within else EXIT_VERIFY
-    report = emn_sweep_composite(args.lmax, args.materialize)
+    report = emn_sweep_composite(4 if args.lmax is None else args.lmax, args.materialize or 0)
     if args.format == "json":
-        print(json.dumps(report.to_json(), indent=2))
+        print(report_json(report))
     elif args.format == "csv":
-        sys.stdout.write(report.to_csv())
+        print("l,n,edges,min_backward,fraction,bound")
+        for row in report.rows:
+            print(f"{row.l},{row.n},{row.edges},{row.min_backward},"
+                  f"{row.fraction.numerator}/{row.fraction.denominator},"
+                  f"{row.bound.numerator}/{row.bound.denominator}")
     else:
         print("l     n      edges        min_bw       fraction")
         for row in report.rows:
@@ -219,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--family", choices=["rotational", "composite", "random"], required=True)
     g.add_argument("--l", type=int)
     g.add_argument("--n", type=int)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=int, default=None, help="random family only (default: 0)")
     g.add_argument("--out", default="-")
     g.set_defaults(func=cmd_gen)
 
@@ -227,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--in", dest="in_path", required=True)
     r.add_argument("--method", choices=["copeland", "linear-fair"], required=True)
     r.add_argument("--out", default="-")
-    r.add_argument("--json-report", default=None)
+    r.add_argument("--json-report", default=None, help="linear-fair method only")
     r.set_defaults(func=cmd_rank)
 
     c = sub.add_parser("check", help="check a ranking against a fairness class")
@@ -246,8 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     m.set_defaults(func=cmd_minimize)
 
     e = sub.add_parser("emn", help="backward-fraction harness for the 3/4 limit")
-    e.add_argument("--lmax", type=int, default=4)
-    e.add_argument("--materialize", type=int, default=0)
+    e.add_argument("--lmax", type=int, default=None, help="sweep only (default: 4)")
+    e.add_argument("--materialize", type=int, default=None, help="sweep only (default: 0)")
     e.add_argument("--exhaustive", type=int, default=None)
     e.add_argument("--format", choices=["text", "json", "csv"], default="text")
     e.set_defaults(func=cmd_emn)

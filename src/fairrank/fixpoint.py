@@ -25,7 +25,7 @@ from .errors import (
     VerificationFailedError,
 )
 from .ranking import FairnessClass, Ranking, is_fair
-from .tournament import Tournament, _score_components, members, scc_decompose
+from .tournament import Tournament, _score_components, scc_decompose
 
 # Residual bound max|lambda*r - A*r| of the Perron vector: a thousand times
 # finer than DEFAULT_EPS, the tolerance its scaled ranks are compared with.
@@ -54,9 +54,11 @@ def perron_fixed_point(
 ) -> PerronResult:
     """Dominant eigenvector of one strongly connected component.
 
-    `vertices` names the component (default: all of t).  Its 0/1 matrix is
-    filled straight from t's out-set bitsets, rows and columns in ascending label
-    order, and the score cut on the row sums decides strong connectivity.
+    `vertices` names the component (default: all of t).  Its 0/1 matrix,
+    rows and columns in ascending label order, is unpacked from t's out-set
+    bitsets (bit y - 1 is vertex y), one row at a time into a C-contiguous
+    array: a strided matrix makes `a @ r` round differently.  The score cut
+    on the row sums decides strong connectivity.
     Power iteration on A + SHIFT*I; stops when the unshifted residual
     max|lambda*r - A*r| <= TOLERANCE, or raises NoConvergenceError after
     MAX_ITERATIONS steps.
@@ -69,12 +71,12 @@ def perron_fixed_point(
             if not 1 <= v <= t.n:
                 raise UnknownVertexError(f"vertex {v} not in 1..{t.n}")
     k = len(labels)
-    column = np.full(t.n + 1, -1, dtype=np.intp)  # label -> column, -1 outside
-    column[list(labels)] = np.arange(k)
-    a = np.zeros((k, k))
+    nbytes = (t.n + 7) // 8
+    columns = np.array(labels, dtype=np.intp) - 1
+    a = np.empty((k, k))
     for i, x in enumerate(labels):
-        cols = column[members(t.out[x - 1])]
-        a[i, cols[cols >= 0]] = 1.0
+        row = np.frombuffer(t.out[x - 1].to_bytes(nbytes, "little"), dtype=np.uint8)
+        a[i] = np.unpackbits(row, bitorder="little")[columns]
     if k < 3 or len(_score_components(np.count_nonzero(a, axis=1).tolist())) != 1:
         raise NotStronglyConnectedError(
             f"component of size {k} is not a strongly connected tournament with n >= 3"
@@ -104,21 +106,6 @@ class LinearFairResult:
 
     ranking: Ranking
     components: Tuple[ComponentSolve, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "components": [
-                {
-                    "vertices": list(c.vertices),
-                    "lambda": None if c.perron is None else c.perron.eigenvalue,
-                    "residual": None if c.perron is None else c.perron.residual,
-                    "iterations": 0 if c.perron is None else c.perron.iterations,
-                }
-                for c in self.components
-            ],
-            "ranking": [self.ranking[v] for v in sorted(self.ranking.values.keys())],
-            "verified": True,  # linear_fair_ranking returns only verified rankings
-        }
 
 
 def linear_fair_ranking(t: Tournament) -> LinearFairResult:

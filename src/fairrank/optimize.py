@@ -26,7 +26,6 @@ from .ranking import (
     Ranking,
     backward_arcs,
     copeland_ranking,
-    fraction_json,
     is_fair,
 )
 from .tournament import Tournament, enumerate_all, gen_composite
@@ -192,40 +191,12 @@ class EmnRow:
     bound: Fraction
     materialized: bool
 
-    def to_json(self) -> dict:
-        return {
-            "l": self.l,
-            "n": self.n,
-            "edges": self.edges,
-            "min_backward": self.min_backward,
-            "fraction": fraction_json(self.fraction),
-            "bound": fraction_json(self.bound),
-            "materialized": self.materialized,
-        }
-
 
 @dataclass(frozen=True)
 class EmnReport:
     family: str
     rows: Tuple[EmnRow, ...]
     limit: Fraction = Fraction(3, 4)
-
-    def to_json(self) -> dict:
-        return {
-            "family": self.family,
-            "rows": [row.to_json() for row in self.rows],
-            "limit": fraction_json(self.limit),
-        }
-
-    def to_csv(self) -> str:
-        lines = ["l,n,edges,min_backward,fraction,bound"]
-        for row in self.rows:
-            lines.append(
-                f"{row.l},{row.n},{row.edges},{row.min_backward},"
-                f"{row.fraction.numerator}/{row.fraction.denominator},"
-                f"{row.bound.numerator}/{row.bound.denominator}"
-            )
-        return "\n".join(lines) + "\n"
 
 
 def emn_sweep_composite(l_max: int, materialize_up_to: int = 0) -> EmnReport:

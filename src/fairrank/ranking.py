@@ -51,11 +51,6 @@ Rank = Union[int, float, Fraction]
 DEFAULT_EPS = 1e-9
 
 
-def fraction_json(f: Fraction) -> dict:
-    """JSON encoding of an exact fraction."""
-    return {"num": f.numerator, "den": f.denominator}
-
-
 class FairnessClass(Enum):
     NSCOP = "nscop"
     SCOP = "scop"
@@ -121,13 +116,6 @@ class BackwardReport:
     def backward(self) -> Tuple[Tuple[int, int], ...]:
         """The backward arcs (x, y) in lexicographic order."""
         return tuple((x, y) for x, row in enumerate(self.rows, start=1) for y in members(row))
-
-    def to_json(self) -> dict:
-        return {
-            "backward": [[x, y] for x, y in self.backward],
-            "total": self.total,
-            "fraction": fraction_json(self.fraction),
-        }
 
 
 @dataclass(frozen=True)

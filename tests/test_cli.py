@@ -155,11 +155,40 @@ class TestEmn:
         assert main(["emn", "--exhaustive", "4"]) == 0
         assert "within=yes" in capsys.readouterr().out
 
+    def test_sweep_csv(self, capsys):
+        assert main(["emn", "--lmax", "2", "--format", "csv"]) == 0
+        assert capsys.readouterr().out == (
+            "l,n,edges,min_backward,fraction,bound\n"
+            "1,9,36,12,1/3,13/18\n"
+            "2,25,300,140,7/15,37/50\n")
+
+    def test_exhaustive_json_keys_follow_report_fields(self, capsys):
+        assert main(["emn", "--exhaustive", "3", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert list(payload) == ["n", "checked", "bound", "max_fraction", "all_within"]
+        assert payload["bound"] == {"num": 2, "den": 3}
+
     def test_exhaustive_csv_is_input_error(self, capsys):
         assert main(["emn", "--exhaustive", "4", "--format", "csv"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--format csv applies only to the sweep" in captured.err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    ("emn --exhaustive 4 --lmax 7 --materialize 3", "--lmax"),
+    ("rank --in {cycle} --method copeland --json-report {tmp}/rep.json", "--json-report"),
+    ("gen --family composite --l 1 --n 7", "--n"),
+    ("gen --family random --n 4 --l 9", "--l"),
+    ("gen --family rotational --l 1 --seed 3", "--seed"),
+])
+def test_flag_ignored_by_mode_is_input_error(argv, flag, cycle_path, tmp_path, capsys):
+    args = argv.format(cycle=cycle_path, tmp=tmp_path).split()
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flag} applies only to ")
+    assert list(tmp_path.iterdir()) == [Path(cycle_path)]
 
 
 class TestDump:

@@ -9,6 +9,7 @@ from fairrank import (
     NotStronglyConnectedError,
     UnknownVertexError,
     build_tournament,
+    enumerate_all,
     fixpoint,
     gen_composite,
     gen_random,
@@ -18,6 +19,7 @@ from fairrank import (
     perron_fixed_point,
     scc_decompose,
 )
+from fairrank.cli import linear_fair_json
 from oracles import arcs, induced, metric_distance, recalc_apply
 
 FC = FairnessClass
@@ -164,6 +166,13 @@ class TestPerron:
             assert abs(res.eigenvalue - eigenvalues[top].real) <= 1e-11
             assert np.max(np.abs(vec - [res.ranking[v] for v in t.vertices()])) <= 1e-11
 
+    def test_shift_keeps_small_tournaments_within_46_steps(self):
+        # the bound quoted at MAX_ITERATIONS (43 steps at most here); with
+        # SHIFT = 0 the worst strong tournament on 5 vertices takes 204
+        steps = [perron_fixed_point(t).iterations for n in (3, 4, 5)
+                 for t in enumerate_all(n) if len(scc_decompose(t)) == 1]
+        assert max(steps) <= 46
+
     def test_no_convergence_within_budget(self, monkeypatch):
         monkeypatch.setattr(fixpoint, "MAX_ITERATIONS", 1)
         with pytest.raises(NoConvergenceError) as info:
@@ -216,7 +225,7 @@ class TestLinearFair:
 
     def test_report_shape(self, chain3):
         res = linear_fair_ranking(chain3)
-        j = res.to_json()
+        j = linear_fair_json(res)
         assert len(j["components"]) == 3
         assert j["verified"] is True
         assert len(j["ranking"]) == 3

@@ -78,12 +78,6 @@ class TestBackwardArcs:
             assert b1 | b2 == set(arcs(t))
             assert min(len(b1), len(b2)) <= t.num_arcs // 2
 
-    def test_json_shape(self, three_cycle):
-        rep = backward_arcs(three_cycle, exact(1, 2, 3))
-        j = rep.to_json()
-        assert j["total"] == 3
-        assert j["fraction"] == {"num": 2, "den": 3}
-
 
 class TestCopelandAndWeak:
     @pytest.mark.parametrize("cls", [FC.NSCOP, FC.SCOP, FC.COP, FC.WEAK])
