@@ -51,7 +51,6 @@ from .tournament import (
     gen_composite,
     gen_random,
     gen_rotational,
-    is_strongly_connected,
     parse_tournament,
     scc_decompose,
     serialize_tournament,

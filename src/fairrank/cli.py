@@ -101,10 +101,6 @@ def _write(path: str, text: str) -> None:
             fh.write(text)
 
 
-def _load_tournament(path: str):
-    return parse_tournament(_read(path))
-
-
 # -- subcommands ------------------------------------------------------------
 
 
@@ -131,18 +127,13 @@ def cmd_gen(args) -> int:
 def cmd_rank(args) -> int:
     if args.method == "copeland":
         _reject_ignored({"--json-report": args.json_report}, "--method linear-fair")
-    t = _load_tournament(args.in_path)
-    if args.method == "copeland":
-        r = copeland_ranking(t)
-        report = backward_arcs(t, r)
-        _write(args.out, serialize_ranking(r))
-        print(f"method=copeland bw={frac_str(report.fraction)}")
-        return EXIT_OK
-    result = linear_fair_ranking(t)
-    report = backward_arcs(t, result.ranking)
-    _write(args.out, serialize_ranking(result.ranking))
-    print(f"method=linear-fair bw={frac_str(report.fraction)}")
-    for comp in result.components:
+    t = parse_tournament(_read(args.in_path))
+    result = linear_fair_ranking(t) if args.method == "linear-fair" else None
+    r = copeland_ranking(t) if result is None else result.ranking
+    report = backward_arcs(t, r)
+    _write(args.out, serialize_ranking(r))
+    print(f"method={args.method} bw={frac_str(report.fraction)}")
+    for comp in () if result is None else result.components:
         if comp.perron is None:
             print(f"  component {list(comp.vertices)}: singleton")
         else:
@@ -154,7 +145,7 @@ def cmd_rank(args) -> int:
 
 
 def cmd_check(args) -> int:
-    t = _load_tournament(args.in_path)
+    t = parse_tournament(_read(args.in_path))
     r = parse_ranking(_read(args.ranking))
     c = FairnessClass.from_string(args.cls)
     verdict = is_fair(t, r, c)
@@ -170,7 +161,7 @@ def cmd_check(args) -> int:
 def cmd_minimize(args) -> int:
     if args.space == "injective":
         _reject_ignored({"--class": args.cls}, "--space weak-orders")
-    t = _load_tournament(args.in_path)
+    t = parse_tournament(_read(args.in_path))
     if args.space == "injective":
         res = min_backward_injective(t)
     else:
@@ -217,18 +208,12 @@ def cmd_emn(args) -> int:
 
 
 def cmd_dump(args) -> int:
-    t = _load_tournament(args.in_path)
+    t = parse_tournament(_read(args.in_path))
+    order, backward = list(t.vertices()), (0,) * t.n
     if args.ranking:
         r = parse_ranking(_read(args.ranking))
-        r.require_domain(t)
-    else:
-        r = None
-    if r is None:
-        order = list(t.vertices())
-        backward = (0,) * t.n
-    else:
-        order = sorted(t.vertices(), key=lambda v: (r[v], v))
-        backward = backward_arcs(t, r).rows
+        backward = backward_arcs(t, r).rows  # raises first on a wrong domain
+        order.sort(key=lambda v: (r[v], v))
     header = "    " + " ".join(f"{v:>3d}" for v in order)
     print(header)
     for x in order:

@@ -112,11 +112,6 @@ class BackwardReport:
     def fraction(self) -> Fraction:
         return Fraction(self.count, self.total) if self.total else Fraction(0)
 
-    @property
-    def backward(self) -> Tuple[Tuple[int, int], ...]:
-        """The backward arcs (x, y) in lexicographic order."""
-        return tuple((x, y) for x, row in enumerate(self.rows, start=1) for y in members(row))
-
 
 @dataclass(frozen=True)
 class FairnessVerdict:
@@ -234,7 +229,10 @@ def _monotone_verdict(
 
 
 def is_fair(t: Tournament, r: Ranking, c: FairnessClass) -> FairnessVerdict:
-    """Check a fairness axiom; on failure return the lex-least violating pair."""
+    """Check a fairness axiom; on failure return the lex-least violating pair.
+
+    Raises ValueError when a float out-sum of the linear axiom overflows.
+    """
     r.require_domain(t)
     n = t.n
     key, e = _keys(t, r)
@@ -245,6 +243,10 @@ def is_fair(t: Tournament, r: Ranking, c: FairnessClass) -> FairnessVerdict:
                 return FairnessVerdict(False, (x, x), "non-positive rank")
         zero = key[0]  # 0 or 0.0, the start of every out-sum
         sums = [zero] + [sum([key[z] for z in members(o)], zero) for o in t.out]
+        # inf - inf is nan, which no comparison counts as greater: an
+        # overflowed out-sum would hide violations, so refuse to decide
+        if not r.is_exact and not math.isfinite(max(sums)):
+            raise ValueError("a float out-sum overflows; scale the ranking down")
         return _monotone_verdict(
             sums, e, key, e, "non-strict linear violated", "strict linear violated"
         )

@@ -47,17 +47,9 @@ class Tournament:
 
     # -- queries -----------------------------------------------------------
 
-    def _check_vertex(self, x: int) -> None:
+    def out_degree(self, x: int) -> int:
         if not (1 <= x <= self.n):
             raise UnknownVertexError(f"vertex {x} not in 1..{self.n}")
-
-    def has_arc(self, x: int, y: int) -> bool:
-        self._check_vertex(x)
-        self._check_vertex(y)
-        return bool(self.out[x - 1] >> (y - 1) & 1)
-
-    def out_degree(self, x: int) -> int:
-        self._check_vertex(x)
         return self.out[x - 1].bit_count()
 
     @property
@@ -243,10 +235,6 @@ def scc_decompose(t: Tournament) -> Tuple[frozenset, ...]:
     """
     scores = [o.bit_count() for o in t.out]
     return tuple(frozenset(i + 1 for i in comp) for comp in _score_components(scores))
-
-
-def is_strongly_connected(t: Tournament) -> bool:
-    return len(scc_decompose(t)) == 1
 
 
 # -- text I/O --------------------------------------------------------------

@@ -9,6 +9,7 @@ from fairrank.errors import EmptyClassError
 from fairrank.optimize import MinBackwardResult
 from fairrank.ranking import (
     DEFAULT_EPS,
+    BackwardReport,
     FairnessClass,
     FairnessVerdict,
     Rank,
@@ -30,6 +31,14 @@ def out_set(t: Tournament, x: int) -> frozenset:
 def arcs(t: Tournament) -> List[Tuple[int, int]]:
     """All arcs in lexicographic order of (x, y)."""
     return [(x, y) for x in t.vertices() for y in sorted(out_set(t, x))]
+
+
+def backward_pairs(report: BackwardReport) -> Tuple[Tuple[int, int], ...]:
+    """The backward arcs (x, y) of a report in lexicographic order, read from
+    its row bitsets one bit at a time."""
+    n = len(report.rows)
+    return tuple((x, y) for x, row in enumerate(report.rows, start=1)
+                 for y in range(1, n + 1) if row >> (y - 1) & 1)
 
 
 # -- raw-value comparators ------------------------------------------------

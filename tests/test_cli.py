@@ -115,6 +115,17 @@ class TestCheck:
         assert main(["check", "--in", cycle_path, "--ranking", str(r),
                      "--class", "weak"]) == 2
 
+    def test_overflowing_lin_sums_are_input_error(self, tmp_path, capsys):
+        t = tmp_path / "t.txt"
+        t.write_text("n=5\n1 2\n1 3\n1 5\n2 3\n2 4\n2 5\n3 4\n3 5\n4 1\n4 5\n")
+        r = tmp_path / "r.txt"
+        r.write_text("1 1e308\n2 1e308\n3 1e308\n4 1e308\n5 9e307\n")
+        assert main(["check", "--in", str(t), "--ranking", str(r), "--class", "lin"]) == 2
+        assert "overflows" in capsys.readouterr().err
+        r.write_text("1 1\n2 1\n3 1\n4 1\n5 9/10\n")
+        assert main(["check", "--in", str(t), "--ranking", str(r), "--class", "lin"]) == 1
+        assert "pair=(3, 1) reason=strict linear violated" in capsys.readouterr().out
+
 
 class TestMinimize:
     def test_injective_cycle(self, cycle_path, capsys):
@@ -210,6 +221,14 @@ class TestDump:
         r.write_text("1 3\n2 2\n3 1\n")
         assert main(["dump", "--in", str(t), "--ranking", str(r)]) == 0
         assert "[*]" not in capsys.readouterr().out
+
+    def test_domain_mismatch(self, cycle_path, tmp_path, capsys):
+        r = tmp_path / "r.txt"
+        r.write_text("1 1\n2 2\n")
+        assert main(["dump", "--in", cycle_path, "--ranking", str(r)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: ranking domain [1, 2] does not match 1..3\n"
 
 
 def readme_examples():

@@ -48,6 +48,12 @@ def stacked_three_cycles(blocks):
     return build_tournament(3 * blocks, arcs)
 
 
+def nearly_transitive(n):
+    """Vertex i beats every j < i, except that vertex 1 beats n: one strong component."""
+    return build_tournament(
+        n, [(1, n)] + [(i, j) for i in range(2, n + 1) for j in range(1, i) if (i, j) != (n, 1)])
+
+
 def uniform_exact(t):
     return {x: Fraction(1, t.n) for x in t.vertices()}
 
@@ -80,13 +86,14 @@ class TestRecalc:
 
 class TestPerron:
     def test_three_cycle(self, three_cycle):
-        res = perron_fixed_point(three_cycle)
+        res = perron_fixed_point(three_cycle, three_cycle.vertices())
         assert abs(res.eigenvalue - 1.0) <= 1e-9
         for v in res.ranking.values():
             assert abs(v - 1 / 3) <= 1e-9
 
     def test_rotational_l2(self):
-        res = perron_fixed_point(gen_rotational(2))
+        t = gen_rotational(2)
+        res = perron_fixed_point(t, t.vertices())
         assert abs(res.eigenvalue - 2.0) <= 1e-9
         for v in res.ranking.values():
             assert abs(v - 1 / 5) <= 1e-9
@@ -98,7 +105,7 @@ class TestPerron:
             if len(scc_decompose(t)) != 1:
                 continue
             found += 1
-            res = perron_fixed_point(t)
+            res = perron_fixed_point(t, t.vertices())
             assert res.residual <= 1e-9
             assert res.eigenvalue >= 1.0
             assert all(v > 0 for v in res.ranking.values())
@@ -111,7 +118,7 @@ class TestPerron:
 
     def test_reducible_rejected(self, chain3):
         with pytest.raises(NotStronglyConnectedError):
-            perron_fixed_point(chain3)
+            perron_fixed_point(chain3, chain3.vertices())
 
     @pytest.mark.parametrize("vertices", [(1, 2, 3, 4), (1, 2, 4), (1, 2)])
     def test_reducible_vertex_subset_rejected(self, vertices):
@@ -139,7 +146,7 @@ class TestPerron:
             if comp.perron is None:
                 continue
             sub, labels = induced(t, comp.vertices)
-            ref = perron_fixed_point(sub)
+            ref = perron_fixed_point(sub, sub.vertices())
             assert comp.perron.vertices == labels
             assert comp.perron.ranking == {labels[i - 1]: v for i, v in ref.ranking.items()}
             assert (comp.perron.eigenvalue, comp.perron.residual, comp.perron.iterations) == (
@@ -155,7 +162,7 @@ class TestPerron:
                   if len(scc_decompose(t)) == 1]
         assert strong
         for t in strong:
-            res = perron_fixed_point(t)
+            res = perron_fixed_point(t, t.vertices())
             a = np.zeros((n, n))
             for x, y in arcs(t):
                 a[x - 1, y - 1] = 1.0
@@ -169,14 +176,15 @@ class TestPerron:
     def test_shift_keeps_small_tournaments_within_46_steps(self):
         # the bound quoted at MAX_ITERATIONS (43 steps at most here); with
         # SHIFT = 0 the worst strong tournament on 5 vertices takes 204
-        steps = [perron_fixed_point(t).iterations for n in (3, 4, 5)
+        steps = [perron_fixed_point(t, t.vertices()).iterations for n in (3, 4, 5)
                  for t in enumerate_all(n) if len(scc_decompose(t)) == 1]
         assert max(steps) <= 46
 
     def test_no_convergence_within_budget(self, monkeypatch):
         monkeypatch.setattr(fixpoint, "MAX_ITERATIONS", 1)
+        t = gen_random(12, 0)
         with pytest.raises(NoConvergenceError) as info:
-            perron_fixed_point(gen_random(12, 0))
+            perron_fixed_point(t, t.vertices())
         assert info.value.iterations == 1
 
 
@@ -222,6 +230,15 @@ class TestLinearFair:
         # of geometric scaling across 1100 components (transitive)
         t = make()
         assert is_fair(t, linear_fair_ranking(t).ranking, FC.LIN).ok
+
+    def test_nearly_transitive_within_quoted_steps(self):
+        # the step count quoted at MAX_ITERATIONS grows with n on this family
+        t = nearly_transitive(200)
+        res = linear_fair_ranking(t)
+        (comp,) = res.components
+        assert comp.perron.iterations <= 160
+        for cls in (FC.LIN, FC.SPEC, FC.WEAK):
+            assert is_fair(t, res.ranking, cls).ok
 
     def test_report_shape(self, chain3):
         res = linear_fair_ranking(chain3)

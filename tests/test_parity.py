@@ -34,7 +34,7 @@ from fairrank import (
     serialize_tournament,
 )
 from fairrank.ranking import DEFAULT_EPS
-from oracles import backward_arcs_pairs, is_fair_pairs, iter_weak_orders, weak_order_ranking
+from oracles import backward_arcs_pairs, backward_pairs, is_fair_pairs, iter_weak_orders, weak_order_ranking
 
 FC = FairnessClass
 MONOTONE = (FC.NSCOP, FC.SCOP, FC.COP, FC.LIN)
@@ -47,7 +47,7 @@ def verdict(v):
 def assert_parity(t, r, classes=tuple(FC)):
     for c in classes:
         assert verdict(is_fair(t, r, c)) == verdict(is_fair_pairs(t, r, c)), c
-    assert backward_arcs(t, r).backward == backward_arcs_pairs(t, r)
+    assert backward_pairs(backward_arcs(t, r)) == backward_arcs_pairs(t, r)
 
 
 def perturbed(r, rng, k):

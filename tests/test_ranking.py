@@ -11,6 +11,7 @@ from fairrank import (
     Ranking,
     TournamentSyntaxError,
     backward_arcs,
+    build_tournament,
     copeland_ranking,
     enumerate_all,
     gen_random,
@@ -20,6 +21,7 @@ from fairrank import (
 )
 from oracles import (
     arcs,
+    backward_pairs,
     injection_exists,
     linear_sums,
     sorted_dominance,
@@ -29,6 +31,7 @@ from oracles import (
 )
 
 FC = FairnessClass
+OVERFLOW_ARCS = [(1, 2), (1, 3), (1, 5), (2, 3), (2, 4), (2, 5), (3, 4), (3, 5), (4, 1), (4, 5)]
 
 
 def exact(*vals):
@@ -38,7 +41,7 @@ def exact(*vals):
 class TestBackwardArcs:
     def test_three_cycle_identity(self, three_cycle):
         rep = backward_arcs(three_cycle, exact(1, 2, 3))
-        assert set(rep.backward) == {(1, 2), (2, 3)}
+        assert set(backward_pairs(rep)) == {(1, 2), (2, 3)}
         assert rep.fraction == Fraction(2, 3)
 
     def test_constant_ranking(self, three_cycle):
@@ -59,7 +62,7 @@ class TestBackwardArcs:
         for seed in range(20):
             t = gen_random(6, seed)
             r = exact(*[rng.randint(1, 4) for _ in range(6)])
-            back = set(backward_arcs(t, r).backward)
+            back = set(backward_pairs(backward_arcs(t, r)))
             forward = {(x, y) for (x, y) in arcs(t) if r[x] > r[y]}
             level = {(x, y) for (x, y) in arcs(t) if r[x] == r[y]}
             assert back | forward | level == set(arcs(t))
@@ -73,8 +76,8 @@ class TestBackwardArcs:
             random.Random(seed).shuffle(perm)
             r = Ranking.exact({v: p for v, p in zip(t.vertices(), perm)})
             rev = Ranking.exact({v: -r[v] for v in t.vertices()})
-            b1 = set(backward_arcs(t, r).backward)
-            b2 = set(backward_arcs(t, rev).backward)
+            b1 = set(backward_pairs(backward_arcs(t, r)))
+            b2 = set(backward_pairs(backward_arcs(t, rev)))
             assert b1 | b2 == set(arcs(t))
             assert min(len(b1), len(b2)) <= t.num_arcs // 2
 
@@ -188,6 +191,16 @@ class TestLinear:
                 r = exact(*blocks)
                 scaled = Ranking.exact({v: 7 * r[v] for v in t.vertices()})
                 assert is_fair(t, r, FC.LIN).ok == is_fair(t, scaled, FC.LIN).ok
+
+    def test_overflowing_float_sums_raise(self):
+        # every out-sum is inf, and inf - inf is nan, which would pass LIN;
+        # the same ranking scaled down exactly fails on (3, 1)
+        t = build_tournament(5, OVERFLOW_ARCS)
+        with pytest.raises(ValueError, match="overflows"):
+            is_fair(t, Ranking.approx({1: 1e308, 2: 1e308, 3: 1e308, 4: 1e308, 5: 9e307}), FC.LIN)
+        verdict = is_fair(t, exact(1, 1, 1, 1, Fraction(9, 10)), FC.LIN)
+        assert (verdict.ok, verdict.certificate, verdict.reason) == (
+            False, (3, 1), "strict linear violated")
 
 
 class TestContainments:
