@@ -249,13 +249,8 @@ def verify_copeland_upper_bound(n: int) -> BoundCheckReport:
     if n > 5:
         raise ResourceLimitError("exhaustive bound check capped at n <= 5")
     bound = copeland_bound(n)
-    max_fraction = Fraction(0)
-    checked = 0
-    ok = True
-    for t in enumerate_all(n):
-        frac = min_backward_copeland_closed_form(t).fraction
-        checked += 1
-        max_fraction = max(max_fraction, frac)
-        if frac > bound or frac >= Fraction(3, 4):
-            ok = False
-    return BoundCheckReport(n, checked, bound, max_fraction, ok)
+    fractions = [min_backward_copeland_closed_form(t).fraction for t in enumerate_all(n)]
+    max_fraction = max(fractions)
+    # copeland_bound(n) < 3/4 for every n, so this also checks the limit:
+    # (3l-2)/(4l-2) < 3/4 iff -8 < -6, (3l+1)/(4l+2) < 3/4 iff 4 < 6, and 0 for n < 2
+    return BoundCheckReport(n, len(fractions), bound, max_fraction, max_fraction <= bound)

@@ -41,6 +41,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import combinations, permutations
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from .errors import DomainMismatchError, TournamentSyntaxError
@@ -169,13 +170,6 @@ def copeland_ranking(t: Tournament) -> Ranking:
 # -- fairness predicates ---------------------------------------------------
 
 
-def _ordered_pairs(n: int):
-    for x in range(1, n + 1):
-        for y in range(1, n + 1):
-            if x != y:
-                yield x, y
-
-
 def _monotone_verdict(
     key: List[Rank],
     key_e: Rank,
@@ -260,10 +254,9 @@ def is_fair(t: Tournament, r: Ranking, c: FairnessClass) -> FairnessVerdict:
         )
 
     if c is FairnessClass.INJ:
-        for x in range(1, n + 1):
-            for y in range(x + 1, n + 1):
-                if abs(key[x] - key[y]) <= e:
-                    return FairnessVerdict(False, (x, y), "equal ranks")
+        for x, y in combinations(range(1, n + 1), 2):
+            if abs(key[x] - key[y]) <= e:
+                return FairnessVerdict(False, (x, y), "equal ranks")
         return FairnessVerdict(True)
 
     if c is FairnessClass.WEAK:
@@ -283,7 +276,7 @@ def is_fair(t: Tournament, r: Ranking, c: FairnessClass) -> FairnessVerdict:
             sx, sy = spectra[x], spectra[y]
             return len(sx) <= len(sy) and all(not a - b > e for a, b in zip(sx, sy))
 
-        for x, y in _ordered_pairs(n):
+        for x, y in permutations(range(1, n + 1), 2):
             if key[y] - key[x] > e or not leq(x, y):
                 continue
             if key[x] - key[y] > e:
@@ -299,16 +292,9 @@ def is_fair(t: Tournament, r: Ranking, c: FairnessClass) -> FairnessVerdict:
 
 
 def serialize_ranking(r: Ranking) -> str:
-    """One "vertex value" pair per line; exact values as p/q, floats as repr."""
-    lines = []
-    for v in sorted(r.values):
-        val = r[v]
-        if isinstance(val, Fraction):
-            text = str(val.numerator) if val.denominator == 1 else f"{val.numerator}/{val.denominator}"
-        else:
-            text = repr(val)
-        lines.append(f"{v} {text}")
-    return "\n".join(lines) + "\n"
+    """One "vertex value" pair per line: str() writes a Fraction as p or
+    p/q and a float as its repr."""
+    return "".join(f"{v} {r[v]}\n" for v in sorted(r.values))
 
 
 def parse_ranking(text: str) -> Ranking:

@@ -7,6 +7,7 @@ for every unordered pair exactly one of the two directed arcs is present.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass, field
 from itertools import combinations, compress, count, islice
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
@@ -25,6 +26,7 @@ DEFAULT_VERTEX_CAP = 10_000
 ENUMERATION_CAP = 6
 
 
+@dataclass(frozen=True, slots=True)
 class Tournament:
     """Immutable tournament on vertices 1..n.
 
@@ -35,17 +37,15 @@ class Tournament:
     arc lists.
     """
 
-    __slots__ = ("n", "out")
+    n: int
+    out: Tuple[int, ...] = field(repr=False)
 
-    def __init__(self, n: int, out: Sequence[int]):
-        if n < 1:
+    def __post_init__(self):
+        if self.n < 1:
             raise ValueError("tournament needs at least one vertex")
-        if len(out) != n:
+        if len(self.out) != self.n:
             raise ValueError("out length must equal n")
-        self.n = n
-        self.out: Tuple[int, ...] = tuple(out)
-
-    # -- queries -----------------------------------------------------------
+        object.__setattr__(self, "out", tuple(self.out))  # callers may pass a list
 
     def out_degree(self, x: int) -> int:
         if not (1 <= x <= self.n):
@@ -58,19 +58,6 @@ class Tournament:
 
     def vertices(self) -> range:
         return range(1, self.n + 1)
-
-    # -- dunder ------------------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Tournament):
-            return NotImplemented
-        return self.n == other.n and self.out == other.out
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.out))
-
-    def __repr__(self) -> str:
-        return f"Tournament(n={self.n}, arcs={self.num_arcs})"
 
 
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
@@ -111,10 +98,9 @@ def build_tournament(n: int, arc_list: Iterable[Tuple[int, int]]) -> Tournament:
         out[x - 1] |= 1 << (y - 1)
         added += 1
     if added != n * (n - 1) // 2:
-        for x in range(1, n + 1):
-            for y in range(x + 1, n + 1):
-                if not (out[x - 1] >> (y - 1) & 1 or out[y - 1] >> (x - 1) & 1):
-                    raise MissingPairError(f"pair {{{x},{y}}} has no arc")
+        for x, y in combinations(range(1, n + 1), 2):
+            if not (out[x - 1] >> (y - 1) & 1 or out[y - 1] >> (x - 1) & 1):
+                raise MissingPairError(f"pair {{{x},{y}}} has no arc")
     return Tournament(n, out)
 
 

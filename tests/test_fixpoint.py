@@ -7,7 +7,9 @@ from fairrank import (
     FairnessClass,
     NoConvergenceError,
     NotStronglyConnectedError,
+    Tournament,
     UnknownVertexError,
+    VerificationFailedError,
     build_tournament,
     enumerate_all,
     fixpoint,
@@ -18,8 +20,9 @@ from fairrank import (
     linear_fair_ranking,
     perron_fixed_point,
     scc_decompose,
+    serialize_tournament,
 )
-from fairrank.cli import linear_fair_json
+from fairrank.cli import linear_fair_json, main
 from oracles import arcs, induced, metric_distance, recalc_apply
 
 FC = FairnessClass
@@ -52,6 +55,22 @@ def nearly_transitive(n):
     """Vertex i beats every j < i, except that vertex 1 beats n: one strong component."""
     return build_tournament(
         n, [(1, n)] + [(i, j) for i in range(2, n + 1) for j in range(1, i) if (i, j) != (n, 1)])
+
+
+def stacked_blocks(block, copies):
+    """`copies` copies of the tournament whose out-sets on 1..k are `block`
+    (vertex -> set); every later copy beats every earlier one."""
+    k = len(block)
+    bits = [sum(1 << (y - 1) for y in block[x]) for x in range(1, k + 1)]
+    return Tournament(k * copies, [b << (c * k) | (1 << (c * k)) - 1
+                                   for c in range(copies) for b in bits])
+
+
+# vertices 1 and 2 get Perron entries a rounding error apart; (85, 86) is
+# that pair in the 15th copy
+TIED_BLOCK = {1: {2, 4, 5}, 2: {3, 4, 6}, 3: {1, 4, 5, 6}, 4: {5, 6}, 5: {2, 6}, 6: {1}}
+# nearly transitive 10-block: i beats every j < i, except that 1 beats 10
+STEEP_BLOCK = {i: set(range(1, i)) for i in range(2, 10)} | {1: {10}, 10: set(range(2, 10))}
 
 
 def uniform_exact(t):
@@ -239,6 +258,24 @@ class TestLinearFair:
         assert comp.perron.iterations <= 160
         for cls in (FC.LIN, FC.SPEC, FC.WEAK):
             assert is_fair(t, res.ranking, cls).ok
+
+    # Both exits below are defects of the float assembly (exit 4 in the
+    # CLI); ROADMAP item 1 turns both into successes.
+    def test_float_ties_fail_verification(self):
+        t = stacked_blocks(TIED_BLOCK, 60)
+        with pytest.raises(VerificationFailedError) as info:
+            linear_fair_ranking(t)
+        assert info.value.certificate == (85, 86)
+
+    def test_geometric_scaling_overflows(self, tmp_path, capsys):
+        # the top rank grows about 9x per block: 1.9e286 at 300 blocks
+        t = stacked_blocks(STEEP_BLOCK, 330)
+        with pytest.raises(VerificationFailedError, match="assembled ranking is not finite"):
+            linear_fair_ranking(t)
+        path = tmp_path / "t.txt"
+        path.write_text(serialize_tournament(t))
+        assert main(["rank", "--in", str(path), "--method", "linear-fair"]) == 4
+        assert capsys.readouterr().err == "error: assembled ranking is not finite\n"
 
     def test_report_shape(self, chain3):
         res = linear_fair_ranking(chain3)

@@ -236,6 +236,14 @@ class TestRankingIO:
         assert r.is_exact
         assert r[1] == Fraction(3, 4)
 
+    @pytest.mark.parametrize("value, text", [
+        (Fraction(3), "3"), (Fraction(-7, 4), "-7/4"),
+        (0.1, "0.1"), (1e-300, "1e-300"), (2.5e300, "2.5e+300"),
+    ])
+    def test_serialized_value_text(self, value, text):
+        make = Ranking.exact if isinstance(value, Fraction) else Ranking.approx
+        assert serialize_ranking(make({1: value})) == f"1 {text}\n"
+
     @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "1e400"])
     def test_non_finite_rejected(self, raw):
         with pytest.raises(TournamentSyntaxError):

@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
@@ -56,6 +57,18 @@ class TestBuild:
     def test_vertex_cap(self):
         with pytest.raises(ResourceLimitError):
             build_tournament(DEFAULT_VERTEX_CAP + 1, [])
+
+    def test_frozen(self):
+        t = gen_rotational(1)
+        with pytest.raises(FrozenInstanceError):
+            t.n = 2
+        with pytest.raises(FrozenInstanceError):
+            t.out = (2, 1)
+        assert t == gen_rotational(1) and t in {gen_rotational(1)}
+
+    def test_list_and_tuple_out_are_equal(self):
+        a, b = Tournament(3, [6, 4, 1]), Tournament(3, (6, 4, 1))
+        assert a == b and hash(a) == hash(b)
 
 
 class TestGenerators:
