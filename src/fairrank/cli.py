@@ -116,11 +116,7 @@ def cmd_gen(args) -> int:
             raise errors.TournamentSyntaxError(f"--l is required for {args.family}")
         t = (gen_rotational if args.family == "rotational" else gen_composite)(args.l)
     _write(args.out, serialize_tournament(t))
-    summary = f"n={t.n} edges={t.num_arcs}"
-    if args.out == "-":
-        print(summary, file=sys.stderr)
-    else:
-        print(summary)
+    print(f"n={t.n} edges={t.num_arcs}", file=sys.stderr if args.out == "-" else sys.stdout)
     return EXIT_OK
 
 
@@ -150,12 +146,10 @@ def cmd_check(args) -> int:
     c = FairnessClass.from_string(args.cls)
     verdict = is_fair(t, r, c)
     report = backward_arcs(t, r)
-    if verdict.ok:
-        print(f"PASS class={c.value} bw={frac_str(report.fraction)}")
-        return EXIT_OK
-    print(f"FAIL class={c.value} pair={verdict.certificate} reason={verdict.reason} "
+    failure = "" if verdict.ok else f" pair={verdict.certificate} reason={verdict.reason}"
+    print(f"{'PASS' if verdict.ok else 'FAIL'} class={c.value}{failure} "
           f"bw={frac_str(report.fraction)}")
-    return EXIT_FAIL
+    return EXIT_OK if verdict.ok else EXIT_FAIL
 
 
 def cmd_minimize(args) -> int:
@@ -176,9 +170,8 @@ def cmd_minimize(args) -> int:
 
 def cmd_emn(args) -> int:
     if args.exhaustive is not None:
-        if args.format == "csv":
-            raise ValueError("--format csv applies only to the sweep, not to --exhaustive")
-        _reject_ignored({"--lmax": args.lmax, "--materialize": args.materialize},
+        _reject_ignored({"--format csv": args.format == "csv" or None,
+                         "--lmax": args.lmax, "--materialize": args.materialize},
                         "the sweep, not to --exhaustive")
         report = verify_copeland_upper_bound(args.exhaustive)
         if args.format == "json":

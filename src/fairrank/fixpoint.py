@@ -129,17 +129,13 @@ def linear_fair_ranking(t: Tournament) -> LinearFairResult:
     top = 0.0
     for comp in scc_decompose(t):
         verts = tuple(sorted(comp))
-        if len(verts) == 1:
-            solves.append(ComponentSolve(verts, None))
-            p = {verts[0]: 1.0}
-        else:
-            res = perron_fixed_point(t, verts)
-            solves.append(ComponentSolve(verts, res))
-            p = res.ranking
+        res = perron_fixed_point(t, verts) if len(verts) > 1 else None
+        solves.append(ComponentSolve(verts, res))
+        p = {verts[0]: 1.0} if res is None else res.ranking
         c = ((1.0 + 1.0 / t.n) * top + 1.0) / min(p.values())
         for v, val in p.items():
             values[v] = c * val
-        top = max(values[v] for v in verts)
+        top = c * max(p.values())  # the largest value placed: fl(c * a) rises with a
     # every rank is <= top and every out-sum < n * top, so a finite n * top
     # keeps the check below clear of overflow
     if not math.isfinite(top * t.n):

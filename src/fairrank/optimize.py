@@ -43,6 +43,12 @@ class MinBackwardResult:
     search_space: str  # "permutations" | "weakOrders" | "closedForm"
 
 
+def _result(t: Tournament, witness: Ranking, search_space: str) -> MinBackwardResult:
+    """Every minimizer's result: the count and fraction are the witness's own."""
+    report = backward_arcs(t, witness)
+    return MinBackwardResult(report.count, report.fraction, witness, search_space)
+
+
 # -- weak order enumeration -------------------------------------------------
 
 
@@ -101,9 +107,7 @@ def min_backward_injective(t: Tournament) -> MinBackwardResult:
         order.append(v)
         u ^= b
     witness = Ranking.exact({v: pos for pos, v in enumerate(order, start=1)})
-    count = cost[-1]
-    fraction = Fraction(count, t.num_arcs) if t.num_arcs else Fraction(0)
-    return MinBackwardResult(count, fraction, witness, "permutations")
+    return _result(t, witness, "permutations")
 
 
 def min_backward_copeland_closed_form(t: Tournament) -> MinBackwardResult:
@@ -113,9 +117,7 @@ def min_backward_copeland_closed_form(t: Tournament) -> MinBackwardResult:
     out-degree backward, and the out-degree ranking makes exactly those
     arcs backward, so the minimum is the backward count of that ranking.
     """
-    witness = copeland_ranking(t)
-    report = backward_arcs(t, witness)
-    return MinBackwardResult(report.count, report.fraction, witness, "closedForm")
+    return _result(t, copeland_ranking(t), "closedForm")
 
 
 def min_backward_fair(t: Tournament, c: FairnessClass) -> MinBackwardResult:
@@ -146,10 +148,8 @@ def min_backward_fair(t: Tournament, c: FairnessClass) -> MinBackwardResult:
             best = candidate
     if best is None:
         raise EmptyClassError(f"no weak-order ranking satisfies {c.value}")
-    count, levels = best
-    witness = Ranking.exact(dict(zip(vertices, levels)))
-    fraction = Fraction(count, t.num_arcs) if t.num_arcs else Fraction(0)
-    return MinBackwardResult(count, fraction, witness, "weakOrders")
+    _, levels = best
+    return _result(t, Ranking.exact(dict(zip(vertices, levels))), "weakOrders")
 
 
 # -- extremal family sweep --------------------------------------------------
@@ -245,9 +245,8 @@ class BoundCheckReport:
 
 
 def verify_copeland_upper_bound(n: int) -> BoundCheckReport:
-    """Check the per-size strict-Copeland bound over all tournaments on n <= 5 vertices."""
-    if n > 5:
-        raise ResourceLimitError("exhaustive bound check capped at n <= 5")
+    """Check the per-size strict-Copeland bound over all tournaments on n
+    vertices, as far as `enumerate_all` goes."""
     bound = copeland_bound(n)
     fractions = [min_backward_copeland_closed_form(t).fraction for t in enumerate_all(n)]
     max_fraction = max(fractions)

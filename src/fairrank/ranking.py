@@ -111,7 +111,7 @@ class BackwardReport:
 
     @property
     def fraction(self) -> Fraction:
-        return Fraction(self.count, self.total) if self.total else Fraction(0)
+        return Fraction(self.count, self.total or 1)  # no arcs, none backward: 0
 
 
 @dataclass(frozen=True)
@@ -133,7 +133,10 @@ def _keys(t: Tournament, r: Ranking) -> Tuple[List[Rank], Rank]:
     values times the LCM of their denominators, integers in the same
     ratios, with e = 0; a float ranking keys on its values with
     e = DEFAULT_EPS.  Index 0 holds the zero of the key type, 0 or 0.0.
+    Every read of a ranking's values comes through here, after the domain
+    check.
     """
+    r.require_domain(t)
     values = list(map(r.values.__getitem__, t.vertices()))
     if r.is_exact:
         scale = math.lcm(*[v.denominator for v in values])
@@ -148,7 +151,6 @@ def backward_arcs(t: Tournament, r: Ranking) -> BackwardReport:
     suffix of the ascending key order that grows as key[x] falls (see the
     module docstring), so one walk down the order keeps their mask `above`.
     """
-    r.require_domain(t)
     key, e = _keys(t, r)
     order = sorted(t.vertices(), key=key.__getitem__)
     rows = [0] * t.n
@@ -171,21 +173,18 @@ def copeland_ranking(t: Tournament) -> Ranking:
 
 
 def _monotone_verdict(
-    key: List[Rank],
-    key_e: Rank,
-    rank: List[Rank],
-    rank_e: Rank,
-    nonstrict: Optional[str],
-    strict: Optional[str],
+    key: List[Rank], rank: List[Rank], e: Rank, nonstrict: Optional[str], strict: Optional[str]
 ) -> FairnessVerdict:
     """Decide key(x) <= key(y) => rank(x) <= rank(y) and, separately,
     key(x) < key(y) => rank(x) < rank(y) over all ordered pairs x != y.
 
     Each implication is checked when its reason string is given.  The
-    lists are indexed by vertex from 1; a < b means b - a > e, with key_e
-    for keys and rank_e for ranks.  In ascending key order, the y with key
-    not below x's form a suffix order[i:], and the y with key above x's a
-    suffix order[j:]; both start points only move right as x moves right.
+    lists are indexed by vertex from 1; a < b means b - a > e, for keys and
+    ranks alike.  Integer keys such as out-degrees differ by 0 or by at
+    least 1, so any e < 1 compares them exactly.  In ascending key order,
+    the y with key not below x's form a suffix order[i:], and the y with
+    key above x's a suffix order[j:]; both start points only move right as
+    x moves right.
     x breaks an implication against some y of its suffix iff it breaks it
     against the suffix's least rank low[i] or low[j], since fl(a - b) is
     monotone in each argument.
@@ -200,13 +199,13 @@ def _monotone_verdict(
     i = j = 0
     for x in order:
         kx, rx = key[x], rank[x]
-        while kx - key[order[i]] > key_e:
+        while kx - key[order[i]] > e:
             i += 1
-        while j < n and not key[order[j]] - kx > key_e:
+        while j < n and not key[order[j]] - kx > e:
             j += 1
         if x < first and (
-            (nonstrict and rx - low[i] > rank_e)
-            or (strict and j < n and not low[j] - rx > rank_e)
+            (nonstrict and rx - low[i] > e)
+            or (strict and j < n and not low[j] - rx > e)
         ):
             first = x
     if first > n:
@@ -215,9 +214,9 @@ def _monotone_verdict(
     for y in range(1, n + 1):
         if y == x:
             continue
-        if nonstrict and not key[x] - key[y] > key_e and rank[x] - rank[y] > rank_e:
+        if nonstrict and not key[x] - key[y] > e and rank[x] - rank[y] > e:
             return FairnessVerdict(False, (x, y), nonstrict)
-        if strict and key[y] - key[x] > key_e and not rank[y] - rank[x] > rank_e:
+        if strict and key[y] - key[x] > e and not rank[y] - rank[x] > e:
             return FairnessVerdict(False, (x, y), strict)
     raise AssertionError(f"vertex {x} flagged without a violating pair")
 
@@ -227,7 +226,6 @@ def is_fair(t: Tournament, r: Ranking, c: FairnessClass) -> FairnessVerdict:
 
     Raises ValueError when a float out-sum of the linear axiom overflows.
     """
-    r.require_domain(t)
     n = t.n
     key, e = _keys(t, r)
 
@@ -242,13 +240,13 @@ def is_fair(t: Tournament, r: Ranking, c: FairnessClass) -> FairnessVerdict:
         if not r.is_exact and not math.isfinite(max(sums)):
             raise ValueError("a float out-sum overflows; scale the ranking down")
         return _monotone_verdict(
-            sums, e, key, e, "non-strict linear violated", "strict linear violated"
+            sums, key, e, "non-strict linear violated", "strict linear violated"
         )
 
     if c in (FairnessClass.NSCOP, FairnessClass.SCOP, FairnessClass.COP):
         degree = [0] + [o.bit_count() for o in t.out]
         return _monotone_verdict(
-            degree, 0, key, e,
+            degree, key, e,
             None if c is FairnessClass.SCOP else "non-strict Copeland violated",
             None if c is FairnessClass.NSCOP else "strict Copeland violated",
         )
@@ -304,8 +302,7 @@ def parse_ranking(text: str) -> Ranking:
     """
     values: Dict[int, Rank] = {}
     exact = True
-    for ln in text.strip().splitlines():
-        ln = ln.strip()
+    for ln in map(str.strip, text.splitlines()):
         if not ln:
             continue
         parts = ln.split()
@@ -318,22 +315,17 @@ def parse_ranking(text: str) -> Ranking:
         raw = parts[1]
         if v in values:
             raise TournamentSyntaxError(f"vertex {v} ranked twice")
-        if "/" in raw or raw.lstrip("+-").isdigit():
-            try:
-                values[v] = Fraction(raw)
-            except (ValueError, ZeroDivisionError):
-                raise TournamentSyntaxError(f"bad value {raw!r}") from None
-        else:
-            try:
-                value = float(raw)
-            except ValueError:
-                raise TournamentSyntaxError(f"bad value {raw!r}") from None
+        try:
+            value = Fraction(raw) if "/" in raw or raw.lstrip("+-").isdigit() else float(raw)
+        except (ValueError, ZeroDivisionError):
+            raise TournamentSyntaxError(f"bad value {raw!r}") from None
+        # a Fraction is finite, and math.isfinite overflows on one above 1e308
+        if isinstance(value, float):
             if not math.isfinite(value):
                 raise TournamentSyntaxError(f"non-finite value {raw!r}")
-            values[v] = value
             exact = False
+        values[v] = value
     if not values:
         raise TournamentSyntaxError("empty ranking")
-    if exact:
-        return Ranking.exact(values)
-    return Ranking.approx(values)
+    # a float anywhere makes the ranking float, the Fractions included
+    return Ranking(values, True) if exact else Ranking.approx(values)

@@ -71,7 +71,10 @@ def members(bits: int) -> List[int]:
 # -- construction and validation ------------------------------------------
 
 
-def _require_within_cap(n: int) -> None:
+def _require_size(n: int) -> None:
+    """The vertex-count check of every builder: 1 <= n <= DEFAULT_VERTEX_CAP."""
+    if n < 1:
+        raise ValueError("n must be positive")
     if n > DEFAULT_VERTEX_CAP:
         raise ResourceLimitError(f"{n} vertices exceed the cap of {DEFAULT_VERTEX_CAP}")
 
@@ -83,9 +86,7 @@ def build_tournament(n: int, arc_list: Iterable[Tuple[int, int]]) -> Tournament:
     The out-sets being filled are the only record of the arcs seen so far;
     arcs are read one at a time, and the first bad one raises.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    _require_within_cap(n)
+    _require_size(n)
     out = [0] * n
     added = 0
     for (x, y) in arc_list:
@@ -118,7 +119,7 @@ def gen_rotational(l: int) -> Tournament:
     if l < 1:
         raise ValueError("l must be >= 1")
     n = 2 * l + 1
-    _require_within_cap(n)
+    _require_size(n)
     everyone = (1 << n) - 1
     first = ((1 << l) - 1) << 1  # vertex 1 beats 2..l+1
     return Tournament(n, [(first << s | first >> (n - s)) & everyone for s in range(n)])
@@ -141,7 +142,7 @@ def gen_composite(l: int) -> Tournament:
         raise ValueError("l must be >= 1")
     s = 2 * l + 1
     n_total = s * s
-    _require_within_cap(n_total)
+    _require_size(n_total)
     rot = gen_rotational(l).out
     layer = (1 << s) - 1
     column = sum(1 << (m * s) for m in range(s))  # (m, 1) for every layer m
@@ -158,9 +159,7 @@ def gen_composite(l: int) -> Tournament:
 def gen_random(n: int, seed: int) -> Tournament:
     """Orient each pair x < y by one coin flip of a seeded generator, in
     lexicographic order of (x, y): x -> y when the draw is below 1/2."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    _require_within_cap(n)
+    _require_size(n)
     rng = random.Random(seed)
     a = np.zeros((n, n), dtype=bool)
     for i in range(n - 1):
@@ -174,8 +173,7 @@ def enumerate_all(n: int) -> Iterator[Tournament]:
     """Yield all 2^C(n,2) labeled tournaments on n vertices exactly once."""
     if n > ENUMERATION_CAP:
         raise ResourceLimitError(f"enumeration capped at n <= {ENUMERATION_CAP}")
-    if n < 1:
-        raise ValueError("n must be positive")
+    _require_size(n)
     pairs = list(combinations(range(n), 2))
     for mask in range(1 << len(pairs)):
         out = [0] * n
@@ -247,7 +245,7 @@ def parse_tournament(text: str) -> Tournament:
     Edge lines are parsed as `build_tournament` reads them, after its cap
     check: the first bad line in file order raises, malformed or a bad arc.
     """
-    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
     if not lines:
         raise TournamentSyntaxError("empty input")
     head = lines[0]
@@ -280,9 +278,7 @@ def _tournament_from_rows(n: int, rows: Sequence[str]) -> Tournament:
     missing.  Each check compares one row with its column, so the n x n
     matrix is the only large allocation.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    _require_within_cap(n)
+    _require_size(n)
     a = np.empty((n, n), dtype=bool)
     for i, row in enumerate(rows):
         a[i] = np.frombuffer(row.encode("ascii"), dtype=np.uint8) == ord("1")

@@ -126,6 +126,15 @@ class TestCheck:
         assert main(["check", "--in", str(t), "--ranking", str(r), "--class", "lin"]) == 1
         assert "pair=(3, 1) reason=strict linear violated" in capsys.readouterr().out
 
+    def test_exact_ranks_beyond_float_range(self, tmp_path, capsys):
+        # an exact rank above 1e308 is finite: only float values get the finiteness check
+        t = tmp_path / "t.txt"
+        t.write_text("3\n011\n001\n000\n")
+        r = tmp_path / "r.txt"
+        r.write_text("1 1" + "0" * 400 + "\n2 1\n3 2\n")
+        assert main(["check", "--in", str(t), "--ranking", str(r), "--class", "lin"]) == 1
+        assert "pair=(3, 2)" in capsys.readouterr().out
+
 
 class TestMinimize:
     def test_injective_cycle(self, cycle_path, capsys):
@@ -184,6 +193,51 @@ class TestEmn:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--format csv applies only to the sweep" in captured.err
+
+    def test_exhaustive_up_to_the_enumeration_cap(self, capsys):
+        assert main(["emn", "--exhaustive", "6"]) == 0
+        out = capsys.readouterr().out
+        assert "checked=32768" in out and "max=4/15" in out and "within=yes" in out
+        assert main(["emn", "--exhaustive", "7"]) == 2
+        assert capsys.readouterr().err == "error: enumeration capped at n <= 6\n"
+
+
+@pytest.mark.parametrize("ranking,message", [
+    ("1 1 1\n", "bad ranking line '1 1 1'"),
+    ("a 1\n", "bad vertex in line 'a 1'"),
+    ("1 1\n1 2\n2 3\n", "vertex 1 ranked twice"),
+    ("1 x\n", "bad value 'x'"),
+    ("1 1/0\n", "bad value '1/0'"),
+    ("\n  \n", "empty ranking"),
+])
+def test_bad_ranking_file_is_input_error(ranking, message, cycle_path, tmp_path, capsys):
+    r = tmp_path / "r.txt"
+    r.write_text(ranking)
+    assert main(["check", "--in", cycle_path, "--ranking", str(r), "--class", "lin"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("text,message", [
+    ("", "empty input"),
+    ("n=x\n", "bad header 'n=x'"),
+    ("3\n011\n", "expected 3 matrix rows, found 1"),
+    ("0\n", "n must be positive"),
+    ("n=0\n", "n must be positive"),
+])
+def test_bad_tournament_file_is_input_error(text, message, tmp_path, capsys):
+    t = tmp_path / "t.txt"
+    t.write_text(text)
+    assert main(["rank", "--in", str(t), "--method", "copeland"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv,message", [
+    ("gen --family random", "--n is required for random"),
+    ("gen --family random --n 0", "n must be positive"),
+])
+def test_gen_random_needs_a_positive_n(argv, message, capsys):
+    assert main(argv.split()) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("argv,flag", [

@@ -71,6 +71,16 @@ class TestBuild:
         assert a == b and hash(a) == hash(b)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: build_tournament(0, []),
+    lambda: gen_random(0, 0),
+    lambda: next(enumerate_all(0)),
+], ids=["build_tournament", "gen_random", "enumerate_all"])
+def test_no_vertices_is_value_error(build):
+    with pytest.raises(ValueError, match="^n must be positive$"):
+        build()
+
+
 class TestGenerators:
     def test_rotational_l1_is_three_cycle(self):
         t = gen_rotational(1)
