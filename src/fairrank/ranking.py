@@ -5,9 +5,10 @@ compare exactly; float rankings compare with the absolute tolerance
 eps = DEFAULT_EPS (a < b iff b - a > eps, a == b iff |a - b| <= eps).
 DEFAULT_EPS is the package's one comparison tolerance: no ranking, parser
 or predicate takes another.  An exact ranking may also hold ints (the
-weak-order minimizer checks its candidates that way): an int has numerator
-and denominator like a Fraction, so it gets the same key and the same
-verdicts as the equal Fraction.
+weak-order minimizer checks its candidates that way, and `parse_ranking`
+keeps integer values as ints): an int has numerator and denominator like a
+Fraction, so it gets the same key, the same verdicts and the same text as
+the equal Fraction.
 
 Every predicate and the backward-arc report compare through one rule on
 per-vertex keys: x ranks below y iff key[y] - key[x] > e.  A float ranking
@@ -17,7 +18,9 @@ e = 0: comparisons stay exact, and the linear axiom's out-sums, the one
 place where values matter beyond their order, are integer sums instead of
 Fraction sums.  Float out-sums are added over the out-set in ascending
 vertex order from 0.0, as the pair-scan reference in `tests/oracles.py`
-adds them, so the two agree on float verdicts to the last bit.
+adds them, so the two agree on float verdicts to the last bit: the keys
+are read through the out-set's byte mask (`compress` over `bit_mask`),
+which yields the same values in the same order to the same builtin `sum`.
 
 The Copeland axioms and the linear axiom share one shape: key(x) <= key(y)
 implies rank(x) <= rank(y), and key(x) < key(y) implies rank(x) < rank(y),
@@ -31,8 +34,14 @@ because the rounded difference fl(a - b) never decreases as a grows or as
 b shrinks, so each comparison above is monotone in either operand.  Only
 the least violating x has its row scanned, to name the least y, so the
 certificate is the lex-least violating pair, as a full scan finds it.
-Backward arcs take the same sort and one mask per vertex; the injective and
-spectral axioms scan pairs, and the weak axiom only the pairs where y beats x.
+Backward arcs take the same sort and one mask per vertex, the y ranked
+above x.  The weak axiom needs y -> x, hence deg(y) > deg(x), and y not
+ranked above x, so the same walk over the out-degrees gives each x the
+mask of the y with higher degree, and out-set inclusion is tested only on
+the pairs that it and the complement of the rank mask leave, in ascending
+x and then y; when the degree order and the rank order agree, as on the
+Copeland ranking, no pair is left.  The injective and spectral axioms scan
+pairs.
 """
 
 from __future__ import annotations
@@ -41,11 +50,11 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, compress, permutations
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from .errors import DomainMismatchError, TournamentSyntaxError
-from .tournament import Tournament, members
+from .tournament import Tournament, bit_mask, members
 
 Rank = Union[int, float, Fraction]
 
@@ -144,24 +153,33 @@ def _keys(t: Tournament, r: Ranking) -> Tuple[List[Rank], Rank]:
     return [0.0] + values, DEFAULT_EPS
 
 
-def backward_arcs(t: Tournament, r: Ranking) -> BackwardReport:
-    """Partition arcs by rank comparison and report the backward ones.
+def _above(key: List[Rank], e: Rank) -> List[int]:
+    """above[x] is the bitset of the y with key[y] - key[x] > e; both lists
+    are indexed by vertex from 1.
 
-    The arc x -> y is backward when key[y] - key[x] > e.  Those y form a
-    suffix of the ascending key order that grows as key[x] falls (see the
-    module docstring), so one walk down the order keeps their mask `above`.
+    Those y form a suffix of the ascending key order that grows as key[x]
+    falls (see the module docstring), so one walk down the order keeps the
+    mask.  The walk stops at x itself at the latest, as key[x] - key[x] > e
+    is false.
     """
-    key, e = _keys(t, r)
-    order = sorted(t.vertices(), key=key.__getitem__)
-    rows = [0] * t.n
-    above = 0
-    j = t.n - 1
+    order = sorted(range(1, len(key)), key=key.__getitem__)
+    above = [0] * len(key)
+    mask = 0
+    j = len(order) - 1
     for x in reversed(order):
-        while j >= 0 and key[order[j]] - key[x] > e:
-            above |= 1 << (order[j] - 1)
+        while key[order[j]] - key[x] > e:
+            mask |= 1 << (order[j] - 1)
             j -= 1
-        rows[x - 1] = t.out[x - 1] & above
-    return BackwardReport(tuple(rows), t.num_arcs)
+        above[x] = mask
+    return above
+
+
+def backward_arcs(t: Tournament, r: Ranking) -> BackwardReport:
+    """Partition arcs by rank comparison and report the backward ones: the
+    arc x -> y is backward when key[y] - key[x] > e."""
+    key, e = _keys(t, r)
+    above = _above(key, e)
+    return BackwardReport(tuple([o & a for o, a in zip(t.out, above[1:])]), t.num_arcs)
 
 
 def copeland_ranking(t: Tournament) -> Ranking:
@@ -233,8 +251,8 @@ def is_fair(t: Tournament, r: Ranking, c: FairnessClass) -> FairnessVerdict:
         for x in t.vertices():
             if key[x] <= 0:
                 return FairnessVerdict(False, (x, x), "non-positive rank")
-        zero = key[0]  # 0 or 0.0, the start of every out-sum
-        sums = [zero] + [sum([key[z] for z in members(o)], zero) for o in t.out]
+        zero, values = key[0], key[1:]  # zero: 0 or 0.0, the start of every out-sum
+        sums = [zero] + [sum(compress(values, bit_mask(o)), zero) for o in t.out]
         # inf - inf is nan, which no comparison counts as greater: an
         # overflowed out-sum would hide violations, so refuse to decide
         if not r.is_exact and not math.isfinite(max(sums)):
@@ -258,17 +276,22 @@ def is_fair(t: Tournament, r: Ranking, c: FairnessClass) -> FairnessVerdict:
         return FairnessVerdict(True)
 
     if c is FairnessClass.WEAK:
-        # x+ ⊆ y+ forces y -> x, since x -> y would put y in y+
-        everyone = (1 << n) - 1
+        # x+ ⊆ y+ forces y -> x, since x -> y would put y in y+, and then
+        # y+ holds x+ and x, so deg(y) > deg(x): only the y that beat x,
+        # outscore x and do not rank above x can break the axiom
+        higher = _above([0] + [o.bit_count() for o in t.out], 0)
+        above = _above(key, e)
         for x, ox in enumerate(t.out, start=1):
-            kx = key[x]
-            for y in members(everyone & ~ox & ~(1 << (x - 1))):
-                if not key[y] - kx > e and ox & ~t.out[y - 1] == 0:
-                    return FairnessVerdict(False, (x, y), "weak fairness violated")
+            candidates = higher[x] & ~above[x] & ~ox
+            if candidates:
+                for y in members(candidates):
+                    if ox & ~t.out[y - 1] == 0:
+                        return FairnessVerdict(False, (x, y), "weak fairness violated")
         return FairnessVerdict(True)
 
     if c is FairnessClass.SPEC:
-        spectra = [()] + [sorted([key[z] for z in members(o)], reverse=True) for o in t.out]
+        values = key[1:]
+        spectra = [()] + [sorted(compress(values, bit_mask(o)), reverse=True) for o in t.out]
 
         def leq(x: int, y: int) -> bool:
             sx, sy = spectra[x], spectra[y]
@@ -298,7 +321,9 @@ def serialize_ranking(r: Ranking) -> str:
 def parse_ranking(text: str) -> Ranking:
     """Parse "vertex value" lines; p/q and integers give an exact ranking.
 
-    Floats must be finite: nan and inf have no place in a rank order.
+    Integers stay ints and p/q values become Fractions.  Floats must be
+    finite: nan and inf have no place in a rank order.  A ranking with any
+    float is a float ranking, so its exact values must be within float range.
     """
     values: Dict[int, Rank] = {}
     exact = True
@@ -316,10 +341,13 @@ def parse_ranking(text: str) -> Ranking:
         if v in values:
             raise TournamentSyntaxError(f"vertex {v} ranked twice")
         try:
-            value = Fraction(raw) if "/" in raw or raw.lstrip("+-").isdigit() else float(raw)
+            if raw.lstrip("+-").isdigit():
+                value = int(raw)
+            else:
+                value = Fraction(raw) if "/" in raw else float(raw)
         except (ValueError, ZeroDivisionError):
             raise TournamentSyntaxError(f"bad value {raw!r}") from None
-        # a Fraction is finite, and math.isfinite overflows on one above 1e308
+        # an exact value is finite, and math.isfinite overflows on one above 1e308
         if isinstance(value, float):
             if not math.isfinite(value):
                 raise TournamentSyntaxError(f"non-finite value {raw!r}")
@@ -327,5 +355,9 @@ def parse_ranking(text: str) -> Ranking:
         values[v] = value
     if not values:
         raise TournamentSyntaxError("empty ranking")
-    # a float anywhere makes the ranking float, the Fractions included
-    return Ranking(values, True) if exact else Ranking.approx(values)
+    if exact:
+        return Ranking(values, True)
+    try:  # a float anywhere makes the ranking float, the exact values included
+        return Ranking.approx(values)
+    except OverflowError:
+        raise TournamentSyntaxError("ranking mixes floats with an exact value beyond float range") from None

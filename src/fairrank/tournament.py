@@ -63,9 +63,17 @@ class Tournament:
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
+def bit_mask(bits: int) -> bytes:
+    """One byte per bit of a bitset, lowest bit first: byte y - 1 is 1 iff
+    vertex y is a member.  It ends at the highest set bit, so
+    `compress(values, bit_mask(bits))` reads the members' values in
+    ascending vertex order without decoding a label."""
+    return bin(bits)[:1:-1].encode().translate(_BITS)
+
+
 def members(bits: int) -> List[int]:
     """The labels of the set bits of a bitset, ascending: bit y - 1 is vertex y."""
-    return list(compress(count(1), bin(bits)[:1:-1].encode().translate(_BITS)))
+    return list(compress(count(1), bit_mask(bits)))
 
 
 # -- construction and validation ------------------------------------------
@@ -261,37 +269,59 @@ def parse_tournament(text: str) -> Tournament:
         raise TournamentSyntaxError(f"bad vertex count {head!r}") from None
     if len(lines) != n + 1:
         raise TournamentSyntaxError(f"expected {n} matrix rows, found {len(lines) - 1}")
-    rows = lines[1:]
-    for row in rows:
-        if len(row) != n or row.count("0") + row.count("1") != n:
-            raise TournamentSyntaxError(f"bad matrix row {row!r}")
-    return _tournament_from_rows(n, rows)
+    return _tournament_from_rows(n, lines[1:])
+
+
+_BLOCK_ROWS = 256  # rows per array block of the matrix parser
 
 
 def _tournament_from_rows(n: int, rows: Sequence[str]) -> Tournament:
-    """Validate n checked '0'/'1' rows as one array and build the tournament.
+    """Check and validate n matrix rows in blocks of rows and build the tournament.
 
-    The first error in row-major order is the one that `build_tournament`
-    finds when fed the '1' cells in that order: a '1' on the diagonal is a
-    loop, a '1' below the diagonal whose mirror is '1' orients its pair
-    twice, and only then does the first pair x < y with two '0's count as
-    missing.  Each check compares one row with its column, so the n x n
-    matrix is the only large allocation.
+    The first bad row in file order raises `TournamentSyntaxError`, whether
+    its length is wrong or it holds a character other than '0' or '1'.
+    Each block is one string, encoded to one byte per character (a non-ASCII
+    one becomes '?'), so every character check is one array comparison.
+    The rows are as long as the text, so the n x n matrix `a` is no larger
+    than the text, and the size check follows the syntax checks.
+
+    The first error in row-major order is then the one that
+    `build_tournament` finds when fed the '1' cells in that order: a '1' on
+    the diagonal is a loop, a '1' below the diagonal whose mirror is '1'
+    orients its pair twice, and only then does the first pair x < y with
+    two '0's count as missing.  With no loop and no pair oriented twice,
+    the pairs are all covered iff the matrix holds C(n, 2) '1's.  Every
+    check works on a block of rows against the mirrored block of columns,
+    so `a` is the only allocation that grows as n^2.
     """
-    _require_size(n)
+    wrong = next((i for i, row in enumerate(rows) if len(row) != n), len(rows))
     a = np.empty((n, n), dtype=bool)
-    for i, row in enumerate(rows):
-        a[i] = np.frombuffer(row.encode("ascii"), dtype=np.uint8) == ord("1")
-    for i in range(n):
-        twice = a[i, : i + 1] & a[: i + 1, i]  # at i itself, the loop
-        if twice.any():
-            x, y = i + 1, int(np.argmax(twice)) + 1
+    for lo in range(0, wrong, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, wrong)
+        block = "".join(rows[lo:hi]).encode("ascii", "replace")
+        cells = np.frombuffer(block, dtype=np.uint8).reshape(hi - lo, n) - ord("0")
+        bad = (cells > 1).any(axis=1)  # below '0' wraps around to above 1
+        if bad.any():
+            wrong = lo + int(np.argmax(bad))
+            break
+        a[lo:hi] = cells.view(bool)
+    if wrong < len(rows):
+        raise TournamentSyntaxError(f"bad matrix row {rows[wrong]!r}")
+    _require_size(n)
+    for lo in range(0, n, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, n)
+        twice = a[lo:hi, :hi] & a[:hi, lo:hi].T  # at (x, x) itself, the loop
+        if twice.any():  # the mirror of a hit above the diagonal is in the block
+            i, j = divmod(int(np.argmax(np.tril(twice, lo))), hi)
+            x, y = lo + i + 1, j + 1
             if x == y:
                 raise LoopArcError(f"loop arc ({x},{x})")
             raise DuplicateOrConflictError(f"pair {{{x},{y}}} oriented twice")
-    for i in range(n):
-        missing = ~(a[i, i + 1 :] | a[i + 1 :, i])
-        if missing.any():
-            x, y = i + 1, i + 2 + int(np.argmax(missing))
-            raise MissingPairError(f"pair {{{x},{y}}} has no arc")
+    if np.count_nonzero(a) != n * (n - 1) // 2:
+        for lo in range(0, n, _BLOCK_ROWS):
+            hi = min(lo + _BLOCK_ROWS, n)
+            missing = np.triu(~(a[lo:hi, lo:] | a[lo:, lo:hi].T), 1)
+            if missing.any():
+                i, j = divmod(int(np.argmax(missing)), n - lo)
+                raise MissingPairError(f"pair {{{lo + i + 1},{lo + j + 1}}} has no arc")
     return _from_matrix(a)

@@ -135,6 +135,17 @@ class TestCheck:
         assert main(["check", "--in", str(t), "--ranking", str(r), "--class", "lin"]) == 1
         assert "pair=(3, 2)" in capsys.readouterr().out
 
+    def test_float_with_exact_rank_beyond_float_range_is_input_error(self, tmp_path, capsys):
+        # a float makes the whole ranking float, and 10^400 has no float value
+        t = tmp_path / "t.txt"
+        t.write_text("3\n011\n001\n000\n")
+        r = tmp_path / "r.txt"
+        r.write_text("1 1" + "0" * 400 + "\n2 0.5\n3 2\n")
+        for argv in (["check", "--class", "lin"], ["dump"]):
+            assert main(argv + ["--in", str(t), "--ranking", str(r)]) == 2
+            assert capsys.readouterr() == (
+                "", "error: ranking mixes floats with an exact value beyond float range\n")
+
 
 class TestMinimize:
     def test_injective_cycle(self, cycle_path, capsys):

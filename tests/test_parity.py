@@ -34,6 +34,7 @@ from fairrank import (
     serialize_tournament,
 )
 from fairrank.ranking import DEFAULT_EPS
+from fairrank.tournament import _BLOCK_ROWS, Tournament
 from oracles import backward_arcs_pairs, backward_pairs, is_fair_pairs, iter_weak_orders, weak_order_ranking
 
 FC = FairnessClass
@@ -112,6 +113,95 @@ def test_float_ranks_near_eps(seed, n, base, steps):
     t = gen_random(n, seed)
     r = Ranking.approx({v: base + steps[v - 1] * DEFAULT_EPS / 2 for v in t.vertices()})
     assert_parity(t, r)
+
+
+# -- weak axiom at scale ----------------------------------------------------------
+
+
+def plant(t, pairs):
+    """t with x+ ⊆ y+ forced for each (x, y) in turn: y beats x and every z
+    that x beats.  A later pair may undo an earlier one; the oracle judges."""
+    out = list(t.out)
+    for x, y in pairs:
+        bx, by = 1 << (x - 1), 1 << (y - 1)
+        out[x - 1] &= ~by
+        out[y - 1] |= bx
+        for z in range(1, t.n + 1):
+            if out[x - 1] >> (z - 1) & 1:
+                out[z - 1] &= ~by
+                out[y - 1] |= 1 << (z - 1)
+    return Tournament(t.n, out)
+
+
+def assert_weak_parity(t, r):
+    got = is_fair(t, r, FC.WEAK)
+    assert verdict(got) == verdict(is_fair_pairs(t, r, FC.WEAK))
+    return got
+
+
+@pytest.fixture(scope="module", params=[200, 1000])
+def planted(request):
+    """A random tournament with about n/50 dominated vertices planted, each
+    x with a y whose out-set holds x's, and the planted pairs."""
+    n = request.param
+    rng = random.Random(n)
+    pairs = [tuple(rng.sample(range(1, n + 1), 2)) for _ in range(n // 50)]
+    return plant(gen_random(n, 7), pairs), pairs
+
+
+def test_weak_reversed_copeland(planted):
+    t, _ = planted
+    cop = copeland_ranking(t)
+    assert not assert_weak_parity(t, Ranking.exact({v: -x for v, x in cop.values.items()}))
+    assert assert_weak_parity(t, cop)
+
+
+def test_weak_copeland_with_swaps(planted):
+    t, pairs = planted
+    rng = random.Random(3)
+    values = dict(copeland_ranking(t).values)
+    # two swaps within planted pairs, which break the axiom, and three at random
+    for x, y in pairs[-2:] + [tuple(rng.sample(sorted(values), 2)) for _ in range(3)]:
+        values[x], values[y] = values[y], values[x]
+    assert not assert_weak_parity(t, Ranking.exact(values))
+
+
+def test_weak_linear_fair_within_eps(planted):
+    t, pairs = planted
+    rng = random.Random(5)
+    fair = linear_fair_ranking(t).ranking
+    steps = (-DEFAULT_EPS / 2, 0.0, DEFAULT_EPS / 2)
+    assert_weak_parity(t, Ranking.approx({v: x + rng.choice(steps) for v, x in fair.values.items()}))
+    # the dominating y of each planted pair moved to x's rank, give or take eps/2
+    values = dict(fair.values)
+    for x, y in pairs:
+        values[y] = values[x] + rng.choice(steps)
+    assert not assert_weak_parity(t, Ranking.approx(values))
+
+
+def swap_labels(t, a, b):
+    """t with the vertices labeled a and b exchanged."""
+    flip = 1 << (a - 1) | 1 << (b - 1)
+    out = [o ^ flip if (o >> (a - 1) ^ o >> (b - 1)) & 1 else o for o in t.out]
+    out[a - 1], out[b - 1] = out[b - 1], out[a - 1]
+    return Tournament(t.n, out)
+
+
+def nested_pairs(t):
+    return [(x, y) for x in t.vertices() for y in t.vertices()
+            if x != y and t.out[x - 1] & ~t.out[y - 1] == 0]
+
+
+def test_weak_certificate_is_lex_least_not_least_degree(planted):
+    t, _ = planted
+    # give the dominated vertex of least degree the largest label
+    x = min(nested_pairs(t), key=lambda p: (t.out_degree(p[0]), p))[0]
+    t = swap_labels(t, x, t.n)
+    nested = nested_pairs(t)
+    assert min(nested) != min(nested, key=lambda p: (t.out_degree(p[0]), p))
+    # the constant ranking breaks the axiom at every nested pair
+    got = assert_weak_parity(t, Ranking.exact({v: 1 for v in t.vertices()}))
+    assert got.certificate == min(nested)
 
 
 # -- matrix parser -------------------------------------------------------------
@@ -196,3 +286,71 @@ def test_bad_row_still_a_syntax_error():
         parse_tournament("3\n011\n0x1\n110\n")
     with pytest.raises(TournamentSyntaxError):
         parse_tournament("3\n011\n0é1\n000\n")
+
+
+# -- the first bad row, across row blocks ----------------------------------------
+
+B = _BLOCK_ROWS  # rows B and B + 1 straddle the first block boundary
+
+
+def bad_char(row):
+    return row[:-1] + "x"
+
+
+def non_ascii(row):
+    return row[:-1] + "é"
+
+
+def non_ascii_digit(row):
+    return "١" + row[1:]  # ARABIC-INDIC DIGIT ONE
+
+
+def too_long(row):
+    return row + "0"
+
+
+def too_short(row):
+    return row[:-1]
+
+
+@pytest.mark.parametrize("n, edits, reported", [
+    (6, {2: bad_char, 4: too_long}, 2),
+    (6, {2: too_long, 4: bad_char}, 2),
+    (6, {3: too_short, 5: non_ascii}, 3),
+    (6, {3: non_ascii}, 3),
+    (6, {6: non_ascii_digit}, 6),
+    (6, {1: lambda row: "é" * 6, 2: too_short}, 1),
+    (B + 44, {B: bad_char, B + 1: too_long}, B),
+    (B + 44, {B: too_short, B + 1: bad_char}, B),
+    (B + 44, {B + 1: bad_char, B + 9: too_long}, B + 1),
+    (B + 44, {B + 1: too_long, B + 2: non_ascii}, B + 1),
+    (B + 44, {B + 44: non_ascii}, B + 44),
+])
+def test_parser_reports_first_bad_row(n, edits, reported):
+    rows = matrix_rows(gen_random(n, 8))
+    for k, edit in edits.items():
+        rows[k - 1] = edit(rows[k - 1])
+    with pytest.raises(TournamentSyntaxError) as info:
+        parse_tournament("\n".join([str(n)] + rows) + "\n")
+    assert str(info.value) == f"bad matrix row {rows[reported - 1]!r}"
+
+
+@pytest.mark.parametrize("faults, error, message", [
+    ({"1": [(B, B)]}, LoopArcError, f"loop arc ({B},{B})"),
+    ({"1": [(B + 1, B + 1)]}, LoopArcError, f"loop arc ({B + 1},{B + 1})"),
+    ({"1": [(B, B + 1), (B + 1, B)]}, DuplicateOrConflictError, f"pair {{{B + 1},{B}}} oriented twice"),
+    ({"1": [(3, B + 2), (B + 2, 3)]}, DuplicateOrConflictError, f"pair {{{B + 2},3}} oriented twice"),
+    # row B's conflict comes before row B + 1's loop
+    ({"1": [(2, B), (B, 2), (B + 1, B + 1)]}, DuplicateOrConflictError, f"pair {{{B},2}} oriented twice"),
+    ({"0": [(B, B + 1), (B + 1, B)]}, MissingPairError, f"pair {{{B},{B + 1}}} has no arc"),
+    ({"0": [(B + 1, B + 2), (B + 2, B + 1)]}, MissingPairError, f"pair {{{B + 1},{B + 2}}} has no arc"),
+    ({"0": [(2, B + 3), (B + 3, 2)]}, MissingPairError, f"pair {{2,{B + 3}}} has no arc"),
+    ({"0": [(1, 2), (2, 1)], "1": [(B + 1, B + 1)]}, LoopArcError, f"loop arc ({B + 1},{B + 1})"),
+])
+def test_parser_faults_across_a_block_boundary(faults, error, message):
+    n = B + 44
+    rows = matrix_rows(gen_random(n, 9))
+    for value, cells in faults.items():
+        rows = set_cells(rows, cells, value)
+    text = "\n".join([str(n)] + rows) + "\n"
+    assert outcome(lambda: parse_tournament(text)) == outcome(lambda: streamed(n, rows)) == (error, message)

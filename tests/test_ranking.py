@@ -236,6 +236,13 @@ class TestRankingIO:
         assert r.is_exact
         assert r[1] == Fraction(3, 4)
 
+    def test_integers_stay_ints(self):
+        text = "1 +5\n2 -3\n3 007\n4 6/3\n"
+        r = parse_ranking(text)
+        assert r.is_exact and r.values == {1: 5, 2: -3, 3: 7, 4: 2}
+        assert [type(r[v]) for v in (1, 2, 3, 4)] == [int, int, int, Fraction]
+        assert serialize_ranking(r) == "1 5\n2 -3\n3 7\n4 2\n"
+
     @pytest.mark.parametrize("value, text", [
         (Fraction(3), "3"), (Fraction(-7, 4), "-7/4"),
         (0.1, "0.1"), (1e-300, "1e-300"), (2.5e300, "2.5e+300"),
