@@ -282,8 +282,10 @@ def _tournament_from_rows(n: int, rows: Sequence[str]) -> Tournament:
     its length is wrong or it holds a character other than '0' or '1'.
     Each block is one string, encoded to one byte per character (a non-ASCII
     one becomes '?'), so every character check is one array comparison.
-    The rows are as long as the text, so the n x n matrix `a` is no larger
-    than the text, and the size check follows the syntax checks.
+    `a` holds only the rows before the first one of the wrong length, each
+    n characters of the text, so it is never larger than the text; it is
+    n x n once every row has passed, and the size check follows the syntax
+    checks.
 
     The first error in row-major order is then the one that
     `build_tournament` finds when fed the '1' cells in that order: a '1' on
@@ -295,7 +297,7 @@ def _tournament_from_rows(n: int, rows: Sequence[str]) -> Tournament:
     so `a` is the only allocation that grows as n^2.
     """
     wrong = next((i for i, row in enumerate(rows) if len(row) != n), len(rows))
-    a = np.empty((n, n), dtype=bool)
+    a = np.empty((wrong, n), dtype=bool)
     for lo in range(0, wrong, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, wrong)
         block = "".join(rows[lo:hi]).encode("ascii", "replace")

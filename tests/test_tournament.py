@@ -290,6 +290,12 @@ class TestTextFormat:
         with pytest.raises(ResourceLimitError):
             parse_tournament("n=100000000\n1 2\n")
 
+    def test_short_rows_under_a_huge_header_are_bad_rows(self):
+        # 2 MB of text must not reach an n x n allocation (10^12 cells)
+        n = 10**6
+        with pytest.raises(TournamentSyntaxError, match=r"^bad matrix row '0'$"):
+            parse_tournament(f"{n}\n" + "0\n" * n)
+
     def test_matrix_diagonal_is_loop(self):
         with pytest.raises(LoopArcError):
             parse_tournament("2\n11\n00\n")
