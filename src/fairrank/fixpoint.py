@@ -39,6 +39,14 @@ MAX_ITERATIONS = 100_000
 # Any positive shift makes A + SHIFT*I primitive on a strong component
 # without moving its eigenvectors; A alone cycles on the 3-cycle.
 SHIFT = 1.0
+# Entries per row block of the Perron matrix (2 MB of float64), for the fill
+# and for each power step's product.  numpy's bundled OpenBLAS runs a gemv of
+# 460 800 entries or more on several threads, and on a 2-core host each such
+# call then waited 7.5-8 ms for them; blocks of 256 000 entries or fewer
+# never waited.  Block row counts stay multiples of 8: blocks of 262 rows
+# changed the last bits of random n = 1000 ranks, while 256 rows reproduced
+# the single `a @ r`.
+BLOCK_ENTRIES = 2**18
 
 
 @dataclass(frozen=True)
@@ -56,9 +64,14 @@ def perron_fixed_point(t: Tournament, vertices: Iterable[int]) -> PerronResult:
     """Dominant eigenvector of one strongly connected component.
 
     `vertices` names the component (`t.vertices()` for all of t).  Its 0/1
-    matrix, rows and columns in ascending label order, is unpacked from t's
-    out-set bitsets (bit y - 1 is vertex y), one row at a time into a
-    C-contiguous array: a strided matrix makes `a @ r` round differently.
+    matrix, rows and columns in ascending label order, is a dense
+    C-contiguous float64 array (a strided matrix makes the product round
+    differently) filled from t's out-set bitsets (bit y - 1 is vertex y) in
+    row blocks of B = max(8, (BLOCK_ENTRIES // k) // 8 * 8) rows: one bytes
+    join, one `np.unpackbits` and one write per block.  Each power step
+    multiplies block by block, so no product is large enough for OpenBLAS
+    to thread; every k <= 512 is one block and one product.  The k x k
+    matrix is still whole, so memory grows as k**2 (800 MB at k = 10 000).
     The score cut on the row sums decides strong connectivity.
     Power iteration on A + SHIFT*I; stops when the unshifted residual
     max|lambda*r - A*r| <= TOLERANCE, or raises NoConvergenceError after
@@ -71,17 +84,22 @@ def perron_fixed_point(t: Tournament, vertices: Iterable[int]) -> PerronResult:
     k = len(labels)
     nbytes = (t.n + 7) // 8
     columns = np.array(labels, dtype=np.intp) - 1
+    block = max(8, (BLOCK_ENTRIES // max(k, 1)) // 8 * 8)  # k = 0 fails the cut below
+    starts = range(0, k, block)
     a = np.empty((k, k))
-    for i, x in enumerate(labels):
-        row = np.frombuffer(t.out[x - 1].to_bytes(nbytes, "little"), dtype=np.uint8)
-        a[i] = np.unpackbits(row, bitorder="little")[columns]
+    for i in starts:
+        rows = b"".join(t.out[x - 1].to_bytes(nbytes, "little") for x in labels[i:i + block])
+        bits = np.frombuffer(rows, dtype=np.uint8).reshape(-1, nbytes)
+        a[i:i + block] = np.unpackbits(bits, axis=1, bitorder="little")[:, columns]
     if k < 3 or len(_score_components(np.count_nonzero(a, axis=1).tolist())) != 1:
         raise NotStronglyConnectedError(
             f"component of size {k} is not a strongly connected tournament with n >= 3"
         )
     r = np.full(k, 1.0 / k)
+    ar = np.empty(k)
     for it in range(1, MAX_ITERATIONS + 1):
-        ar = a @ r
+        for i in starts:
+            np.matmul(a[i:i + block], r, out=ar[i:i + block])
         lam = float(ar.sum())  # r sums to 1, so sum(A r) estimates lambda
         residual = float(np.max(np.abs(lam * r - ar)))
         if residual <= TOLERANCE:

@@ -5,7 +5,16 @@ from functools import partial
 from itertools import permutations
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from fairrank.errors import EmptyClassError
+import numpy as np
+
+from fairrank import fixpoint
+from fairrank.errors import (
+    EmptyClassError,
+    NoConvergenceError,
+    NotStronglyConnectedError,
+    UnknownVertexError,
+)
+from fairrank.fixpoint import PerronResult
 from fairrank.optimize import MinBackwardResult
 from fairrank.ranking import (
     DEFAULT_EPS,
@@ -17,7 +26,7 @@ from fairrank.ranking import (
     backward_arcs,
     is_fair,
 )
-from fairrank.tournament import Tournament
+from fairrank.tournament import Tournament, _score_components
 
 # -- adjacency, decoded bit by bit ---------------------------------------
 
@@ -100,6 +109,41 @@ def recalc_apply(t: Tournament, r: Mapping[int, Rank]) -> Dict[int, Rank]:
 def metric_distance(r1: Mapping[int, float], r2: Mapping[int, float]) -> float:
     """Max-norm distance between two rankings on the same vertex set."""
     return max(abs(r1[v] - r2[v]) for v in r1)
+
+
+# -- Perron solve, one row and one product at a time ----------------------
+
+
+def perron_fixed_point_dense(t: Tournament, vertices: Iterable[int]) -> PerronResult:
+    """`fixpoint.perron_fixed_point` with the matrix filled one row at a time
+    and each power step one `a @ r` over the whole matrix; same checks,
+    constants and result type."""
+    labels = tuple(sorted(set(vertices)))
+    for v in labels:
+        if not 1 <= v <= t.n:
+            raise UnknownVertexError(f"vertex {v} not in 1..{t.n}")
+    k = len(labels)
+    nbytes = (t.n + 7) // 8
+    columns = np.array(labels, dtype=np.intp) - 1
+    a = np.empty((k, k))
+    for i, x in enumerate(labels):
+        row = np.frombuffer(t.out[x - 1].to_bytes(nbytes, "little"), dtype=np.uint8)
+        a[i] = np.unpackbits(row, bitorder="little")[columns]
+    if k < 3 or len(_score_components(np.count_nonzero(a, axis=1).tolist())) != 1:
+        raise NotStronglyConnectedError(
+            f"component of size {k} is not a strongly connected tournament with n >= 3"
+        )
+    r = np.full(k, 1.0 / k)
+    for it in range(1, fixpoint.MAX_ITERATIONS + 1):
+        ar = a @ r
+        lam = float(ar.sum())
+        residual = float(np.max(np.abs(lam * r - ar)))
+        if residual <= fixpoint.TOLERANCE:
+            ranking = {labels[i]: float(r[i]) for i in range(k)}
+            return PerronResult(labels, ranking, lam, residual, it - 1)
+        nr = ar + fixpoint.SHIFT * r
+        r = nr / nr.sum()
+    raise NoConvergenceError(fixpoint.MAX_ITERATIONS)
 
 
 # -- spectral preorder ----------------------------------------------------

@@ -23,7 +23,7 @@ from fairrank import (
     serialize_tournament,
 )
 from fairrank.cli import linear_fair_json, main
-from oracles import arcs, induced, metric_distance, recalc_apply
+from oracles import arcs, induced, metric_distance, out_set, perron_fixed_point_dense, recalc_apply
 
 FC = FairnessClass
 
@@ -64,6 +64,12 @@ def stacked_blocks(block, copies):
     bits = [sum(1 << (y - 1) for y in block[x]) for x in range(1, k + 1)]
     return Tournament(k * copies, [b << (c * k) | (1 << (c * k)) - 1
                                    for c in range(copies) for b in bits])
+
+
+def stacked_random(n, seed):
+    """Two copies of gen_random(n, seed), the copy on n+1..2n beating the other."""
+    t = gen_random(n, seed)
+    return stacked_blocks({x: out_set(t, x) for x in t.vertices()}, 2)
 
 
 # vertices 1 and 2 get Perron entries a rounding error apart; (85, 86) is
@@ -149,6 +155,39 @@ class TestPerron:
         # labels are checked against 1..n before they index any array
         with pytest.raises(UnknownVertexError):
             perron_fixed_point(cycle_above_pair(), vertices=vertices)
+
+    @pytest.mark.parametrize(
+        "make",
+        [pytest.param(lambda s=s: gen_random(1000, s), id=f"random-1000-{s}") for s in (1, 2, 3)]
+        + [pytest.param(lambda: gen_random(2000, 1), id="random-2000-1"),
+           # 2**18 // 777 = 337 rows round down to blocks of 336
+           pytest.param(lambda: gen_random(777, 1), id="random-777-1"),
+           # two components of 600 vertices, each filled in two blocks
+           pytest.param(lambda: stacked_random(600, 1), id="stacked-random-600")],
+    )
+    def test_row_blocks_match_dense_solve(self, make):
+        # blocks of a multiple of 8 rows round as the single product does,
+        # so ranking, eigenvalue, residual and step count all match exactly
+        t = make()
+        comps = [c for c in scc_decompose(t) if len(c) > 1]
+        assert min(map(len, comps)) > 512
+        for comp in comps:
+            assert perron_fixed_point(t, comp) == perron_fixed_point_dense(t, comp)
+
+    def test_reducible_subset_across_blocks_rejected(self):
+        # the union of both 600-vertex components, filled in six blocks
+        t = stacked_random(600, 1)
+        with pytest.raises(NotStronglyConnectedError):
+            perron_fixed_point(t, t.vertices())
+
+    def test_label_outside_range_rejected_before_any_block(self, monkeypatch):
+        def unpack(*args, **kwargs):
+            raise AssertionError("a block was unpacked")
+
+        t = stacked_random(600, 1)
+        monkeypatch.setattr(np, "unpackbits", unpack)
+        with pytest.raises(UnknownVertexError):
+            perron_fixed_point(t, (*range(1, 601), t.n + 1))
 
     @pytest.mark.parametrize(
         "make",
