@@ -61,15 +61,15 @@ def report_json(report) -> str:
 
 
 def linear_fair_json(result: LinearFairResult) -> dict:
-    """The `rank --json-report` payload: per-component Perron data and the
-    ranking in vertex order."""
+    """The `rank --json-report` payload: per-component Perron data, with a
+    null lambda and residual for a singleton, and the ranking in vertex order."""
     return {
         "components": [
             {
                 "vertices": list(c.vertices),
-                "lambda": None if c.perron is None else c.perron.eigenvalue,
-                "residual": None if c.perron is None else c.perron.residual,
-                "iterations": 0 if c.perron is None else c.perron.iterations,
+                "lambda": None if len(c.ranking) == 1 else c.eigenvalue,
+                "residual": None if len(c.ranking) == 1 else c.residual,
+                "iterations": c.iterations,
             }
             for c in result.components
         ],
@@ -130,11 +130,11 @@ def cmd_rank(args) -> int:
     _write(args.out, serialize_ranking(r))
     print(f"method={args.method} bw={frac_str(report.fraction)}")
     for comp in () if result is None else result.components:
-        if comp.perron is None:
+        if len(comp.ranking) == 1:
             print(f"  component {list(comp.vertices)}: singleton")
         else:
-            print(f"  component {list(comp.vertices)}: lambda={comp.perron.eigenvalue:.9f} "
-                  f"residual={comp.perron.residual:.3e}")
+            print(f"  component {list(comp.vertices)}: lambda={comp.eigenvalue:.9f} "
+                  f"residual={comp.residual:.3e}")
     if args.json_report:
         _write(args.json_report, json.dumps(linear_fair_json(result), indent=2) + "\n")
     return EXIT_OK

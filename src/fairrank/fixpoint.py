@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
@@ -51,13 +51,18 @@ BLOCK_ENTRIES = 2**18
 
 @dataclass(frozen=True)
 class PerronResult:
-    """Positive simplicial fixed point on one strongly connected component."""
+    """Positive simplicial fixed point on one strongly connected component,
+    or on a singleton: its 1 x 1 zero matrix has the exact solve {v: 1.0},
+    eigenvalue 0.0, residual 0.0, in 0 iterations."""
 
-    vertices: Tuple[int, ...]
-    ranking: Dict[int, float]
+    ranking: Dict[int, float]  # in ascending label order
     eigenvalue: float
     residual: float
     iterations: int
+
+    @property
+    def vertices(self) -> Tuple[int, ...]:
+        return tuple(self.ranking)
 
 
 def perron_fixed_point(t: Tournament, vertices: Iterable[int]) -> PerronResult:
@@ -103,25 +108,18 @@ def perron_fixed_point(t: Tournament, vertices: Iterable[int]) -> PerronResult:
         lam = float(ar.sum())  # r sums to 1, so sum(A r) estimates lambda
         residual = float(np.max(np.abs(lam * r - ar)))
         if residual <= TOLERANCE:
-            ranking = {labels[i]: float(r[i]) for i in range(k)}
-            return PerronResult(labels, ranking, lam, residual, it - 1)
+            return PerronResult(dict(zip(labels, r.tolist())), lam, residual, it - 1)
         nr = ar + SHIFT * r
         r = nr / nr.sum()
     raise NoConvergenceError(MAX_ITERATIONS)
 
 
 @dataclass(frozen=True)
-class ComponentSolve:
-    vertices: Tuple[int, ...]
-    perron: Optional[PerronResult]  # None for singleton components
-
-
-@dataclass(frozen=True)
 class LinearFairResult:
-    """Assembled linear-fair ranking with its per-component solver data."""
+    """Assembled linear-fair ranking with each component's solve, losers-first."""
 
     ranking: Ranking
-    components: Tuple[ComponentSolve, ...]
+    components: Tuple[PerronResult, ...]
 
 
 def linear_fair_ranking(t: Tournament) -> LinearFairResult:
@@ -142,14 +140,14 @@ def linear_fair_ranking(t: Tournament) -> LinearFairResult:
     magnitudes.  The assembly is checked once; a failed check, or an
     n * top that overflows, raises VerificationFailedError.
     """
-    solves: List[ComponentSolve] = []
+    solves: List[PerronResult] = []
     values: Dict[int, float] = {}
     top = 0.0
     for comp in scc_decompose(t):
-        verts = tuple(sorted(comp))
-        res = perron_fixed_point(t, verts) if len(verts) > 1 else None
-        solves.append(ComponentSolve(verts, res))
-        p = {verts[0]: 1.0} if res is None else res.ranking
+        solve = (perron_fixed_point(t, comp) if len(comp) > 1
+                 else PerronResult(dict.fromkeys(comp, 1.0), 0.0, 0.0, 0))
+        solves.append(solve)
+        p = solve.ranking
         c = ((1.0 + 1.0 / t.n) * top + 1.0) / min(p.values())
         for v, val in p.items():
             values[v] = c * val

@@ -80,32 +80,30 @@ def min_backward_injective(t: Tournament) -> MinBackwardResult:
 
     Orders are built lowest rank first; placing v while the set u is still
     unplaced makes v's arcs into u - {v} backward, so with vertices as bits
-    cost[u] = min over v in u of |out(v) & (u - v)| + cost[u - v].  The
-    witness takes the smallest v whose choice is tight at every step, which
-    gives the lex-least optimal placement order.
+    cost[u] = min over v in u of |out(v) & (u - v)| + cost[u - v].  first[u]
+    is the bit of the smallest v that attains the minimum, the first strict
+    improvement in vertex order, so following it from the whole set gives
+    the lex-least optimal placement order.
     """
     if t.n > INJECTIVE_SEARCH_CAP:
         raise ResourceLimitError(f"permutation search capped at n <= {INJECTIVE_SEARCH_CAP}")
     bits = [(1 << (v - 1), out) for v, out in enumerate(t.out, start=1)]
     cost = [0] * (1 << t.n)
+    first = [0] * (1 << t.n)
     for u in range(1, 1 << t.n):
-        best = t.num_arcs
+        best = t.num_arcs + 1  # above every cost, so some v improves on it
         for b, out in bits:
             if u & b:
                 c = (out & (u ^ b)).bit_count() + cost[u ^ b]
                 if c < best:
-                    best = c
-        cost[u] = best
+                    best, pick = c, b
+        cost[u], first[u] = best, pick
 
     order: List[int] = []
     u = (1 << t.n) - 1
     while u:
-        v, b = next(
-            (v, b) for v, (b, out) in enumerate(bits, start=1)
-            if u & b and (out & (u ^ b)).bit_count() + cost[u ^ b] == cost[u]
-        )
-        order.append(v)
-        u ^= b
+        order.append(first[u].bit_length())  # bit v - 1 is vertex v
+        u ^= first[u]
     witness = Ranking.exact({v: pos for pos, v in enumerate(order, start=1)})
     return _result(t, witness, "permutations")
 
@@ -140,7 +138,7 @@ def min_backward_fair(t: Tournament, c: FairnessClass) -> MinBackwardResult:
     vertices = t.vertices()
     best: Optional[Tuple[int, Tuple[int, ...]]] = None
     for levels in weak_order_levels(t.n):
-        r = Ranking(dict(zip(vertices, levels)), True)
+        r = Ranking(dict(zip(vertices, levels)))
         if not is_fair(t, r, c):
             continue
         candidate = (backward_arcs(t, r).count, levels)

@@ -80,21 +80,25 @@ class FairnessClass(Enum):
 
 @dataclass(frozen=True)
 class Ranking:
-    """Vertex -> rank mapping, either exact (Fractions or ints) or float.
+    """Vertex -> rank mapping, exact (Fractions or ints) or float.
 
-    Float ranks compare with DEFAULT_EPS; a ranking carries no tolerance.
+    A ranking is exact iff none of its values is a float; a float ranking
+    compares every value as a float, with DEFAULT_EPS.
     """
 
     values: Mapping[int, Rank]
-    is_exact: bool
+
+    @property
+    def is_exact(self) -> bool:
+        return not any(isinstance(v, float) for v in self.values.values())
 
     @classmethod
     def exact(cls, values: Mapping[int, Rank]) -> "Ranking":
-        return cls({v: Fraction(r) for v, r in values.items()}, True)
+        return cls({v: Fraction(r) for v, r in values.items()})
 
     @classmethod
     def approx(cls, values: Mapping[int, Rank]) -> "Ranking":
-        return cls({v: float(r) for v, r in values.items()}, False)
+        return cls({v: float(r) for v, r in values.items()})
 
     def __getitem__(self, v: int) -> Rank:
         return self.values[v]
@@ -109,10 +113,13 @@ class Ranking:
 @dataclass(frozen=True)
 class BackwardReport:
     """Backward arcs of a ranking: rows[x - 1] is the bitset of the y for
-    which x -> y is backward, and total is the number of arcs."""
+    which x -> y is backward."""
 
     rows: Tuple[int, ...]
-    total: int
+
+    @property
+    def total(self) -> int:  # the number of arcs, C(n, 2)
+        return len(self.rows) * (len(self.rows) - 1) // 2
 
     @property
     def count(self) -> int:
@@ -125,14 +132,16 @@ class BackwardReport:
 
 @dataclass(frozen=True)
 class FairnessVerdict:
-    """Outcome of a fairness check; on failure carries the least violating pair."""
+    """Outcome of a fairness check: a failure carries the least violating
+    pair, so the check passed iff there is no certificate."""
 
-    ok: bool
     certificate: Optional[Tuple[int, int]] = None
     reason: str = ""
 
     def __bool__(self) -> bool:
-        return self.ok
+        return self.certificate is None
+
+    ok = property(__bool__)
 
 
 def _keys(t: Tournament, r: Ranking) -> Tuple[List[Rank], Rank]:
@@ -143,14 +152,16 @@ def _keys(t: Tournament, r: Ranking) -> Tuple[List[Rank], Rank]:
     ratios, with e = 0; a float ranking keys on its values with
     e = DEFAULT_EPS.  Index 0 holds the zero of the key type, 0 or 0.0.
     Every read of a ranking's values comes through here, after the domain
-    check.
+    check.  A float is the one rank without a denominator, so reading the
+    denominators decides exactness; one float makes every key a float.
     """
     r.require_domain(t)
     values = list(map(r.values.__getitem__, t.vertices()))
-    if r.is_exact:
+    try:
         scale = math.lcm(*[v.denominator for v in values])
-        return [0] + [v.numerator * (scale // v.denominator) for v in values], 0
-    return [0.0] + values, DEFAULT_EPS
+    except AttributeError:
+        return [0.0] + list(map(float, values)), DEFAULT_EPS
+    return [0] + [v.numerator * (scale // v.denominator) for v in values], 0
 
 
 def _above(key: List[Rank], e: Rank) -> List[int]:
@@ -179,7 +190,7 @@ def backward_arcs(t: Tournament, r: Ranking) -> BackwardReport:
     arc x -> y is backward when key[y] - key[x] > e."""
     key, e = _keys(t, r)
     above = _above(key, e)
-    return BackwardReport(tuple([o & a for o, a in zip(t.out, above[1:])]), t.num_arcs)
+    return BackwardReport(tuple([o & a for o, a in zip(t.out, above[1:])]))
 
 
 def copeland_ranking(t: Tournament) -> Ranking:
@@ -227,15 +238,15 @@ def _monotone_verdict(
         ):
             first = x
     if first > n:
-        return FairnessVerdict(True)
+        return FairnessVerdict()
     x = first
     for y in range(1, n + 1):
         if y == x:
             continue
         if nonstrict and not key[x] - key[y] > e and rank[x] - rank[y] > e:
-            return FairnessVerdict(False, (x, y), nonstrict)
+            return FairnessVerdict((x, y), nonstrict)
         if strict and key[y] - key[x] > e and not rank[y] - rank[x] > e:
-            return FairnessVerdict(False, (x, y), strict)
+            return FairnessVerdict((x, y), strict)
     raise AssertionError(f"vertex {x} flagged without a violating pair")
 
 
@@ -250,12 +261,12 @@ def is_fair(t: Tournament, r: Ranking, c: FairnessClass) -> FairnessVerdict:
     if c is FairnessClass.LIN:
         for x in t.vertices():
             if key[x] <= 0:
-                return FairnessVerdict(False, (x, x), "non-positive rank")
+                return FairnessVerdict((x, x), "non-positive rank")
         zero, values = key[0], key[1:]  # zero: 0 or 0.0, the start of every out-sum
         sums = [zero] + [sum(compress(values, bit_mask(o)), zero) for o in t.out]
         # inf - inf is nan, which no comparison counts as greater: an
         # overflowed out-sum would hide violations, so refuse to decide
-        if not r.is_exact and not math.isfinite(max(sums)):
+        if e and not math.isfinite(max(sums)):
             raise ValueError("a float out-sum overflows; scale the ranking down")
         return _monotone_verdict(
             sums, key, e, "non-strict linear violated", "strict linear violated"
@@ -272,8 +283,8 @@ def is_fair(t: Tournament, r: Ranking, c: FairnessClass) -> FairnessVerdict:
     if c is FairnessClass.INJ:
         for x, y in combinations(range(1, n + 1), 2):
             if abs(key[x] - key[y]) <= e:
-                return FairnessVerdict(False, (x, y), "equal ranks")
-        return FairnessVerdict(True)
+                return FairnessVerdict((x, y), "equal ranks")
+        return FairnessVerdict()
 
     if c is FairnessClass.WEAK:
         # x+ ⊆ y+ forces y -> x, since x -> y would put y in y+, and then
@@ -286,8 +297,8 @@ def is_fair(t: Tournament, r: Ranking, c: FairnessClass) -> FairnessVerdict:
             if candidates:
                 for y in members(candidates):
                     if ox & ~t.out[y - 1] == 0:
-                        return FairnessVerdict(False, (x, y), "weak fairness violated")
-        return FairnessVerdict(True)
+                        return FairnessVerdict((x, y), "weak fairness violated")
+        return FairnessVerdict()
 
     if c is FairnessClass.SPEC:
         values = key[1:]
@@ -301,10 +312,10 @@ def is_fair(t: Tournament, r: Ranking, c: FairnessClass) -> FairnessVerdict:
             if key[y] - key[x] > e or not leq(x, y):
                 continue
             if key[x] - key[y] > e:
-                return FairnessVerdict(False, (x, y), "non-strict spectral violated")
+                return FairnessVerdict((x, y), "non-strict spectral violated")
             if not leq(y, x):
-                return FairnessVerdict(False, (x, y), "strict spectral violated")
-        return FairnessVerdict(True)
+                return FairnessVerdict((x, y), "strict spectral violated")
+        return FairnessVerdict()
 
     raise ValueError(f"unhandled fairness class {c}")
 
@@ -326,7 +337,6 @@ def parse_ranking(text: str) -> Ranking:
     float is a float ranking, so its exact values must be within float range.
     """
     values: Dict[int, Rank] = {}
-    exact = True
     for ln in map(str.strip, text.splitlines()):
         if not ln:
             continue
@@ -348,15 +358,14 @@ def parse_ranking(text: str) -> Ranking:
         except (ValueError, ZeroDivisionError):
             raise TournamentSyntaxError(f"bad value {raw!r}") from None
         # an exact value is finite, and math.isfinite overflows on one above 1e308
-        if isinstance(value, float):
-            if not math.isfinite(value):
-                raise TournamentSyntaxError(f"non-finite value {raw!r}")
-            exact = False
+        if isinstance(value, float) and not math.isfinite(value):
+            raise TournamentSyntaxError(f"non-finite value {raw!r}")
         values[v] = value
     if not values:
         raise TournamentSyntaxError("empty ranking")
-    if exact:
-        return Ranking(values, True)
+    ranking = Ranking(values)
+    if ranking.is_exact:
+        return ranking
     try:  # a float anywhere makes the ranking float, the exact values included
         return Ranking.approx(values)
     except OverflowError:

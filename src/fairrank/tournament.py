@@ -37,15 +37,14 @@ class Tournament:
     arc lists.
     """
 
-    n: int
     out: Tuple[int, ...] = field(repr=False)
+    n: int = field(init=False)  # len(out)
 
     def __post_init__(self):
+        object.__setattr__(self, "out", tuple(self.out))  # callers may pass a list
+        object.__setattr__(self, "n", len(self.out))
         if self.n < 1:
             raise ValueError("tournament needs at least one vertex")
-        if len(self.out) != self.n:
-            raise ValueError("out length must equal n")
-        object.__setattr__(self, "out", tuple(self.out))  # callers may pass a list
 
     def out_degree(self, x: int) -> int:
         if not (1 <= x <= self.n):
@@ -110,13 +109,13 @@ def build_tournament(n: int, arc_list: Iterable[Tuple[int, int]]) -> Tournament:
         for x, y in combinations(range(1, n + 1), 2):
             if not (out[x - 1] >> (y - 1) & 1 or out[y - 1] >> (x - 1) & 1):
                 raise MissingPairError(f"pair {{{x},{y}}} has no arc")
-    return Tournament(n, out)
+    return Tournament(out)
 
 
 def _from_matrix(a: np.ndarray) -> Tournament:
     """The tournament of a checked n x n bool adjacency matrix, row x - 1 for vertex x."""
     packed = np.packbits(a, axis=1, bitorder="little")
-    return Tournament(len(a), [int.from_bytes(row.tobytes(), "little") for row in packed])
+    return Tournament([int.from_bytes(row.tobytes(), "little") for row in packed])
 
 
 # -- generators ------------------------------------------------------------
@@ -130,12 +129,7 @@ def gen_rotational(l: int) -> Tournament:
     _require_size(n)
     everyone = (1 << n) - 1
     first = ((1 << l) - 1) << 1  # vertex 1 beats 2..l+1
-    return Tournament(n, [(first << s | first >> (n - s)) & everyone for s in range(n)])
-
-
-def composite_vertex(m: int, i: int, l: int) -> int:
-    """Flatten the layered vertex (m, i) to its 1-based label."""
-    return (m - 1) * (2 * l + 1) + i
+    return Tournament([(first << s | first >> (n - s)) & everyone for s in range(n)])
 
 
 def gen_composite(l: int) -> Tournament:
@@ -161,7 +155,7 @@ def gen_composite(l: int) -> Tournament:
         for i in range(s):
             same_i = column << i
             out.append((same_i & below) | (rot[i] << (m * s)) | (beaten & ~same_i))
-    return Tournament(n_total, out)
+    return Tournament(out)
 
 
 def gen_random(n: int, seed: int) -> Tournament:
@@ -190,7 +184,7 @@ def enumerate_all(n: int) -> Iterator[Tournament]:
                 out[j] |= 1 << i
             else:
                 out[i] |= 1 << j
-        yield Tournament(n, out)
+        yield Tournament(out)
 
 
 # -- strongly connected components ----------------------------------------

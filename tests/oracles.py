@@ -37,6 +37,12 @@ def out_set(t: Tournament, x: int) -> frozenset:
     return frozenset(y for y in t.vertices() if bits >> (y - 1) & 1)
 
 
+def composite_vertex(m: int, i: int, l: int) -> int:
+    """The label of the layered vertex (m, i) of `gen_composite(l)`: layer m
+    holds the labels (m - 1)(2l + 1) + 1 .. m(2l + 1)."""
+    return (m - 1) * (2 * l + 1) + i
+
+
 def arcs(t: Tournament) -> List[Tuple[int, int]]:
     """All arcs in lexicographic order of (x, y)."""
     return [(x, y) for x in t.vertices() for y in sorted(out_set(t, x))]
@@ -90,7 +96,7 @@ def induced(t: Tournament, vertex_subset: Iterable[int]) -> Tuple[Tournament, Tu
     keep = set(old)
     index = {v: i + 1 for i, v in enumerate(old)}
     out = [sum(1 << (index[w] - 1) for w in out_set(t, v) if w in keep) for v in old]
-    return Tournament(len(old), out), old
+    return Tournament(out), old
 
 
 # -- rank-sum recalculation -----------------------------------------------
@@ -140,7 +146,7 @@ def perron_fixed_point_dense(t: Tournament, vertices: Iterable[int]) -> PerronRe
         residual = float(np.max(np.abs(lam * r - ar)))
         if residual <= fixpoint.TOLERANCE:
             ranking = {labels[i]: float(r[i]) for i in range(k)}
-            return PerronResult(labels, ranking, lam, residual, it - 1)
+            return PerronResult(ranking, lam, residual, it - 1)
         nr = ar + fixpoint.SHIFT * r
         r = nr / nr.sum()
     raise NoConvergenceError(fixpoint.MAX_ITERATIONS)
@@ -362,26 +368,26 @@ def is_fair_pairs(t: Tournament, r: Ranking, c: FairnessClass) -> FairnessVerdic
     if c is FairnessClass.INJ:
         for x, y in _ordered_pairs(t.n):
             if x < y and eq(r, r[x], r[y]):
-                return FairnessVerdict(False, (x, y), "equal ranks")
-        return FairnessVerdict(True)
+                return FairnessVerdict((x, y), "equal ranks")
+        return FairnessVerdict()
 
     if c in (FairnessClass.NSCOP, FairnessClass.SCOP, FairnessClass.COP):
         deg = {x: t.out_degree(x) for x in t.vertices()}
         for x, y in _ordered_pairs(t.n):
             if c in (FairnessClass.NSCOP, FairnessClass.COP):
                 if deg[x] <= deg[y] and not leq(r, r[x], r[y]):
-                    return FairnessVerdict(False, (x, y), "non-strict Copeland violated")
+                    return FairnessVerdict((x, y), "non-strict Copeland violated")
             if c in (FairnessClass.SCOP, FairnessClass.COP):
                 if deg[x] < deg[y] and not lt(r, r[x], r[y]):
-                    return FairnessVerdict(False, (x, y), "strict Copeland violated")
-        return FairnessVerdict(True)
+                    return FairnessVerdict((x, y), "strict Copeland violated")
+        return FairnessVerdict()
 
     if c is FairnessClass.WEAK:
         outs = {x: out_set(t, x) for x in t.vertices()}
         for x, y in _ordered_pairs(t.n):
             if outs[x] <= outs[y] and not lt(r, r[x], r[y]):
-                return FairnessVerdict(False, (x, y), "weak fairness violated")
-        return FairnessVerdict(True)
+                return FairnessVerdict((x, y), "weak fairness violated")
+        return FairnessVerdict()
 
     if c is FairnessClass.SPEC:
         spectra = {x: [r[z] for z in out_set(t, x)] for x in t.vertices()}
@@ -390,21 +396,21 @@ def is_fair_pairs(t: Tournament, r: Ranking, c: FairnessClass) -> FairnessVerdic
             below[(x, y)] = sorted_dominance(spectra[x], spectra[y], partial(leq, r))
         for x, y in _ordered_pairs(t.n):
             if below[(x, y)] and not leq(r, r[x], r[y]):
-                return FairnessVerdict(False, (x, y), "non-strict spectral violated")
+                return FairnessVerdict((x, y), "non-strict spectral violated")
             if below[(x, y)] and not below[(y, x)] and not lt(r, r[x], r[y]):
-                return FairnessVerdict(False, (x, y), "strict spectral violated")
-        return FairnessVerdict(True)
+                return FairnessVerdict((x, y), "strict spectral violated")
+        return FairnessVerdict()
 
     if c is FairnessClass.LIN:
         for x in t.vertices():
             if r[x] <= 0:
-                return FairnessVerdict(False, (x, x), "non-positive rank")
+                return FairnessVerdict((x, x), "non-positive rank")
         sums = linear_sums(t, r)
         for x, y in _ordered_pairs(t.n):
             if leq(r, sums[x], sums[y]) and not leq(r, r[x], r[y]):
-                return FairnessVerdict(False, (x, y), "non-strict linear violated")
+                return FairnessVerdict((x, y), "non-strict linear violated")
             if lt(r, sums[x], sums[y]) and not lt(r, r[x], r[y]):
-                return FairnessVerdict(False, (x, y), "strict linear violated")
-        return FairnessVerdict(True)
+                return FairnessVerdict((x, y), "strict linear violated")
+        return FairnessVerdict()
 
     raise ValueError(f"unhandled fairness class {c}")

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ from fairrank import (
     FairnessClass,
     NoConvergenceError,
     NotStronglyConnectedError,
+    PerronResult,
     Tournament,
     UnknownVertexError,
     VerificationFailedError,
@@ -62,8 +64,7 @@ def stacked_blocks(block, copies):
     (vertex -> set); every later copy beats every earlier one."""
     k = len(block)
     bits = [sum(1 << (y - 1) for y in block[x]) for x in range(1, k + 1)]
-    return Tournament(k * copies, [b << (c * k) | (1 << (c * k)) - 1
-                                   for c in range(copies) for b in bits])
+    return Tournament([b << (c * k) | (1 << (c * k)) - 1 for c in range(copies) for b in bits])
 
 
 def stacked_random(n, seed):
@@ -201,13 +202,13 @@ class TestPerron:
         t = make()
         solved = 0
         for comp in linear_fair_ranking(t).components:
-            if comp.perron is None:
+            if len(comp.vertices) == 1:
                 continue
             sub, labels = induced(t, comp.vertices)
             ref = perron_fixed_point(sub, sub.vertices())
-            assert comp.perron.vertices == labels
-            assert comp.perron.ranking == {labels[i - 1]: v for i, v in ref.ranking.items()}
-            assert (comp.perron.eigenvalue, comp.perron.residual, comp.perron.iterations) == (
+            assert comp.vertices == labels
+            assert comp.ranking == {labels[i - 1]: v for i, v in ref.ranking.items()}
+            assert (comp.eigenvalue, comp.residual, comp.iterations) == (
                 ref.eigenvalue, ref.residual, ref.iterations)
             solved += 1
         assert solved
@@ -294,7 +295,7 @@ class TestLinearFair:
         t = nearly_transitive(200)
         res = linear_fair_ranking(t)
         (comp,) = res.components
-        assert comp.perron.iterations <= 160
+        assert comp.iterations <= 160
         for cls in (FC.LIN, FC.SPEC, FC.WEAK):
             assert is_fair(t, res.ranking, cls).ok
 
@@ -315,6 +316,34 @@ class TestLinearFair:
         path.write_text(serialize_tournament(t))
         assert main(["rank", "--in", str(path), "--method", "linear-fair"]) == 4
         assert capsys.readouterr().err == "error: assembled ranking is not finite\n"
+
+    def test_singleton_component_is_its_exact_solve(self, monkeypatch):
+        # 3-cycle on 1..3 above the singletons 4 and 5; no Perron solve for these
+        t = cycle_above_pair()
+        calls = []
+        real = fixpoint.perron_fixed_point
+        monkeypatch.setattr(fixpoint, "perron_fixed_point",
+                            lambda t, vs: calls.append(tuple(sorted(vs))) or real(t, vs))
+        low, high, top = linear_fair_ranking(t).components
+        assert calls == [(1, 2, 3)]
+        assert low == PerronResult({5: 1.0}, 0.0, 0.0, 0) and low.vertices == (5,)
+        assert high == PerronResult({4: 1.0}, 0.0, 0.0, 0) and high.vertices == (4,)
+        assert top.vertices == (1, 2, 3)
+
+    def test_rank_report_nulls_for_singletons(self, tmp_path, capsys):
+        path, report = tmp_path / "t.txt", tmp_path / "report.json"
+        path.write_text(serialize_tournament(cycle_above_pair()))
+        assert main(["rank", "--in", str(path), "--method", "linear-fair",
+                     "--out", str(tmp_path / "r.txt"), "--json-report", str(report)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:3] == ["  component [5]: singleton", "  component [4]: singleton"]
+        assert lines[3].startswith("  component [1, 2, 3]: lambda=1.000000000 ")
+        components = json.loads(report.read_text())["components"]
+        assert components[:2] == [
+            {"vertices": [5], "lambda": None, "residual": None, "iterations": 0},
+            {"vertices": [4], "lambda": None, "residual": None, "iterations": 0},
+        ]
+        assert components[2]["vertices"] == [1, 2, 3] and abs(components[2]["lambda"] - 1) <= 1e-9
 
     def test_report_shape(self, chain3):
         res = linear_fair_ranking(chain3)

@@ -130,7 +130,7 @@ def plant(t, pairs):
             if out[x - 1] >> (z - 1) & 1:
                 out[z - 1] &= ~by
                 out[y - 1] |= 1 << (z - 1)
-    return Tournament(t.n, out)
+    return Tournament(out)
 
 
 def assert_weak_parity(t, r):
@@ -184,7 +184,7 @@ def swap_labels(t, a, b):
     flip = 1 << (a - 1) | 1 << (b - 1)
     out = [o ^ flip if (o >> (a - 1) ^ o >> (b - 1)) & 1 else o for o in t.out]
     out[a - 1], out[b - 1] = out[b - 1], out[a - 1]
-    return Tournament(t.n, out)
+    return Tournament(out)
 
 
 def nested_pairs(t):

@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairrank import (
+    BackwardReport,
     DomainMismatchError,
     FairnessClass,
+    FairnessVerdict,
     Ranking,
     TournamentSyntaxError,
     backward_arcs,
@@ -23,6 +25,7 @@ from oracles import (
     arcs,
     backward_pairs,
     injection_exists,
+    is_fair_pairs,
     linear_sums,
     sorted_dominance,
     spectral_leq,
@@ -217,6 +220,44 @@ class TestContainments:
                 assert is_fair(t, r, FC.SCOP).ok
             if is_fair(t, r, FC.SCOP).ok:
                 assert is_fair(t, r, FC.WEAK).ok
+
+
+class TestValuesDecideExactness:
+    # a ranking is exact iff none of its values is a float
+
+    @pytest.mark.parametrize("cls", list(FC))
+    def test_float_values_make_a_float_ranking(self, three_cycle, chain3, cls):
+        for t in (three_cycle, chain3):
+            r = Ranking({1: 0.5, 2: 1.0, 3: 2.0})
+            assert not r.is_exact
+            assert is_fair(t, r, cls) == is_fair_pairs(t, r, cls)
+
+    def test_float_ranks_compare_with_eps(self, three_cycle):
+        r = Ranking({1: 1.0, 2: 1.0 + 1e-12, 3: 2.0})
+        assert is_fair(three_cycle, r, FC.INJ) == FairnessVerdict((1, 2), "equal ranks")
+
+    def test_fraction_values_make_an_exact_ranking(self, three_cycle):
+        third = Fraction(1, 3)
+        r = Ranking({1: third, 2: third + Fraction(1, 10**12), 3: 2})
+        assert r.is_exact
+        assert is_fair(three_cycle, r, FC.INJ).ok  # 1e-12 apart, no tolerance
+
+    @pytest.mark.parametrize("cls", list(FC))
+    def test_one_float_makes_every_value_a_float(self, chain3, cls):
+        mixed = Ranking({1: 0.5, 2: Fraction(1, 3), 3: 2})
+        assert not mixed.is_exact
+        assert is_fair(chain3, mixed, cls) == is_fair(chain3, Ranking.approx(mixed.values), cls)
+
+
+def test_verdict_passes_iff_it_has_no_certificate():
+    assert FairnessVerdict().ok and FairnessVerdict()
+    failed = FairnessVerdict((1, 2), "r")
+    assert failed.ok is False and not failed
+
+
+def test_backward_total_is_the_pair_count_of_its_rows():
+    assert BackwardReport((0, 0, 0, 0)).total == 6
+    assert BackwardReport((0,)).fraction == 0
 
 
 class TestRankingIO:

@@ -22,8 +22,8 @@ from fairrank import (
     scc_decompose,
     serialize_tournament,
 )
-from fairrank.tournament import DEFAULT_VERTEX_CAP, composite_vertex, members
-from oracles import arcs, induced, out_set, scc_decompose_tarjan
+from fairrank.tournament import DEFAULT_VERTEX_CAP, members
+from oracles import arcs, composite_vertex, induced, out_set, scc_decompose_tarjan
 
 
 class TestBuild:
@@ -66,8 +66,13 @@ class TestBuild:
             t.out = (2, 1)
         assert t == gen_rotational(1) and t in {gen_rotational(1)}
 
+    def test_n_is_the_length_of_out(self):
+        assert Tournament((6, 4, 1)).n == 3
+        with pytest.raises(ValueError, match="at least one vertex"):
+            Tournament(())
+
     def test_list_and_tuple_out_are_equal(self):
-        a, b = Tournament(3, [6, 4, 1]), Tournament(3, (6, 4, 1))
+        a, b = Tournament([6, 4, 1]), Tournament((6, 4, 1))
         assert a == b and hash(a) == hash(b)
 
 
@@ -191,7 +196,7 @@ class TestEnumeration:
 
 def transitive(n):
     """Vertex x beats every y < x, so the components are {1}, {2}, ..., {n}."""
-    return Tournament(n, [(1 << (x - 1)) - 1 for x in range(1, n + 1)])
+    return Tournament([(1 << (x - 1)) - 1 for x in range(1, n + 1)])
 
 
 class TestScc:
