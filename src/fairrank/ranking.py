@@ -40,17 +40,24 @@ ranked above x, so the same walk over the out-degrees gives each x the
 mask of the y with higher degree, and out-set inclusion is tested only on
 the pairs that it and the complement of the rank mask leave, in ascending
 x and then y; when the degree order and the rank order agree, as on the
-Copeland ranking, no pair is left.  The injective and spectral axioms scan
-pairs.
+Copeland ranking, no pair is left.  The spectral axiom prunes the same way:
+x's spectrum lies below y's only if deg(x) <= deg(y), so its candidates are
+the y of at least x's degree that do not rank above x, each decided by one
+subtraction of packed spectra (`_spectral_verdict`).  The injective axiom
+scans pairs.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations, compress, permutations
+from itertools import accumulate, combinations, compress, repeat
+from operator import xor
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from .errors import DomainMismatchError, TournamentSyntaxError
@@ -78,12 +85,18 @@ class FairnessClass(Enum):
             raise ValueError(f"unknown fairness class {s!r}") from None
 
 
+# built once: each FairnessClass.X lookup costs about as much as a small check
+_COPELAND_CLASSES = (FairnessClass.NSCOP, FairnessClass.SCOP, FairnessClass.COP)
+
+
 @dataclass(frozen=True)
 class Ranking:
     """Vertex -> rank mapping, exact (Fractions or ints) or float.
 
     A ranking is exact iff none of its values is a float; a float ranking
-    compares every value as a float, with DEFAULT_EPS.
+    compares every value as a float, with DEFAULT_EPS.  Two rankings are
+    equal iff their values are and both are exact or both float, since the
+    same values can pass an axiom exactly and fail it within eps.
     """
 
     values: Mapping[int, Rank]
@@ -102,6 +115,11 @@ class Ranking:
 
     def __getitem__(self, v: int) -> Rank:
         return self.values[v]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Ranking):
+            return NotImplemented
+        return self.is_exact == other.is_exact and self.values == other.values
 
     def require_domain(self, t: Tournament) -> None:
         if self.values.keys() != set(t.vertices()):
@@ -153,14 +171,18 @@ def _keys(t: Tournament, r: Ranking) -> Tuple[List[Rank], Rank]:
     e = DEFAULT_EPS.  Index 0 holds the zero of the key type, 0 or 0.0.
     Every read of a ranking's values comes through here, after the domain
     check.  A float is the one rank without a denominator, so reading the
-    denominators decides exactness; one float makes every key a float.
+    denominators decides exactness; one float makes every key a float,
+    and an exact value beyond float range then raises ValueError.
     """
     r.require_domain(t)
     values = list(map(r.values.__getitem__, t.vertices()))
     try:
         scale = math.lcm(*[v.denominator for v in values])
     except AttributeError:
-        return [0.0] + list(map(float, values)), DEFAULT_EPS
+        try:
+            return [0.0] + list(map(float, values)), DEFAULT_EPS
+        except OverflowError:
+            raise ValueError("ranking mixes floats with an exact value beyond float range") from None
     return [0] + [v.numerator * (scale // v.denominator) for v in values], 0
 
 
@@ -253,10 +275,14 @@ def _monotone_verdict(
 def is_fair(t: Tournament, r: Ranking, c: FairnessClass) -> FairnessVerdict:
     """Check a fairness axiom; on failure return the lex-least violating pair.
 
-    Raises ValueError when a float out-sum of the linear axiom overflows.
+    Raises ValueError when a float ranking holds an exact value beyond
+    float range, or when a float out-sum of the linear axiom overflows.
     """
     n = t.n
     key, e = _keys(t, r)
+
+    if c is FairnessClass.SPEC:
+        return _spectral_verdict(t, key, e)
 
     if c is FairnessClass.LIN:
         for x in t.vertices():
@@ -272,7 +298,7 @@ def is_fair(t: Tournament, r: Ranking, c: FairnessClass) -> FairnessVerdict:
             sums, key, e, "non-strict linear violated", "strict linear violated"
         )
 
-    if c in (FairnessClass.NSCOP, FairnessClass.SCOP, FairnessClass.COP):
+    if c in _COPELAND_CLASSES:
         degree = [0] + [o.bit_count() for o in t.out]
         return _monotone_verdict(
             degree, key, e,
@@ -300,24 +326,102 @@ def is_fair(t: Tournament, r: Ranking, c: FairnessClass) -> FairnessVerdict:
                         return FairnessVerdict((x, y), "weak fairness violated")
         return FairnessVerdict()
 
-    if c is FairnessClass.SPEC:
-        values = key[1:]
-        spectra = [()] + [sorted(compress(values, bit_mask(o)), reverse=True) for o in t.out]
-
-        def leq(x: int, y: int) -> bool:
-            sx, sy = spectra[x], spectra[y]
-            return len(sx) <= len(sy) and all(not a - b > e for a, b in zip(sx, sy))
-
-        for x, y in permutations(range(1, n + 1), 2):
-            if key[y] - key[x] > e or not leq(x, y):
-                continue
-            if key[x] - key[y] > e:
-                return FairnessVerdict((x, y), "non-strict spectral violated")
-            if not leq(y, x):
-                return FairnessVerdict((x, y), "strict spectral violated")
-        return FairnessVerdict()
-
     raise ValueError(f"unhandled fairness class {c}")
+
+
+def _pack(values: List[int], bits: int) -> int:
+    """The values of the vertices in a bitset, sorted descending, one 16-bit
+    field each, the largest in the lowest field."""
+    entries = sorted(compress(values, bit_mask(bits)), reverse=True)
+    return int.from_bytes(array("H", entries), sys.byteorder)
+
+
+def _spectral_verdict(t: Tournament, key: List[Rank], e: Rank) -> FairnessVerdict:
+    """The spectral axiom, by one packed test per candidate pair.
+
+    x's spectrum lies below y's iff deg(x) <= deg(y) and, for each k, the
+    k-th largest rank of x's out-set is not above the k-th largest of y's.
+    A violation at (x, y) needs that and y not ranked above x, so the
+    candidates for x are the y of at least x's degree that do not rank
+    above x, tested in ascending x and then y: the certificate is the
+    lex-least violating pair.
+
+    Ranks enter the test as small ints.  index(b) is 1 plus the number of
+    keys below b.  The keys b with a - b > e are the lowest ones, since
+    fl(a - b) never decreases as b falls (module docstring), and low(a) is
+    1 plus their number, so `not a - b > e` holds iff index(b) >= low(a).
+    low grows with a, so one walk up the sorted keys finds every low; for
+    exact keys (e = 0) it is the index itself.  The same rule places the
+    ranks: y ranks above x iff index(x) < low(y).
+
+    A spectrum packs into one int, one 16-bit field per entry, largest
+    first: indexes for the side that must be larger, lows for the other.
+    With bit 15 set in every field of y's pack, subtracting x's leaves bit
+    15 of a field set iff y's entry there is at least x's.  No field
+    borrows from the next, as indexes and lows are at most
+    n <= DEFAULT_VERTEX_CAP < 2**15; the empty fields beyond y's degree
+    hold 0 and fail any field that x fills.  So the test holds iff x's
+    spectrum lies below y's.  Each spectrum is packed on first use.
+    """
+    n, out = t.n, t.out
+    values = key[1:]
+    ordered = sorted(values)
+    ordered.insert(0, ordered[0])  # never compared: bisecting from 1 counts the keys below, plus 1
+    index = list(map(bisect_left, repeat(ordered, n), values, repeat(1, n)))
+    if e:
+        low, j = [0] * n, 1
+        for v in sorted(range(n), key=values.__getitem__):
+            a = values[v]
+            while a - ordered[j] > e:
+                j += 1
+            low[v] = j
+        if low == index:  # no two distinct keys within e: one pack serves both sides
+            low = index
+    else:
+        low = index
+    degree = list(map(int.bit_count, out))
+    # Buckets by low, then by degree.  They are disjoint, so running xors
+    # are running unions: prefix[i] holds the y with low(y) <= i, which do
+    # not rank above an x of index i, and prefix[n + d] is every vertex but
+    # those of degree below d.
+    buckets = [0] * (2 * n + 1)
+    bit = 1
+    for d, lv in zip(degree, low):
+        buckets[lv] |= bit
+        buckets[n + 1 + d] |= bit
+        bit <<= 1
+    prefix = list(accumulate(buckets, xor))
+
+    larger = [None] * n  # packs of indexes, by 0-based vertex
+    smaller = larger if low is index else [None] * n  # packs of lows
+    guard = (1 << 16 * n) // 0xFFFF << 15  # bit 15 of each of n fields
+    for x, d, ix in zip(range(n), degree, index):
+        candidates = prefix[ix] & prefix[n + d] & ~(1 << x)
+        if not candidates:
+            continue
+        lows_x = smaller[x]
+        if lows_x is None:
+            lows_x = smaller[x] = _pack(low, out[x])
+        while candidates:
+            b = candidates & -candidates
+            candidates ^= b
+            y = b.bit_length() - 1
+            tops_y = larger[y]
+            if tops_y is None:
+                tops_y = larger[y] = _pack(index, out[y])
+            if (tops_y | guard) - lows_x & guard != guard:
+                continue
+            if index[y] < low[x]:
+                return FairnessVerdict((x + 1, y + 1), "non-strict spectral violated")
+            tops_x = larger[x]
+            if tops_x is None:
+                tops_x = larger[x] = _pack(index, out[x])
+            lows_y = smaller[y]
+            if lows_y is None:
+                lows_y = smaller[y] = _pack(low, out[y])
+            if (tops_x | guard) - lows_y & guard != guard:
+                return FairnessVerdict((x + 1, y + 1), "strict spectral violated")
+    return FairnessVerdict()
 
 
 # -- ranking text I/O ------------------------------------------------------

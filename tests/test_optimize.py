@@ -9,6 +9,7 @@ from fairrank import (
     MinBackwardResult,
     ResourceLimitError,
     backward_arcs,
+    build_tournament,
     composite_fraction,
     copeland_bound,
     emn_sweep_composite,
@@ -23,7 +24,7 @@ from fairrank import (
     weak_order_levels,
 )
 from fairrank.cli import report_json
-from oracles import iter_weak_orders, min_backward_fair_blocks, min_backward_injective_bnb
+from oracles import is_fair_pairs, iter_weak_orders, min_backward_fair_blocks, min_backward_injective_bnb
 
 FC = FairnessClass
 
@@ -199,6 +200,15 @@ class TestWeakOrderMinimum:
                 continue
             assert is_fair(t, res.witness, FC.LIN).ok
             assert backward_arcs(t, res.witness).count == res.count
+
+    def test_spectral_minimum_above_half_at_n6(self):
+        # out-sets {5,6}, {1,4,6}, {1,2}, {1,3}, {2,3,4}, {3,4,5}: every
+        # spectrally fair ranking makes 8 of the 15 arcs backward
+        outs = {1: {5, 6}, 2: {1, 4, 6}, 3: {1, 2}, 4: {1, 3}, 5: {2, 3, 4}, 6: {3, 4, 5}}
+        t = build_tournament(6, [(x, y) for x, ys in outs.items() for y in ys])
+        res = min_backward_fair(t, FC.SPEC)
+        assert (res.count, res.fraction) == (8, Fraction(8, 15))
+        assert is_fair_pairs(t, res.witness, FC.SPEC).ok
 
     def test_cap(self):
         with pytest.raises(ResourceLimitError):

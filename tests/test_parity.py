@@ -9,6 +9,7 @@ rank values with the raw-value comparators `lt`, `eq` and `leq` of
 |a - b| <= eps), never through the library's per-vertex keys.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -27,6 +28,7 @@ from fairrank import (
     build_tournament,
     copeland_ranking,
     enumerate_all,
+    gen_composite,
     gen_random,
     is_fair,
     linear_fair_ranking,
@@ -34,7 +36,7 @@ from fairrank import (
     serialize_tournament,
 )
 from fairrank.ranking import DEFAULT_EPS
-from fairrank.tournament import _BLOCK_ROWS, Tournament
+from fairrank.tournament import _BLOCK_ROWS, DEFAULT_VERTEX_CAP, Tournament
 from oracles import backward_arcs_pairs, backward_pairs, is_fair_pairs, iter_weak_orders, weak_order_ranking
 
 FC = FairnessClass
@@ -78,6 +80,9 @@ def test_seeded_all_classes(n, seeds):
             copeland_ranking(t),
             Ranking.exact({v: rng.randint(1, 4) for v in t.vertices()}),
             Ranking.exact({v: Fraction(rng.randint(-2, 9), rng.randint(1, 6)) for v in t.vertices()}),
+            # keys far beyond 16 bits: the spectral packs hold positions instead
+            Ranking.exact({v: Fraction(rng.randint(-4, 4), rng.choice((1, 3, 10**30 + 7, 2**61 - 1)))
+                           for v in t.vertices()}),
             fair,
             Ranking.exact({v: Fraction(x) for v, x in fair.values.items()}),
         ]
@@ -354,3 +359,71 @@ def test_parser_faults_across_a_block_boundary(faults, error, message):
         rows = set_cells(rows, cells, value)
     text = "\n".join([str(n)] + rows) + "\n"
     assert outcome(lambda: parse_tournament(text)) == outcome(lambda: streamed(n, rows)) == (error, message)
+
+
+# -- spectral axiom on packed spectra ---------------------------------------------
+# `is_fair` tests only the candidate pairs of the degree prune, each by one
+# subtraction of packed spectra; `is_fair_pairs` sorts both spectra of every
+# ordered pair and compares them entry by entry with the raw-value comparators.
+
+
+def relabeled(t, perm):
+    """t with vertex v renamed perm[v - 1]."""
+    out = [0] * t.n
+    for x, row in enumerate(t.out, start=1):
+        for y in t.vertices():
+            if row >> (y - 1) & 1:
+                out[perm[x - 1] - 1] |= 1 << (perm[y - 1] - 1)
+    return Tournament(out)
+
+
+def assert_spec_parity(t, r):
+    assert verdict(is_fair(t, r, FC.SPEC)) == verdict(is_fair_pairs(t, r, FC.SPEC))
+
+
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_spec_relabeled_composite(l):
+    # the composite family's linear-fair ranks tie within 3e-17 on a layer,
+    # so the perturbed ranks straddle the tolerance between near-equal spectra
+    rng = random.Random(l)
+    base = gen_composite(l)
+    for _ in range(3):
+        perm = rng.sample(range(1, base.n + 1), base.n)
+        t = relabeled(base, perm)
+        fair = linear_fair_ranking(t).ranking
+        assert_spec_parity(t, fair)
+        assert_spec_parity(t, copeland_ranking(t))
+        for k in (1, 3, base.n // 2):
+            assert_spec_parity(t, perturbed(fair, rng, k))
+        assert_spec_parity(t, Ranking.approx(
+            {v: x + rng.choice((0.0, -0.5, 0.5, 1.5)) * DEFAULT_EPS for v, x in fair.values.items()}))
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_spec_infinite_ranks(seed):
+    # inf - inf is nan, which is not > eps: two equal infinities tie, and an
+    # infinity ranks above every finite value
+    rng = random.Random(seed)
+    t = gen_random(rng.randint(2, 8), seed)
+    pool = (math.inf, -math.inf, 1.0, 1.0 + DEFAULT_EPS, 0.0, -1e308, 1e308)
+    assert_spec_parity(t, Ranking({v: rng.choice(pool) for v in t.vertices()}))
+
+
+@given(seed=st.integers(0, 10_000), n=st.integers(5, 7),
+       levels=st.lists(st.integers(1, 4), min_size=7, max_size=7))
+@settings(max_examples=200, deadline=None)
+def test_spec_weak_order_rankings(seed, n, levels):
+    t = gen_random(n, seed)
+    assert_spec_parity(t, Ranking(dict(zip(t.vertices(), levels))))
+
+
+def test_spec_fields_hold_every_index():
+    # a pack field holds an index up to n in its low 15 bits; bit 15 is the guard
+    assert DEFAULT_VERTEX_CAP < 2**15
+
+
+@pytest.mark.parametrize("n, pair", [(1000, (3, 176)), (2000, (8, 1468))])
+def test_spec_copeland_certificates_at_scale(n, pair):
+    t = gen_random(n, 1)
+    assert verdict(is_fair(t, copeland_ranking(t), FC.SPEC)) == (
+        False, pair, "strict spectral violated")

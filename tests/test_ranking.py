@@ -249,6 +249,25 @@ class TestValuesDecideExactness:
         assert is_fair(chain3, mixed, cls) == is_fair(chain3, Ranking.approx(mixed.values), cls)
 
 
+    def test_equal_values_exact_and_float_are_different_rankings(self, three_cycle):
+        # the same values are 1e-12 apart exactly but tied within eps
+        values = {1: 1.0, 2: 1.000000000001, 3: 2.0}
+        exact_r, float_r = Ranking.exact(values), Ranking.approx(values)
+        assert is_fair(three_cycle, exact_r, FC.INJ).ok
+        assert not is_fair(three_cycle, float_r, FC.INJ).ok
+        assert exact_r != float_r
+        assert exact_r == Ranking.exact(values) and float_r == Ranking.approx(values)
+        assert Ranking({1: 1, 2: 2, 3: 3}) == exact(1, 2, 3)  # ints and Fractions alike
+
+    @pytest.mark.parametrize("cls", list(FC))
+    def test_float_ranking_with_an_exact_value_beyond_float_range(self, three_cycle, cls):
+        mixed = Ranking({1: 0.5, 2: Fraction(10**400), 3: 2})
+        with pytest.raises(ValueError, match="beyond float range"):
+            is_fair(three_cycle, mixed, cls)
+        with pytest.raises(ValueError, match="beyond float range"):
+            backward_arcs(three_cycle, mixed)
+
+
 def test_verdict_passes_iff_it_has_no_certificate():
     assert FairnessVerdict().ok and FairnessVerdict()
     failed = FairnessVerdict((1, 2), "r")
