@@ -12,6 +12,7 @@ import dataclasses
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import errors
 from .fixpoint import LinearFairResult, linear_fair_ranking
@@ -276,9 +277,13 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# Built on the first call to main, not at import, and shared by later calls:
+# parse_args keeps no state in the parser, each call parsing into a new Namespace.
+_parser = cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except errors.VerificationFailedError as exc:

@@ -8,16 +8,20 @@ and the integer level values 1..k reach only part of that class: its
 minima here are upper bounds on the true minima, and an EmptyClassError
 for it does not prove the class empty.
 
-Weak orders are enumerated as integer level vectors (`weak_order_levels`).
-Each candidate is checked as an exact ranking that holds those ints, which
-the predicates key like Fractions with denominator 1, so no Fraction is
-built per candidate; only the reported witness holds Fractions.
+Weak orders are enumerated as integer level vectors (`weak_order_levels`),
+once per n: the vectors are kept after the first sweep at that n.  Each
+candidate is checked as an exact ranking that holds those ints, which the
+predicates read as their own keys, so no Fraction is built per candidate;
+only the reported witness holds Fractions.  What the predicates derive
+from the tournament alone is built on the first candidate and kept with
+the tournament (see `ranking`), so the per-candidate cost is the ranking's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Iterator, List, Optional, Tuple
 
 from .errors import EmptyClassError, ResourceLimitError
@@ -70,6 +74,14 @@ def weak_order_levels(n: int) -> Iterator[Tuple[int, ...]]:
             yield levels + (j,)
         for j in range(1, k + 2):
             yield tuple(level + (level >= j) for level in levels) + (j,)
+
+
+@cache
+def _level_vectors(n: int) -> Tuple[Tuple[int, ...], ...]:
+    """`weak_order_levels(n)`, enumerated on the first call for each n and
+    kept: 4683 vectors, about 0.6 MB, at n = WEAK_ORDER_CAP.  Callers check
+    the cap first, so no larger n is kept."""
+    return tuple(weak_order_levels(n))
 
 
 # -- exact minimizers -------------------------------------------------------
@@ -137,7 +149,7 @@ def min_backward_fair(t: Tournament, c: FairnessClass) -> MinBackwardResult:
         raise ResourceLimitError(f"weak-order enumeration capped at n <= {WEAK_ORDER_CAP}")
     vertices = t.vertices()
     best: Optional[Tuple[int, Tuple[int, ...]]] = None
-    for levels in weak_order_levels(t.n):
+    for levels in _level_vectors(t.n):
         r = Ranking(dict(zip(vertices, levels)))
         if not is_fair(t, r, c):
             continue

@@ -5,17 +5,20 @@ compare exactly; float rankings compare with the absolute tolerance
 eps = DEFAULT_EPS (a < b iff b - a > eps, a == b iff |a - b| <= eps).
 DEFAULT_EPS is the package's one comparison tolerance: no ranking, parser
 or predicate takes another.  An exact ranking may also hold ints (the
-weak-order minimizer checks its candidates that way, and `parse_ranking`
-keeps integer values as ints): an int has numerator and denominator like a
-Fraction, so it gets the same key, the same verdicts and the same text as
-the equal Fraction.
+weak-order minimizer checks its candidates that way, `copeland_ranking`
+holds out-degrees, and `parse_ranking` keeps integer values as ints): an
+int has numerator and denominator like a Fraction, so it gets the same
+key, the same verdicts and the same text as the equal Fraction.
 
 Every predicate and the backward-arc report compare through one rule on
-per-vertex keys: x ranks below y iff key[y] - key[x] > e.  A float ranking
-keys on its values with e = eps.  An exact ranking keys on its values
-times the LCM of their denominators, integers in the same ratios, with
-e = 0: comparisons stay exact, and the linear axiom's out-sums, the one
-place where values matter beyond their order, are integer sums instead of
+per-vertex keys: x ranks below y iff key[y] - key[x] > e.  The keys come
+from one lookup per vertex, which also decides the domain: n lookups that
+hit, in a ranking of n labels, mean that the labels are 1..n.  A float
+ranking keys on its values with e = eps.  An exact ranking keys on its
+values times the LCM of their denominators, integers in the same ratios,
+with e = 0; a ranking of ints alone is its own keys, with no LCM to take.
+Comparisons stay exact, and the linear axiom's out-sums, the one place
+where values matter beyond their order, are integer sums instead of
 Fraction sums.  Float out-sums are added over the out-set in ascending
 vertex order from 0.0, as the pair-scan reference in `tests/oracles.py`
 adds them, so the two agree on float verdicts to the last bit: the keys
@@ -25,15 +28,16 @@ which yields the same values in the same order to the same builtin `sum`.
 The Copeland axioms and the linear axiom share one shape: key(x) <= key(y)
 implies rank(x) <= rank(y), and key(x) < key(y) implies rank(x) < rank(y),
 with the out-degree (Copeland) or the out-neighborhood rank sum (linear)
-as the key.  One sort by key decides them in O(n log n) once the keys are
-known, instead of a scan of all n(n - 1) ordered pairs: the y whose key is
-not below x's form a suffix of the sorted order, so do the y whose key is
-above x's, and x breaks an implication against some y of its suffix iff it
-breaks it against the least rank there.  This holds under eps as well,
-because the rounded difference fl(a - b) never decreases as a grows or as
-b shrinks, so each comparison above is monotone in either operand.  Only
-the least violating x has its row scanned, to name the least y, so the
-certificate is the lex-least violating pair, as a full scan finds it.
+as the key.  One walk up the keys in sorted order (`_walk`) decides them
+in O(n log n) once the keys are known, instead of a scan of all n(n - 1)
+ordered pairs: the y whose key is not below x's form a suffix of the
+sorted order, so do the y whose key is above x's, and x breaks an
+implication against some y of its suffix iff it breaks it against the
+least rank there.  This holds under eps as well, because the rounded
+difference fl(a - b) never decreases as a grows or as b shrinks, so each
+comparison above is monotone in either operand.  Only the least violating
+x has its row scanned, to name the least y, so the certificate is the
+lex-least violating pair, as a full scan finds it.
 Backward arcs take the same sort and one mask per vertex, the y ranked
 above x.  The weak axiom needs y -> x, hence deg(y) > deg(x), and y not
 ranked above x, so the same walk over the out-degrees gives each x the
@@ -44,7 +48,14 @@ Copeland ranking, no pair is left.  The spectral axiom prunes the same way:
 x's spectrum lies below y's only if deg(x) <= deg(y), so its candidates are
 the y of at least x's degree that do not rank above x, each decided by one
 subtraction of packed spectra (`_spectral_verdict`).  The injective axiom
-scans pairs.
+passes exact keys that are all distinct, which one set decides, and
+otherwise scans pairs.
+
+What the Copeland, weak and spectral axioms read of the out-degrees, their
+walk and the masks of the vertices from each position of it on, does not
+depend on the ranking.  It is built once per tournament (`_Scores`), by
+the first of them to run, and kept on that tournament, so a minimizer that
+checks thousands of rankings of one tournament builds it once.
 """
 
 from __future__ import annotations
@@ -56,12 +67,13 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate, combinations, compress, repeat
 from operator import xor
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from .errors import DomainMismatchError, TournamentSyntaxError
-from .tournament import Tournament, bit_mask, members
+from .tournament import Tournament, bit_mask
 
 Rank = Union[int, float, Fraction]
 
@@ -87,6 +99,7 @@ class FairnessClass(Enum):
 
 # built once: each FairnessClass.X lookup costs about as much as a small check
 _COPELAND_CLASSES = (FairnessClass.NSCOP, FairnessClass.SCOP, FairnessClass.COP)
+_INT_ONLY = {int}  # the value types of a ranking that is its own keys; bool is not int
 
 
 @dataclass(frozen=True)
@@ -167,15 +180,24 @@ def _keys(t: Tournament, r: Ranking) -> Tuple[List[Rank], Rank]:
 
     x ranks below y iff key[y] - key[x] > e.  An exact ranking keys on its
     values times the LCM of their denominators, integers in the same
-    ratios, with e = 0; a float ranking keys on its values with
-    e = DEFAULT_EPS.  Index 0 holds the zero of the key type, 0 or 0.0.
-    Every read of a ranking's values comes through here, after the domain
-    check.  A float is the one rank without a denominator, so reading the
-    denominators decides exactness; one float makes every key a float,
-    and an exact value beyond float range then raises ValueError.
+    ratios, with e = 0; an all-int ranking is its own keys, since its LCM
+    is 1.  A float ranking keys on its values with e = DEFAULT_EPS.  Index
+    0 holds the zero of the key type, 0 or 0.0.  Every read of a ranking's
+    values comes through here: n lookups that all hit, in a mapping of n
+    labels, mean that the labels are exactly 1..n; otherwise
+    `Ranking.require_domain` raises.  A float is the one rank without a
+    denominator, so reading the denominators decides exactness; one float
+    makes every key a float, and an exact value beyond float range then
+    raises ValueError.
     """
-    r.require_domain(t)
-    values = list(map(r.values.__getitem__, t.vertices()))
+    try:
+        values = list(map(r.values.__getitem__, t.vertices()))
+    except KeyError:
+        values = None
+    if values is None or len(r.values) != t.n:
+        r.require_domain(t)  # raises: some vertex is unranked or some label is not a vertex
+    if set(map(type, values)) == _INT_ONLY:
+        return [0] + values, 0
     try:
         scale = math.lcm(*[v.denominator for v in values])
     except AttributeError:
@@ -216,52 +238,108 @@ def backward_arcs(t: Tournament, r: Ranking) -> BackwardReport:
 
 
 def copeland_ranking(t: Tournament) -> Ranking:
-    """The out-degree ranking; Copeland fair (and weakly fair) on every tournament."""
-    return Ranking.exact({x: o.bit_count() for x, o in enumerate(t.out, start=1)})
+    """The out-degree ranking; Copeland fair (and weakly fair) on every tournament.
+
+    Its values are ints, exact ranks that `_keys` reads as they are.
+    """
+    return Ranking(dict(enumerate(map(int.bit_count, t.out), start=1)))
 
 
 # -- fairness predicates ---------------------------------------------------
 
 
+def _walk(key: List[Rank], e: Rank) -> Tuple[List[int], List[int], List[int]]:
+    """The vertices in ascending key order, ties by label, and for each
+    vertex x the positions geq[x] and gt[x] of that order where the keys
+    not below key[x], and the keys above it, begin (gt[x] = n when no key
+    is above).  Both lists are indexed by vertex from 1.
+
+    a < b means b - a > e.  The y not below x form a suffix of the order,
+    and so do the y above x, since fl(a - b) never decreases as a grows or
+    as b shrinks; both start points only move right as x moves right, so
+    one walk up the order finds them all.
+    """
+    n = len(key) - 1
+    order = sorted(range(1, n + 1), key=key.__getitem__)
+    geq, gt = [0] * (n + 1), [0] * (n + 1)
+    i = j = 0
+    for x in order:
+        kx = key[x]
+        while kx - key[order[i]] > e:
+            i += 1
+        while j < n and not key[order[j]] - kx > e:
+            j += 1
+        geq[x], gt[x] = i, j
+    return order, geq, gt
+
+
+class _Scores:
+    """What the score-based predicates know of a tournament before they see
+    a ranking: the out-degrees, indexed by vertex from 1, their `_walk`, and
+    suffix[p], the bitset of the vertices from position p of that walk on.
+
+    Out-degrees are ints, which differ by 0 or by at least 1, so the walk
+    with e = 0 serves every e < 1.  suffix is built on first use (WEAK and
+    SPEC); its n + 1 bitsets hold about as much as the out-sets do.
+    """
+
+    def __init__(self, t: Tournament):
+        self.degree = [0, *map(int.bit_count, t.out)]
+        self.walk = _walk(self.degree, 0)
+
+    @cached_property
+    def suffix(self) -> List[int]:
+        order = self.walk[0]
+        suffix = [0] * (len(order) + 1)
+        for p in range(len(order) - 1, -1, -1):
+            suffix[p] = suffix[p + 1] | 1 << (order[p] - 1)
+        return suffix
+
+
+def _scores(t: Tournament) -> _Scores:
+    """t's `_Scores`, built on the first call for t and kept on t."""
+    scores = t._scores
+    if scores is None:
+        scores = _Scores(t)
+        object.__setattr__(t, "_scores", scores)
+    return scores
+
+
 def _monotone_verdict(
-    key: List[Rank], rank: List[Rank], e: Rank, nonstrict: Optional[str], strict: Optional[str]
+    key: List[Rank],
+    rank: List[Rank],
+    e: Rank,
+    walk: Tuple[List[int], List[int], List[int]],
+    nonstrict: Optional[str],
+    strict: Optional[str],
 ) -> FairnessVerdict:
     """Decide key(x) <= key(y) => rank(x) <= rank(y) and, separately,
     key(x) < key(y) => rank(x) < rank(y) over all ordered pairs x != y.
 
     Each implication is checked when its reason string is given.  The
     lists are indexed by vertex from 1; a < b means b - a > e, for keys and
-    ranks alike.  Integer keys such as out-degrees differ by 0 or by at
-    least 1, so any e < 1 compares them exactly.  In ascending key order,
-    the y with key not below x's form a suffix order[i:], and the y with
-    key above x's a suffix order[j:]; both start points only move right as
-    x moves right.
+    ranks alike, and `walk` is `_walk(key, e)`.  The y with key not below
+    x's are order[geq[x]:], and those with key above x's order[gt[x]:].
     x breaks an implication against some y of its suffix iff it breaks it
-    against the suffix's least rank low[i] or low[j], since fl(a - b) is
-    monotone in each argument.
+    against the suffix's least rank low[geq[x]] or low[gt[x]], since
+    fl(a - b) is monotone in each argument.  The least such x is found by
+    testing the vertices in ascending label order; only its row is
+    scanned, to name the least y.
     """
-    n = len(key) - 1
-    order = sorted(range(1, n + 1), key=key.__getitem__)
+    order, geq, gt = walk
+    n = len(order)
     low = [rank[v] for v in order]
     for j in range(n - 2, -1, -1):
         if low[j + 1] < low[j]:
             low[j] = low[j + 1]
-    first = n + 1
-    i = j = 0
-    for x in order:
-        kx, rx = key[x], rank[x]
-        while kx - key[order[i]] > e:
-            i += 1
-        while j < n and not key[order[j]] - kx > e:
-            j += 1
-        if x < first and (
-            (nonstrict and rx - low[i] > e)
-            or (strict and j < n and not low[j] - rx > e)
+    for x in range(1, n + 1):
+        rx = rank[x]
+        if (nonstrict and rx - low[geq[x]] > e) or (
+            strict and gt[x] < n and not low[gt[x]] - rx > e
         ):
-            first = x
-    if first > n:
+            break
+    else:
         return FairnessVerdict()
-    x = first
     for y in range(1, n + 1):
         if y == x:
             continue
@@ -295,18 +373,20 @@ def is_fair(t: Tournament, r: Ranking, c: FairnessClass) -> FairnessVerdict:
         if e and not math.isfinite(max(sums)):
             raise ValueError("a float out-sum overflows; scale the ranking down")
         return _monotone_verdict(
-            sums, key, e, "non-strict linear violated", "strict linear violated"
+            sums, key, e, _walk(sums, e), "non-strict linear violated", "strict linear violated"
         )
 
     if c in _COPELAND_CLASSES:
-        degree = [0] + [o.bit_count() for o in t.out]
+        scores = _scores(t)
         return _monotone_verdict(
-            degree, key, e,
+            scores.degree, key, e, scores.walk,
             None if c is FairnessClass.SCOP else "non-strict Copeland violated",
             None if c is FairnessClass.NSCOP else "strict Copeland violated",
         )
 
     if c is FairnessClass.INJ:
+        if not e and len(set(key[1:])) == n:  # distinct exact keys: nothing to certify
+            return FairnessVerdict()
         for x, y in combinations(range(1, n + 1), 2):
             if abs(key[x] - key[y]) <= e:
                 return FairnessVerdict((x, y), "equal ranks")
@@ -316,14 +396,17 @@ def is_fair(t: Tournament, r: Ranking, c: FairnessClass) -> FairnessVerdict:
         # x+ ⊆ y+ forces y -> x, since x -> y would put y in y+, and then
         # y+ holds x+ and x, so deg(y) > deg(x): only the y that beat x,
         # outscore x and do not rank above x can break the axiom
-        higher = _above([0] + [o.bit_count() for o in t.out], 0)
+        scores = _scores(t)
+        _, _, gt = scores.walk
+        suffix = scores.suffix  # suffix[gt[x]]: the y that outscore x
         above = _above(key, e)
         for x, ox in enumerate(t.out, start=1):
-            candidates = higher[x] & ~above[x] & ~ox
-            if candidates:
-                for y in members(candidates):
-                    if ox & ~t.out[y - 1] == 0:
-                        return FairnessVerdict((x, y), "weak fairness violated")
+            candidates = suffix[gt[x]] & ~above[x] & ~ox
+            while candidates:
+                b = candidates & -candidates
+                candidates ^= b
+                if ox & ~t.out[b.bit_length() - 1] == 0:
+                    return FairnessVerdict((x, b.bit_length()), "weak fairness violated")
         return FairnessVerdict()
 
     raise ValueError(f"unhandled fairness class {c}")
@@ -379,24 +462,24 @@ def _spectral_verdict(t: Tournament, key: List[Rank], e: Rank) -> FairnessVerdic
             low = index
     else:
         low = index
-    degree = list(map(int.bit_count, out))
-    # Buckets by low, then by degree.  They are disjoint, so running xors
-    # are running unions: prefix[i] holds the y with low(y) <= i, which do
-    # not rank above an x of index i, and prefix[n + d] is every vertex but
-    # those of degree below d.
-    buckets = [0] * (2 * n + 1)
+    # Buckets by low are disjoint, so running xors are running unions:
+    # prefix[i] holds the y with low(y) <= i, which do not rank above an x
+    # of index i.  suffix[geq[x]] holds the y of at least x's degree.
+    buckets = [0] * (n + 1)
     bit = 1
-    for d, lv in zip(degree, low):
+    for lv in low:
         buckets[lv] |= bit
-        buckets[n + 1 + d] |= bit
         bit <<= 1
     prefix = list(accumulate(buckets, xor))
+    scores = _scores(t)
+    _, geq, _ = scores.walk
+    suffix = scores.suffix
 
     larger = [None] * n  # packs of indexes, by 0-based vertex
     smaller = larger if low is index else [None] * n  # packs of lows
     guard = (1 << 16 * n) // 0xFFFF << 15  # bit 15 of each of n fields
-    for x, d, ix in zip(range(n), degree, index):
-        candidates = prefix[ix] & prefix[n + d] & ~(1 << x)
+    for x, ix in enumerate(index):
+        candidates = prefix[ix] & suffix[geq[x + 1]] & ~(1 << x)
         if not candidates:
             continue
         lows_x = smaller[x]

@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import combinations, compress, count, islice
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,6 +39,10 @@ class Tournament:
 
     out: Tuple[int, ...] = field(repr=False)
     n: int = field(init=False)  # len(out)
+    # The out-degree data of the score-based predicates, built by the first
+    # of them to run (`ranking._scores`) and kept with the tournament that
+    # it describes.  It derives from `out` alone, so it never goes stale.
+    _scores: Optional[object] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "out", tuple(self.out))  # callers may pass a list

@@ -8,6 +8,7 @@ from fairrank import gen_random, serialize_tournament
 from fairrank.cli import main
 
 CYCLE = "3\n010\n001\n100\n"
+RANDOM5 = "5\n01010\n00011\n11001\n00101\n10000\n"  # gen_random(5, 3)
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -294,6 +295,64 @@ class TestDump:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: ranking domain [1, 2] does not match 1..3\n"
+
+
+class TestRepeatedCalls:
+    # main() parses with one parser, built on its first call
+
+    def test_defaults_do_not_carry_over(self, tmp_path, capsys):
+        t = tmp_path / "t.txt"
+        t.write_text(RANDOM5)
+        argv = ["minimize", "--in", str(t), "--space", "weak-orders"]
+        assert main(argv + ["--class", "weak"]) == 0
+        weak = capsys.readouterr().out
+        assert main(argv + ["--class", "lin"]) == 0
+        assert "count=3" in capsys.readouterr().out and "count=1" in weak
+        assert main(argv) == 0
+        assert capsys.readouterr().out == weak
+        # a --class left over from the lin call would be rejected here
+        assert main(["minimize", "--in", str(t), "--space", "injective"]) == 0
+        assert main(["gen", "--family", "random", "--n", "4", "--seed", "7",
+                     "--out", str(tmp_path / "r.txt")]) == 0
+        # a --seed left over from the random call would be rejected here
+        assert main(["gen", "--family", "rotational", "--l", "1",
+                     "--out", str(tmp_path / "c.txt")]) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--family", "bogus"],
+        ["minimize", "--in", "x", "--space", "weak-orders", "--class", "nope"],
+        ["frobnicate"],
+        [],
+    ])
+    def test_bad_argv_exits_2_every_time(self, argv, cycle_path, capsys):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert main(["minimize", "--in", cycle_path, "--space", "injective"]) == 0
+        capsys.readouterr()
+
+
+def test_copeland_outputs_read_as_with_fraction_ranks(tmp_path, capsys):
+    # copeland_ranking holds ints, and str(Fraction(3)) == "3": the ranking
+    # file, the dump and the emn bound check read as they did with Fractions
+    t, cop = tmp_path / "t.txt", tmp_path / "cop.txt"
+    t.write_text(RANDOM5)
+    assert main(["rank", "--in", str(t), "--method", "copeland", "--out", str(cop)]) == 0
+    assert cop.read_text() == "1 2\n2 2\n3 3\n4 2\n5 1\n"
+    assert capsys.readouterr().out == "method=copeland bw=1/5 (~0.200000)\n"
+    assert main(["dump", "--in", str(t), "--ranking", str(cop)]) == 0
+    assert capsys.readouterr().out == (
+        "      5   1   2   4   3\n"
+        "  5   . [*]  .   .   .  \n"
+        "  1  .    .  *   *   .  \n"
+        "  2  *   .    .  *   .  \n"
+        "  4  *   .   .    . [*] \n"
+        "  3  *   *   *   .    . \n"
+    )
+    assert main(["emn", "--exhaustive", "5"]) == 0
+    assert capsys.readouterr().out == (
+        "n=5 checked=1024 bound=7/10 (~0.700000) max=1/5 (~0.200000) within=yes\n")
 
 
 def readme_examples():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -88,6 +89,34 @@ class TestWeakOrderParity:
     def test_random(self, n, seeds):
         for seed in seeds:
             assert_matches_block_loop(gen_random(n, seed))
+
+    # sha256, over the tournaments of enumerate_all(5) in order, of the
+    # lines "count witness-values" ("empty" when the class is empty) that
+    # the block loop `min_backward_fair_blocks` gives; the block loop takes
+    # minutes on all 1024, so its outcome is kept as this digest
+    N5_DIGESTS = {
+        FC.NSCOP: "2378cab6d35c569bb78edd1365528250ec9898730bc20793942c7d4bbed379e6",
+        FC.SCOP: "57666d4a6ca8fd373ee1cb286e6313cb8187d61e607ff90ab94e2fd9368e6f03",
+        FC.COP: "57666d4a6ca8fd373ee1cb286e6313cb8187d61e607ff90ab94e2fd9368e6f03",
+        FC.WEAK: "cc4884d44d932db9b128b78dd3b16204533465244e0bebda5def9b97c7555a02",
+        FC.SPEC: "f88382b7514e36bff424a53be6f9cd722e10ab09456ea242087e1a2cfe5d186c",
+        FC.LIN: "fbdce27622d3a00c5a8cfaf22792cda7c6c9e4871838abe96a164b4c5a0675b7",
+        FC.INJ: "a14e6f463c5a6c66c711284423986428ed1c42930caccfe258437714b3f92fca",
+    }
+
+    @pytest.mark.parametrize("c", list(FC), ids=lambda c: c.value)
+    def test_exhaustive_n5_digest(self, c):
+        digest = hashlib.sha256()
+        for t in enumerate_all(5):
+            try:
+                res = min_backward_fair(t, c)
+            except EmptyClassError:
+                digest.update(b"empty\n")
+                continue
+            assert all(type(v) is Fraction for v in res.witness.values.values())
+            values = " ".join(str(res.witness[v]) for v in t.vertices())
+            digest.update(f"{res.count} {values}\n".encode())
+        assert digest.hexdigest() == self.N5_DIGESTS[c]
 
 
 class TestInjective:

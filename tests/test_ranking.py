@@ -11,6 +11,7 @@ from fairrank import (
     FairnessClass,
     FairnessVerdict,
     Ranking,
+    Tournament,
     TournamentSyntaxError,
     backward_arcs,
     build_tournament,
@@ -23,6 +24,7 @@ from fairrank import (
 )
 from oracles import (
     arcs,
+    backward_arcs_pairs,
     backward_pairs,
     injection_exists,
     is_fair_pairs,
@@ -266,6 +268,59 @@ class TestValuesDecideExactness:
             is_fair(three_cycle, mixed, cls)
         with pytest.raises(ValueError, match="beyond float range"):
             backward_arcs(three_cycle, mixed)
+
+
+class TestPerCallPaths:
+    # `_keys` decides the domain from its own lookups and reads all-int
+    # values as they are; the out-degree data is kept on each tournament
+
+    @pytest.mark.parametrize("values, labels", [
+        ({1: 1, 2: 2}, "[1, 2]"),  # vertex 3 unranked
+        ({1: 1, 2: 2, 3: 3, 4: 4}, "[1, 2, 3, 4]"),  # 4 is not a vertex
+        ({0: 1, 1: 2, 2: 3}, "[0, 1, 2]"),  # vertex 0 instead of 3
+        ({0: 1, 1: 2, 2: 3, 3: 4}, "[0, 1, 2, 3]"),  # every vertex, and 0 too
+        ({1: 1, 2: 2, 2.5: 3}, "[1, 2, 2.5]"),
+        ({"1": 1, "2": 2, "3": 3}, "['1', '2', '3']"),
+    ])
+    def test_domain_mismatch_message(self, three_cycle, values, labels):
+        message = f"ranking domain {labels} does not match 1..3"
+        for r in (Ranking(values), Ranking.exact(values), Ranking.approx(values)):
+            for cls in FC:
+                with pytest.raises(DomainMismatchError) as exc:
+                    is_fair(three_cycle, r, cls)
+                assert str(exc.value) == message
+            with pytest.raises(DomainMismatchError) as exc:
+                backward_arcs(three_cycle, r)
+            assert str(exc.value) == message
+
+    @pytest.mark.parametrize("values", [
+        (True, False, True, True),
+        (False, True, 2, 1),
+        (True, 2, Fraction(3, 2), Fraction(1, 2)),
+        (3, Fraction(6, 2), 1, 2),
+        (1, Fraction(3, 2), 1.5, 2),
+        (2, 1, 0.5, Fraction(1, 3)),
+        (3, 1, 3, 2),
+    ])
+    def test_value_types_decide_like_the_pair_scan(self, values):
+        r = Ranking(dict(enumerate(values, start=1)))
+        for t in enumerate_all(4):
+            for cls in FC:
+                assert is_fair(t, r, cls) == is_fair_pairs(t, r, cls), (t.out, cls)
+            assert backward_pairs(backward_arcs(t, r)) == backward_arcs_pairs(t, r)
+
+    def test_interleaved_tournaments_keep_their_own_scores(self):
+        t1, t2 = gen_random(7, 1), gen_random(7, 2)
+        perm = (0, 3, 1, 2, 7, 5, 4, 6)  # relabels t1: the same scores on other vertices
+        moved = build_tournament(7, [(perm[x], perm[y]) for x, y in arcs(t1)])
+        copy = Tournament(list(t1.out))
+        assert copy == t1 and copy is not t1 and moved != t1
+        rng = random.Random(3)
+        for _ in range(25):
+            r = Ranking({v: rng.randint(1, 4) for v in range(1, 8)})
+            for t in (t1, t2, copy, moved, t1, copy, t2):
+                for cls in FC:
+                    assert is_fair(t, r, cls) == is_fair_pairs(t, r, cls), (t.out, cls)
 
 
 def test_verdict_passes_iff_it_has_no_certificate():
