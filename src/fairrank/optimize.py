@@ -9,12 +9,14 @@ minima here are upper bounds on the true minima, and an EmptyClassError
 for it does not prove the class empty.
 
 Weak orders are enumerated as integer level vectors (`weak_order_levels`),
-once per n: the vectors are kept after the first sweep at that n.  Each
-candidate is checked as an exact ranking that holds those ints, which the
-predicates read as their own keys, so no Fraction is built per candidate;
-only the reported witness holds Fractions.  What the predicates derive
-from the tournament alone is built on the first candidate and kept with
-the tournament (see `ranking`), so the per-candidate cost is the ranking's.
+once per n, and kept as exact rankings that hold those ints: about 2.4 MB
+at n = 6 once each ranking has kept its comparison keys.  The predicates
+read the ints as their own keys, built on a ranking's first check and kept
+on it (see `ranking`), so no Fraction and no key is built per candidate in
+later sweeps at that n; only the reported witness holds Fractions.  What
+the predicates derive from the tournament alone is built on the first
+candidate and kept with the tournament, so the per-candidate cost is the
+check itself.
 """
 
 from __future__ import annotations
@@ -77,11 +79,17 @@ def weak_order_levels(n: int) -> Iterator[Tuple[int, ...]]:
 
 
 @cache
-def _level_vectors(n: int) -> Tuple[Tuple[int, ...], ...]:
-    """`weak_order_levels(n)`, enumerated on the first call for each n and
-    kept: 4683 vectors, about 0.6 MB, at n = WEAK_ORDER_CAP.  Callers check
-    the cap first, so no larger n is kept."""
-    return tuple(weak_order_levels(n))
+def _level_vectors(n: int) -> Tuple[Ranking, ...]:
+    """Every weak order on 1..n as a ranking of its int levels, in ascending
+    order of the levels read by vertex.
+
+    Built on the first call for each n and kept, so each ranking keeps the
+    keys that its first check builds (`ranking._keys`): 4683 rankings,
+    about 2.4 MB with their keys, at n = WEAK_ORDER_CAP.  Callers check the
+    cap first, so no larger n is kept.
+    """
+    vertices = range(1, n + 1)
+    return tuple(Ranking(dict(zip(vertices, levels))) for levels in sorted(weak_order_levels(n)))
 
 
 # -- exact minimizers -------------------------------------------------------
@@ -140,26 +148,25 @@ def min_backward_fair(t: Tournament, c: FairnessClass) -> MinBackwardResult:
     upper bound on the minimum, and EmptyClassError does not prove the
     class empty.
 
-    Every level vector of `weak_order_levels` is checked once, as an exact
-    ranking of ints.  Among the members with the least backward count the
-    witness is the one whose levels, read in vertex order, are
-    lexicographically least; it is built once, with Fraction values.
+    Every weak order is checked once, as an exact ranking of its int
+    levels.  Among the members with the least backward count the witness
+    is the one whose levels, read in vertex order, are lexicographically
+    least: the first one met, as `_level_vectors` is in that order.  It is
+    built once, with Fraction values.
     """
     if t.n > WEAK_ORDER_CAP:
         raise ResourceLimitError(f"weak-order enumeration capped at n <= {WEAK_ORDER_CAP}")
-    vertices = t.vertices()
-    best: Optional[Tuple[int, Tuple[int, ...]]] = None
-    for levels in _level_vectors(t.n):
-        r = Ranking(dict(zip(vertices, levels)))
+    best: Optional[Ranking] = None
+    least = t.num_arcs + 1  # above every count
+    for r in _level_vectors(t.n):
         if not is_fair(t, r, c):
             continue
-        candidate = (backward_arcs(t, r).count, levels)
-        if best is None or candidate < best:
-            best = candidate
+        count = backward_arcs(t, r).count
+        if count < least:
+            best, least = r, count
     if best is None:
         raise EmptyClassError(f"no weak-order ranking satisfies {c.value}")
-    _, levels = best
-    return _result(t, Ranking.exact(dict(zip(vertices, levels))), "weakOrders")
+    return _result(t, Ranking.exact(best.values), "weakOrders")
 
 
 # -- extremal family sweep --------------------------------------------------

@@ -13,7 +13,11 @@ key, the same verdicts and the same text as the equal Fraction.
 Every predicate and the backward-arc report compare through one rule on
 per-vertex keys: x ranks below y iff key[y] - key[x] > e.  The keys come
 from one lookup per vertex, which also decides the domain: n lookups that
-hit, in a ranking of n labels, mean that the labels are 1..n.  A float
+hit, in a ranking of n labels, mean that the labels are 1..n.  A ranking's
+values are read-only, so the first check on it keeps its keys on it, and
+later checks on any tournament of the same size read them back; the
+weak-order minimizer, which checks the same rankings on every tournament
+and for every class, builds each ranking's keys once.  A float
 ranking keys on its values with e = eps.  An exact ranking keys on its
 values times the LCM of their denominators, integers in the same ratios,
 with e = 0; a ranking of ints alone is its own keys, with no LCM to take.
@@ -64,13 +68,14 @@ import math
 import sys
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, combinations, compress, repeat
 from operator import xor
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import DomainMismatchError, TournamentSyntaxError
 from .tournament import Tournament, bit_mask
@@ -102,7 +107,7 @@ _COPELAND_CLASSES = (FairnessClass.NSCOP, FairnessClass.SCOP, FairnessClass.COP)
 _INT_ONLY = {int}  # the value types of a ranking that is its own keys; bool is not int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ranking:
     """Vertex -> rank mapping, exact (Fractions or ints) or float.
 
@@ -110,9 +115,22 @@ class Ranking:
     compares every value as a float, with DEFAULT_EPS.  Two rankings are
     equal iff their values are and both are exact or both float, since the
     same values can pass an axiom exactly and fail it within eps.
+
+    `values` is a read-only view of a copy of the mapping given, so no
+    later change reaches a ranking, nor the comparison keys that the first
+    check on it builds and keeps (`_keys`).
     """
 
     values: Mapping[int, Rank]
+    # the keys and tolerance of `_keys`, built by the first check and kept
+    _key: Optional[Tuple[Rank, ...]] = field(default=None, init=False, repr=False, compare=False)
+    _eps: Rank = field(default=0, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "values", MappingProxyType(dict(self.values)))
+
+    def __reduce__(self):  # a view does not pickle; copies rebuild it, and their keys
+        return Ranking, (dict(self.values),)
 
     @property
     def is_exact(self) -> bool:
@@ -136,9 +154,12 @@ class Ranking:
 
     def require_domain(self, t: Tournament) -> None:
         if self.values.keys() != set(t.vertices()):
-            raise DomainMismatchError(
-                f"ranking domain {sorted(self.values)} does not match 1..{t.n}"
-            )
+            labels = list(self.values)
+            try:
+                labels.sort()
+            except TypeError:  # labels of types that do not compare, such as 1 and '3'
+                labels.sort(key=repr)
+            raise DomainMismatchError(f"ranking domain {labels} does not match 1..{t.n}")
 
 
 @dataclass(frozen=True)
@@ -175,8 +196,8 @@ class FairnessVerdict:
     ok = property(__bool__)
 
 
-def _keys(t: Tournament, r: Ranking) -> Tuple[List[Rank], Rank]:
-    """Comparison keys indexed by vertex and the tolerance e.
+def _keys(t: Tournament, r: Ranking) -> Tuple[Tuple[Rank, ...], Rank]:
+    """Comparison keys indexed by vertex and the tolerance e, kept on r.
 
     x ranks below y iff key[y] - key[x] > e.  An exact ranking keys on its
     values times the LCM of their denominators, integers in the same
@@ -189,26 +210,40 @@ def _keys(t: Tournament, r: Ranking) -> Tuple[List[Rank], Rank]:
     denominator, so reading the denominators decides exactness; one float
     makes every key a float, and an exact value beyond float range then
     raises ValueError.
+
+    The keys depend on the values alone, which are read-only, and they
+    were built for a domain of 1..n: a later tournament on n vertices gets
+    them back without a lookup, and any other n reads the values again,
+    with the same checks, and keeps the keys it builds.
     """
+    key = r._key
+    if key is not None and len(key) - 1 == t.n:
+        return key, r._eps
     try:
         values = list(map(r.values.__getitem__, t.vertices()))
     except KeyError:
         values = None
     if values is None or len(r.values) != t.n:
         r.require_domain(t)  # raises: some vertex is unranked or some label is not a vertex
+    e = 0
     if set(map(type, values)) == _INT_ONLY:
-        return [0] + values, 0
-    try:
-        scale = math.lcm(*[v.denominator for v in values])
-    except AttributeError:
+        key = (0, *values)
+    else:
         try:
-            return [0.0] + list(map(float, values)), DEFAULT_EPS
-        except OverflowError:
-            raise ValueError("ranking mixes floats with an exact value beyond float range") from None
-    return [0] + [v.numerator * (scale // v.denominator) for v in values], 0
+            scale = math.lcm(*[v.denominator for v in values])
+        except AttributeError:
+            try:
+                key, e = (0.0, *map(float, values)), DEFAULT_EPS
+            except OverflowError:
+                raise ValueError("ranking mixes floats with an exact value beyond float range") from None
+        else:
+            key = (0, *[v.numerator * (scale // v.denominator) for v in values])
+    object.__setattr__(r, "_key", key)
+    object.__setattr__(r, "_eps", e)
+    return key, e
 
 
-def _above(key: List[Rank], e: Rank) -> List[int]:
+def _above(key: Sequence[Rank], e: Rank) -> List[int]:
     """above[x] is the bitset of the y with key[y] - key[x] > e; both lists
     are indexed by vertex from 1.
 
@@ -306,8 +341,8 @@ def _scores(t: Tournament) -> _Scores:
 
 
 def _monotone_verdict(
-    key: List[Rank],
-    rank: List[Rank],
+    key: Sequence[Rank],
+    rank: Sequence[Rank],
     e: Rank,
     walk: Tuple[List[int], List[int], List[int]],
     nonstrict: Optional[str],
@@ -419,7 +454,7 @@ def _pack(values: List[int], bits: int) -> int:
     return int.from_bytes(array("H", entries), sys.byteorder)
 
 
-def _spectral_verdict(t: Tournament, key: List[Rank], e: Rank) -> FairnessVerdict:
+def _spectral_verdict(t: Tournament, key: Sequence[Rank], e: Rank) -> FairnessVerdict:
     """The spectral axiom, by one packed test per candidate pair.
 
     x's spectrum lies below y's iff deg(x) <= deg(y) and, for each k, the

@@ -1,19 +1,26 @@
-"""Memory held and peaked by tournament construction at n = 2000, under tracemalloc.
+"""Memory held and peaked under tracemalloc: tournament construction at
+n = 2000, and the weak-order rankings kept at the weak-order cap.
 
 Out-sets and backward arcs are int bitsets, about n/8 bytes per vertex, so
 a 2000-vertex tournament and its backward-arc report each hold well under
-2 MB, and parsing its 4 MB matrix text peaks at a few times the text.
+2 MB, and parsing its 4 MB matrix text peaks at a few times the text.  The
+weak-order minimizer keeps one ranking per weak order, each with its
+comparison keys: about 2.4 MB for the 4683 weak orders at n = 6.
 """
 
 import tracemalloc
 
 from fairrank import (
+    EmptyClassError,
+    FairnessClass,
     backward_arcs,
     copeland_ranking,
     gen_random,
+    min_backward_fair,
     parse_tournament,
     serialize_tournament,
 )
+from fairrank.optimize import WEAK_ORDER_CAP, _level_vectors
 
 MB = 1 << 20
 
@@ -41,3 +48,21 @@ def test_bitset_core_memory_at_n2000():
     assert gen_held < 2 * MB, f"gen_random holds {gen_held / MB:.1f} MB"
     assert parse_peak < 20 * MB, f"parsing peaks {parse_peak / MB:.1f} MB above its text"
     assert report_held < 2 * MB, f"backward_arcs holds {report_held / MB:.1f} MB"
+
+
+def test_weak_order_rankings_at_the_cap():
+    t = gen_random(WEAK_ORDER_CAP, 1)
+    _level_vectors.cache_clear()  # built and kept under tracing below
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for c in FairnessClass:
+            try:
+                min_backward_fair(t, c)
+            except EmptyClassError:
+                pass
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert _level_vectors.cache_info().currsize == 1
+    assert held < 3 * MB, f"the weak orders at n = {WEAK_ORDER_CAP} hold {held / MB:.2f} MB"

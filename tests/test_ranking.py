@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -281,6 +283,7 @@ class TestPerCallPaths:
         ({0: 1, 1: 2, 2: 3, 3: 4}, "[0, 1, 2, 3]"),  # every vertex, and 0 too
         ({1: 1, 2: 2, 2.5: 3}, "[1, 2, 2.5]"),
         ({"1": 1, "2": 2, "3": 3}, "['1', '2', '3']"),
+        ({1: 1, 2: 2, "3": 3}, "['3', 1, 2]"),  # labels that do not compare: sorted by repr
     ])
     def test_domain_mismatch_message(self, three_cycle, values, labels):
         message = f"ranking domain {labels} does not match 1..3"
@@ -321,6 +324,68 @@ class TestPerCallPaths:
             for t in (t1, t2, copy, moved, t1, copy, t2):
                 for cls in FC:
                     assert is_fair(t, r, cls) == is_fair_pairs(t, r, cls), (t.out, cls)
+
+
+class TestKeptKeys:
+    # a ranking keeps the keys of its first check; its values are read-only,
+    # so a kept key matches the values for as long as the ranking lives
+
+    def test_values_are_read_only(self):
+        r = Ranking({1: 1, 2: 2, 3: 3})
+        with pytest.raises(TypeError):
+            r.values[1] = 9
+        with pytest.raises(AttributeError):
+            r.values = {1: 9, 2: 2, 3: 3}
+
+    def test_copies_and_pickles_are_equal_rankings(self, chain3):
+        r = Ranking({1: Fraction(1, 2), 2: 2, 3: 0.5})
+        is_fair(chain3, r, FC.WEAK)  # keeps its keys
+        for again in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
+            assert again == r and not again.is_exact
+            with pytest.raises(TypeError):
+                again.values[1] = 9
+            for cls in FC:
+                assert is_fair(chain3, again, cls) == is_fair(chain3, r, cls)
+
+    def test_the_mapping_given_is_copied(self, chain3):
+        d = {1: 3, 2: 2, 3: 1}
+        r = Ranking(d)
+        before = {cls: is_fair(chain3, r, cls) for cls in FC}
+        report = backward_pairs(backward_arcs(chain3, r))
+        d[1], d[3] = 1, 3
+        d[4] = 4
+        assert r.values == {1: 3, 2: 2, 3: 1}
+        for cls in FC:
+            assert is_fair(chain3, r, cls) == before[cls] == is_fair_pairs(chain3, r, cls)
+        assert backward_pairs(backward_arcs(chain3, r)) == report == ()
+
+    def test_a_kept_key_serves_its_own_n_only(self):
+        r = Ranking({1: 2, 2: 1, 3: 2, 4: 3, 5: 1, 6: 2})
+        t6, t5, other6 = gen_random(6, 1), gen_random(5, 1), gen_random(6, 2)
+        for cls in FC:
+            assert is_fair(t6, r, cls) == is_fair_pairs(t6, r, cls)
+        for cls in FC:
+            with pytest.raises(DomainMismatchError, match=r"\[1, 2, 3, 4, 5, 6\] does not match 1..5"):
+                is_fair(t5, r, cls)
+        with pytest.raises(DomainMismatchError):
+            backward_arcs(t5, r)
+        for cls in FC:
+            assert is_fair(other6, r, cls) == is_fair_pairs(other6, r, cls)
+        assert backward_pairs(backward_arcs(other6, r)) == backward_arcs_pairs(other6, r)
+
+    @pytest.mark.parametrize("values", [
+        (2, 1, 2, 3, 1),
+        (Fraction(1, 3), Fraction(1, 2), 2, Fraction(1, 3), Fraction(7, 5)),
+        (True, False, True, True, False),
+        (0.5, 1.0, 1.0 + 1e-12, 0.25, 2.0),
+    ])
+    def test_first_and_repeated_calls_match_the_oracle(self, values):
+        r = Ranking(dict(enumerate(values, start=1)))
+        for t in (gen_random(5, 1), gen_random(5, 2)):
+            for _ in range(2):
+                for cls in FC:  # verdicts compare by certificate and reason
+                    assert is_fair(t, r, cls) == is_fair_pairs(t, r, cls), (t.out, cls)
+                assert backward_pairs(backward_arcs(t, r)) == backward_arcs_pairs(t, r)
 
 
 def test_verdict_passes_iff_it_has_no_certificate():
