@@ -23,11 +23,15 @@ values times the LCM of their denominators, integers in the same ratios,
 with e = 0; a ranking of ints alone is its own keys, with no LCM to take.
 Comparisons stay exact, and the linear axiom's out-sums, the one place
 where values matter beyond their order, are integer sums instead of
-Fraction sums.  Float out-sums are added over the out-set in ascending
-vertex order from 0.0, as the pair-scan reference in `tests/oracles.py`
-adds them, so the two agree on float verdicts to the last bit: the keys
-are read through the out-set's byte mask (`compress` over `bit_mask`),
-which yields the same values in the same order to the same builtin `sum`.
+Fraction sums.  An integer sum does not depend on the order of its terms,
+so when the keys are narrow against n (LIN_PLANE_RATIO) it is read off bit
+planes (`_plane_sums`): one AND and one popcount per plane, weighted by
+the plane's place value.  Float addition rounds at every step, so float
+out-sums are added over the out-set in ascending vertex order from 0.0,
+as the pair-scan reference in `tests/oracles.py` adds them, and the two
+agree on float verdicts to the last bit: the keys are read through the
+out-set's byte mask (`compress` over `bit_mask`), which yields the same
+values in the same order to the same builtin `sum`.
 
 The Copeland axioms and the linear axiom share one shape: key(x) <= key(y)
 implies rank(x) <= rank(y), and key(x) < key(y) implies rank(x) < rank(y),
@@ -52,8 +56,11 @@ Copeland ranking, no pair is left.  The spectral axiom prunes the same way:
 x's spectrum lies below y's only if deg(x) <= deg(y), so its candidates are
 the y of at least x's degree that do not rank above x, each decided by one
 subtraction of packed spectra (`_spectral_verdict`).  The injective axiom
-passes exact keys that are all distinct, which one set decides, and
-otherwise scans pairs.
+passes exact keys that are all distinct, which one dict of each key's last
+label decides, and that dict names the lex-least pair of equal keys
+otherwise.  A float key within e of another is within e of a neighbour
+in sorted order, by the same monotonicity, so one sort finds the least
+such x, and only its row is scanned, to name the least y.
 
 What the Copeland, weak and spectral axioms read of the out-degrees, their
 walk and the masks of the vertices from each position of it on, does not
@@ -72,8 +79,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, combinations, compress, repeat
-from operator import xor
+from itertools import accumulate, compress, count, repeat
+from operator import add, xor
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -83,6 +90,16 @@ from .tournament import Tournament, bit_mask
 Rank = Union[int, float, Fraction]
 
 DEFAULT_EPS = 1e-9
+# The linear axiom sums exact (int) keys by bit planes when n exceeds
+# LIN_PLANE_RATIO times w, the bit length of the largest key, and otherwise
+# through each out-set's byte mask.  Planes cost about w ANDs, popcounts
+# and adds per vertex, against one n-byte mask and a sum of about n/2 keys.
+# Timed on random tournaments with random w-bit keys (w = 3 to 100, n = 6
+# to 1000; 2-vCPU Xeon VM, Python 3.11), the two paths broke even at n = 7w
+# to 8.5w for every w; at n = 6 and w = 3, as in the weak-order sweep, the
+# planes took 1.6 times as long, and at n = 1000 and w = 10, as for the
+# Copeland ranking, the masks took 8.7 times as long.
+LIN_PLANE_RATIO = 8
 
 
 class FairnessClass(Enum):
@@ -402,7 +419,11 @@ def is_fair(t: Tournament, r: Ranking, c: FairnessClass) -> FairnessVerdict:
             if key[x] <= 0:
                 return FairnessVerdict((x, x), "non-positive rank")
         zero, values = key[0], key[1:]  # zero: 0 or 0.0, the start of every out-sum
-        sums = [zero] + [sum(compress(values, bit_mask(o)), zero) for o in t.out]
+        # w >= 1 for positive keys, so n <= LIN_PLANE_RATIO needs no key read
+        if e or n <= LIN_PLANE_RATIO or n <= LIN_PLANE_RATIO * max(values).bit_length():
+            sums = [zero] + [sum(compress(values, bit_mask(o)), zero) for o in t.out]
+        else:
+            sums = [0, *_plane_sums(t.out, values)]
         # inf - inf is nan, which no comparison counts as greater: an
         # overflowed out-sum would hide violations, so refuse to decide
         if e and not math.isfinite(max(sums)):
@@ -420,12 +441,27 @@ def is_fair(t: Tournament, r: Ranking, c: FairnessClass) -> FairnessVerdict:
         )
 
     if c is FairnessClass.INJ:
-        if not e and len(set(key[1:])) == n:  # distinct exact keys: nothing to certify
+        values = key[1:]
+        if not e:
+            last = dict(zip(values, count(1)))  # each key's largest label
+            if len(last) == n:  # distinct exact keys: nothing to certify
+                return FairnessVerdict()
+            # the least label whose key recurs later starts the lex-least
+            # pair, and the next label with that key ends it
+            for x, k in enumerate(values, start=1):
+                if last[k] != x:
+                    return FairnessVerdict((x, values.index(k, x) + 1), "equal ranks")
+        # a key lies within e of some other iff it lies within e of one next
+        # to it in sorted order, as fl(a - b) is monotone; no partner of the
+        # least such x is a smaller label, so x starts the lex-least pair
+        order = sorted(range(1, n + 1), key=key.__getitem__)
+        x = min([min(a, b) for a, b in zip(order, order[1:]) if not key[b] - key[a] > e], default=0)
+        if not x:
             return FairnessVerdict()
-        for x, y in combinations(range(1, n + 1), 2):
-            if abs(key[x] - key[y]) <= e:
-                return FairnessVerdict((x, y), "equal ranks")
-        return FairnessVerdict()
+        kx = key[x]
+        return FairnessVerdict(
+            (x, next(y for y in range(x + 1, n + 1) if abs(kx - key[y]) <= e)), "equal ranks"
+        )
 
     if c is FairnessClass.WEAK:
         # x+ ⊆ y+ forces y -> x, since x -> y would put y in y+, and then
@@ -445,6 +481,26 @@ def is_fair(t: Tournament, r: Ranking, c: FairnessClass) -> FairnessVerdict:
         return FairnessVerdict()
 
     raise ValueError(f"unhandled fairness class {c}")
+
+
+def _plane_sums(out: Sequence[int], values: Sequence[int]) -> List[int]:
+    """The out-sums of positive int keys, one per out-set, by bit planes.
+
+    With w the bit length of the largest key, digit i of each key's w-digit
+    binary string is its bit w - 1 - i, and the strings of vertices n down
+    to 1 joined make each plane, the bitset of the vertices whose key has
+    that bit, one stride of digits.  An out-set o sums to the planes'
+    popcount(o & plane) times their place values, which Horner's rule adds
+    from the top plane down: one AND, one popcount and one add per vertex
+    and plane, in C-level maps over the out-sets.
+    """
+    w = max(values).bit_length()
+    digits = "".join(map(format, reversed(values), repeat(f"0{w}b")))
+    sums = [0] * len(out)
+    for i in range(w):
+        plane = int(digits[i::w], 2)
+        sums = list(map(add, map(add, sums, sums), map(int.bit_count, map(plane.__and__, out))))
+    return sums
 
 
 def _pack(values: List[int], bits: int) -> int:

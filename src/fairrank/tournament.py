@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import combinations, compress, count, islice
+from itertools import combinations, compress, count, islice, repeat, starmap
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -164,12 +164,19 @@ def gen_composite(l: int) -> Tournament:
 
 def gen_random(n: int, seed: int) -> Tournament:
     """Orient each pair x < y by one coin flip of a seeded generator, in
-    lexicographic order of (x, y): x -> y when the draw is below 1/2."""
+    lexicographic order of (x, y): x -> y when the draw is below 1/2.
+
+    The draws are the `random.Random(seed).random()` sequence, which Python
+    documents as reproducible across versions, so a seed names the same
+    tournament everywhere.  Each row's draws go from the bound method into
+    one float array, with no Python step per draw.
+    """
     _require_size(n)
-    rng = random.Random(seed)
+    draw = random.Random(seed).random
     a = np.zeros((n, n), dtype=bool)
     for i in range(n - 1):
-        wins = np.array([rng.random() for _ in range(n - 1 - i)]) < 0.5
+        m = n - 1 - i
+        wins = np.fromiter(starmap(draw, repeat((), m)), float, m) < 0.5
         a[i, i + 1 :] = wins
         a[i + 1 :, i] = ~wins
     return _from_matrix(a)

@@ -1,5 +1,6 @@
 """Brute-force oracles that the library's fast paths are checked against."""
 
+import random
 from fractions import Fraction
 from functools import partial
 from itertools import permutations
@@ -26,7 +27,7 @@ from fairrank.ranking import (
     backward_arcs,
     is_fair,
 )
-from fairrank.tournament import Tournament, _score_components
+from fairrank.tournament import Tournament, _from_matrix, _score_components
 
 # -- adjacency, decoded bit by bit ---------------------------------------
 
@@ -35,6 +36,18 @@ def out_set(t: Tournament, x: int) -> frozenset:
     """The out-neighborhood of x, read from its bitset one bit at a time."""
     bits = t.out[x - 1]
     return frozenset(y for y in t.vertices() if bits >> (y - 1) & 1)
+
+
+def gen_random_listcomp(n: int, seed: int) -> Tournament:
+    """`gen_random` as it was first written: each row's coins drawn into a
+    list, one `rng.random()` call per element, then into an array."""
+    rng = random.Random(seed)
+    a = np.zeros((n, n), dtype=bool)
+    for i in range(n - 1):
+        wins = np.array([rng.random() for _ in range(n - 1 - i)]) < 0.5
+        a[i, i + 1 :] = wins
+        a[i + 1 :, i] = ~wins
+    return _from_matrix(a)
 
 
 def composite_vertex(m: int, i: int, l: int) -> int:

@@ -2,11 +2,13 @@ import copy
 import pickle
 import random
 from fractions import Fraction
+from itertools import compress
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fairrank import ranking as ranking_module
 from fairrank import (
     BackwardReport,
     DomainMismatchError,
@@ -24,6 +26,9 @@ from fairrank import (
     parse_ranking,
     serialize_ranking,
 )
+from fairrank.optimize import _level_vectors
+from fairrank.ranking import _keys, _plane_sums
+from fairrank.tournament import bit_mask
 from oracles import (
     arcs,
     backward_arcs_pairs,
@@ -208,6 +213,139 @@ class TestLinear:
         verdict = is_fair(t, exact(1, 1, 1, 1, Fraction(9, 10)), FC.LIN)
         assert (verdict.ok, verdict.certificate, verdict.reason) == (
             False, (3, 1), "strict linear violated")
+
+
+def primes(count):
+    found = []
+    k = 2
+    while len(found) < count:
+        if all(k % p for p in found):
+            found.append(k)
+        k += 1
+    return found
+
+
+def linear_cases():
+    """(name, tournament, ranking) cases for the two out-sum paths of LIN."""
+    rng = random.Random(21)
+    denominators = primes(40)
+    cases = []
+    for n in (64, 65, 200):
+        t = gen_random(n, n)
+        shuffled = rng.sample(range(1, n + 1), n)
+        cases += [
+            (f"copeland-{n}", t, copeland_ranking(t)),
+            (f"shuffled-{n}", t, Ranking(dict(enumerate(shuffled, start=1)))),
+            # the LCM of the denominators makes keys of hundreds of bits
+            (f"p/q-{n}", t, Ranking({v: Fraction(rng.randint(1, 9), rng.choice(denominators))
+                                     for v in t.vertices()})),
+            (f"powers-of-two-{n}", t, Ranking({v: 2 ** rng.randrange(70) for v in t.vertices()})),
+            (f"above-2**64-{n}", t, Ranking({v: 2**64 + rng.randrange(3) for v in t.vertices()})),
+        ]
+    # x beats every y < x: ranks x and 2**(x - 1) both pass, on sums
+    # x(x - 1)/2 and 2**(x - 1) - 1
+    for n in (65, 200):
+        t = Tournament([(1 << x) - 1 for x in range(n)])
+        cases += [(f"transitive-{n}", t, Ranking({x: x for x in t.vertices()})),
+                  (f"transitive-powers-{n}", t, Ranking({x: 2 ** (x - 1) for x in t.vertices()}))]
+    t = gen_random(65, 3)
+    for bad in (0, -1):
+        values = {v: v for v in t.vertices()}
+        values[40] = bad
+        cases.append((f"non-positive-{bad}", t, Ranking(values)))
+    one = Tournament([0])
+    cases += [("n=1", one, Ranking({1: 1})), ("n=1-zero", one, Ranking({1: 0}))]
+    return cases
+
+
+LINEAR_CASES = linear_cases()
+POSITIVE_CASES = [c for c in LINEAR_CASES if min(c[2].values.values()) > 0]
+
+
+class TestLinearOutSums:
+    # exact keys sum by bit planes when n > LIN_PLANE_RATIO * w, w the bit
+    # length of the largest key, and through byte masks otherwise: both
+    # paths must give the pair scan's verdict on the same rankings
+
+    @staticmethod
+    def both_paths(monkeypatch, t, r):
+        verdicts = []
+        for ratio in (0, t.n):  # planes for every positive key, then for none
+            monkeypatch.setattr(ranking_module, "LIN_PLANE_RATIO", ratio)
+            verdicts.append(is_fair(t, r, FC.LIN))
+        return verdicts
+
+    @pytest.mark.parametrize("name, t, r", LINEAR_CASES, ids=[c[0] for c in LINEAR_CASES])
+    def test_both_paths_match_the_pair_scan(self, monkeypatch, name, t, r):
+        expected = is_fair_pairs(t, r, FC.LIN)
+        assert self.both_paths(monkeypatch, t, r) == [expected, expected]
+        monkeypatch.undo()
+        assert is_fair(t, r, FC.LIN) == expected
+        if name.startswith("non-positive"):
+            assert expected.certificate == (40, 40) and expected.reason == "non-positive rank"
+
+    @pytest.mark.parametrize("name, t, r", POSITIVE_CASES, ids=[c[0] for c in POSITIVE_CASES])
+    def test_plane_sums_are_the_out_sums(self, name, t, r):
+        key, _ = _keys(t, r)
+        values = key[1:]
+        masked = [sum(compress(values, bit_mask(o)), 0) for o in t.out]
+        assert _plane_sums(t.out, values) == masked
+        if all(type(v) is int for v in r.values.values()):  # its own keys
+            assert masked == list(linear_sums(t, r).values())
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_weak_order_levels_at_n6(self, monkeypatch, seed):
+        t = gen_random(6, seed)
+        for r in _level_vectors(6):
+            expected = is_fair_pairs(t, r, FC.LIN)
+            assert self.both_paths(monkeypatch, t, r) == [expected, expected], dict(r.values)
+
+
+class TestInjective:
+    # the lex-least pair of equal keys (within eps for floats), found
+    # without a scan of all pairs
+
+    @pytest.mark.parametrize("values, pair", [
+        ((5, 3, 3, 5), (1, 4)),  # not the first repeat met in label order
+        ((1, 2, 3, 3), (3, 4)),
+        ((2, 1, 2, 1), (1, 3)),
+        ((4, 3, 2, 1), None),
+        ((7,), None),
+        ((0.5, 0.5 + 6e-10, 0.5 + 1.2e-9), (1, 2)),  # 1 and 3 are 1.2e-9 apart
+        ((0.5 + 1.2e-9, 0.5, 0.5 + 6e-10), (1, 3)),
+        ((3.0, 1.0, 2.0, 1.0 + 5e-10), (2, 4)),
+        ((3.0, 1.0, 2.0, 1.0 + 2e-9), None),
+    ])
+    def test_certificate(self, values, pair):
+        n = len(values)
+        t = gen_random(n, n)
+        r = Ranking(dict(enumerate(values, start=1)))
+        verdict = is_fair(t, r, FC.INJ)
+        assert verdict.certificate == pair
+        assert verdict == is_fair_pairs(t, r, FC.INJ)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_ties_match_the_pair_scan(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(2, 40)
+        t = gen_random(n, seed)
+        levels = [rng.randint(1, n + 2) for _ in range(n)]
+        for r in (Ranking(dict(enumerate(levels, start=1))),
+                  Ranking({v: Fraction(k, 3) for v, k in enumerate(levels, start=1)}),
+                  # steps of 0.4e-9 chain vertices within eps of a neighbour
+                  Ranking({v: 1.0 + k * 4e-10 for v, k in enumerate(levels, start=1)})):
+            assert is_fair(t, r, FC.INJ) == is_fair_pairs(t, r, FC.INJ), dict(r.values)
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_one_tie_at_the_last_labels(self, exact):
+        n = 120
+        t = gen_random(n, 5)
+        values = {v: v if exact else v / 7 for v in t.vertices()}
+        assert is_fair(t, Ranking(values), FC.INJ).ok
+        values[n] = values[n - 1]
+        r = Ranking(values)
+        assert is_fair(t, r, FC.INJ) == is_fair_pairs(t, r, FC.INJ)
+        assert is_fair(t, r, FC.INJ).certificate == (n - 1, n)
 
 
 class TestContainments:

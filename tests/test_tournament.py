@@ -23,7 +23,14 @@ from fairrank import (
     serialize_tournament,
 )
 from fairrank.tournament import DEFAULT_VERTEX_CAP, members
-from oracles import arcs, composite_vertex, induced, out_set, scc_decompose_tarjan
+from oracles import (
+    arcs,
+    composite_vertex,
+    gen_random_listcomp,
+    induced,
+    out_set,
+    scc_decompose_tarjan,
+)
 
 
 class TestBuild:
@@ -163,6 +170,15 @@ class TestBitsets:
         # digests of the output of the frozenset implementation
         text = serialize_tournament(gen_random(n, seed))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_gen_random_matches_the_list_reference(self, seed):
+        # the same `Random.random()` draws in the same order, so the same coins
+        for n in range(1, 71):
+            assert gen_random(n, seed) == gen_random_listcomp(n, seed), n
+
+    def test_gen_random_matches_the_list_reference_at_1000(self):
+        assert gen_random(1000, 7) == gen_random_listcomp(1000, 7)
 
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 15, 16, 17, 63, 64, 65])
     def test_roundtrip_across_byte_padding(self, n):
