@@ -9,10 +9,10 @@ minima here are upper bounds on the true minima, and an EmptyClassError
 for it does not prove the class empty.
 
 Weak orders are enumerated as integer level vectors (`weak_order_levels`),
-once per n, and kept as exact rankings that hold those ints: about 2.4 MB
-at n = 6 once each ranking has kept its comparison keys.  The predicates
-read the ints as their own keys, built on a ranking's first check and kept
-on it (see `ranking`), so no Fraction and no key is built per candidate in
+once per n, and kept as exact rankings that hold those ints: 2.81 MB at
+n = 6 once each ranking has kept its comparison keys.  The predicates key
+the ints by the one exact-key rule on a ranking's first check and keep the
+keys on it (see `ranking`), so no Fraction and no key is built per candidate in
 later sweeps at that n; only the reported witness holds Fractions.  What
 the predicates derive from the tournament alone is built on the first
 candidate and kept with the tournament, so the per-candidate cost is the
@@ -85,7 +85,7 @@ def _level_vectors(n: int) -> Tuple[Ranking, ...]:
 
     Built on the first call for each n and kept, so each ranking keeps the
     keys that its first check builds (`ranking._keys`): 4683 rankings,
-    about 2.4 MB with their keys, at n = WEAK_ORDER_CAP.  Callers check the
+    2.81 MB with their keys, at n = WEAK_ORDER_CAP.  Callers check the
     cap first, so no larger n is kept.
     """
     vertices = range(1, n + 1)

@@ -19,8 +19,9 @@ later checks on any tournament of the same size read them back; the
 weak-order minimizer, which checks the same rankings on every tournament
 and for every class, builds each ranking's keys once.  A float
 ranking keys on its values with e = eps.  An exact ranking keys on its
-values times the LCM of their denominators, integers in the same ratios,
-with e = 0; a ranking of ints alone is its own keys, with no LCM to take.
+values times the LCM of their denominators, Python ints in the same
+ratios, with e = 0; a ranking is exact iff every value has a denominator,
+the one rule that both `_keys` and `Ranking.is_exact` read.
 Comparisons stay exact, and the linear axiom's out-sums, the one place
 where values matter beyond their order, are integer sums instead of
 Fraction sums.  An integer sum does not depend on the order of its terms,
@@ -36,7 +37,7 @@ values in the same order to the same builtin `sum`.
 The Copeland axioms and the linear axiom share one shape: key(x) <= key(y)
 implies rank(x) <= rank(y), and key(x) < key(y) implies rank(x) < rank(y),
 with the out-degree (Copeland) or the out-neighborhood rank sum (linear)
-as the key.  One walk up the keys in sorted order (`_walk`) decides them
+as the key.  One walk up the keys in sorted order (`_Walk`) decides them
 in O(n log n) once the keys are known, instead of a scan of all n(n - 1)
 ordered pairs: the y whose key is not below x's form a suffix of the
 sorted order, so do the y whose key is above x's, and x breaks an
@@ -58,13 +59,14 @@ the y of at least x's degree that do not rank above x, each decided by one
 subtraction of packed spectra (`_spectral_verdict`).  The injective axiom
 passes exact keys that are all distinct, which one dict of each key's last
 label decides, and that dict names the lex-least pair of equal keys
-otherwise.  A float key within e of another is within e of a neighbour
-in sorted order, by the same monotonicity, so one sort finds the least
-such x, and only its row is scanned, to name the least y.
+otherwise.  Float keys take the walk: the keys within e of x's are one
+run of the sorted order, by the same monotonicity, so the least x whose
+run holds another vertex, with the least other vertex of that run, is
+the certificate.
 
 What the Copeland, weak and spectral axioms read of the out-degrees, their
 walk and the masks of the vertices from each position of it on, does not
-depend on the ranking.  It is built once per tournament (`_Scores`), by
+depend on the ranking.  It is built once per tournament (`_scores`), by
 the first of them to run, and kept on that tournament, so a minimizer that
 checks thousands of rankings of one tournament builds it once.
 """
@@ -121,14 +123,15 @@ class FairnessClass(Enum):
 
 # built once: each FairnessClass.X lookup costs about as much as a small check
 _COPELAND_CLASSES = (FairnessClass.NSCOP, FairnessClass.SCOP, FairnessClass.COP)
-_INT_ONLY = {int}  # the value types of a ranking that is its own keys; bool is not int
 
 
 @dataclass(frozen=True, slots=True)
 class Ranking:
     """Vertex -> rank mapping, exact (Fractions or ints) or float.
 
-    A ranking is exact iff none of its values is a float; a float ranking
+    A ranking is exact iff every value has a denominator, as ints and
+    Fractions do, by the rule that `_keys` reads; any other ranking, one
+    with a float, a numpy float or a Decimal, is a float ranking and
     compares every value as a float, with DEFAULT_EPS.  Two rankings are
     equal iff their values are and both are exact or both float, since the
     same values can pass an axiom exactly and fail it within eps.
@@ -151,7 +154,7 @@ class Ranking:
 
     @property
     def is_exact(self) -> bool:
-        return not any(isinstance(v, float) for v in self.values.values())
+        return all(hasattr(v, "denominator") for v in self.values.values())
 
     @classmethod
     def exact(cls, values: Mapping[int, Rank]) -> "Ranking":
@@ -216,17 +219,17 @@ class FairnessVerdict:
 def _keys(t: Tournament, r: Ranking) -> Tuple[Tuple[Rank, ...], Rank]:
     """Comparison keys indexed by vertex and the tolerance e, kept on r.
 
-    x ranks below y iff key[y] - key[x] > e.  An exact ranking keys on its
-    values times the LCM of their denominators, integers in the same
-    ratios, with e = 0; an all-int ranking is its own keys, since its LCM
-    is 1.  A float ranking keys on its values with e = DEFAULT_EPS.  Index
-    0 holds the zero of the key type, 0 or 0.0.  Every read of a ranking's
-    values comes through here: n lookups that all hit, in a mapping of n
-    labels, mean that the labels are exactly 1..n; otherwise
-    `Ranking.require_domain` raises.  A float is the one rank without a
-    denominator, so reading the denominators decides exactness; one float
-    makes every key a float, and an exact value beyond float range then
-    raises ValueError.
+    x ranks below y iff key[y] - key[x] > e.  An exact ranking, one whose
+    values all have a denominator, keys on its values times the LCM of
+    their denominators, Python ints in the same ratios (an int has
+    denominator 1, and a numpy int becomes a Python int, which does not
+    wrap), with e = 0.  Any other ranking keys on its values as floats,
+    with e = DEFAULT_EPS; one value without a denominator makes every key
+    a float, and an exact value beyond float range then raises ValueError.
+    Index 0 holds the zero of the key type, 0 or 0.0.  Every read of a
+    ranking's values comes through here: n lookups that all hit, in a
+    mapping of n labels, mean that the labels are exactly 1..n; otherwise
+    `Ranking.require_domain` raises.
 
     The keys depend on the values alone, which are read-only, and they
     were built for a domain of 1..n: a later tournament on n vertices gets
@@ -243,18 +246,16 @@ def _keys(t: Tournament, r: Ranking) -> Tuple[Tuple[Rank, ...], Rank]:
     if values is None or len(r.values) != t.n:
         r.require_domain(t)  # raises: some vertex is unranked or some label is not a vertex
     e = 0
-    if set(map(type, values)) == _INT_ONLY:
-        key = (0, *values)
-    else:
+    try:
+        denominators = [int(v.denominator) for v in values]
+    except AttributeError:
         try:
-            scale = math.lcm(*[v.denominator for v in values])
-        except AttributeError:
-            try:
-                key, e = (0.0, *map(float, values)), DEFAULT_EPS
-            except OverflowError:
-                raise ValueError("ranking mixes floats with an exact value beyond float range") from None
-        else:
-            key = (0, *[v.numerator * (scale // v.denominator) for v in values])
+            key, e = (0.0, *map(float, values)), DEFAULT_EPS
+        except OverflowError:
+            raise ValueError("ranking mixes floats with an exact value beyond float range") from None
+    else:
+        scale = math.lcm(*denominators)
+        key = (0, *[int(v.numerator) * (scale // d) for v, d in zip(values, denominators)])
     object.__setattr__(r, "_key", key)
     object.__setattr__(r, "_eps", e)
     return key, e
@@ -300,85 +301,77 @@ def copeland_ranking(t: Tournament) -> Ranking:
 # -- fairness predicates ---------------------------------------------------
 
 
-def _walk(key: List[Rank], e: Rank) -> Tuple[List[int], List[int], List[int]]:
-    """The vertices in ascending key order, ties by label, and for each
-    vertex x the positions geq[x] and gt[x] of that order where the keys
-    not below key[x], and the keys above it, begin (gt[x] = n when no key
-    is above).  Both lists are indexed by vertex from 1.
+class _Walk:
+    """One walk up the keys in ascending order, ties by label (`order`).
 
-    a < b means b - a > e.  The y not below x form a suffix of the order,
-    and so do the y above x, since fl(a - b) never decreases as a grows or
-    as b shrinks; both start points only move right as x moves right, so
-    one walk up the order finds them all.
-    """
-    n = len(key) - 1
-    order = sorted(range(1, n + 1), key=key.__getitem__)
-    geq, gt = [0] * (n + 1), [0] * (n + 1)
-    i = j = 0
-    for x in order:
-        kx = key[x]
-        while kx - key[order[i]] > e:
-            i += 1
-        while j < n and not key[order[j]] - kx > e:
-            j += 1
-        geq[x], gt[x] = i, j
-    return order, geq, gt
-
-
-class _Scores:
-    """What the score-based predicates know of a tournament before they see
-    a ranking: the out-degrees, indexed by vertex from 1, their `_walk`, and
-    suffix[p], the bitset of the vertices from position p of that walk on.
-
-    Out-degrees are ints, which differ by 0 or by at least 1, so the walk
-    with e = 0 serves every e < 1.  suffix is built on first use (WEAK and
-    SPEC); its n + 1 bitsets hold about as much as the out-sets do.
+    geq[x] and gt[x] are the positions of that order where the keys not
+    below key[x], and the keys above it, begin (gt[x] = n when no key is
+    above); `key`, geq and gt are indexed by vertex from 1, and a < b means
+    b - a > e.  The y not below x form a suffix of the order, and so do the
+    y above x, since fl(a - b) never decreases as a grows or as b shrinks;
+    both start points only move right as x does, so one walk finds them
+    all, and order[geq[x]:gt[x]] holds the vertices within e of x.
+    suffix[p], the bitset of the vertices from position p of the order on,
+    is built on first use; its n + 1 bitsets hold about as much as the
+    out-sets do.
     """
 
-    def __init__(self, t: Tournament):
-        self.degree = [0, *map(int.bit_count, t.out)]
-        self.walk = _walk(self.degree, 0)
+    def __init__(self, key: Sequence[Rank], e: Rank):
+        n = len(key) - 1
+        order = sorted(range(1, n + 1), key=key.__getitem__)
+        geq, gt = [0] * (n + 1), [0] * (n + 1)
+        i = j = 0
+        for x in order:
+            kx = key[x]
+            while kx - key[order[i]] > e:
+                i += 1
+            while j < n and not key[order[j]] - kx > e:
+                j += 1
+            geq[x], gt[x] = i, j
+        self.key, self.order, self.geq, self.gt = key, order, geq, gt
 
     @cached_property
     def suffix(self) -> List[int]:
-        order = self.walk[0]
+        order = self.order
         suffix = [0] * (len(order) + 1)
         for p in range(len(order) - 1, -1, -1):
             suffix[p] = suffix[p + 1] | 1 << (order[p] - 1)
         return suffix
 
 
-def _scores(t: Tournament) -> _Scores:
-    """t's `_Scores`, built on the first call for t and kept on t."""
+def _scores(t: Tournament) -> _Walk:
+    """The `_Walk` of t's out-degrees, built on the first call for t and
+    kept on t.  Out-degrees are ints, which differ by 0 or by at least 1,
+    so the walk with e = 0 serves every e < 1."""
     scores = t._scores
     if scores is None:
-        scores = _Scores(t)
+        scores = _Walk([0, *map(int.bit_count, t.out)], 0)
         object.__setattr__(t, "_scores", scores)
     return scores
 
 
 def _monotone_verdict(
-    key: Sequence[Rank],
+    walk: _Walk,
     rank: Sequence[Rank],
     e: Rank,
-    walk: Tuple[List[int], List[int], List[int]],
     nonstrict: Optional[str],
     strict: Optional[str],
 ) -> FairnessVerdict:
     """Decide key(x) <= key(y) => rank(x) <= rank(y) and, separately,
-    key(x) < key(y) => rank(x) < rank(y) over all ordered pairs x != y.
+    key(x) < key(y) => rank(x) < rank(y) over all ordered pairs x != y,
+    where key is `walk.key`.
 
     Each implication is checked when its reason string is given.  The
     lists are indexed by vertex from 1; a < b means b - a > e, for keys and
-    ranks alike, and `walk` is `_walk(key, e)`.  The y with key not below
-    x's are order[geq[x]:], and those with key above x's order[gt[x]:].
+    ranks alike, and the walk is taken with the same e.  The y with key not
+    below x's are order[geq[x]:], and those with key above x's order[gt[x]:].
     x breaks an implication against some y of its suffix iff it breaks it
     against the suffix's least rank low[geq[x]] or low[gt[x]], since
     fl(a - b) is monotone in each argument.  The least such x is found by
     testing the vertices in ascending label order; only its row is
     scanned, to name the least y.
     """
-    order, geq, gt = walk
+    key, order, geq, gt = walk.key, walk.order, walk.geq, walk.gt
     n = len(order)
     low = [rank[v] for v in order]
     for j in range(n - 2, -1, -1):
@@ -429,13 +422,12 @@ def is_fair(t: Tournament, r: Ranking, c: FairnessClass) -> FairnessVerdict:
         if e and not math.isfinite(max(sums)):
             raise ValueError("a float out-sum overflows; scale the ranking down")
         return _monotone_verdict(
-            sums, key, e, _walk(sums, e), "non-strict linear violated", "strict linear violated"
+            _Walk(sums, e), key, e, "non-strict linear violated", "strict linear violated"
         )
 
     if c in _COPELAND_CLASSES:
-        scores = _scores(t)
         return _monotone_verdict(
-            scores.degree, key, e, scores.walk,
+            _scores(t), key, e,
             None if c is FairnessClass.SCOP else "non-strict Copeland violated",
             None if c is FairnessClass.NSCOP else "strict Copeland violated",
         )
@@ -451,24 +443,21 @@ def is_fair(t: Tournament, r: Ranking, c: FairnessClass) -> FairnessVerdict:
             for x, k in enumerate(values, start=1):
                 if last[k] != x:
                     return FairnessVerdict((x, values.index(k, x) + 1), "equal ranks")
-        # a key lies within e of some other iff it lies within e of one next
-        # to it in sorted order, as fl(a - b) is monotone; no partner of the
-        # least such x is a smaller label, so x starts the lex-least pair
-        order = sorted(range(1, n + 1), key=key.__getitem__)
-        x = min([min(a, b) for a, b in zip(order, order[1:]) if not key[b] - key[a] > e], default=0)
-        if not x:
-            return FairnessVerdict()
-        kx = key[x]
-        return FairnessVerdict(
-            (x, next(y for y in range(x + 1, n + 1) if abs(kx - key[y]) <= e)), "equal ranks"
-        )
+        # order[geq[x]:gt[x]] holds the vertices within e of x, x among them;
+        # each is tied, so for the least tied x they are x and larger labels
+        walk = _Walk(key, e)
+        for x in range(1, n + 1):
+            if walk.gt[x] - walk.geq[x] > 1:
+                tied = sorted(walk.order[walk.geq[x] : walk.gt[x]])
+                return FairnessVerdict((x, tied[1]), "equal ranks")
+        return FairnessVerdict()
 
     if c is FairnessClass.WEAK:
         # x+ ⊆ y+ forces y -> x, since x -> y would put y in y+, and then
         # y+ holds x+ and x, so deg(y) > deg(x): only the y that beat x,
         # outscore x and do not rank above x can break the axiom
         scores = _scores(t)
-        _, _, gt = scores.walk
+        gt = scores.gt
         suffix = scores.suffix  # suffix[gt[x]]: the y that outscore x
         above = _above(key, e)
         for x, ox in enumerate(t.out, start=1):
@@ -523,10 +512,10 @@ def _spectral_verdict(t: Tournament, key: Sequence[Rank], e: Rank) -> FairnessVe
     Ranks enter the test as small ints.  index(b) is 1 plus the number of
     keys below b.  The keys b with a - b > e are the lowest ones, since
     fl(a - b) never decreases as b falls (module docstring), and low(a) is
-    1 plus their number, so `not a - b > e` holds iff index(b) >= low(a).
-    low grows with a, so one walk up the sorted keys finds every low; for
-    exact keys (e = 0) it is the index itself.  The same rule places the
-    ranks: y ranks above x iff index(x) < low(y).
+    1 plus their number, so `not a - b > e` holds iff index(b) >= low(a):
+    low is 1 plus geq of the keys' `_Walk`, and for exact keys (e = 0) it
+    is the index itself.  The same rule places the ranks: y ranks above x
+    iff index(x) < low(y).
 
     A spectrum packs into one int, one 16-bit field per entry, largest
     first: indexes for the side that must be larger, lows for the other.
@@ -542,16 +531,8 @@ def _spectral_verdict(t: Tournament, key: Sequence[Rank], e: Rank) -> FairnessVe
     ordered = sorted(values)
     ordered.insert(0, ordered[0])  # never compared: bisecting from 1 counts the keys below, plus 1
     index = list(map(bisect_left, repeat(ordered, n), values, repeat(1, n)))
-    if e:
-        low, j = [0] * n, 1
-        for v in sorted(range(n), key=values.__getitem__):
-            a = values[v]
-            while a - ordered[j] > e:
-                j += 1
-            low[v] = j
-        if low == index:  # no two distinct keys within e: one pack serves both sides
-            low = index
-    else:
+    low = [g + 1 for g in _Walk(key, e).geq[1:]] if e else index
+    if low == index:  # no two distinct keys within e: one pack serves both sides
         low = index
     # Buckets by low are disjoint, so running xors are running unions:
     # prefix[i] holds the y with low(y) <= i, which do not rank above an x
@@ -563,8 +544,7 @@ def _spectral_verdict(t: Tournament, key: Sequence[Rank], e: Rank) -> FairnessVe
         bit <<= 1
     prefix = list(accumulate(buckets, xor))
     scores = _scores(t)
-    _, geq, _ = scores.walk
-    suffix = scores.suffix
+    geq, suffix = scores.geq, scores.suffix
 
     larger = [None] * n  # packs of indexes, by 0-based vertex
     smaller = larger if low is index else [None] * n  # packs of lows

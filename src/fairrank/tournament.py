@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import combinations, compress, count, islice, repeat, starmap
+from itertools import combinations, islice, repeat, starmap
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -31,15 +31,14 @@ class Tournament:
     """Immutable tournament on vertices 1..n.
 
     Each out-neighborhood is one int bitset, bit y - 1 standing for vertex
-    y, so an arc test is a shift and a mask and an out-degree a bit count;
-    `members` decodes a bitset to its labels.  Instances built through this
-    constructor are trusted; use :func:`build_tournament` to validate raw
-    arc lists.
+    y, so an arc test is a shift and a mask and an out-degree a bit count.
+    Instances built through this constructor are trusted; use
+    :func:`build_tournament` to validate raw arc lists.
     """
 
     out: Tuple[int, ...] = field(repr=False)
     n: int = field(init=False)  # len(out)
-    # The out-degree data of the score-based predicates, built by the first
+    # The out-degree walk of the score-based predicates, built by the first
     # of them to run (`ranking._scores`) and kept with the tournament that
     # it describes.  It derives from `out` alone, so it never goes stale.
     _scores: Optional[object] = field(default=None, init=False, repr=False, compare=False)
@@ -72,11 +71,6 @@ def bit_mask(bits: int) -> bytes:
     `compress(values, bit_mask(bits))` reads the members' values in
     ascending vertex order without decoding a label."""
     return bin(bits)[:1:-1].encode().translate(_BITS)
-
-
-def members(bits: int) -> List[int]:
-    """The labels of the set bits of a bitset, ascending: bit y - 1 is vertex y."""
-    return list(compress(count(1), bit_mask(bits)))
 
 
 # -- construction and validation ------------------------------------------
@@ -155,7 +149,7 @@ def gen_composite(l: int) -> Tournament:
     out = []
     for m in range(s):
         below = (1 << (m * s)) - 1
-        beaten = sum(layer << ((k - 1) * s) for k in members(rot[m]))
+        beaten = sum(layer << (k * s) for k in range(s) if rot[m] >> k & 1)
         for i in range(s):
             same_i = column << i
             out.append((same_i & below) | (rot[i] << (m * s)) | (beaten & ~same_i))

@@ -391,12 +391,11 @@ def test_spec_relabeled_composite(l):
         perm = rng.sample(range(1, base.n + 1), base.n)
         t = relabeled(base, perm)
         fair = linear_fair_ranking(t).ranking
-        assert_spec_parity(t, fair)
-        assert_spec_parity(t, copeland_ranking(t))
-        for k in (1, 3, base.n // 2):
-            assert_spec_parity(t, perturbed(fair, rng, k))
-        assert_spec_parity(t, Ranking.approx(
+        rankings = [fair, copeland_ranking(t), *[perturbed(fair, rng, k) for k in (1, 3, base.n // 2)]]
+        rankings.append(Ranking.approx(
             {v: x + rng.choice((0.0, -0.5, 0.5, 1.5)) * DEFAULT_EPS for v, x in fair.values.items()}))
+        for r in rankings:  # INJ on float ranks walks the near-tie runs too
+            assert_parity(t, r, (FC.SPEC, FC.INJ))
 
 
 @pytest.mark.parametrize("seed", range(60))

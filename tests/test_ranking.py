@@ -1,9 +1,11 @@
 import copy
 import pickle
 import random
+from decimal import Decimal
 from fractions import Fraction
 from itertools import compress
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -365,7 +367,8 @@ class TestContainments:
 
 
 class TestValuesDecideExactness:
-    # a ranking is exact iff none of its values is a float
+    # a ranking is exact iff every value has a denominator, as ints and
+    # Fractions do; floats, numpy floats and Decimals have none
 
     @pytest.mark.parametrize("cls", list(FC))
     def test_float_values_make_a_float_ranking(self, three_cycle, chain3, cls):
@@ -390,6 +393,34 @@ class TestValuesDecideExactness:
         assert not mixed.is_exact
         assert is_fair(chain3, mixed, cls) == is_fair(chain3, Ranking.approx(mixed.values), cls)
 
+    @pytest.mark.parametrize("number", [np.float32, Decimal])
+    def test_values_without_a_denominator_make_a_float_ranking(self, three_cycle, number):
+        r = Ranking({1: number("1"), 2: number("1.000000000001"), 3: number("2")})
+        assert not r.is_exact
+        for cls in FC:
+            assert is_fair(three_cycle, r, cls) == is_fair(three_cycle, Ranking.approx(r.values), cls)
+
+    def test_a_decimal_ranking_is_not_its_exact_twin(self, three_cycle):
+        # the Decimal ranks compare as floats, tied within eps; the equal
+        # Fractions are 1e-12 apart exactly, so the two rankings decide apart
+        values = {1: Decimal(1), 2: Decimal("1.000000000001"), 3: Decimal(2)}
+        r, twin = Ranking(values), Ranking.exact(values)
+        assert not is_fair(three_cycle, r, FC.INJ).ok
+        assert is_fair(three_cycle, twin, FC.INJ).ok
+        assert r != twin
+
+    @pytest.mark.parametrize("offset", [0, 2**62])
+    def test_numpy_ints_decide_as_the_equal_python_ints(self, offset):
+        # numpy ints have a denominator, so they are exact; their keys are
+        # Python ints, which have bit_length (LIN's plane test reads it) and
+        # do not wrap at 2**63 in LIN's out-sums near 2**62
+        t = gen_random(20, 1)
+        ints = {v: offset + t.out_degree(v) + 1 for v in t.vertices()}
+        r, twin = Ranking({v: np.int64(x) for v, x in ints.items()}), Ranking(ints)
+        assert r.is_exact and r == twin
+        for cls in FC:
+            assert is_fair(t, r, cls) == is_fair(t, twin, cls), cls
+        assert backward_arcs(t, r) == backward_arcs(t, twin)
 
     def test_equal_values_exact_and_float_are_different_rankings(self, three_cycle):
         # the same values are 1e-12 apart exactly but tied within eps
