@@ -55,8 +55,12 @@ the pairs that it and the complement of the rank mask leave, in ascending
 x and then y; when the degree order and the rank order agree, as on the
 Copeland ranking, no pair is left.  The spectral axiom prunes the same way:
 x's spectrum lies below y's only if deg(x) <= deg(y), so its candidates are
-the y of at least x's degree that do not rank above x, each decided by one
-subtraction of packed spectra (`_spectral_verdict`).  The injective axiom
+the y of at least x's degree that do not rank above x (`_spectral_verdict`).
+Up to SPEC_PACKED_MAX vertices each candidate is decided by one subtraction
+of packed spectra, since the weak-order minimizer checks thousands of
+rankings at n = 6 and pays each call's set-up; above it the candidates are
+decided in numpy chunks of sorted spectra (`_spectral_chunks`), whose work
+and memory per chunk SPEC_CHUNK_ENTRIES bounds.  The injective axiom
 passes exact keys that are all distinct, which one dict of each key's last
 label decides, and that dict names the lex-least pair of equal keys
 otherwise.  Float keys take the walk: the keys within e of x's are one
@@ -86,6 +90,8 @@ from operator import add, xor
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from .errors import DomainMismatchError, TournamentSyntaxError
 from .tournament import Tournament, bit_mask
 
@@ -102,6 +108,26 @@ DEFAULT_EPS = 1e-9
 # planes took 1.6 times as long, and at n = 1000 and w = 10, as for the
 # Copeland ranking, the masks took 8.7 times as long.
 LIN_PLANE_RATIO = 8
+# The spectral axiom is decided by the packed walk up to SPEC_PACKED_MAX
+# vertices and in numpy chunks above it.  The walk spends one big-int
+# subtraction per candidate pair, numpy a fixed 0.05 ms or more per check
+# on a few dozen array calls.  Timed on random tournaments with the
+# Copeland, the linear-fair and random 1..4 rankings (8 seeds per n, best
+# of 5, two runs; 2-vCPU Xeon VM, Python 3.11, numpy 2.4), a check that
+# passes, and so tests every candidate, took 0.88-0.91 times numpy's time
+# on the walk at n = 20, 1.12-1.15 times at n = 24 and 4-5 times at
+# n = 200.  At n = 6, where the weak-order sweep checks 4683 rankings, the
+# walk took a third of numpy's time or less (15-26 us against 63-96 us).
+# A check that fails at an early pair stays cheaper on the walk up to a
+# few hundred vertices (0.53-0.70 ms against 0.87-0.91 ms at n = 200); on
+# the Copeland ranking of random n = 2000 it took 54 ms against 5 ms.
+SPEC_PACKED_MAX = 20
+# Entries per numpy chunk of the spectral axiom, each entry a vertex of a
+# row of n: a chunk tests SPEC_CHUNK_ENTRIES // n candidate pairs and keeps
+# as many sorted rows, 256 KB of int16 per array, and a check peaks under
+# 40 bytes an entry (tests/test_memory.py).  Up to n = 362 every row fits,
+# so the composite family (n = 81 to 289 at l = 4 to 8) sorts each row once.
+SPEC_CHUNK_ENTRIES = 2**17
 
 
 class FairnessClass(Enum):
@@ -123,6 +149,13 @@ class FairnessClass(Enum):
 
 # built once: each FairnessClass.X lookup costs about as much as a small check
 _COPELAND_CLASSES = (FairnessClass.NSCOP, FairnessClass.SCOP, FairnessClass.COP)
+
+
+def _fraction(r: Rank) -> Fraction:
+    try:
+        return Fraction(r)
+    except TypeError:  # Fraction takes ints, Rationals, floats, Decimals and strings
+        return Fraction(float(r))
 
 
 @dataclass(frozen=True, slots=True)
@@ -158,7 +191,10 @@ class Ranking:
 
     @classmethod
     def exact(cls, values: Mapping[int, Rank]) -> "Ranking":
-        return cls({v: Fraction(r) for v, r in values.items()})
+        """The ranking of the values as Fractions.  A value that `Fraction`
+        refuses, such as a numpy float32, is read as the exact binary value
+        of float(value)."""
+        return cls({v: _fraction(r) for v, r in values.items()})
 
     @classmethod
     def approx(cls, values: Mapping[int, Rank]) -> "Ranking":
@@ -499,8 +535,101 @@ def _pack(values: List[int], bits: int) -> int:
     return int.from_bytes(array("H", entries), sys.byteorder)
 
 
+def _spectra(out: Sequence[int], rows: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """The spectra of the vertices in `rows` (0-based), one int16 row of n
+    each: ranks[y] for every y of the out-set, 0 elsewhere, sorted ascending.
+
+    The out-sets are unpacked from their bitsets as `fixpoint` unpacks the
+    Perron matrix.  Two such rows hold the k-th largest entries of their
+    spectra at the same position n - 1 - k, so comparing them entry by
+    entry compares the spectra from the top, as the packed fields do.
+    """
+    n = len(out)
+    nbytes = (n + 7) // 8
+    data = b"".join([out[v].to_bytes(nbytes, "little") for v in rows.tolist()])
+    bits = np.frombuffer(data, np.uint8).reshape(-1, nbytes)
+    spectra = np.unpackbits(bits, axis=1, count=n, bitorder="little") * ranks
+    spectra.sort(axis=1)
+    return spectra
+
+
+def _spectral_chunks(out: Sequence[int], index: List[int], low: List[int]) -> FairnessVerdict:
+    """`_spectral_verdict` above SPEC_PACKED_MAX vertices: the same
+    candidates, tests and certificate, decided in numpy chunks of `per`
+    rows or pairs, n entries each, at most SPEC_CHUNK_ENTRIES in all.
+
+    x is taken in label-ordered blocks of `per` rows.  One broadcast over
+    a block marks its candidate pairs, the y of at least x's degree with
+    low(y) <= index(x), and `np.nonzero` lists them in lex order, `per` to
+    a chunk.  In a chunk, x's spectrum lies below y's iff y's row of
+    indexes is at least x's row of lows at every position; such a pair
+    violates the axiom when x ranks above y (index(y) < low(x)) or, failing
+    that, when y's spectrum does not lie below x's (the same test with the
+    sides swapped).  The first violation of the first chunk that holds one
+    is the lex-least.
+
+    A chunk sorts the lows of its own x, a range of labels, and the
+    spectra of the y it meets first; those are kept for later chunks, up to
+    `per` rows, and dropped all at once when a chunk's new y do not fit.  Up
+    to n = sqrt(SPEC_CHUNK_ENTRIES) every y is sorted once per check, and a
+    check that fails in its first chunk sorts only that chunk's rows.  No
+    array outgrows SPEC_CHUNK_ENTRIES entries of n, bar the pair lists of
+    a block, which a dense block of candidates fills with 16 bytes an entry.
+    """
+    n = len(out)
+    same = low is index
+    tops_rank = np.array(index, dtype=np.int16)
+    lows_rank = tops_rank if same else np.array(low, dtype=np.int16)
+    deg = np.fromiter(map(int.bit_count, out), dtype=np.int16, count=n)
+    per = max(1, SPEC_CHUNK_ENTRIES // n)
+    tops = np.empty((per, n), dtype=np.int16)  # kept spectra of y: indexes
+    lows = tops if same else np.empty((per, n), dtype=np.int16)  # and lows
+    slot = np.full(n, -1)  # y's row of tops and lows, or -1
+    held = 0
+    for x0 in range(0, n, per):
+        block = np.arange(x0, min(x0 + per, n))
+        candidates = (lows_rank <= tops_rank[block, None]) & (deg >= deg[block, None])
+        candidates[block - x0, block] = False
+        px, py = np.nonzero(candidates)
+        px += x0
+        for c in range(0, len(px), per):
+            cx, cy = px[c:c + per], py[c:c + per]
+            met = np.zeros(n, dtype=bool)
+            met[cy] = True
+            new = np.flatnonzero(met & (slot < 0))
+            if held + len(new) > per:
+                slot[:] = -1
+                held, new = 0, np.flatnonzero(met)
+            if len(new):
+                slot[new] = np.arange(held, held + len(new))
+                tops[held:held + len(new)] = _spectra(out, new, tops_rank)
+                if not same:
+                    lows[held:held + len(new)] = _spectra(out, new, lows_rank)
+                held += len(new)
+            first = cx[0]
+            xs = np.arange(first, cx[-1] + 1)
+            lows_x = _spectra(out, xs, lows_rank)
+            below = np.flatnonzero((tops[slot[cy]] >= lows_x[cx - first]).all(1))
+            if not len(below):
+                continue
+            cx, cy = cx[below], cy[below]
+            above = tops_rank[cy] < lows_rank[cx]
+            bad = above.copy()
+            tied = np.flatnonzero(~above)
+            if len(tied):
+                tops_x = lows_x if same else _spectra(out, xs, tops_rank)
+                bad[tied] = ~(tops_x[cx[tied] - first] >= lows[slot[cy[tied]]]).all(1)
+            bad = np.flatnonzero(bad)
+            if len(bad):
+                k = bad[0]
+                reason = "non-strict spectral violated" if above[k] else "strict spectral violated"
+                return FairnessVerdict((int(cx[k]) + 1, int(cy[k]) + 1), reason)
+    return FairnessVerdict()
+
+
 def _spectral_verdict(t: Tournament, key: Sequence[Rank], e: Rank) -> FairnessVerdict:
-    """The spectral axiom, by one packed test per candidate pair.
+    """The spectral axiom: one packed test per candidate pair up to
+    SPEC_PACKED_MAX vertices, numpy chunks (`_spectral_chunks`) above.
 
     x's spectrum lies below y's iff deg(x) <= deg(y) and, for each k, the
     k-th largest rank of x's out-set is not above the k-th largest of y's.
@@ -524,7 +653,14 @@ def _spectral_verdict(t: Tournament, key: Sequence[Rank], e: Rank) -> FairnessVe
     borrows from the next, as indexes and lows are at most
     n <= DEFAULT_VERTEX_CAP < 2**15; the empty fields beyond y's degree
     hold 0 and fail any field that x fills.  So the test holds iff x's
-    spectrum lies below y's.  Each spectrum is packed on first use.
+    spectrum lies below y's.  Each spectrum is packed on first use, by one
+    Python sort of its entries.
+
+    Above SPEC_PACKED_MAX vertices the same indexes and lows, as int16, go
+    to `_spectral_chunks`, which sorts spectra in numpy and decides the
+    candidates of a block of x at once; the walk stays for small n, where
+    its per-call set-up is a few list builds and numpy's is larger than the
+    whole check.
     """
     n, out = t.n, t.out
     values = key[1:]
@@ -534,6 +670,8 @@ def _spectral_verdict(t: Tournament, key: Sequence[Rank], e: Rank) -> FairnessVe
     low = [g + 1 for g in _Walk(key, e).geq[1:]] if e else index
     if low == index:  # no two distinct keys within e: one pack serves both sides
         low = index
+    if n > SPEC_PACKED_MAX:
+        return _spectral_chunks(out, index, low)
     # Buckets by low are disjoint, so running xors are running unions:
     # prefix[i] holds the y with low(y) <= i, which do not rank above an x
     # of index i.  suffix[geq[x]] holds the y of at least x's degree.

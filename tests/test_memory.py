@@ -1,11 +1,19 @@
 """Memory held and peaked under tracemalloc: tournament construction at
-n = 2000, and the weak-order rankings kept at the weak-order cap.
+n = 2000, the spectral check at n = 2000, and the weak-order rankings kept
+at the weak-order cap.
 
 Out-sets and backward arcs are int bitsets, about n/8 bytes per vertex, so
 a 2000-vertex tournament and its backward-arc report each hold well under
 2 MB, and parsing its 4 MB matrix text peaks at a few times the text.  The
 weak-order minimizer keeps one ranking per weak order, each with its
-comparison keys: 2.81 MB for the 4683 weak orders at n = 6.
+comparison keys: 2.81 MB for the 4683 weak orders at n = 6.  The spectral
+check above `SPEC_PACKED_MAX` vertices works in chunks of
+`SPEC_CHUNK_ENTRIES` entries: it keeps that many entries of sorted y
+spectra (two int16 arrays, 4 bytes an entry), and a chunk adds its block's
+candidate mask (1 byte) and pair lists (two int64 arrays, 16 bytes at
+most), the spectra of its x (4 bytes), the gathered spectra and their
+comparison (5 bytes) and the unpacked bits of a sort (3 bytes): under 40
+bytes an entry.
 """
 
 import tracemalloc
@@ -16,11 +24,14 @@ from fairrank import (
     backward_arcs,
     copeland_ranking,
     gen_random,
+    is_fair,
+    linear_fair_ranking,
     min_backward_fair,
     parse_tournament,
     serialize_tournament,
 )
 from fairrank.optimize import WEAK_ORDER_CAP, _level_vectors
+from fairrank.ranking import SPEC_CHUNK_ENTRIES
 
 MB = 1 << 20
 
@@ -48,6 +59,24 @@ def test_bitset_core_memory_at_n2000():
     assert gen_held < 2 * MB, f"gen_random holds {gen_held / MB:.1f} MB"
     assert parse_peak < 20 * MB, f"parsing peaks {parse_peak / MB:.1f} MB above its text"
     assert report_held < 2 * MB, f"backward_arcs holds {report_held / MB:.1f} MB"
+
+
+def test_spectral_check_peaks_within_its_chunks_at_n2000():
+    # the linear-fair ranking passes, so every candidate pair is tested; one
+    # n x n int16 array of spectra alone would take 8 MB here
+    t = gen_random(2000, 1)
+    fair = linear_fair_ranking(t).ranking
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        verdict = is_fair(t, fair, FairnessClass.SPEC)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    bound = 40 * SPEC_CHUNK_ENTRIES
+    assert verdict.ok
+    assert bound < 2 * t.n * t.n
+    assert peak < bound, f"the spectral check peaks at {peak / MB:.2f} MB, bound {bound / MB:.2f} MB"
 
 
 def test_weak_order_rankings_at_the_cap():

@@ -6,7 +6,11 @@ comparison per arc for `backward_arcs`, and `build_tournament` fed the '1'
 cells of a matrix in row-major order for the matrix parser.  They compare
 rank values with the raw-value comparators `lt`, `eq` and `leq` of
 `oracles.py` (exact ranks with < and ==, float ranks with b - a > eps and
-|a - b| <= eps), never through the library's per-vertex keys.
+|a - b| <= eps), never through the library's per-vertex keys.  The
+spectral axiom has two paths, the packed walk up to
+`ranking.SPEC_PACKED_MAX` vertices and numpy chunks above it; every spectral
+parity check here runs both, and the numpy path once more with one
+candidate pair per chunk, by patching the module constants.
 """
 
 import math
@@ -35,6 +39,7 @@ from fairrank import (
     parse_tournament,
     serialize_tournament,
 )
+from fairrank import ranking as ranking_module
 from fairrank.ranking import DEFAULT_EPS
 from fairrank.tournament import _BLOCK_ROWS, DEFAULT_VERTEX_CAP, Tournament
 from oracles import backward_arcs_pairs, backward_pairs, is_fair_pairs, iter_weak_orders, weak_order_ranking
@@ -47,9 +52,36 @@ def verdict(v):
     return (v.ok, v.certificate, v.reason)
 
 
+# (SPEC_PACKED_MAX, SPEC_CHUNK_ENTRIES): the packed walk at every n, numpy
+# chunks at every n, and numpy with one row per block and one pair per chunk
+SPEC_PATHS = (
+    (DEFAULT_VERTEX_CAP, ranking_module.SPEC_CHUNK_ENTRIES),
+    (0, ranking_module.SPEC_CHUNK_ENTRIES),
+    (0, 1),
+)
+
+
+def spec_verdicts(t, r, paths=SPEC_PATHS):
+    """The spectral verdict on each path of `paths`, forced by the constants."""
+    verdicts = []
+    for packed_max, chunk in paths:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ranking_module, "SPEC_PACKED_MAX", packed_max)
+            mp.setattr(ranking_module, "SPEC_CHUNK_ENTRIES", chunk)
+            verdicts.append(verdict(is_fair(t, r, FC.SPEC)))
+    return verdicts
+
+
+def assert_spec_parity(t, r):
+    assert spec_verdicts(t, r) == [verdict(is_fair_pairs(t, r, FC.SPEC))] * len(SPEC_PATHS)
+
+
 def assert_parity(t, r, classes=tuple(FC)):
     for c in classes:
-        assert verdict(is_fair(t, r, c)) == verdict(is_fair_pairs(t, r, c)), c
+        if c is FC.SPEC:
+            assert_spec_parity(t, r)
+        else:
+            assert verdict(is_fair(t, r, c)) == verdict(is_fair_pairs(t, r, c)), c
     assert backward_pairs(backward_arcs(t, r)) == backward_arcs_pairs(t, r)
 
 
@@ -361,9 +393,10 @@ def test_parser_faults_across_a_block_boundary(faults, error, message):
     assert outcome(lambda: parse_tournament(text)) == outcome(lambda: streamed(n, rows)) == (error, message)
 
 
-# -- spectral axiom on packed spectra ---------------------------------------------
+# -- spectral axiom on packed spectra and in numpy chunks -------------------------
 # `is_fair` tests only the candidate pairs of the degree prune, each by one
-# subtraction of packed spectra; `is_fair_pairs` sorts both spectra of every
+# subtraction of packed spectra or, above SPEC_PACKED_MAX vertices, in numpy
+# chunks of sorted spectra; `is_fair_pairs` sorts both spectra of every
 # ordered pair and compares them entry by entry with the raw-value comparators.
 
 
@@ -375,10 +408,6 @@ def relabeled(t, perm):
             if row >> (y - 1) & 1:
                 out[perm[x - 1] - 1] |= 1 << (perm[y - 1] - 1)
     return Tournament(out)
-
-
-def assert_spec_parity(t, r):
-    assert verdict(is_fair(t, r, FC.SPEC)) == verdict(is_fair_pairs(t, r, FC.SPEC))
 
 
 @pytest.mark.parametrize("l", [1, 2, 3])
@@ -426,3 +455,32 @@ def test_spec_copeland_certificates_at_scale(n, pair):
     t = gen_random(n, 1)
     assert verdict(is_fair(t, copeland_ranking(t), FC.SPEC)) == (
         False, pair, "strict spectral violated")
+
+
+# where the pair scan is too slow, the two paths check each other: the packed
+# walk, numpy in its own chunks, and numpy with blocks and chunks of 8
+def assert_spec_paths_agree(t, r):
+    paths = SPEC_PATHS[:2] + ((0, 8 * t.n),)
+    verdicts = spec_verdicts(t, r, paths)
+    assert verdicts == [verdicts[0]] * len(paths)
+    return verdicts[0]
+
+
+@pytest.mark.parametrize("n", [200, 1000])
+def test_spec_paths_agree_at_scale(n):
+    rng = random.Random(n)
+    t = gen_random(n, 1)
+    fair, cop = linear_fair_ranking(t).ranking, copeland_ranking(t)
+    rankings = (fair, cop, perturbed(fair, rng, 2), perturbed(fair, rng, n // 2), perturbed(cop, rng, 3))
+    passed = [assert_spec_paths_agree(t, r)[0] for r in rankings]
+    assert passed[0] and passed.count(False) >= 2  # both outcomes occur
+
+
+@pytest.mark.parametrize("l", [4, 6, 8])
+def test_spec_paths_agree_on_relabeled_composite(l):
+    rng = random.Random(l)
+    base = gen_composite(l)
+    t = relabeled(base, rng.sample(range(1, base.n + 1), base.n))
+    fair = linear_fair_ranking(t).ranking
+    for r in (fair, copeland_ranking(t), *[perturbed(fair, rng, k) for k in (1, 3, base.n // 2)]):
+        assert_spec_paths_agree(t, r)

@@ -432,6 +432,18 @@ class TestValuesDecideExactness:
         assert exact_r == Ranking.exact(values) and float_r == Ranking.approx(values)
         assert Ranking({1: 1, 2: 2, 3: 3}) == exact(1, 2, 3)  # ints and Fractions alike
 
+    @pytest.mark.parametrize("number", [np.float16, np.float32, np.float64, np.longdouble])
+    def test_exact_reads_numpy_floats_by_their_binary_value(self, three_cycle, number):
+        # Fraction refuses numpy floats that are not Python floats; Ranking.exact
+        # takes each as the exact value of float(x), as the float ranking holds it
+        values = {1: number(1.5), 2: number(0.1), 3: number(2)}
+        r = Ranking.exact(values)
+        assert r.is_exact
+        assert r.values == {1: Fraction(3, 2), 2: Fraction(float(number(0.1))), 3: 2}
+        assert r == Ranking.exact({v: float(x) for v, x in values.items()})
+        for cls in FC:
+            assert is_fair(three_cycle, r, cls) == is_fair_pairs(three_cycle, r, cls)
+
     @pytest.mark.parametrize("cls", list(FC))
     def test_float_ranking_with_an_exact_value_beyond_float_range(self, three_cycle, cls):
         mixed = Ranking({1: 0.5, 2: Fraction(10**400), 3: 2})
