@@ -163,6 +163,15 @@ class TestMinimize:
                      "--class", "lin"]) == 2
         assert "--class applies only to --space weak-orders" in capsys.readouterr().err
 
+    def test_pairwise_class_runs_past_the_enumeration_cap(self, tmp_path, capsys):
+        t = tmp_path / "t.txt"
+        t.write_text(serialize_tournament(gen_random(7, 1)))
+        argv = ["minimize", "--in", str(t), "--space", "weak-orders", "--class"]
+        assert main(argv + ["cop"]) == 0
+        assert capsys.readouterr().out.startswith("space=weak-orders count=5 ")
+        assert main(argv + ["weak"]) == 2
+        assert capsys.readouterr() == ("", "error: weak-order enumeration capped at n <= 6\n")
+
 
 class TestEmn:
     def test_sweep_rows(self, capsys):

@@ -25,6 +25,7 @@ from fairrank import (
     weak_order_levels,
 )
 from fairrank.cli import report_json
+from fairrank.optimize import PAIRWISE_ORDER_CAP
 from oracles import is_fair_pairs, iter_weak_orders, min_backward_fair_blocks, min_backward_injective_bnb
 
 FC = FairnessClass
@@ -117,6 +118,16 @@ class TestWeakOrderParity:
             values = " ".join(str(res.witness[v]) for v in t.vertices())
             digest.update(f"{res.count} {values}\n".encode())
         assert digest.hexdigest() == self.N5_DIGESTS[c]
+
+    # one n = 7 tournament per pairwise class: the block loop tries all
+    # 47 293 weak orders, the DP only the blocks that fit
+    @pytest.mark.parametrize("c, seed", [(FC.NSCOP, 1), (FC.SCOP, 2), (FC.COP, 3), (FC.INJ, 4)],
+                             ids=lambda p: getattr(p, "value", p))
+    def test_pairwise_at_n7(self, c, seed):
+        t = gen_random(7, seed)
+        res = min_backward_fair(t, c)
+        assert res == min_backward_fair_blocks(t, c)
+        assert all(type(v) is Fraction for v in res.witness.values.values())
 
 
 class TestInjective:
@@ -240,8 +251,46 @@ class TestWeakOrderMinimum:
         assert is_fair_pairs(t, res.witness, FC.SPEC).ok
 
     def test_cap(self):
-        with pytest.raises(ResourceLimitError):
-            min_backward_fair(gen_random(7, 0), FC.WEAK)
+        for c in (FC.WEAK, FC.SPEC, FC.LIN):
+            with pytest.raises(ResourceLimitError, match="weak-order enumeration capped at n <= 6"):
+                min_backward_fair(gen_random(7, 0), c)
+
+    @pytest.mark.parametrize("c", [FC.NSCOP, FC.SCOP, FC.COP, FC.INJ], ids=lambda c: c.value)
+    def test_pairwise_cap(self, c):
+        assert min_backward_fair(gen_random(7, 0), c).search_space == "weakOrders"
+        with pytest.raises(ResourceLimitError, match=f"capped at n <= {PAIRWISE_ORDER_CAP}"):
+            min_backward_fair(gen_random(PAIRWISE_ORDER_CAP + 1, 0), c)
+
+
+def assert_pairwise_invariants(t):
+    """What the pairwise minima must satisfy at any n: SCOP is the closed
+    form, INJ the permutation minimum, NSCOP 0 (all vertices tied) and COP at
+    least SCOP; each witness is in its class and has the reported count."""
+    res = {c: min_backward_fair(t, c) for c in (FC.NSCOP, FC.SCOP, FC.COP, FC.INJ)}
+    assert res[FC.SCOP].count == min_backward_copeland_closed_form(t).count
+    assert res[FC.INJ].count == min_backward_injective(t).count
+    assert res[FC.NSCOP].count == 0
+    assert res[FC.COP].count >= res[FC.SCOP].count
+    for c, r in res.items():
+        assert is_fair_pairs(t, r.witness, c).ok, c
+        assert backward_arcs(t, r.witness).count == r.count
+    return res
+
+
+class TestPairwiseAboveEnumeration:
+    @pytest.mark.parametrize("n", range(8, PAIRWISE_ORDER_CAP + 1))
+    def test_random(self, n):
+        assert_pairwise_invariants(gen_random(n, n))
+
+    def test_regular_at_the_cap(self):
+        # rotational l = 6 is regular: SCOP has no constraint, so the DP visits
+        # every (placed set, block) pair, 3^13 of them; ranked by label, 1
+        # highest, only the l(l + 1)/2 = 21 arcs that wrap around are
+        # backward, the least any injective ranking achieves
+        t = gen_rotational(6)
+        assert t.n == PAIRWISE_ORDER_CAP
+        res = assert_pairwise_invariants(t)
+        assert (res[FC.SCOP].count, res[FC.INJ].count) == (0, 21)
 
 
 class TestCompositeSweep:
