@@ -9,14 +9,14 @@ minima here are upper bounds on the true minima, and an EmptyClassError
 for it does not prove the class empty.  Every minimum reports the witness
 with the least (count, levels read by vertex).
 
-NSCOP, SCOP, COP and INJ constrain the ranks pair by pair (x must rank
-under y, or not over it), and so does the backward count, so the weak
-orders are built block by block, bottom level first, by a DP over the set
-already placed (Held and Karp, 1962): 3^n (set, block) pairs at most,
-under a second at n = PAIRWISE_ORDER_CAP.  WEAK is pairwise as well, but
-stays, with SPEC and LIN, on the enumeration of every weak order up to
-WEAK_ORDER_CAP, since the benchmark's own tests pin how many `is_fair`
-calls its sweep makes.
+NSCOP, SCOP and COP have closed-form minima, read off the out-degrees at
+any n (`min_backward_fair` gives the proof).  The injective class is
+minimized by one DP over the set of vertices already placed (Held and
+Karp, 1962), up to INJECTIVE_SEARCH_CAP vertices; `min_backward_injective`
+and `min_backward_fair(t, INJ)` both run it and report the same witness.
+WEAK constrains the ranks pair by pair as well, but stays, with SPEC and
+LIN, on the enumeration of every weak order up to WEAK_ORDER_CAP, since
+the benchmark's own tests pin how many `is_fair` calls its sweep makes.
 
 The enumerated weak orders are integer level vectors (`weak_order_levels`),
 built once per n and kept as exact rankings that hold those ints: 2.81 MB at
@@ -34,13 +34,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 from .errors import EmptyClassError, ResourceLimitError
 from .ranking import (
+    _COPELAND_CLASSES,
     FairnessClass,
     Ranking,
-    _scores,
     backward_arcs,
     copeland_ranking,
     is_fair,
@@ -50,11 +50,6 @@ from .tournament import Tournament, enumerate_all, gen_composite
 INJECTIVE_SEARCH_CAP = 16
 EMN_LMAX_CAP = 10_000
 WEAK_ORDER_CAP = 6
-PAIRWISE_ORDER_CAP = 13
-
-# the classes whose axiom is a set of pairwise rank constraints, minimized
-# by `_least_pairwise_order`; the others enumerate `_level_vectors`
-_PAIRWISE_CLASSES = (FairnessClass.NSCOP, FairnessClass.SCOP, FairnessClass.COP, FairnessClass.INJ)
 
 
 @dataclass(frozen=True)
@@ -112,36 +107,9 @@ def _level_vectors(n: int) -> Tuple[Ranking, ...]:
 
 
 def min_backward_injective(t: Tournament) -> MinBackwardResult:
-    """Exact minimum over all injective rankings, by a subset DP.
-
-    Orders are built lowest rank first; placing v while the set u is still
-    unplaced makes v's arcs into u - {v} backward, so with vertices as bits
-    cost[u] = min over v in u of |out(v) & (u - v)| + cost[u - v].  first[u]
-    is the bit of the smallest v that attains the minimum, the first strict
-    improvement in vertex order, so following it from the whole set gives
-    the lex-least optimal placement order.
-    """
-    if t.n > INJECTIVE_SEARCH_CAP:
-        raise ResourceLimitError(f"permutation search capped at n <= {INJECTIVE_SEARCH_CAP}")
-    bits = [(1 << (v - 1), out) for v, out in enumerate(t.out, start=1)]
-    cost = [0] * (1 << t.n)
-    first = [0] * (1 << t.n)
-    for u in range(1, 1 << t.n):
-        best = t.num_arcs + 1  # above every cost, so some v improves on it
-        for b, out in bits:
-            if u & b:
-                c = (out & (u ^ b)).bit_count() + cost[u ^ b]
-                if c < best:
-                    best, pick = c, b
-        cost[u], first[u] = best, pick
-
-    order: List[int] = []
-    u = (1 << t.n) - 1
-    while u:
-        order.append(first[u].bit_length())  # bit v - 1 is vertex v
-        u ^= first[u]
-    witness = Ranking.exact({v: pos for pos, v in enumerate(order, start=1)})
-    return _result(t, witness, "permutations")
+    """Exact minimum over all injective rankings, up to INJECTIVE_SEARCH_CAP
+    vertices; the same witness as `min_backward_fair(t, INJ)`."""
+    return _result(t, _least_injective_order(t), "permutations")
 
 
 def min_backward_copeland_closed_form(t: Tournament) -> MinBackwardResult:
@@ -154,78 +122,36 @@ def min_backward_copeland_closed_form(t: Tournament) -> MinBackwardResult:
     return _result(t, copeland_ranking(t), "closedForm")
 
 
-def _least_pairwise_order(t: Tournament, c: FairnessClass) -> Ranking:
-    """The member of a pairwise class (NSCOP, SCOP, COP or INJ) with the least
-    (backward count, levels read by vertex), by a DP over placed sets.
+def _least_injective_order(t: Tournament) -> Ranking:
+    """The injective ranking with the least (backward count, levels read by
+    vertex), by a DP over placed sets (Held and Karp, 1962).
 
-    Blocks are placed bottom level first; with vertices as bits, S is the
-    set placed so far.  below[y] holds the x that must rank under y (the
-    lower degrees, for SCOP and COP) and not_above[y] the x that must not
-    rank over y (the degrees up to y's, for NSCOP and COP).  Each y's
-    constraints are decided when y is placed, so a block B fits on S iff
-    below[y] lies in S for each y in B, which makes B a subset of `allowed`,
-    and the union of not_above over B lies in S | B; INJ places one vertex
-    at a time.  Placing B makes the arcs from S into B backward.
-
-    best[S] packs the least (count, levels of the unplaced vertices read by
-    vertex, from 1) into one int, the count above `width`-bit level fields
-    with vertex 1's highest, so comparing ints compares the pairs.  With B
-    placed next, B takes level 1 and every later level goes up by one,
-    which adds the same `unit` to every candidate of S: the least candidate
-    of S|B stays least, and best[S] is the least arcs(S, B) + best[S | B],
-    plus unit.  A set from which no order fits stays at `dead` or above.
-    The Copeland ranking is in every Copeland class and each permutation is
-    injective, so best[0] is live.
+    Vertices are placed one at a time, lowest level first; with vertices
+    as bits, s is the set placed so far, and placing y on s makes the arcs
+    from s into y backward.  best[s] packs the least (count, levels of the
+    unplaced vertices read by vertex, from 1) into one int, the count above
+    `width`-bit level fields with vertex 1's highest, so comparing ints
+    compares the pairs.  With y placed next, y takes level 1 and every
+    later level goes up by one, which adds the same `unit` to every
+    candidate of s: the least candidate of s | y stays least, and best[s]
+    is the least arcs(s, y) + best[s | y], plus unit.
     """
+    if t.n > INJECTIVE_SEARCH_CAP:
+        raise ResourceLimitError(f"permutation search capped at n <= {INJECTIVE_SEARCH_CAP}")
     n, full = t.n, (1 << t.n) - 1
     width = n.bit_length()  # levels run up to n
     shift = width * n
-    walk = _scores(t)
-    strict = c is FairnessClass.SCOP or c is FairnessClass.COP
-    nonstrict = c is FairnessClass.NSCOP or c is FairnessClass.COP
-    # per vertex: its bit, below[y], the x with x -> y, and 1 in its level field
-    rows = [
-        (1 << y - 1, full & ~walk.suffix[walk.geq[y]] if strict else 0,
-         full ^ out ^ 1 << y - 1, 1 << width * (n - y))
-        for y, out in enumerate(t.out, start=1)
-    ]
-    # outside[B]: the x outside B that some y of B must not rank over
-    outside = [0] * (full + 1)
-    if nonstrict:
-        not_above = [full & ~walk.suffix[walk.gt[y]] for y in t.vertices()]
-        for b in range(1, full + 1):
-            low = b & -b
-            outside[b] = (outside[b ^ low] | not_above[low.bit_length() - 1]) & ~b
+    # per vertex: its bit, the x with x -> y, and 1 in its level field
+    rows = [(1 << y - 1, full ^ out ^ 1 << y - 1, 1 << width * (n - y))
+            for y, out in enumerate(t.out, start=1)]
     best = [0] * (full + 1)
-    cost = [0] * (full + 1)  # cost[B]: arcs(S, B) << shift, for the S at hand
-    dead = (t.num_arcs + 1) << shift  # above every live best
+    top = (t.num_arcs + 1) << shift  # above every candidate
     for s in range(full - 1, -1, -1):
-        allowed = unit = 0
-        for b, below, into, field in rows:
+        least, unit = top, 0
+        for b, into, field in rows:
             if not s & b:
                 unit += field
-                cost[b] = (into & s).bit_count() << shift
-                if not below & ~s:
-                    allowed |= b
-        least, not_placed = dead, ~s
-        if c is FairnessClass.INJ:
-            while allowed:
-                b = allowed & -allowed
-                allowed ^= b
-                k = cost[b] + best[s | b]
-                if k < least:
-                    least = k
-        else:
-            b = 0
-            while True:  # the subsets of allowed in increasing order
-                b = (b - allowed) & allowed
-                if not b:
-                    break
-                low = b & -b
-                cost[b] = k = cost[b ^ low] + cost[low]
-                if outside[b] & not_placed:
-                    continue
-                k += best[s | b]
+                k = ((into & s).bit_count() << shift) + best[s | b]
                 if k < least:
                     least = k
         best[s] = least + unit
@@ -246,20 +172,34 @@ def min_backward_fair(t: Tournament, c: FairnessClass) -> MinBackwardResult:
     witness is the one whose levels, read in vertex order, are
     lexicographically least, with Fraction values.
 
-    NSCOP, SCOP, COP and INJ constrain ranks pair by pair, as the backward
-    count does, so `_least_pairwise_order` finds that witness by a DP over
-    placed sets, up to PAIRWISE_ORDER_CAP vertices.  WEAK, SPEC and LIN
-    enumerate every weak order up to WEAK_ORDER_CAP: each is checked once,
-    as an exact ranking of its int levels, and the witness is the first
-    least one met, as `_level_vectors` is in ascending order.  WEAK is
-    pairwise too, but stays on the enumeration while the benchmark's own
-    tests pin its number of `is_fair` calls.
+    NSCOP, SCOP and COP take that witness in closed form, at any n.  NSCOP
+    puts every vertex on level 1: deg(x) <= deg(y) asks only for
+    rank(x) <= rank(y), which a tie meets, no arc is backward, and 1 is the
+    least level.  SCOP and COP put each vertex on its dense degree level,
+    1 plus the number of distinct out-degrees below its own.  Every SCOP
+    ranking ranks y over x when deg(x) < deg(y), so it makes each
+    degree-rising arc x -> y backward, and the dense levels make only those
+    arcs backward.  Along one vertex of each distinct degree up to deg(v),
+    the levels of a SCOP weak order rise strictly from 1, so v's level is
+    at least its dense level.  COP ties equal degrees and orders the others
+    by degree, so its one weak order is the dense one.
+
+    INJ takes the witness from the DP of `_least_injective_order`, as
+    `min_backward_injective` does, up to INJECTIVE_SEARCH_CAP vertices.
+    WEAK, SPEC and LIN enumerate every weak order up to WEAK_ORDER_CAP:
+    each is checked once, as an exact ranking of its int levels, and the
+    witness is the first least one met, as `_level_vectors` is in
+    ascending order.  WEAK constrains ranks pair by pair and could be
+    placed by a DP too, but stays on the enumeration while the benchmark's
+    own tests pin its number of `is_fair` calls.
     """
-    if c in _PAIRWISE_CLASSES:
-        if t.n > PAIRWISE_ORDER_CAP:
-            raise ResourceLimitError(
-                f"ordered-partition DP capped at n <= {PAIRWISE_ORDER_CAP} for {c.value}")
-        return _result(t, _least_pairwise_order(t, c), "weakOrders")
+    if c in _COPELAND_CLASSES:
+        degrees = [out.bit_count() for out in t.out]
+        dense = {d: level for level, d in enumerate(sorted(set(degrees)), start=1)}
+        levels = [1 if c is FairnessClass.NSCOP else dense[d] for d in degrees]
+        return _result(t, Ranking.exact(dict(zip(t.vertices(), levels))), "weakOrders")
+    if c is FairnessClass.INJ:
+        return _result(t, _least_injective_order(t), "weakOrders")
     if t.n > WEAK_ORDER_CAP:
         raise ResourceLimitError(f"weak-order enumeration capped at n <= {WEAK_ORDER_CAP}")
     best: Optional[Ranking] = None

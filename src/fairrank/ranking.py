@@ -208,6 +208,9 @@ class Ranking:
             return NotImplemented
         return self.is_exact == other.is_exact and self.values == other.values
 
+    def __hash__(self) -> int:  # equal values hash alike, whatever their order or type
+        return hash((self.is_exact, frozenset(self.values.items())))
+
     def require_domain(self, t: Tournament) -> None:
         if self.values.keys() != set(t.vertices()):
             labels = list(self.values)

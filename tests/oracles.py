@@ -205,13 +205,11 @@ def spectral_leq_bruteforce(t: Tournament, r: Ranking, x: int, y: int) -> bool:
     return injection_exists(*_spectra(t, r, x, y), partial(leq, r))
 
 
-def min_backward_injective_bnb(t: Tournament) -> MinBackwardResult:
-    """Exact minimum over all injective rankings, by branch and bound.
+def min_backward_injective_bnb(t: Tournament) -> int:
+    """Least backward count over all injective rankings, by branch and bound.
 
     Orders are built lowest rank first; placing v adds one backward arc per
-    out-neighbor still unplaced.  A first pass finds the optimum with
-    aggressive pruning; a second lexicographic pass recovers the lex-least
-    optimal placement order.
+    out-neighbor still unplaced.
     """
     verts = list(t.vertices())
     outs = {v: out_set(t, v) for v in verts}
@@ -229,25 +227,24 @@ def min_backward_injective_bnb(t: Tournament) -> MinBackwardResult:
             search(rest, cost + len(outs[v] & rest))
 
     search(frozenset(verts), 0)
+    return best
 
-    witness_order: List[int] = []
 
-    def recover(unplaced: frozenset, cost: int, prefix: List[int]) -> bool:
-        if cost > best:
-            return False
-        if not unplaced:
-            witness_order.extend(prefix)
-            return cost == best
-        for v in sorted(unplaced):
-            rest = unplaced - {v}
-            if recover(rest, cost + len(outs[v] & rest), prefix + [v]):
-                return True
-        return False
-
-    recover(frozenset(verts), 0, [])
-    witness = Ranking.exact({v: pos for pos, v in enumerate(witness_order, start=1)})
-    fraction = Fraction(best, t.num_arcs) if t.num_arcs else Fraction(0)
-    return MinBackwardResult(best, fraction, witness, "permutations")
+def min_backward_injective_permutations(t: Tournament) -> MinBackwardResult:
+    """Exact minimum over all injective rankings, by trying every level
+    vector (a permutation of 1..n, read by vertex) in lexicographic order:
+    the first one of least backward count is the witness with the least
+    (count, levels read by vertex)."""
+    pairs = [(x - 1, y - 1) for x, y in arcs(t)]
+    best: Optional[Tuple[int, Tuple[int, ...]]] = None
+    for levels in permutations(range(1, t.n + 1)):
+        count = sum(levels[x] < levels[y] for x, y in pairs)
+        if best is None or count < best[0]:
+            best = (count, levels)
+    count, levels = best
+    witness = Ranking.exact(dict(zip(t.vertices(), levels)))
+    fraction = Fraction(count, t.num_arcs) if t.num_arcs else Fraction(0)
+    return MinBackwardResult(count, fraction, witness, "permutations")
 
 
 # -- weak orders as ordered set partitions ---------------------------------

@@ -15,6 +15,7 @@ from fairrank import (
     copeland_bound,
     emn_sweep_composite,
     enumerate_all,
+    gen_composite,
     gen_random,
     gen_rotational,
     is_fair,
@@ -25,8 +26,15 @@ from fairrank import (
     weak_order_levels,
 )
 from fairrank.cli import report_json
-from fairrank.optimize import PAIRWISE_ORDER_CAP
-from oracles import is_fair_pairs, iter_weak_orders, min_backward_fair_blocks, min_backward_injective_bnb
+from fairrank.optimize import INJECTIVE_SEARCH_CAP
+from oracles import (
+    arcs,
+    is_fair_pairs,
+    iter_weak_orders,
+    min_backward_fair_blocks,
+    min_backward_injective_bnb,
+    min_backward_injective_permutations,
+)
 
 FC = FairnessClass
 
@@ -120,7 +128,8 @@ class TestWeakOrderParity:
         assert digest.hexdigest() == self.N5_DIGESTS[c]
 
     # one n = 7 tournament per pairwise class: the block loop tries all
-    # 47 293 weak orders, the DP only the blocks that fit
+    # 47 293 weak orders, an independent check of the closed forms and of
+    # the injective DP
     @pytest.mark.parametrize("c, seed", [(FC.NSCOP, 1), (FC.SCOP, 2), (FC.COP, 3), (FC.INJ, 4)],
                              ids=lambda p: getattr(p, "value", p))
     def test_pairwise_at_n7(self, c, seed):
@@ -157,18 +166,31 @@ class TestInjective:
         with pytest.raises(ResourceLimitError):
             min_backward_injective(gen_random(17, 0))
 
+    # counts against branch and bound; witnesses, the least (count, levels
+    # read by vertex), against every permutation tried in order, up to n = 8
+
     @pytest.mark.parametrize("n", range(1, 6))
     def test_matches_branch_and_bound_exhaustive(self, n):
         for t in enumerate_all(n):
-            res, oracle = min_backward_injective(t), min_backward_injective_bnb(t)
-            assert (res.count, res.witness) == (oracle.count, oracle.witness)
+            res = min_backward_injective(t)
+            assert res.count == min_backward_injective_bnb(t)
+            assert res == min_backward_injective_permutations(t)
 
     def test_matches_branch_and_bound_random(self):
         for n in (8, 9, 10):
             for seed in range(20):
                 t = gen_random(n, seed)
-                res, oracle = min_backward_injective(t), min_backward_injective_bnb(t)
-                assert (res.count, res.witness) == (oracle.count, oracle.witness)
+                res = min_backward_injective(t)
+                assert res.count == min_backward_injective_bnb(t)
+                if n <= 8:
+                    assert res == min_backward_injective_permutations(t)
+
+    def test_both_spaces_give_one_witness(self):
+        for seed in range(50):
+            t = gen_random(7, seed)
+            res = min_backward_injective(t)
+            assert res.witness == min_backward_fair(t, FC.INJ).witness
+            assert res.search_space == "permutations"
 
 
 class TestClosedForm:
@@ -258,8 +280,18 @@ class TestWeakOrderMinimum:
     @pytest.mark.parametrize("c", [FC.NSCOP, FC.SCOP, FC.COP, FC.INJ], ids=lambda c: c.value)
     def test_pairwise_cap(self, c):
         assert min_backward_fair(gen_random(7, 0), c).search_space == "weakOrders"
-        with pytest.raises(ResourceLimitError, match=f"capped at n <= {PAIRWISE_ORDER_CAP}"):
-            min_backward_fair(gen_random(PAIRWISE_ORDER_CAP + 1, 0), c)
+        if c is FC.INJ:
+            with pytest.raises(ResourceLimitError,
+                               match=f"permutation search capped at n <= {INJECTIVE_SEARCH_CAP}"):
+                min_backward_fair(gen_random(INJECTIVE_SEARCH_CAP + 1, 0), c)
+        else:
+            # the Copeland classes have no cap of their own: NSCOP ties every
+            # vertex, SCOP and COP make exactly the degree-rising arcs backward
+            for n in (14, 1000):
+                t = gen_random(n, 0)
+                res = min_backward_fair(t, c)
+                expected = 0 if c is FC.NSCOP else min_backward_copeland_closed_form(t).count
+                assert (res.count, res.search_space) == (expected, "weakOrders")
 
 
 def assert_pairwise_invariants(t):
@@ -278,19 +310,33 @@ def assert_pairwise_invariants(t):
 
 
 class TestPairwiseAboveEnumeration:
-    @pytest.mark.parametrize("n", range(8, PAIRWISE_ORDER_CAP + 1))
+    @pytest.mark.parametrize("n", range(8, INJECTIVE_SEARCH_CAP + 1))
     def test_random(self, n):
         assert_pairwise_invariants(gen_random(n, n))
 
     def test_regular_at_the_cap(self):
-        # rotational l = 6 is regular: SCOP has no constraint, so the DP visits
-        # every (placed set, block) pair, 3^13 of them; ranked by label, 1
-        # highest, only the l(l + 1)/2 = 21 arcs that wrap around are
-        # backward, the least any injective ranking achieves
-        t = gen_rotational(6)
-        assert t.n == PAIRWISE_ORDER_CAP
+        # rotational l = 7, n = 15, is the largest regular tournament under
+        # the cap, as regular tournaments have odd n: every vertex ties for
+        # SCOP, and ranked by label, 1 highest, only the l(l + 1)/2 = 28
+        # arcs that wrap around are backward, the least any injective
+        # ranking achieves
+        t = gen_rotational(7)
+        assert t.n == INJECTIVE_SEARCH_CAP - 1
         res = assert_pairwise_invariants(t)
-        assert (res[FC.SCOP].count, res[FC.INJ].count) == (0, 21)
+        assert (res[FC.SCOP].count, res[FC.INJ].count) == (0, 28)
+
+
+class TestCopelandClosedForms:
+    # the Copeland minima at sizes no enumeration reaches
+    @pytest.mark.parametrize("t", [gen_random(200, 1), gen_composite(2)], ids=["random200", "composite2"])
+    def test_witnesses(self, t):
+        rising = sum(t.out_degree(x) < t.out_degree(y) for x, y in arcs(t))
+        for c in (FC.NSCOP, FC.SCOP, FC.COP):
+            res = min_backward_fair(t, c)
+            assert is_fair(t, res.witness, c).ok, c
+            assert backward_arcs(t, res.witness).count == res.count
+            assert res.count == (0 if c is FC.NSCOP else rising), c
+        assert set(min_backward_fair(t, FC.NSCOP).witness.values.values()) == {1}
 
 
 class TestCompositeSweep:

@@ -25,6 +25,7 @@ from fairrank import (
     enumerate_all,
     gen_random,
     is_fair,
+    min_backward_injective,
     parse_ranking,
     serialize_ranking,
 )
@@ -527,6 +528,15 @@ class TestKeptKeys:
                 again.values[1] = 9
             for cls in FC:
                 assert is_fair(chain3, again, cls) == is_fair(chain3, r, cls)
+
+    def test_equal_rankings_hash_alike(self, three_cycle):
+        r = Ranking.exact({1: 1, 2: Fraction(1, 2), 3: 3})
+        same = Ranking({3: 3, 2: Fraction(1, 2), 1: 1})  # other order, an int for a Fraction
+        assert r == same and hash(r) == hash(same)
+        assert r != Ranking.approx(r.values)  # the float twin
+        assert len({r, same, Ranking.approx(r.values)}) == 2
+        res = min_backward_injective(three_cycle)
+        assert hash(res) == hash(min_backward_injective(three_cycle))
 
     def test_the_mapping_given_is_copied(self, chain3):
         d = {1: 3, 2: 2, 3: 1}
