@@ -116,8 +116,9 @@ LIN_PLANE_RATIO = 8
 # of 5, two runs; 2-vCPU Xeon VM, Python 3.11, numpy 2.4), a check that
 # passes, and so tests every candidate, took 0.88-0.91 times numpy's time
 # on the walk at n = 20, 1.12-1.15 times at n = 24 and 4-5 times at
-# n = 200.  At n = 6, where the weak-order sweep checks 4683 rankings, the
-# walk took a third of numpy's time or less (15-26 us against 63-96 us).
+# n = 200.  At n = 6, where the weak-order sweep checks up to 4683
+# rankings, the walk took a third of numpy's time or less (15-26 us
+# against 63-96 us).
 # A check that fails at an early pair stays cheaper on the walk up to a
 # few hundred vertices (0.53-0.70 ms against 0.87-0.91 ms at n = 200); on
 # the Copeland ranking of random n = 2000 it took 54 ms against 5 ms.

@@ -8,6 +8,7 @@ from fairrank import (
     EmptyClassError,
     FairnessClass,
     MinBackwardResult,
+    Ranking,
     ResourceLimitError,
     backward_arcs,
     build_tournament,
@@ -25,6 +26,7 @@ from fairrank import (
     verify_copeland_upper_bound,
     weak_order_levels,
 )
+from fairrank import optimize
 from fairrank.cli import report_json
 from fairrank.optimize import INJECTIVE_SEARCH_CAP
 from oracles import (
@@ -272,6 +274,29 @@ class TestWeakOrderMinimum:
         assert (res.count, res.fraction) == (8, Fraction(8, 15))
         assert is_fair_pairs(t, res.witness, FC.SPEC).ok
 
+    # the sweep checks the weak orders in ascending (count, levels) and
+    # stops at the first fair one; WEAK checks all 4683, as the benchmark's
+    # own tests pin its calls, and so does an empty class
+    @pytest.mark.parametrize("c, seed, calls, empty", [
+        (FC.SPEC, 1, 296, False), (FC.LIN, 1, 296, False),
+        (FC.WEAK, 1, 4683, False), (FC.LIN, 2, 4683, True),
+    ], ids=lambda p: getattr(p, "value", p))
+    def test_is_fair_calls(self, monkeypatch, c, seed, calls, empty):
+        made = []
+
+        def counted(*args):
+            made.append(args)
+            return is_fair(*args)
+
+        monkeypatch.setattr(optimize, "is_fair", counted)
+        t = gen_random(6, seed)
+        if empty:
+            with pytest.raises(EmptyClassError):
+                min_backward_fair(t, c)
+        else:
+            assert is_fair(t, min_backward_fair(t, c).witness, c).ok
+        assert len(made) == calls
+
     def test_cap(self):
         for c in (FC.WEAK, FC.SPEC, FC.LIN):
             with pytest.raises(ResourceLimitError, match="weak-order enumeration capped at n <= 6"):
@@ -292,6 +317,31 @@ class TestWeakOrderMinimum:
                 res = min_backward_fair(t, c)
                 expected = 0 if c is FC.NSCOP else min_backward_copeland_closed_form(t).count
                 assert (res.count, res.search_space) == (expected, "weakOrders")
+
+
+class TestSpectralAndLinearImplyWeak:
+    # the proof is in min_backward_fair's docstring: out(x) ⊊ out(y) puts
+    # y's spectrum and, for positive ranks, its out-sum strictly above x's
+
+    @staticmethod
+    def fair_orders_are_weak(t):
+        """The number of SPEC-fair or LIN-fair weak orders of t, each
+        checked to be WEAK-fair by the pair scan."""
+        fair = 0
+        for levels in weak_order_levels(t.n):
+            r = Ranking.exact(dict(zip(t.vertices(), levels)))
+            if is_fair(t, r, FC.SPEC) or is_fair(t, r, FC.LIN):
+                assert is_fair_pairs(t, r, FC.WEAK).ok, (t.out, levels)
+                fair += 1
+        return fair
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_exhaustive(self, n):
+        assert sum(self.fair_orders_are_weak(t) for t in enumerate_all(n)) > 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_n5(self, seed):
+        assert self.fair_orders_are_weak(gen_random(5, seed)) > 0
 
 
 def assert_pairwise_invariants(t):
