@@ -2,7 +2,8 @@
 
 A ranking maps each vertex to a number.  Exact rankings hold Fractions and
 compare exactly; float rankings compare with the absolute tolerance
-eps = DEFAULT_EPS (a < b iff b - a > eps, a == b iff |a - b| <= eps).
+eps = DEFAULT_EPS (a < b iff b - a > eps, a == b iff neither is below the
+other).
 DEFAULT_EPS is the package's one comparison tolerance: no ranking, parser
 or predicate takes another.  An exact ranking may also hold ints (the
 weak-order minimizer checks its candidates that way, `copeland_ranking`
@@ -55,18 +56,18 @@ the pairs that it and the complement of the rank mask leave, in ascending
 x and then y; when the degree order and the rank order agree, as on the
 Copeland ranking, no pair is left.  The spectral axiom prunes the same way:
 x's spectrum lies below y's only if deg(x) <= deg(y), so its candidates are
-the y of at least x's degree that do not rank above x (`_spectral_verdict`).
-Up to SPEC_PACKED_MAX vertices each candidate is decided by one subtraction
-of packed spectra, since the weak-order minimizer checks thousands of
-rankings at n = 6 and pays each call's set-up; above it the candidates are
-decided in numpy chunks of sorted spectra (`_spectral_chunks`), whose work
-and memory per chunk SPEC_CHUNK_ENTRIES bounds.  The injective axiom
-passes exact keys that are all distinct, which one dict of each key's last
-label decides, and that dict names the lex-least pair of equal keys
-otherwise.  Float keys take the walk: the keys within e of x's are one
-run of the sorted order, by the same monotonicity, so the least x whose
-run holds another vertex, with the least other vertex of that run, is
-the certificate.
+the y of at least x's degree that do not rank above x: a suffix mask of the
+degree walk less one of the walk over the keys, which also gives each rank
+its position among the others (`_spectral_verdict`).  Up to SPEC_PACKED_MAX
+vertices each candidate is decided by one subtraction of packed spectra,
+since the weak-order minimizer checks thousands of rankings at n = 6 and
+pays each call's set-up; above it the candidates are decided in numpy
+chunks of sorted spectra (`_spectral_chunks`), whose work and memory per
+chunk SPEC_CHUNK_ENTRIES bounds.  The injective axiom takes the walk too,
+for exact and float keys alike: the keys within e of x's (equal to it, for
+exact keys) are one run of the sorted order, by the same monotonicity, so
+the least x whose run holds another vertex, with the least other vertex of
+that run, is the certificate.
 
 What the Copeland, weak and spectral axioms read of the out-degrees, their
 walk and the masks of the vertices from each position of it on, does not
@@ -80,13 +81,12 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, compress, count, repeat
-from operator import add, xor
+from itertools import compress, repeat
+from operator import add
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -309,6 +309,12 @@ def _above(key: Sequence[Rank], e: Rank) -> List[int]:
     falls (see the module docstring), so one walk down the order keeps the
     mask.  The walk stops at x itself at the latest, as key[x] - key[x] > e
     is false.
+
+    above[x] is `_Walk(key, e).suffix[gt[x]]`, built here in one pass
+    instead of two.  The weak-order sweep calls it through the weak axiom on
+    each of the 4683 weak orders of 6 vertices, where it took 9-16 ms per
+    4683 calls against 22-33 ms for the walk and its suffix masks (best of
+    15; 2-vCPU Xeon VM, Python 3.11).
     """
     order = sorted(range(1, len(key)), key=key.__getitem__)
     above = [0] * len(key)
@@ -353,7 +359,8 @@ class _Walk:
     all, and order[geq[x]:gt[x]] holds the vertices within e of x.
     suffix[p], the bitset of the vertices from position p of the order on,
     is built on first use; its n + 1 bitsets hold about as much as the
-    out-sets do.
+    out-sets do.  suffix[geq[x]] holds the y not below x, and suffix[gt[x]]
+    the y above x: the degree walk's masks and a rank walk's.
     """
 
     def __init__(self, key: Sequence[Rank], e: Rank):
@@ -473,18 +480,9 @@ def is_fair(t: Tournament, r: Ranking, c: FairnessClass) -> FairnessVerdict:
         )
 
     if c is FairnessClass.INJ:
-        values = key[1:]
-        if not e:
-            last = dict(zip(values, count(1)))  # each key's largest label
-            if len(last) == n:  # distinct exact keys: nothing to certify
-                return FairnessVerdict()
-            # the least label whose key recurs later starts the lex-least
-            # pair, and the next label with that key ends it
-            for x, k in enumerate(values, start=1):
-                if last[k] != x:
-                    return FairnessVerdict((x, values.index(k, x) + 1), "equal ranks")
-        # order[geq[x]:gt[x]] holds the vertices within e of x, x among them;
-        # each is tied, so for the least tied x they are x and larger labels
+        # order[geq[x]:gt[x]] holds the vertices within e of x (of x's key,
+        # for exact keys), x among them; each is tied, so for the least tied
+        # x they are x and larger labels
         walk = _Walk(key, e)
         for x in range(1, n + 1):
             if walk.gt[x] - walk.geq[x] > 1:
@@ -642,13 +640,18 @@ def _spectral_verdict(t: Tournament, key: Sequence[Rank], e: Rank) -> FairnessVe
     above x, tested in ascending x and then y: the certificate is the
     lex-least violating pair.
 
-    Ranks enter the test as small ints.  index(b) is 1 plus the number of
-    keys below b.  The keys b with a - b > e are the lowest ones, since
-    fl(a - b) never decreases as b falls (module docstring), and low(a) is
-    1 plus their number, so `not a - b > e` holds iff index(b) >= low(a):
-    low is 1 plus geq of the keys' `_Walk`, and for exact keys (e = 0) it
-    is the index itself.  The same rule places the ranks: y ranks above x
-    iff index(x) < low(y).
+    Ranks enter the test as small ints, read off the keys' `_Walk`.
+    index(b) is 1 plus the number of keys below b: 1 plus geq of the walk
+    with e = 0, since fl(a - b) > 0 iff a > b for finite floats, and two
+    equal infinities, whose difference is nan, tie.  The keys b with
+    a - b > e are the lowest ones, since fl(a - b) never decreases as b
+    falls (module docstring), and low(a) is 1 plus their number, 1 plus geq
+    of the walk with e, so `not a - b > e` holds iff index(b) >= low(a).
+    For exact keys (e = 0) the two walks are one, and low is index.  The
+    same rule places the ranks: y ranks above x iff index(x) < low(y).
+    Up to SPEC_PACKED_MAX vertices the candidates of x are read off suffix
+    masks: those of the degree walk from geq[x] on, less those of the rank
+    walk from gt[x] on, which rank above x.
 
     A spectrum packs into one int, one 16-bit field per entry, largest
     first: indexes for the side that must be larger, lows for the other.
@@ -667,32 +670,22 @@ def _spectral_verdict(t: Tournament, key: Sequence[Rank], e: Rank) -> FairnessVe
     whole check.
     """
     n, out = t.n, t.out
-    values = key[1:]
-    ordered = sorted(values)
-    ordered.insert(0, ordered[0])  # never compared: bisecting from 1 counts the keys below, plus 1
-    index = list(map(bisect_left, repeat(ordered, n), values, repeat(1, n)))
-    low = [g + 1 for g in _Walk(key, e).geq[1:]] if e else index
+    walk = _Walk(key, e)
+    low = [g + 1 for g in walk.geq[1:]]
+    index = [g + 1 for g in _Walk(key, 0).geq[1:]] if e else low
     if low == index:  # no two distinct keys within e: one pack serves both sides
         low = index
     if n > SPEC_PACKED_MAX:
         return _spectral_chunks(out, index, low)
-    # Buckets by low are disjoint, so running xors are running unions:
-    # prefix[i] holds the y with low(y) <= i, which do not rank above an x
-    # of index i.  suffix[geq[x]] holds the y of at least x's degree.
-    buckets = [0] * (n + 1)
-    bit = 1
-    for lv in low:
-        buckets[lv] |= bit
-        bit <<= 1
-    prefix = list(accumulate(buckets, xor))
     scores = _scores(t)
     geq, suffix = scores.geq, scores.suffix
+    gt, above = walk.gt, walk.suffix
 
     larger = [None] * n  # packs of indexes, by 0-based vertex
     smaller = larger if low is index else [None] * n  # packs of lows
     guard = (1 << 16 * n) // 0xFFFF << 15  # bit 15 of each of n fields
-    for x, ix in enumerate(index):
-        candidates = prefix[ix] & suffix[geq[x + 1]] & ~(1 << x)
+    for x in range(n):
+        candidates = suffix[geq[x + 1]] & ~above[gt[x + 1]] & ~(1 << x)
         if not candidates:
             continue
         lows_x = smaller[x]

@@ -71,9 +71,11 @@ def backward_pairs(report: BackwardReport) -> Tuple[Tuple[int, int], ...]:
 
 # -- raw-value comparators ------------------------------------------------
 # The documented rule, applied to rank values directly rather than through
-# the library's per-vertex keys: exact ranks compare with < and ==, float
-# ranks with a < b iff b - a > eps and a == b iff |a - b| <= eps, where
-# eps = DEFAULT_EPS.
+# the library's per-vertex keys: exact ranks compare with <, float ranks
+# with a < b iff b - a > eps, where eps = DEFAULT_EPS, and a == b iff
+# neither is below the other.  For finite floats that is |a - b| <= eps;
+# two equal infinities differ by nan, which no comparison counts as
+# greater, so they tie.
 
 
 def lt(r: Ranking, a: Rank, b: Rank) -> bool:
@@ -82,14 +84,12 @@ def lt(r: Ranking, a: Rank, b: Rank) -> bool:
     return b - a > DEFAULT_EPS
 
 
-def eq(r: Ranking, a: Rank, b: Rank) -> bool:
-    if r.is_exact:
-        return a == b
-    return abs(a - b) <= DEFAULT_EPS
-
-
 def leq(r: Ranking, a: Rank, b: Rank) -> bool:
     return not lt(r, b, a)
+
+
+def eq(r: Ranking, a: Rank, b: Rank) -> bool:
+    return leq(r, a, b) and leq(r, b, a)
 
 
 def linear_sums(t: Tournament, r: Ranking) -> Dict[int, Rank]:

@@ -5,12 +5,12 @@ the library used before: a scan of all ordered pairs for `is_fair`, a
 comparison per arc for `backward_arcs`, and `build_tournament` fed the '1'
 cells of a matrix in row-major order for the matrix parser.  They compare
 rank values with the raw-value comparators `lt`, `eq` and `leq` of
-`oracles.py` (exact ranks with < and ==, float ranks with b - a > eps and
-|a - b| <= eps), never through the library's per-vertex keys.  The
-spectral axiom has two paths, the packed walk up to
-`ranking.SPEC_PACKED_MAX` vertices and numpy chunks above it; every spectral
-parity check here runs both, and the numpy path once more with one
-candidate pair per chunk, by patching the module constants.
+`oracles.py` (exact ranks with <, float ranks with b - a > eps, and a tie
+where neither rank is below the other), never through the library's
+per-vertex keys.  The spectral axiom has two paths, the packed walk up to
+`ranking.SPEC_PACKED_MAX` vertices and numpy chunks above it; every
+spectral parity check here runs both, and the numpy path once more with
+one candidate pair per chunk, by patching the module constants.
 """
 
 import math
@@ -429,12 +429,14 @@ def test_spec_relabeled_composite(l):
 
 @pytest.mark.parametrize("seed", range(60))
 def test_spec_infinite_ranks(seed):
-    # inf - inf is nan, which is not > eps: two equal infinities tie, and an
-    # infinity ranks above every finite value
+    # inf - inf is nan, which is not > eps: two equal infinities tie, inf
+    # ranks above every finite value and -inf below.  LIN is left out: its
+    # float out-sums refuse to decide once they overflow.
     rng = random.Random(seed)
     t = gen_random(rng.randint(2, 8), seed)
     pool = (math.inf, -math.inf, 1.0, 1.0 + DEFAULT_EPS, 0.0, -1e308, 1e308)
-    assert_spec_parity(t, Ranking({v: rng.choice(pool) for v in t.vertices()}))
+    r = Ranking({v: rng.choice(pool) for v in t.vertices()})
+    assert_parity(t, r, tuple(c for c in FC if c is not FC.LIN))
 
 
 @given(seed=st.integers(0, 10_000), n=st.integers(5, 7),

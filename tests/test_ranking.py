@@ -1,4 +1,5 @@
 import copy
+import math
 import pickle
 import random
 from decimal import Decimal
@@ -30,7 +31,7 @@ from fairrank import (
     serialize_ranking,
 )
 from fairrank.optimize import _level_vectors
-from fairrank.ranking import _keys, _plane_sums
+from fairrank.ranking import DEFAULT_EPS, _above, _keys, _plane_sums, _Walk
 from fairrank.tournament import bit_mask
 from oracles import (
     arcs,
@@ -349,6 +350,30 @@ class TestInjective:
         r = Ranking(values)
         assert is_fair(t, r, FC.INJ) == is_fair_pairs(t, r, FC.INJ)
         assert is_fair(t, r, FC.INJ).certificate == (n - 1, n)
+
+
+class TestRankWalk:
+    # `_above` builds in one pass what the walk's suffix masks hold, the y
+    # that rank above each x; the walk with e = 0 places each key among the
+    # others, as the spectral axiom reads it
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_above_and_positions_read_the_walk(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(1, 30)
+        t = gen_random(n, seed)
+        levels = [rng.randint(1, n + 2) for _ in range(n)]
+        pool = (math.inf, -math.inf, 1.0, 1.0 + DEFAULT_EPS, 0.0, -1e308, 1e308)
+        for values in (levels,
+                       [Fraction(k, 3) for k in levels],
+                       # steps of 0.4e-9 chain vertices within eps of a neighbour
+                       [1.0 + k * 4e-10 for k in levels],
+                       [rng.choice(pool) for _ in levels]):
+            key, e = _keys(t, Ranking(dict(enumerate(values, start=1))))
+            walk, above, exact = _Walk(key, e), _above(key, e), _Walk(key, 0)
+            for x in t.vertices():
+                assert above[x] == walk.suffix[walk.gt[x]], (values, x)
+                assert exact.geq[x] == sum(key[y] < key[x] for y in t.vertices()), (values, x)
 
 
 class TestContainments:
