@@ -25,7 +25,7 @@ from .errors import (
     VerificationFailedError,
 )
 from .ranking import FairnessClass, Ranking, is_fair
-from .tournament import Tournament, _score_components, scc_decompose
+from .tournament import Tournament, _score_components, scc_decompose, unpack_rows
 
 # Residual bound max|lambda*r - A*r| of the Perron vector: a thousand times
 # finer than DEFAULT_EPS, the tolerance its scaled ranks are compared with.
@@ -71,9 +71,9 @@ def perron_fixed_point(t: Tournament, vertices: Iterable[int]) -> PerronResult:
     `vertices` names the component (`t.vertices()` for all of t).  Its 0/1
     matrix, rows and columns in ascending label order, is a dense
     C-contiguous float64 array (a strided matrix makes the product round
-    differently) filled from t's out-set bitsets (bit y - 1 is vertex y) in
-    row blocks of B = max(8, (BLOCK_ENTRIES // k) // 8 * 8) rows: one bytes
-    join, one `np.unpackbits` and one write per block.  Each power step
+    differently) filled from t's out-set bitsets in row blocks of
+    B = max(8, (BLOCK_ENTRIES // k) // 8 * 8) rows: one `unpack_rows` and
+    one write of the component's columns per block.  Each power step
     multiplies block by block, so no product is large enough for OpenBLAS
     to thread; every k <= 512 is one block and one product.  The k x k
     matrix is still whole, so memory grows as k**2 (800 MB at k = 10 000).
@@ -87,15 +87,12 @@ def perron_fixed_point(t: Tournament, vertices: Iterable[int]) -> PerronResult:
         if not 1 <= v <= t.n:
             raise UnknownVertexError(f"vertex {v} not in 1..{t.n}")
     k = len(labels)
-    nbytes = (t.n + 7) // 8
     columns = np.array(labels, dtype=np.intp) - 1
     block = max(8, (BLOCK_ENTRIES // max(k, 1)) // 8 * 8)  # k = 0 fails the cut below
     starts = range(0, k, block)
     a = np.empty((k, k))
     for i in starts:
-        rows = b"".join(t.out[x - 1].to_bytes(nbytes, "little") for x in labels[i:i + block])
-        bits = np.frombuffer(rows, dtype=np.uint8).reshape(-1, nbytes)
-        a[i:i + block] = np.unpackbits(bits, axis=1, bitorder="little")[:, columns]
+        a[i:i + block] = unpack_rows(t.out, columns[i:i + block].tolist())[:, columns]
     if k < 3 or len(_score_components(np.count_nonzero(a, axis=1).tolist())) != 1:
         raise NotStronglyConnectedError(
             f"component of size {k} is not a strongly connected tournament with n >= 3"

@@ -10,7 +10,7 @@ for it does not prove the class empty.  Every minimum reports the witness
 with the least (count, levels read by vertex).
 
 NSCOP, SCOP and COP have closed-form minima, read off the out-degrees at
-any n (`min_backward_fair` gives the proof).  The injective class is
+any n (`_dense_levels` gives the proof).  The injective class is
 minimized by one DP over the set of vertices already placed (Held and
 Karp, 1962), up to INJECTIVE_SEARCH_CAP vertices; `min_backward_injective`
 and `min_backward_fair(t, INJ)` both run it and report the same witness.
@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -48,7 +48,6 @@ from .ranking import (
     FairnessClass,
     Ranking,
     backward_arcs,
-    copeland_ranking,
     is_fair,
 )
 from .tournament import Tournament, enumerate_all, gen_composite
@@ -123,13 +122,27 @@ def min_backward_injective(t: Tournament) -> MinBackwardResult:
 
 
 def min_backward_copeland_closed_form(t: Tournament) -> MinBackwardResult:
-    """Minimum over strict-Copeland-fair rankings, in closed form.
+    """Minimum over strict-Copeland-fair rankings, in closed form: the
+    dense degree levels of `_dense_levels`, as ints, the same witness as
+    `min_backward_fair(t, SCOP)`."""
+    return _result(t, Ranking(dict(zip(t.vertices(), _dense_levels(t)))), "closedForm")
 
-    Any strict Copeland fair ranking makes every arc that rises in
-    out-degree backward, and the out-degree ranking makes exactly those
-    arcs backward, so the minimum is the backward count of that ranking.
+
+def _dense_levels(t: Tournament) -> List[int]:
+    """Each vertex's dense degree level, 1 plus the number of distinct
+    out-degrees below its own, read by vertex: the least witness of SCOP
+    and the one weak order of COP.
+
+    Every SCOP ranking ranks y over x when deg(x) < deg(y), so it makes
+    each degree-rising arc x -> y backward, and the dense levels make only
+    those arcs backward.  Along one vertex of each distinct degree up to
+    deg(v), the levels of a SCOP weak order rise strictly from 1, so v's
+    level is at least its dense level.  COP ties equal degrees and orders
+    the others by degree, so its one weak order is the dense one.
     """
-    return _result(t, copeland_ranking(t), "closedForm")
+    degrees = [out.bit_count() for out in t.out]
+    dense = {d: level for level, d in enumerate(sorted(set(degrees)), start=1)}
+    return [dense[d] for d in degrees]
 
 
 def _least_injective_order(t: Tournament) -> Ranking:
@@ -185,14 +198,8 @@ def min_backward_fair(t: Tournament, c: FairnessClass) -> MinBackwardResult:
     NSCOP, SCOP and COP take that witness in closed form, at any n.  NSCOP
     puts every vertex on level 1: deg(x) <= deg(y) asks only for
     rank(x) <= rank(y), which a tie meets, no arc is backward, and 1 is the
-    least level.  SCOP and COP put each vertex on its dense degree level,
-    1 plus the number of distinct out-degrees below its own.  Every SCOP
-    ranking ranks y over x when deg(x) < deg(y), so it makes each
-    degree-rising arc x -> y backward, and the dense levels make only those
-    arcs backward.  Along one vertex of each distinct degree up to deg(v),
-    the levels of a SCOP weak order rise strictly from 1, so v's level is
-    at least its dense level.  COP ties equal degrees and orders the others
-    by degree, so its one weak order is the dense one.
+    least level.  SCOP and COP put each vertex on its dense degree level
+    (`_dense_levels` gives the proof).
 
     INJ takes the witness from the DP of `_least_injective_order`, as
     `min_backward_injective` does, up to INJECTIVE_SEARCH_CAP vertices.
@@ -220,9 +227,7 @@ def min_backward_fair(t: Tournament, c: FairnessClass) -> MinBackwardResult:
     so this holds for exact ranks only.
     """
     if c in _COPELAND_CLASSES:
-        degrees = [out.bit_count() for out in t.out]
-        dense = {d: level for level, d in enumerate(sorted(set(degrees)), start=1)}
-        levels = [1 if c is FairnessClass.NSCOP else dense[d] for d in degrees]
+        levels = [1] * t.n if c is FairnessClass.NSCOP else _dense_levels(t)
         return _result(t, Ranking.exact(dict(zip(t.vertices(), levels))), "weakOrders")
     if c is FairnessClass.INJ:
         return _result(t, _least_injective_order(t), "weakOrders")

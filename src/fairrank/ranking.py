@@ -58,12 +58,12 @@ Copeland ranking, no pair is left.  The spectral axiom prunes the same way:
 x's spectrum lies below y's only if deg(x) <= deg(y), so its candidates are
 the y of at least x's degree that do not rank above x: a suffix mask of the
 degree walk less one of the walk over the keys, which also gives each rank
-its position among the others (`_spectral_verdict`).  Up to SPEC_PACKED_MAX
-vertices each candidate is decided by one subtraction of packed spectra,
-since the weak-order minimizer checks thousands of rankings at n = 6 and
-pays each call's set-up; above it the candidates are decided in numpy
-chunks of sorted spectra (`_spectral_chunks`), whose work and memory per
-chunk SPEC_CHUNK_ENTRIES bounds.  The injective axiom takes the walk too,
+its position among the others (`_spectral_verdict`).  Up to SPEC_WALK_MAX
+vertices each candidate is decided by comparing two sorted lists of those
+positions, since the weak-order minimizer checks thousands of rankings at
+n = 6 and pays each call's set-up; above it the candidates are decided in
+numpy chunks of sorted spectra (`_spectral_chunks`), whose work and memory
+per chunk SPEC_CHUNK_ENTRIES bounds.  The injective axiom takes the walk too,
 for exact and float keys alike: the keys within e of x's (equal to it, for
 exact keys) are one run of the sorted order, by the same monotonicity, so
 the least x whose run holds another vertex, with the least other vertex of
@@ -79,21 +79,19 @@ checks thousands of rankings of one tournament builds it once.
 from __future__ import annotations
 
 import math
-import sys
-from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress, repeat
-from operator import add
+from operator import add, le
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .errors import DomainMismatchError, TournamentSyntaxError
-from .tournament import Tournament, bit_mask
+from .tournament import Tournament, bit_mask, unpack_rows
 
 Rank = Union[int, float, Fraction]
 
@@ -108,21 +106,21 @@ DEFAULT_EPS = 1e-9
 # planes took 1.6 times as long, and at n = 1000 and w = 10, as for the
 # Copeland ranking, the masks took 8.7 times as long.
 LIN_PLANE_RATIO = 8
-# The spectral axiom is decided by the packed walk up to SPEC_PACKED_MAX
-# vertices and in numpy chunks above it.  The walk spends one big-int
-# subtraction per candidate pair, numpy a fixed 0.05 ms or more per check
-# on a few dozen array calls.  Timed on random tournaments with the
-# Copeland, the linear-fair and random 1..4 rankings (8 seeds per n, best
-# of 5, two runs; 2-vCPU Xeon VM, Python 3.11, numpy 2.4), a check that
-# passes, and so tests every candidate, took 0.88-0.91 times numpy's time
-# on the walk at n = 20, 1.12-1.15 times at n = 24 and 4-5 times at
+# The spectral axiom is decided by the list walk up to SPEC_WALK_MAX
+# vertices and in numpy chunks above it.  The walk sorts each out-set's
+# ranks into a list once per check and compares two lists per candidate
+# pair, numpy spends a fixed 0.05 ms or more per check on a few dozen array
+# calls.  Timed on random tournaments with the Copeland, the linear-fair and
+# random 1..4 rankings (8 seeds per n, best of 5, two runs; 2-vCPU Xeon VM,
+# Python 3.11, numpy 2.4), a check that passes, and so tests every
+# candidate, took 0.66-1.01 times numpy's time on the walk at n = 20,
+# 0.74-0.99 times at n = 24, 1.8-2.0 times at n = 48 and 3.6-4.3 times at
 # n = 200.  At n = 6, where the weak-order sweep checks up to 4683
-# rankings, the walk took a third of numpy's time or less (15-26 us
-# against 63-96 us).
-# A check that fails at an early pair stays cheaper on the walk up to a
-# few hundred vertices (0.53-0.70 ms against 0.87-0.91 ms at n = 200); on
-# the Copeland ranking of random n = 2000 it took 54 ms against 5 ms.
-SPEC_PACKED_MAX = 20
+# rankings, the walk took 0.15-0.40 times numpy's time (12-29 us against
+# 45-104 us).  A check that fails took 0.35-0.84 times numpy's time at
+# n = 20 and 24, but the walk sorts every spectrum before its first pair,
+# so at n = 200 it took 2.2-4.8 times.
+SPEC_WALK_MAX = 20
 # Entries per numpy chunk of the spectral axiom, each entry a vertex of a
 # row of n: a chunk tests SPEC_CHUNK_ENTRIES // n candidate pairs and keeps
 # as many sorted rows, 256 KB of int16 per array, and a check peaks under
@@ -530,33 +528,23 @@ def _plane_sums(out: Sequence[int], values: Sequence[int]) -> List[int]:
     return sums
 
 
-def _pack(values: List[int], bits: int) -> int:
-    """The values of the vertices in a bitset, sorted descending, one 16-bit
-    field each, the largest in the lowest field."""
-    entries = sorted(compress(values, bit_mask(bits)), reverse=True)
-    return int.from_bytes(array("H", entries), sys.byteorder)
-
-
 def _spectra(out: Sequence[int], rows: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     """The spectra of the vertices in `rows` (0-based), one int16 row of n
     each: ranks[y] for every y of the out-set, 0 elsewhere, sorted ascending.
 
-    The out-sets are unpacked from their bitsets as `fixpoint` unpacks the
-    Perron matrix.  Two such rows hold the k-th largest entries of their
-    spectra at the same position n - 1 - k, so comparing them entry by
-    entry compares the spectra from the top, as the packed fields do.
+    Two such rows hold the k-th largest entries of their spectra at the
+    same position n - 1 - k, so comparing them entry by entry compares the
+    spectra from the top, as the sorted lists of `_spectral_verdict` do.
+    The ranks are indexes and lows, at most n <= DEFAULT_VERTEX_CAP < 2**15,
+    so int16 holds them.
     """
-    n = len(out)
-    nbytes = (n + 7) // 8
-    data = b"".join([out[v].to_bytes(nbytes, "little") for v in rows.tolist()])
-    bits = np.frombuffer(data, np.uint8).reshape(-1, nbytes)
-    spectra = np.unpackbits(bits, axis=1, count=n, bitorder="little") * ranks
+    spectra = unpack_rows(out, rows.tolist()) * ranks
     spectra.sort(axis=1)
     return spectra
 
 
 def _spectral_chunks(out: Sequence[int], index: List[int], low: List[int]) -> FairnessVerdict:
-    """`_spectral_verdict` above SPEC_PACKED_MAX vertices: the same
+    """`_spectral_verdict` above SPEC_WALK_MAX vertices: the same
     candidates, tests and certificate, decided in numpy chunks of `per`
     rows or pairs, n entries each, at most SPEC_CHUNK_ENTRIES in all.
 
@@ -630,8 +618,8 @@ def _spectral_chunks(out: Sequence[int], index: List[int], low: List[int]) -> Fa
 
 
 def _spectral_verdict(t: Tournament, key: Sequence[Rank], e: Rank) -> FairnessVerdict:
-    """The spectral axiom: one packed test per candidate pair up to
-    SPEC_PACKED_MAX vertices, numpy chunks (`_spectral_chunks`) above.
+    """The spectral axiom: sorted rank lists compared pair by pair up to
+    SPEC_WALK_MAX vertices, numpy chunks (`_spectral_chunks`) above.
 
     x's spectrum lies below y's iff deg(x) <= deg(y) and, for each k, the
     k-th largest rank of x's out-set is not above the k-th largest of y's.
@@ -649,21 +637,19 @@ def _spectral_verdict(t: Tournament, key: Sequence[Rank], e: Rank) -> FairnessVe
     of the walk with e, so `not a - b > e` holds iff index(b) >= low(a).
     For exact keys (e = 0) the two walks are one, and low is index.  The
     same rule places the ranks: y ranks above x iff index(x) < low(y).
-    Up to SPEC_PACKED_MAX vertices the candidates of x are read off suffix
+    Up to SPEC_WALK_MAX vertices the candidates of x are read off suffix
     masks: those of the degree walk from geq[x] on, less those of the rank
     walk from gt[x] on, which rank above x.
 
-    A spectrum packs into one int, one 16-bit field per entry, largest
-    first: indexes for the side that must be larger, lows for the other.
-    With bit 15 set in every field of y's pack, subtracting x's leaves bit
-    15 of a field set iff y's entry there is at least x's.  No field
-    borrows from the next, as indexes and lows are at most
-    n <= DEFAULT_VERTEX_CAP < 2**15; the empty fields beyond y's degree
-    hold 0 and fail any field that x fills.  So the test holds iff x's
-    spectrum lies below y's.  Each spectrum is packed on first use, by one
-    Python sort of its entries.
+    Each spectrum is a list sorted descending, of indexes for the side that
+    must be larger (tops) and of lows for the other (lows), and a pair is
+    compared entry by entry.  A candidate y has at least x's degree, so
+    the comparison, which stops at the end of x's list, reads every entry
+    of x: x's spectrum lies below y's iff each entry of lows[x] is at most
+    the entry of tops[y] at its place.  The swapped test, for the strict
+    axiom, needs deg(y) <= deg(x) first.
 
-    Above SPEC_PACKED_MAX vertices the same indexes and lows, as int16, go
+    Above SPEC_WALK_MAX vertices the same indexes and lows, as int16, go
     to `_spectral_chunks`, which sorts spectra in numpy and decides the
     candidates of a block of x at once; the walk stays for small n, where
     its per-call set-up is a few list builds and numpy's is larger than the
@@ -673,42 +659,27 @@ def _spectral_verdict(t: Tournament, key: Sequence[Rank], e: Rank) -> FairnessVe
     walk = _Walk(key, e)
     low = [g + 1 for g in walk.geq[1:]]
     index = [g + 1 for g in _Walk(key, 0).geq[1:]] if e else low
-    if low == index:  # no two distinct keys within e: one pack serves both sides
+    if low == index:  # no two distinct keys within e: one list serves both sides
         low = index
-    if n > SPEC_PACKED_MAX:
+    if n > SPEC_WALK_MAX:
         return _spectral_chunks(out, index, low)
     scores = _scores(t)
     geq, suffix = scores.geq, scores.suffix
     gt, above = walk.gt, walk.suffix
 
-    larger = [None] * n  # packs of indexes, by 0-based vertex
-    smaller = larger if low is index else [None] * n  # packs of lows
-    guard = (1 << 16 * n) // 0xFFFF << 15  # bit 15 of each of n fields
+    tops = [sorted(compress(index, bit_mask(o)), reverse=True) for o in out]
+    lows = tops if low is index else [sorted(compress(low, bit_mask(o)), reverse=True) for o in out]
     for x in range(n):
         candidates = suffix[geq[x + 1]] & ~above[gt[x + 1]] & ~(1 << x)
-        if not candidates:
-            continue
-        lows_x = smaller[x]
-        if lows_x is None:
-            lows_x = smaller[x] = _pack(low, out[x])
         while candidates:
             b = candidates & -candidates
             candidates ^= b
             y = b.bit_length() - 1
-            tops_y = larger[y]
-            if tops_y is None:
-                tops_y = larger[y] = _pack(index, out[y])
-            if (tops_y | guard) - lows_x & guard != guard:
+            if not all(map(le, lows[x], tops[y])):
                 continue
             if index[y] < low[x]:
                 return FairnessVerdict((x + 1, y + 1), "non-strict spectral violated")
-            tops_x = larger[x]
-            if tops_x is None:
-                tops_x = larger[x] = _pack(index, out[x])
-            lows_y = smaller[y]
-            if lows_y is None:
-                lows_y = smaller[y] = _pack(low, out[y])
-            if (tops_x | guard) - lows_y & guard != guard:
+            if len(lows[y]) > len(tops[x]) or not all(map(le, lows[y], tops[x])):
                 return FairnessVerdict((x + 1, y + 1), "strict spectral violated")
     return FairnessVerdict()
 

@@ -116,6 +116,17 @@ def _from_matrix(a: np.ndarray) -> Tournament:
     return Tournament([int.from_bytes(row.tobytes(), "little") for row in packed])
 
 
+def unpack_rows(out: Sequence[int], rows: Iterable[int]) -> np.ndarray:
+    """The out-sets of the 0-based vertices `rows` as 0/1 uint8 rows of n,
+    column y - 1 for vertex y: the rows of the matrix that `_from_matrix`
+    packs, one bytes join and one `np.unpackbits` for them all."""
+    n = len(out)
+    nbytes = (n + 7) // 8
+    data = b"".join([out[v].to_bytes(nbytes, "little") for v in rows])
+    bits = np.frombuffer(data, np.uint8).reshape(-1, nbytes)
+    return np.unpackbits(bits, axis=1, count=n, bitorder="little")
+
+
 # -- generators ------------------------------------------------------------
 
 

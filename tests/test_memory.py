@@ -7,7 +7,7 @@ a 2000-vertex tournament and its backward-arc report each hold well under
 2 MB, and parsing its 4 MB matrix text peaks at a few times the text.  The
 weak-order minimizer keeps one ranking per weak order, each with its
 comparison keys: 2.81 MB for the 4683 weak orders at n = 6.  The spectral
-check above `SPEC_PACKED_MAX` vertices works in chunks of
+check above `SPEC_WALK_MAX` vertices works in chunks of
 `SPEC_CHUNK_ENTRIES` entries: it keeps that many entries of sorted y
 spectra (two int16 arrays, 4 bytes an entry), and a chunk adds its block's
 candidate mask (1 byte) and pair lists (two int64 arrays, 16 bytes at

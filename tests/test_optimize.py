@@ -209,6 +209,13 @@ class TestClosedForm:
             assert backward_arcs(t, res.witness).count == res.count
             assert is_fair(t, res.witness, FC.SCOP).ok
 
+    def test_witness_is_the_scop_minimizers(self):
+        # one proof, one witness: the dense degree levels
+        for t in [*enumerate_all(4), *(gen_random(8, seed) for seed in range(15))]:
+            closed, scop = min_backward_copeland_closed_form(t), min_backward_fair(t, FC.SCOP)
+            assert closed.witness == scop.witness
+            assert (closed.count, closed.fraction) == (scop.count, scop.fraction)
+
 
 class TestWeakOrderMinimum:
     def test_weak_on_cycle_is_zero(self, three_cycle):

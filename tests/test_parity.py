@@ -7,8 +7,8 @@ cells of a matrix in row-major order for the matrix parser.  They compare
 rank values with the raw-value comparators `lt`, `eq` and `leq` of
 `oracles.py` (exact ranks with <, float ranks with b - a > eps, and a tie
 where neither rank is below the other), never through the library's
-per-vertex keys.  The spectral axiom has two paths, the packed walk up to
-`ranking.SPEC_PACKED_MAX` vertices and numpy chunks above it; every
+per-vertex keys.  The spectral axiom has two paths, sorted rank lists up
+to `ranking.SPEC_WALK_MAX` vertices and numpy chunks above it; every
 spectral parity check here runs both, and the numpy path once more with
 one candidate pair per chunk, by patching the module constants.
 """
@@ -52,7 +52,7 @@ def verdict(v):
     return (v.ok, v.certificate, v.reason)
 
 
-# (SPEC_PACKED_MAX, SPEC_CHUNK_ENTRIES): the packed walk at every n, numpy
+# (SPEC_WALK_MAX, SPEC_CHUNK_ENTRIES): the list walk at every n, numpy
 # chunks at every n, and numpy with one row per block and one pair per chunk
 SPEC_PATHS = (
     (DEFAULT_VERTEX_CAP, ranking_module.SPEC_CHUNK_ENTRIES),
@@ -64,9 +64,9 @@ SPEC_PATHS = (
 def spec_verdicts(t, r, paths=SPEC_PATHS):
     """The spectral verdict on each path of `paths`, forced by the constants."""
     verdicts = []
-    for packed_max, chunk in paths:
+    for walk_max, chunk in paths:
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ranking_module, "SPEC_PACKED_MAX", packed_max)
+            mp.setattr(ranking_module, "SPEC_WALK_MAX", walk_max)
             mp.setattr(ranking_module, "SPEC_CHUNK_ENTRIES", chunk)
             verdicts.append(verdict(is_fair(t, r, FC.SPEC)))
     return verdicts
@@ -112,7 +112,7 @@ def test_seeded_all_classes(n, seeds):
             copeland_ranking(t),
             Ranking.exact({v: rng.randint(1, 4) for v in t.vertices()}),
             Ranking.exact({v: Fraction(rng.randint(-2, 9), rng.randint(1, 6)) for v in t.vertices()}),
-            # keys far beyond 16 bits: the spectral packs hold positions instead
+            # keys far beyond 16 bits: the spectral lists and rows hold positions instead
             Ranking.exact({v: Fraction(rng.randint(-4, 4), rng.choice((1, 3, 10**30 + 7, 2**61 - 1)))
                            for v in t.vertices()}),
             fair,
@@ -393,9 +393,9 @@ def test_parser_faults_across_a_block_boundary(faults, error, message):
     assert outcome(lambda: parse_tournament(text)) == outcome(lambda: streamed(n, rows)) == (error, message)
 
 
-# -- spectral axiom on packed spectra and in numpy chunks -------------------------
-# `is_fair` tests only the candidate pairs of the degree prune, each by one
-# subtraction of packed spectra or, above SPEC_PACKED_MAX vertices, in numpy
+# -- spectral axiom on sorted lists and in numpy chunks ---------------------------
+# `is_fair` tests only the candidate pairs of the degree prune, each on two
+# sorted lists of rank positions or, above SPEC_WALK_MAX vertices, in numpy
 # chunks of sorted spectra; `is_fair_pairs` sorts both spectra of every
 # ordered pair and compares them entry by entry with the raw-value comparators.
 
@@ -448,7 +448,7 @@ def test_spec_weak_order_rankings(seed, n, levels):
 
 
 def test_spec_fields_hold_every_index():
-    # a pack field holds an index up to n in its low 15 bits; bit 15 is the guard
+    # an int16 row of `_spectral_chunks` holds indexes and lows up to n
     assert DEFAULT_VERTEX_CAP < 2**15
 
 
@@ -459,7 +459,7 @@ def test_spec_copeland_certificates_at_scale(n, pair):
         False, pair, "strict spectral violated")
 
 
-# where the pair scan is too slow, the two paths check each other: the packed
+# where the pair scan is too slow, the two paths check each other: the list
 # walk, numpy in its own chunks, and numpy with blocks and chunks of 8
 def assert_spec_paths_agree(t, r):
     paths = SPEC_PATHS[:2] + ((0, 8 * t.n),)
