@@ -50,7 +50,7 @@ from .ranking import (
     backward_arcs,
     is_fair,
 )
-from .tournament import Tournament, enumerate_all, gen_composite
+from .tournament import Tournament, _require_size, enumerate_all, gen_composite
 
 INJECTIVE_SEARCH_CAP = 16
 EMN_LMAX_CAP = 10_000
@@ -305,7 +305,8 @@ def emn_sweep_composite(l_max: int, materialize_up_to: int = 0) -> EmnReport:
 
     For l <= materialize_up_to (which must be >= 0) the tournament is
     actually built and the closed-form count cross-checked against the
-    degree-rising arc count.
+    degree-rising arc count.  The largest of them must fit the vertex cap,
+    which is checked before the first is built.
     """
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
@@ -313,6 +314,7 @@ def emn_sweep_composite(l_max: int, materialize_up_to: int = 0) -> EmnReport:
         raise ValueError("materialize_up_to must be >= 0")
     if l_max > EMN_LMAX_CAP:
         raise ResourceLimitError(f"sweep capped at l_max <= {EMN_LMAX_CAP}")
+    _require_size((2 * min(l_max, materialize_up_to) + 1) ** 2)
     rows = []
     for l in range(1, l_max + 1):
         n = (2 * l + 1) ** 2

@@ -122,10 +122,11 @@ LIN_PLANE_RATIO = 8
 # so at n = 200 it took 2.2-4.8 times.
 SPEC_WALK_MAX = 20
 # Entries per numpy chunk of the spectral axiom, each entry a vertex of a
-# row of n: a chunk tests SPEC_CHUNK_ENTRIES // n candidate pairs and keeps
-# as many sorted rows, 256 KB of int16 per array, and a check peaks under
-# 40 bytes an entry (tests/test_memory.py).  Up to n = 362 every row fits,
-# so the composite family (n = 81 to 289 at l = 4 to 8) sorts each row once.
+# row of n: a chunk tests SPEC_CHUNK_ENTRIES // n candidate pairs, and the
+# cache of sorted rows, which serves x and y alike, keeps twice as many,
+# 512 KB of int16 per array; a check peaks under 40 bytes an entry
+# (tests/test_memory.py).  Up to n = 512 every row fits, so the composite
+# family (n = 81 to 289 at l = 4 to 8) sorts each row once per side.
 SPEC_CHUNK_ENTRIES = 2**17
 
 
@@ -558,13 +559,16 @@ def _spectral_chunks(out: Sequence[int], index: List[int], low: List[int]) -> Fa
     sides swapped).  The first violation of the first chunk that holds one
     is the lex-least.
 
-    A chunk sorts the lows of its own x, a range of labels, and the
-    spectra of the y it meets first; those are kept for later chunks, up to
-    `per` rows, and dropped all at once when a chunk's new y do not fit.  Up
-    to n = sqrt(SPEC_CHUNK_ENTRIES) every y is sorted once per check, and a
-    check that fails in its first chunk sorts only that chunk's rows.  No
-    array outgrows SPEC_CHUNK_ENTRIES entries of n, bar the pair lists of
-    a block, which a dense block of candidates fills with 16 bytes an entry.
+    One cache of sorted rows, the indexes (tops) and lows of each vertex,
+    serves both sides of every pair: a chunk sorts the spectra of the x and
+    y it meets first, keeps them for later chunks, up to 2 * per rows, and
+    drops them all at once when a chunk's new vertices do not fit.  A chunk
+    meets at most `per` x and `per` y, so they always fit after a drop.  Up
+    to n = sqrt(2 * SPEC_CHUNK_ENTRIES) = 512 every spectrum is sorted once
+    per side per check, and a check that fails in its first chunk sorts
+    only that chunk's rows.  No array outgrows 2 * SPEC_CHUNK_ENTRIES
+    entries of n, bar the pair lists of a block, which a dense block of
+    candidates fills with 16 bytes an entry.
     """
     n = len(out)
     same = low is index
@@ -572,9 +576,9 @@ def _spectral_chunks(out: Sequence[int], index: List[int], low: List[int]) -> Fa
     lows_rank = tops_rank if same else np.array(low, dtype=np.int16)
     deg = np.fromiter(map(int.bit_count, out), dtype=np.int16, count=n)
     per = max(1, SPEC_CHUNK_ENTRIES // n)
-    tops = np.empty((per, n), dtype=np.int16)  # kept spectra of y: indexes
-    lows = tops if same else np.empty((per, n), dtype=np.int16)  # and lows
-    slot = np.full(n, -1)  # y's row of tops and lows, or -1
+    tops = np.empty((2 * per, n), dtype=np.int16)  # kept spectra: indexes
+    lows = tops if same else np.empty((2 * per, n), dtype=np.int16)  # and lows
+    slot = np.full(n, -1)  # a vertex's row of tops and lows, or -1
     held = 0
     for x0 in range(0, n, per):
         block = np.arange(x0, min(x0 + per, n))
@@ -585,9 +589,9 @@ def _spectral_chunks(out: Sequence[int], index: List[int], low: List[int]) -> Fa
         for c in range(0, len(px), per):
             cx, cy = px[c:c + per], py[c:c + per]
             met = np.zeros(n, dtype=bool)
-            met[cy] = True
+            met[cx] = met[cy] = True
             new = np.flatnonzero(met & (slot < 0))
-            if held + len(new) > per:
+            if held + len(new) > 2 * per:
                 slot[:] = -1
                 held, new = 0, np.flatnonzero(met)
             if len(new):
@@ -596,20 +600,13 @@ def _spectral_chunks(out: Sequence[int], index: List[int], low: List[int]) -> Fa
                 if not same:
                     lows[held:held + len(new)] = _spectra(out, new, lows_rank)
                 held += len(new)
-            first = cx[0]
-            xs = np.arange(first, cx[-1] + 1)
-            lows_x = _spectra(out, xs, lows_rank)
-            below = np.flatnonzero((tops[slot[cy]] >= lows_x[cx - first]).all(1))
+            sx, sy = slot[cx], slot[cy]
+            below = np.flatnonzero((tops[sy] >= lows[sx]).all(1))
             if not len(below):
                 continue
-            cx, cy = cx[below], cy[below]
+            cx, cy, sx, sy = cx[below], cy[below], sx[below], sy[below]
             above = tops_rank[cy] < lows_rank[cx]
-            bad = above.copy()
-            tied = np.flatnonzero(~above)
-            if len(tied):
-                tops_x = lows_x if same else _spectra(out, xs, tops_rank)
-                bad[tied] = ~(tops_x[cx[tied] - first] >= lows[slot[cy[tied]]]).all(1)
-            bad = np.flatnonzero(bad)
+            bad = np.flatnonzero(above | ~(tops[sx] >= lows[sy]).all(1))
             if len(bad):
                 k = bad[0]
                 reason = "non-strict spectral violated" if above[k] else "strict spectral violated"

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from fairrank import gen_random, serialize_tournament
+from fairrank import gen_random, optimize, serialize_tournament
 from fairrank.cli import main
 
 CYCLE = "3\n010\n001\n100\n"
@@ -191,6 +191,13 @@ class TestEmn:
     def test_negative_materialize_is_input_error(self, capsys):
         assert main(["emn", "--lmax", "3", "--materialize", "-1"]) == 2
         assert "materialize_up_to must be >= 0" in capsys.readouterr().err
+
+    def test_materialize_past_the_vertex_cap_fails_before_building(self, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(optimize, "gen_composite", built.append)
+        assert main(["emn", "--lmax", "60", "--materialize", "60"]) == 2
+        assert "14641 vertices exceed the cap of 10000" in capsys.readouterr().err
+        assert built == []
 
     def test_exhaustive(self, capsys):
         assert main(["emn", "--exhaustive", "4"]) == 0

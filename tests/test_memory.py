@@ -8,10 +8,10 @@ a 2000-vertex tournament and its backward-arc report each hold well under
 weak-order minimizer keeps one ranking per weak order, each with its
 comparison keys: 2.81 MB for the 4683 weak orders at n = 6.  The spectral
 check above `SPEC_WALK_MAX` vertices works in chunks of
-`SPEC_CHUNK_ENTRIES` entries: it keeps that many entries of sorted y
-spectra (two int16 arrays, 4 bytes an entry), and a chunk adds its block's
-candidate mask (1 byte) and pair lists (two int64 arrays, 16 bytes at
-most), the spectra of its x (4 bytes), the gathered spectra and their
+`SPEC_CHUNK_ENTRIES` entries: it keeps twice that many entries of sorted
+spectra, one cache for x and y (two int16 arrays, 2 x 4 bytes an entry),
+and a chunk adds its block's candidate mask (1 byte) and pair lists (two
+int64 arrays, 16 bytes at most), the gathered spectra and their
 comparison (5 bytes) and the unpacked bits of a sort (3 bytes): under 40
 bytes an entry.
 """

@@ -486,3 +486,24 @@ def test_spec_paths_agree_on_relabeled_composite(l):
     fair = linear_fair_ranking(t).ranking
     for r in (fair, copeland_ranking(t), *[perturbed(fair, rng, k) for k in (1, 3, base.n // 2)]):
         assert_spec_paths_agree(t, r)
+
+
+def test_spec_sorts_each_spectrum_once_per_side(monkeypatch):
+    # up to n = 512 the numpy path keeps every sorted row, for x and y alike:
+    # a check sorts each spectrum's indexes once and, when float ranks make
+    # lows differ from indexes, its lows once more
+    rng = random.Random(4)
+    base = gen_composite(4)
+    t = relabeled(base, rng.sample(range(1, base.n + 1), base.n))
+    sorted_rows = []
+    spectra = ranking_module._spectra
+
+    def counted(out, rows, ranks):
+        sorted_rows.append(len(rows))
+        return spectra(out, rows, ranks)
+
+    monkeypatch.setattr(ranking_module, "_spectra", counted)
+    for r, most in ((linear_fair_ranking(t).ranking, 2 * t.n), (copeland_ranking(t), t.n)):
+        sorted_rows.clear()
+        assert is_fair(t, r, FC.SPEC).ok
+        assert sum(sorted_rows) <= most
