@@ -49,31 +49,33 @@ comparison above is monotone in either operand.  Only the least violating
 x has its row scanned, to name the least y, so the certificate is the
 lex-least violating pair, as a full scan finds it.
 Backward arcs take the same sort and one mask per vertex, the y ranked
-above x.  The weak axiom needs y -> x, hence deg(y) > deg(x), and y not
-ranked above x, so the same walk over the out-degrees gives each x the
-mask of the y with higher degree, and out-set inclusion is tested only on
-the pairs that it and the complement of the rank mask leave, in ascending
-x and then y; when the degree order and the rank order agree, as on the
-Copeland ranking, no pair is left.  The spectral axiom prunes the same way:
-x's spectrum lies below y's only if deg(x) <= deg(y), so its candidates are
-the y of at least x's degree that do not rank above x: a suffix mask of the
-degree walk less one of the walk over the keys, which also gives each rank
-its position among the others (`_spectral_verdict`).  Up to SPEC_WALK_MAX
-vertices each candidate is decided by comparing two sorted lists of those
-positions, since the weak-order minimizer checks thousands of rankings at
-n = 6 and pays each call's set-up; above it the candidates are decided in
-numpy chunks of sorted spectra (`_spectral_chunks`), whose work and memory
-per chunk SPEC_CHUNK_ENTRIES bounds.  The injective axiom takes the walk too,
-for exact and float keys alike: the keys within e of x's (equal to it, for
-exact keys) are one run of the sorted order, by the same monotonicity, so
-the least x whose run holds another vertex, with the least other vertex of
-that run, is the certificate.
+above x (`_above`, the one builder of such masks).  The weak axiom needs
+y -> x, hence deg(y) > deg(x), and y not ranked above x, so the same
+masks over the out-degrees give each x the y with higher degree, and
+out-set inclusion is tested only on the pairs that they and the
+complement of the rank mask leave, in ascending x and then y; when the
+degree order and the rank order agree, as on the Copeland ranking, no
+pair is left.  The spectral axiom prunes the same way: x's spectrum lies
+below y's only if deg(x) <= deg(y), so its candidates are the y of at
+least x's degree that do not rank above x, read off each rank's position
+among the others, which the walk over the keys gives (`_spectral_verdict`).
+Up to SPEC_WALK_MAX vertices each candidate is decided by comparing two
+sorted lists of those positions, since the weak-order minimizer checks
+thousands of rankings at n = 6 and pays each call's set-up; above it the
+candidates are decided in numpy chunks of sorted spectra
+(`_spectral_chunks`), whose work and memory per chunk SPEC_CHUNK_ENTRIES
+bounds.  The injective axiom takes the walk too, for exact and float keys
+alike: the keys within e of x's (equal to it, for exact keys) are one run
+of the sorted order, by the same monotonicity, so the least x whose run
+holds another vertex, with the least other vertex of that run, is the
+certificate.
 
-What the Copeland, weak and spectral axioms read of the out-degrees, their
-walk and the masks of the vertices from each position of it on, does not
-depend on the ranking.  It is built once per tournament (`_scores`), by
-the first of them to run, and kept on that tournament, so a minimizer that
-checks thousands of rankings of one tournament builds it once.
+What the Copeland and weak axioms read of the out-degrees, their walk and,
+for the weak axiom, the masks of the vertices that outscore each vertex,
+does not depend on the ranking.  It is built once per tournament
+(`_scores`), by the first of them to run, and kept on that tournament, so
+a minimizer that checks thousands of rankings of one tournament builds it
+once.  The spectral axiom reads none of it.
 """
 
 from __future__ import annotations
@@ -108,18 +110,19 @@ DEFAULT_EPS = 1e-9
 LIN_PLANE_RATIO = 8
 # The spectral axiom is decided by the list walk up to SPEC_WALK_MAX
 # vertices and in numpy chunks above it.  The walk sorts each out-set's
-# ranks into a list once per check and compares two lists per candidate
-# pair, numpy spends a fixed 0.05 ms or more per check on a few dozen array
-# calls.  Timed on random tournaments with the Copeland, the linear-fair and
-# random 1..4 rankings (8 seeds per n, best of 5, two runs; 2-vCPU Xeon VM,
-# Python 3.11, numpy 2.4), a check that passes, and so tests every
-# candidate, took 0.66-1.01 times numpy's time on the walk at n = 20,
-# 0.74-0.99 times at n = 24, 1.8-2.0 times at n = 48 and 3.6-4.3 times at
-# n = 200.  At n = 6, where the weak-order sweep checks up to 4683
-# rankings, the walk took 0.15-0.40 times numpy's time (12-29 us against
-# 45-104 us).  A check that fails took 0.35-0.84 times numpy's time at
-# n = 20 and 24, but the walk sorts every spectrum before its first pair,
-# so at n = 200 it took 2.2-4.8 times.
+# ranks into a list once per check, tests the candidate rule on every
+# ordered pair and compares two lists per candidate pair; numpy spends a
+# fixed 0.05 ms or more per check on a few dozen array calls.  Timed on
+# random tournaments with the Copeland, the linear-fair and random 1..4
+# rankings (8 seeds per n, best of 5, two runs; 2-vCPU Xeon VM, Python
+# 3.11, numpy 2.4), a check that passes, and so tests every candidate,
+# took 0.67-0.78 times numpy's time on the walk at n = 12, 0.92-1.08 times
+# at n = 16, 1.16-1.39 times at n = 20, 1.4-1.7 times at n = 24, 3.0-3.8
+# times at n = 48 and 4.8-8.6 times at n = 200.  At n = 6, where the
+# weak-order sweep checks up to 4683 rankings, the walk took 0.19-0.43
+# times numpy's time.  A check that fails took 0.38-0.96 times numpy's
+# time at n = 20 and 24, but the walk sorts every spectrum before its
+# first pair, so at n = 200 it took 1.9-5.0 times.
 SPEC_WALK_MAX = 20
 # Entries per numpy chunk of the spectral axiom, each entry a vertex of a
 # row of n: a chunk tests SPEC_CHUNK_ENTRIES // n candidate pairs, and the
@@ -167,7 +170,9 @@ class Ranking:
     with a float, a numpy float or a Decimal, is a float ranking and
     compares every value as a float, with DEFAULT_EPS.  Two rankings are
     equal iff their values are and both are exact or both float, since the
-    same values can pass an axiom exactly and fail it within eps.
+    same values can pass an axiom exactly and fail it within eps.  A nan
+    value (a float, numpy or Decimal nan) has no place in a rank order:
+    every check of the ranking raises ValueError.
 
     `values` is a read-only view of a copy of the mapping given, so no
     later change reaches a ranking, nor the comparison keys that the first
@@ -265,10 +270,11 @@ def _keys(t: Tournament, r: Ranking) -> Tuple[Tuple[Rank, ...], Rank]:
     wrap), with e = 0.  Any other ranking keys on its values as floats,
     with e = DEFAULT_EPS; one value without a denominator makes every key
     a float, and an exact value beyond float range then raises ValueError.
-    Index 0 holds the zero of the key type, 0 or 0.0.  Every read of a
-    ranking's values comes through here: n lookups that all hit, in a
-    mapping of n labels, mean that the labels are exactly 1..n; otherwise
-    `Ranking.require_domain` raises.
+    A nan value raises ValueError, as the sorted walks cannot place it;
+    infinities are kept.  Index 0 holds the zero of the key type, 0 or 0.0.
+    Every read of a ranking's values comes through here: n lookups that
+    all hit, in a mapping of n labels, mean that the labels are exactly
+    1..n; otherwise `Ranking.require_domain` raises.
 
     The keys depend on the values alone, which are read-only, and they
     were built for a domain of 1..n: a later tournament on n vertices gets
@@ -292,6 +298,9 @@ def _keys(t: Tournament, r: Ranking) -> Tuple[Tuple[Rank, ...], Rank]:
             key, e = (0.0, *map(float, values)), DEFAULT_EPS
         except OverflowError:
             raise ValueError("ranking mixes floats with an exact value beyond float range") from None
+        # nan compares false both ways, which the sorted walks cannot order
+        if any(map(math.isnan, key)):
+            raise ValueError("ranking holds nan, which has no place in a rank order")
     else:
         scale = math.lcm(*denominators)
         key = (0, *[int(v.numerator) * (scale // d) for v, d in zip(values, denominators)])
@@ -309,11 +318,14 @@ def _above(key: Sequence[Rank], e: Rank) -> List[int]:
     mask.  The walk stops at x itself at the latest, as key[x] - key[x] > e
     is false.
 
-    above[x] is `_Walk(key, e).suffix[gt[x]]`, built here in one pass
-    instead of two.  The weak-order sweep calls it through the weak axiom on
-    each of the 4683 weak orders of 6 vertices, where it took 9-16 ms per
-    4683 calls against 22-33 ms for the walk and its suffix masks (best of
-    15; 2-vCPU Xeon VM, Python 3.11).
+    This is the one builder of "ranks above" bitsets: backward arcs and the
+    weak axiom read it of the ranks, and the weak axiom of the out-degrees
+    through `_Walk.above`.  It sorts and walks once, where `_Walk` walks
+    twice to find its positions: on the 4683 weak orders of 6 vertices,
+    which the weak-order sweep checks through the weak axiom, it took 9-16
+    ms per 4683 calls against 21-32 ms for the walk with masks built from
+    its positions (best of 9 per run, nine runs or more; 2-vCPU Xeon VM,
+    Python 3.11).
     """
     order = sorted(range(1, len(key)), key=key.__getitem__)
     above = [0] * len(key)
@@ -356,10 +368,8 @@ class _Walk:
     y above x, since fl(a - b) never decreases as a grows or as b shrinks;
     both start points only move right as x does, so one walk finds them
     all, and order[geq[x]:gt[x]] holds the vertices within e of x.
-    suffix[p], the bitset of the vertices from position p of the order on,
-    is built on first use; its n + 1 bitsets hold about as much as the
-    out-sets do.  suffix[geq[x]] holds the y not below x, and suffix[gt[x]]
-    the y above x: the degree walk's masks and a rank walk's.
+    `above` is `_above(key, e)`, built on first use: the walk gives
+    positions, and `_above` every bitset.
     """
 
     def __init__(self, key: Sequence[Rank], e: Rank):
@@ -374,21 +384,18 @@ class _Walk:
             while j < n and not key[order[j]] - kx > e:
                 j += 1
             geq[x], gt[x] = i, j
-        self.key, self.order, self.geq, self.gt = key, order, geq, gt
+        self.key, self.e, self.order, self.geq, self.gt = key, e, order, geq, gt
 
     @cached_property
-    def suffix(self) -> List[int]:
-        order = self.order
-        suffix = [0] * (len(order) + 1)
-        for p in range(len(order) - 1, -1, -1):
-            suffix[p] = suffix[p + 1] | 1 << (order[p] - 1)
-        return suffix
+    def above(self) -> List[int]:
+        return _above(self.key, self.e)
 
 
 def _scores(t: Tournament) -> _Walk:
     """The `_Walk` of t's out-degrees, built on the first call for t and
-    kept on t.  Out-degrees are ints, which differ by 0 or by at least 1,
-    so the walk with e = 0 serves every e < 1."""
+    kept on t, with its `above` masks (the y that outscore x) once the weak
+    axiom reads them.  Out-degrees are ints, which differ by 0 or by at
+    least 1, so the walk with e = 0 serves every e < 1."""
     scores = t._scores
     if scores is None:
         scores = _Walk([0, *map(int.bit_count, t.out)], 0)
@@ -444,8 +451,9 @@ def _monotone_verdict(
 def is_fair(t: Tournament, r: Ranking, c: FairnessClass) -> FairnessVerdict:
     """Check a fairness axiom; on failure return the lex-least violating pair.
 
-    Raises ValueError when a float ranking holds an exact value beyond
-    float range, or when a float out-sum of the linear axiom overflows.
+    Raises ValueError when a float ranking holds nan or an exact value
+    beyond float range, or when a float out-sum of the linear axiom
+    overflows.
     """
     n = t.n
     key, e = _keys(t, r)
@@ -493,12 +501,10 @@ def is_fair(t: Tournament, r: Ranking, c: FairnessClass) -> FairnessVerdict:
         # x+ ⊆ y+ forces y -> x, since x -> y would put y in y+, and then
         # y+ holds x+ and x, so deg(y) > deg(x): only the y that beat x,
         # outscore x and do not rank above x can break the axiom
-        scores = _scores(t)
-        gt = scores.gt
-        suffix = scores.suffix  # suffix[gt[x]]: the y that outscore x
+        outscore = _scores(t).above
         above = _above(key, e)
         for x, ox in enumerate(t.out, start=1):
-            candidates = suffix[gt[x]] & ~above[x] & ~ox
+            candidates = outscore[x] & ~above[x] & ~ox
             while candidates:
                 b = candidates & -candidates
                 candidates ^= b
@@ -634,9 +640,9 @@ def _spectral_verdict(t: Tournament, key: Sequence[Rank], e: Rank) -> FairnessVe
     of the walk with e, so `not a - b > e` holds iff index(b) >= low(a).
     For exact keys (e = 0) the two walks are one, and low is index.  The
     same rule places the ranks: y ranks above x iff index(x) < low(y).
-    Up to SPEC_WALK_MAX vertices the candidates of x are read off suffix
-    masks: those of the degree walk from geq[x] on, less those of the rank
-    walk from gt[x] on, which rank above x.
+    Both paths take the candidates of x by one rule, the y != x with
+    deg(y) >= deg(x) and low(y) <= index(x); the list walk reads deg(y) as
+    the length of y's spectrum.
 
     Each spectrum is a list sorted descending, of indexes for the side that
     must be larger (tops) and of lows for the other (lows), and a pair is
@@ -653,25 +659,19 @@ def _spectral_verdict(t: Tournament, key: Sequence[Rank], e: Rank) -> FairnessVe
     whole check.
     """
     n, out = t.n, t.out
-    walk = _Walk(key, e)
-    low = [g + 1 for g in walk.geq[1:]]
+    low = [g + 1 for g in _Walk(key, e).geq[1:]]
     index = [g + 1 for g in _Walk(key, 0).geq[1:]] if e else low
     if low == index:  # no two distinct keys within e: one list serves both sides
         low = index
     if n > SPEC_WALK_MAX:
         return _spectral_chunks(out, index, low)
-    scores = _scores(t)
-    geq, suffix = scores.geq, scores.suffix
-    gt, above = walk.gt, walk.suffix
 
     tops = [sorted(compress(index, bit_mask(o)), reverse=True) for o in out]
     lows = tops if low is index else [sorted(compress(low, bit_mask(o)), reverse=True) for o in out]
     for x in range(n):
-        candidates = suffix[geq[x + 1]] & ~above[gt[x + 1]] & ~(1 << x)
-        while candidates:
-            b = candidates & -candidates
-            candidates ^= b
-            y = b.bit_length() - 1
+        for y in range(n):
+            if y == x or len(tops[y]) < len(lows[x]) or low[y] > index[x]:
+                continue
             if not all(map(le, lows[x], tops[y])):
                 continue
             if index[y] < low[x]:

@@ -353,9 +353,10 @@ class TestInjective:
 
 
 class TestRankWalk:
-    # `_above` builds in one pass what the walk's suffix masks hold, the y
-    # that rank above each x; the walk with e = 0 places each key among the
-    # others, as the spectral axiom reads it
+    # `_above` builds every mask, the y that rank above each x, which is the
+    # suffix of the walk's order from gt[x] on; the walk's own `above` is
+    # `_above`; the walk with e = 0 places each key among the others, as
+    # the spectral axiom reads it
 
     @pytest.mark.parametrize("seed", range(20))
     def test_above_and_positions_read_the_walk(self, seed):
@@ -371,8 +372,9 @@ class TestRankWalk:
                        [rng.choice(pool) for _ in levels]):
             key, e = _keys(t, Ranking(dict(enumerate(values, start=1))))
             walk, above, exact = _Walk(key, e), _above(key, e), _Walk(key, 0)
+            assert walk.above == above, values
             for x in t.vertices():
-                assert above[x] == walk.suffix[walk.gt[x]], (values, x)
+                assert above[x] == sum(1 << (y - 1) for y in walk.order[walk.gt[x]:]), (values, x)
                 assert exact.geq[x] == sum(key[y] < key[x] for y in t.vertices()), (values, x)
 
 
@@ -477,6 +479,19 @@ class TestValuesDecideExactness:
             is_fair(three_cycle, mixed, cls)
         with pytest.raises(ValueError, match="beyond float range"):
             backward_arcs(three_cycle, mixed)
+
+    @pytest.mark.parametrize("nan", [math.nan, np.float64("nan"), Decimal("NaN")], ids=repr)
+    def test_nan_is_refused(self, nan):
+        # nan compares false both ways: on the transitive 1 -> 2 -> 3 with
+        # 1 -> 3, the sorted walks passed NSCOP with vertex 3 above vertex 1
+        t = gen_random(3, 4)
+        r = Ranking({1: 2.0, 2: nan, 3: 3.0})
+        for cls in FC:
+            with pytest.raises(ValueError, match="nan"):
+                is_fair(t, r, cls)
+        with pytest.raises(ValueError, match="nan"):
+            backward_arcs(t, r)
+        assert r._key is None  # nothing was kept on the ranking
 
 
 class TestPerCallPaths:
