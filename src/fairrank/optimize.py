@@ -16,10 +16,21 @@ Karp, 1962), up to INJECTIVE_SEARCH_CAP vertices; `min_backward_injective`
 and `min_backward_fair(t, INJ)` both run it and report the same witness.
 WEAK, SPEC and LIN search the weak orders up to WEAK_ORDER_CAP.  The
 backward counts of all of them come first, from one array of their levels,
-and the orders are checked in ascending (count, levels): the witness is the
-first fair one met, and SPEC and LIN stop there.  WEAK constrains the ranks
-pair by pair as well, but checks every order, since the benchmark's own
-tests pin how many `is_fair` calls its sweep makes.
+and the witness is the first fair order in ascending (count, levels).
+SPEC and LIN decide every order in one array pass over the levels L
+(levels 1..k, one row per vertex) and the out-set matrix A, then certify
+their witness with one `is_fair` call:
+- LIN holds iff L and the out-sums S = A L order every pair alike: the
+  axiom asks S[x] < S[y] => L[x] < L[y] and S[x] <= S[y] => L[x] <= L[y],
+  which, read for a pair and its swap, say exactly that.
+- SPEC compares spectra by threshold counts: x's spectrum lies below y's
+  iff, for every θ = 1..n, x has at most as many out-neighbours at level
+  >= θ as y, since the m-th largest entry of a spectrum is at least θ iff
+  at least m of its entries are.  The axiom is then two boolean masks
+  over (x, y), as `min_backward_fair` proves.
+Only WEAK still checks the orders one by one, every one of them, since the
+benchmark's own tests pin how many `is_fair` calls its sweep makes
+(ROADMAP item 12).
 
 The enumerated weak orders are integer level vectors (`weak_order_levels`),
 built once per n and kept as exact rankings that hold those ints, next to
@@ -38,6 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import combinations
 from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -50,7 +62,13 @@ from .ranking import (
     backward_arcs,
     is_fair,
 )
-from .tournament import Tournament, _require_size, enumerate_all, gen_composite
+from .tournament import (
+    Tournament,
+    _require_enumerable,
+    _require_size,
+    gen_composite,
+    unpack_rows,
+)
 
 INJECTIVE_SEARCH_CAP = 16
 EMN_LMAX_CAP = 10_000
@@ -207,12 +225,34 @@ def min_backward_fair(t: Tournament, c: FairnessClass) -> MinBackwardResult:
     an exact ranking of its int levels.  The backward counts of all of
     them come first, one numpy compare over the level array per arc.  A
     stable sort of the counts keeps the ascending levels of
-    `_level_vectors` among equal counts, so the orders are checked in
-    ascending (count, levels), the first one that `is_fair` accepts is the
-    witness, and the search stops there; an empty class still checks
-    every order.  WEAK constrains ranks pair by pair and could be placed by
-    a DP too, but checks every order while the benchmark's own tests pin
-    its number of `is_fair` calls.
+    `_level_vectors` among equal counts, so the witness is the first fair
+    order in ascending (count, levels).  WEAK finds it by one `is_fair`
+    call per order and checks every order, empty class or not: it
+    constrains ranks pair by pair and could be placed by a DP too, but the
+    benchmark's own tests pin its number of `is_fair` calls (ROADMAP item
+    12).  SPEC and LIN decide every order in one array pass
+    (`_fair_orders`), and only their witness gets an `is_fair` call, as a
+    certificate that must agree; an empty class makes none.
+
+    The array pass reads each order's levels L (1..k, so positive) and the
+    out-set matrix A, and an order is fair iff no ordered pair (x, y)
+    breaks the rule of its class:
+    - LIN: L[x] > L[y] iff S[x] > S[y], with S = A L the out-sums.  The
+      axiom asks S[x] < S[y] => L[x] < L[y] and S[x] <= S[y] =>
+      L[x] <= L[y].  If S[x] > S[y] the first, for (y, x), gives
+      L[x] > L[y]; if not, the second gives L[x] <= L[y].  Conversely, if
+      S and L order every pair alike, S[x] < S[y] gives L[x] < L[y], and
+      S[x] <= S[y] rules out L[x] > L[y].
+    - SPEC: below[x, y] => L[x] <= L[y], and below[x, y] and not
+      below[y, x] => L[x] < L[y], where below[x, y] says that x's spectrum
+      lies below y's, which holds iff C_θ[x] <= C_θ[y] for every threshold
+      θ = 1..n, with C_θ = A [L >= θ] the out-neighbours at level >= θ.
+      If the m-th largest entry of x's spectrum is a, then C_a[x] >= m, so
+      C_a[y] >= m and y's m-th largest is at least a; conversely, if
+      C_θ[x] = m, x's m-th largest is at least θ, y's m-th largest is at
+      least that, and C_θ[y] >= m.  θ = 1 gives deg(x) <= deg(y).  The
+      levels order the vertices as `is_fair`'s rank positions do, so they
+      stand in for them.
 
     On exact rankings SPEC and LIN each imply WEAK.  A WEAK violation is a
     pair with out(x) ⊆ out(y) and not rank(x) < rank(y).  Then y -> x, as
@@ -239,18 +279,50 @@ def min_backward_fair(t: Tournament, c: FairnessClass) -> MinBackwardResult:
         for y in range(t.n):
             if out >> y & 1:
                 counts += levels[x] < levels[y]
-    best: Optional[Ranking] = None
     # a stable sort keeps the levels order among equal counts
-    for i in np.argsort(counts, kind="stable").tolist():
-        if is_fair(t, rankings[i], c) and best is None:
-            best = rankings[i]
-            # WEAK checks every candidate on: bench/test_bench.py pins its
-            # is_fair calls (75 on transitive(4)), ROADMAP items 12 and 16
-            if c is not FairnessClass.WEAK:
-                break
+    order = np.argsort(counts, kind="stable")
+    best: Optional[Ranking] = None
+    if c is FairnessClass.WEAK:
+        # WEAK checks every candidate: bench/test_bench.py pins its is_fair
+        # calls (75 on transitive(4)), ROADMAP items 12 and 16
+        for i in order.tolist():
+            if is_fair(t, rankings[i], c) and best is None:
+                best = rankings[i]
+    else:
+        fair = np.flatnonzero(_fair_orders(t, levels, c)[order])
+        if len(fair):
+            best = rankings[order[fair[0]]]
+            if not is_fair(t, best, c):
+                raise AssertionError(f"{c.value} array verdict refuted by is_fair on {best}")
     if best is None:
         raise EmptyClassError(f"no weak-order ranking satisfies {c.value}")
     return _result(t, Ranking.exact(best.values), "weakOrders")
+
+
+def _fair_orders(t: Tournament, levels: np.ndarray, c: FairnessClass) -> np.ndarray:
+    """The SPEC or LIN verdict of every weak order at once: fair[i] is
+    whether the ranking of column i of `levels` (one row per vertex, as
+    `_level_vectors` keeps them) passes `is_fair`, by the rules that
+    `min_backward_fair` proves.  The arrays are (n, n, orders) bools,
+    168 KB each at n = 6, built per call and not kept."""
+    n = t.n
+    # float32 products run in BLAS, where int products do not, and are
+    # exact here: every entry is an integer of at most 6 * 5 = 30
+    a = unpack_rows(t.out, range(n)).astype(np.float32)
+    if c is FairnessClass.LIN:
+        sums = a @ levels.astype(np.float32)
+        return ((levels[:, None] > levels) == (sums[:, None] > sums)).all((0, 1))
+    below = np.ones((n, n, levels.shape[1]), dtype=bool)
+    for theta in range(1, n + 1):
+        counts = a @ (levels >= theta).astype(np.float32)
+        below &= counts[:, None] <= counts
+    # unfair: strictly below and ranked at least as high, or below and higher
+    unfair = ~below.transpose(1, 0, 2)
+    unfair &= below
+    unfair &= levels[:, None] >= levels
+    below &= levels[:, None] > levels
+    unfair |= below
+    return ~unfair.any((0, 1))
 
 
 # -- extremal family sweep --------------------------------------------------
@@ -348,11 +420,32 @@ class BoundCheckReport:
 
 
 def verify_copeland_upper_bound(n: int) -> BoundCheckReport:
-    """Check the per-size strict-Copeland bound over all tournaments on n
-    vertices, as far as `enumerate_all` goes."""
+    """Check the per-size strict-Copeland bound over all 2^C(n,2) labelled
+    tournaments on n vertices, as far as `enumerate_all` goes.
+
+    The least strict-Copeland backward count of a tournament is its number
+    of degree-rising arcs, x -> y with deg(x) < deg(y) (`_dense_levels`
+    gives the proof), so no ranking is built.  Tournament number `mask`
+    orients the k-th pair (i, j), i < j, of `combinations` as `enumerate_all`
+    does, j -> i iff bit k of `mask` is set; one array of those bits holds
+    every tournament, its out-degrees are one product with the pairs'
+    endpoints, and each count is one compare of the endpoints' degrees.
+    """
+    _require_enumerable(n)
+    pairs = np.array(list(combinations(range(n), 2)), dtype=np.intp).reshape(-1, 2)
+    m = len(pairs)
+    masks = np.arange(1 << m, dtype="<u4").view(np.uint8).reshape(-1, 4)
+    j_wins = np.unpackbits(masks, axis=1, count=m, bitorder="little")
+    # vertex v has out-degree n - 1 - v when every pair's i wins, and each
+    # pair that j wins moves one from i to j: one float32 product, which
+    # runs in BLAS and is exact for these small ints
+    eye = np.eye(n, dtype=np.float32)
+    moves = (j_wins.astype(np.float32) @ (eye[pairs[:, 1]] - eye[pairs[:, 0]])).astype(np.int8)
+    degrees = moves + np.arange(n - 1, -1, -1, dtype=np.int8)
+    deg_i, deg_j = degrees[:, pairs[:, 0]], degrees[:, pairs[:, 1]]
+    rising = np.where(j_wins, deg_j < deg_i, deg_i < deg_j).sum(axis=1)
     bound = copeland_bound(n)
-    fractions = [min_backward_copeland_closed_form(t).fraction for t in enumerate_all(n)]
-    max_fraction = max(fractions)
+    max_fraction = Fraction(int(rising.max()), m or 1)  # no arcs, none backward: 0
     # copeland_bound(n) < 3/4 for every n, so this also checks the limit:
     # (3l-2)/(4l-2) < 3/4 iff -8 < -6, (3l+1)/(4l+2) < 3/4 iff 4 < 6, and 0 for n < 2
-    return BoundCheckReport(n, len(fractions), bound, max_fraction, max_fraction <= bound)
+    return BoundCheckReport(n, 1 << m, bound, max_fraction, max_fraction <= bound)

@@ -187,11 +187,16 @@ def gen_random(n: int, seed: int) -> Tournament:
     return _from_matrix(a)
 
 
-def enumerate_all(n: int) -> Iterator[Tournament]:
-    """Yield all 2^C(n,2) labeled tournaments on n vertices exactly once."""
+def _require_enumerable(n: int) -> None:
+    """The checks of every exhaustive sweep: 1 <= n <= ENUMERATION_CAP."""
     if n > ENUMERATION_CAP:
         raise ResourceLimitError(f"enumeration capped at n <= {ENUMERATION_CAP}")
     _require_size(n)
+
+
+def enumerate_all(n: int) -> Iterator[Tournament]:
+    """Yield all 2^C(n,2) labeled tournaments on n vertices exactly once."""
+    _require_enumerable(n)
     pairs = list(combinations(range(n), 2))
     for mask in range(1 << len(pairs)):
         out = [0] * n

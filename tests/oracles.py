@@ -16,7 +16,12 @@ from fairrank.errors import (
     UnknownVertexError,
 )
 from fairrank.fixpoint import PerronResult
-from fairrank.optimize import MinBackwardResult
+from fairrank.optimize import (
+    BoundCheckReport,
+    MinBackwardResult,
+    copeland_bound,
+    min_backward_copeland_closed_form,
+)
 from fairrank.ranking import (
     DEFAULT_EPS,
     BackwardReport,
@@ -27,7 +32,7 @@ from fairrank.ranking import (
     backward_arcs,
     is_fair,
 )
-from fairrank.tournament import Tournament, _from_matrix, _score_components
+from fairrank.tournament import Tournament, _from_matrix, _score_components, enumerate_all
 
 # -- adjacency, decoded bit by bit ---------------------------------------
 
@@ -298,6 +303,15 @@ def min_backward_fair_blocks(t: Tournament, c: FairnessClass) -> MinBackwardResu
     count, _, witness = best
     fraction = Fraction(count, t.num_arcs) if t.num_arcs else Fraction(0)
     return MinBackwardResult(count, fraction, witness, "weakOrders")
+
+
+def verify_copeland_upper_bound_loop(n: int) -> BoundCheckReport:
+    """`verify_copeland_upper_bound` by one closed-form minimum per labelled
+    tournament of `enumerate_all`, each a ranking built and counted."""
+    bound = copeland_bound(n)
+    fractions = [min_backward_copeland_closed_form(t).fraction for t in enumerate_all(n)]
+    max_fraction = max(fractions)
+    return BoundCheckReport(n, len(fractions), bound, max_fraction, max_fraction <= bound)
 
 
 def scc_decompose_tarjan(t: Tournament) -> Tuple[frozenset, ...]:

@@ -13,7 +13,11 @@ spectra, one cache for x and y (two int16 arrays, 2 x 4 bytes an entry),
 and a chunk adds its block's candidate mask (1 byte) and pair lists (two
 int64 arrays, 16 bytes at most), the gathered spectra and their
 comparison (5 bytes) and the unpacked bits of a sort (3 bytes): under 40
-bytes an entry.
+bytes an entry.  The SPEC and LIN minimizers decide the 4683 weak orders
+at n = 6 in one pass over (n, n, 4683) bool arrays, 168 KB each, and the
+exhaustive Copeland check holds one row of C(n, 2) arc bits and n
+degrees per tournament, 32 768 of them at n = 6; all are built per call
+and dropped.
 """
 
 import tracemalloc
@@ -29,9 +33,11 @@ from fairrank import (
     min_backward_fair,
     parse_tournament,
     serialize_tournament,
+    verify_copeland_upper_bound,
 )
 from fairrank.optimize import WEAK_ORDER_CAP, _level_vectors
 from fairrank.ranking import SPEC_CHUNK_ENTRIES
+from fairrank.tournament import ENUMERATION_CAP
 
 MB = 1 << 20
 
@@ -95,3 +101,30 @@ def test_weak_order_rankings_at_the_cap():
         tracemalloc.stop()
     assert _level_vectors.cache_info().currsize == 1
     assert held < 3 * MB, f"the weak orders at n = {WEAK_ORDER_CAP} hold {held / MB:.2f} MB"
+
+
+def traced_peak(call):
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        try:
+            call()
+        except EmptyClassError:
+            pass
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_array_passes_peak_per_call():
+    # measured: 0.63 MB for SPEC and LIN (a witness and an empty class
+    # alike) and 3.34 MB for the exhaustive check at n = 6
+    bounds = {FairnessClass.SPEC: 0.8 * MB, FairnessClass.LIN: 0.8 * MB}
+    for seed in (1, 2):  # LIN is empty on seed 2
+        t = gen_random(WEAK_ORDER_CAP, seed)
+        for c, bound in bounds.items():
+            traced_peak(lambda: min_backward_fair(t, c))  # the kept weak orders, built untraced
+            peak = traced_peak(lambda: min_backward_fair(t, c))
+            assert peak < bound, f"{c.value} on seed {seed} peaks at {peak / MB:.2f} MB"
+    peak = traced_peak(lambda: verify_copeland_upper_bound(ENUMERATION_CAP))
+    assert peak < 4 * MB, f"the exhaustive check peaks at {peak / MB:.2f} MB"

@@ -7,6 +7,7 @@ import pytest
 from fairrank import (
     EmptyClassError,
     FairnessClass,
+    FairnessVerdict,
     MinBackwardResult,
     Ranking,
     ResourceLimitError,
@@ -28,7 +29,7 @@ from fairrank import (
 )
 from fairrank import optimize
 from fairrank.cli import report_json
-from fairrank.optimize import INJECTIVE_SEARCH_CAP
+from fairrank.optimize import INJECTIVE_SEARCH_CAP, _fair_orders, _level_vectors
 from oracles import (
     arcs,
     is_fair_pairs,
@@ -36,6 +37,7 @@ from oracles import (
     min_backward_fair_blocks,
     min_backward_injective_bnb,
     min_backward_injective_permutations,
+    verify_copeland_upper_bound_loop,
 )
 
 FC = FairnessClass
@@ -281,14 +283,15 @@ class TestWeakOrderMinimum:
         assert (res.count, res.fraction) == (8, Fraction(8, 15))
         assert is_fair_pairs(t, res.witness, FC.SPEC).ok
 
-    # the sweep checks the weak orders in ascending (count, levels) and
-    # stops at the first fair one; WEAK checks all 4683, as the benchmark's
-    # own tests pin its calls, and so does an empty class
-    @pytest.mark.parametrize("c, seed, calls, empty", [
-        (FC.SPEC, 1, 296, False), (FC.LIN, 1, 296, False),
-        (FC.WEAK, 1, 4683, False), (FC.LIN, 2, 4683, True),
+    # the witness is the first fair weak order in ascending (count, levels);
+    # WEAK finds it by checking all 4683, as the benchmark's own tests pin
+    # its calls, while SPEC and LIN decide every order in one array pass and
+    # check only the witness, so an empty class makes no call
+    @pytest.mark.parametrize("c, seed, calls, witness", [
+        (FC.SPEC, 1, 1, (4, 2, 4, 3, 5, 1)), (FC.LIN, 1, 1, (4, 2, 4, 3, 5, 1)),
+        (FC.WEAK, 1, 4683, (2, 2, 2, 2, 3, 1)), (FC.LIN, 2, 0, None),
     ], ids=lambda p: getattr(p, "value", p))
-    def test_is_fair_calls(self, monkeypatch, c, seed, calls, empty):
+    def test_is_fair_calls(self, monkeypatch, c, seed, calls, witness):
         made = []
 
         def counted(*args):
@@ -297,11 +300,13 @@ class TestWeakOrderMinimum:
 
         monkeypatch.setattr(optimize, "is_fair", counted)
         t = gen_random(6, seed)
-        if empty:
+        if witness is None:
             with pytest.raises(EmptyClassError):
                 min_backward_fair(t, c)
         else:
-            assert is_fair(t, min_backward_fair(t, c).witness, c).ok
+            res = min_backward_fair(t, c)
+            assert tuple(res.witness[v] for v in t.vertices()) == witness
+            assert is_fair(t, res.witness, c).ok
         assert len(made) == calls
 
     def test_cap(self):
@@ -324,6 +329,42 @@ class TestWeakOrderMinimum:
                 res = min_backward_fair(t, c)
                 expected = 0 if c is FC.NSCOP else min_backward_copeland_closed_form(t).count
                 assert (res.count, res.search_space) == (expected, "weakOrders")
+
+
+class TestArrayVerdicts:
+    # SPEC and LIN decide every weak order in one array pass; each verdict
+    # must be the one `is_fair` gives the kept ranking of that order
+    @staticmethod
+    def assert_verdicts(t):
+        rankings, levels = _level_vectors(t.n)
+        for c in (FC.SPEC, FC.LIN):
+            expected = [is_fair(t, r, c).ok for r in rankings]
+            assert _fair_orders(t, levels, c).tolist() == expected, (t.out, c)
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_exhaustive(self, n):
+        for t in enumerate_all(n):
+            self.assert_verdicts(t)
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_random(self, n):
+        for seed in range(20):
+            self.assert_verdicts(gen_random(n, seed))
+
+    @pytest.mark.parametrize("seeds", [range(s, s + 10) for s in range(0, 100, 10)],
+                             ids=lambda r: f"{r.start}-{r.stop - 1}")
+    def test_minimum_matches_block_loop_at_n6(self, seeds):
+        for seed in seeds:
+            t = gen_random(6, seed)
+            for c in (FC.SPEC, FC.LIN):
+                expected = block_loop_outcome(min_backward_fair_blocks, t, c)
+                assert block_loop_outcome(min_backward_fair, t, c) == expected, (seed, c)
+
+    @pytest.mark.parametrize("c", [FC.SPEC, FC.LIN], ids=lambda c: c.value)
+    def test_refuted_witness_raises(self, monkeypatch, c):
+        monkeypatch.setattr(optimize, "is_fair", lambda *args: FairnessVerdict((1, 2), "refuted"))
+        with pytest.raises(AssertionError, match="refuted by is_fair"):
+            min_backward_fair(gen_random(6, 1), c)
 
 
 class TestSpectralAndLinearImplyWeak:
@@ -441,6 +482,19 @@ class TestBounds:
         rep = verify_copeland_upper_bound(n)
         assert rep.all_within
         assert rep.checked == 2 ** (n * (n - 1) // 2)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_labelled_loop(self, n):
+        rep, expected = verify_copeland_upper_bound(n), verify_copeland_upper_bound_loop(n)
+        assert (rep.n, rep.checked, rep.bound, rep.max_fraction, rep.all_within) == (
+            expected.n, expected.checked, expected.bound, expected.max_fraction, expected.all_within)
+        # the report's JSON and text come from these fields as Python values
+        assert (type(rep.checked), type(rep.max_fraction), type(rep.all_within)) == (int, Fraction, bool)
+
+    @pytest.mark.parametrize("n, error", [(0, ValueError), (7, ResourceLimitError)])
+    def test_enumeration_checks(self, n, error):
+        with pytest.raises(error):
+            verify_copeland_upper_bound(n)
 
     def test_random_mode(self):
         for seed in range(3, 53):
