@@ -34,14 +34,15 @@ benchmark's own tests pin how many `is_fair` calls its sweep makes
 
 The enumerated weak orders are integer level vectors (`weak_order_levels`),
 built once per n and kept as exact rankings that hold those ints, next to
-one int8 array of the same levels: 2.81 MB at n = 6 once each ranking has
-kept its comparison keys.  The predicates key the ints by the one
-exact-key rule on a ranking's first check and keep the keys on it (see
-`ranking`), so no Fraction and no key is built per candidate in later
-sweeps at that n; only the reported witness holds Fractions.  What
-the predicates derive from the tournament alone is built on the first
-candidate and kept with the tournament, so the per-candidate cost is the
-check itself.
+one int8 array of the same levels: 2.80 MB at n = 6 once each ranking has
+kept its rank masks.  The weak axiom keys the ints by the one exact-key
+rule on a ranking's first check and keeps its "ranks above" masks on it,
+not its keys (see `ranking`), so no Fraction, no key and no sort is built
+per candidate in later sweeps at that n; only the reported witness holds
+Fractions.  What the weak axiom derives from the tournament alone, each
+vertex's candidates, is built on the first candidate and kept with the
+tournament, so the per-candidate cost is one AND per vertex that has
+candidates, and an inclusion test per candidate left.
 """
 
 from __future__ import annotations
@@ -120,8 +121,9 @@ def _level_vectors(n: int) -> Tuple[Tuple[Ranking, ...], np.ndarray]:
     the i-th ranking.
 
     Built on the first call for each n and kept, so each ranking keeps the
-    keys that its first check builds (`ranking._keys`): 4683 rankings,
-    2.81 MB with their keys, and a 28 KB array at n = WEAK_ORDER_CAP.
+    rank masks that its first weak check builds (`ranking._rank_masks`):
+    4683 rankings, 2.80 MB with their masks, and a 28 KB array at
+    n = WEAK_ORDER_CAP.
     Callers check the cap first, so no larger n is kept.
     """
     orders = sorted(weak_order_levels(n))

@@ -14,11 +14,16 @@ key, the same verdicts and the same text as the equal Fraction.
 Every predicate and the backward-arc report compare through one rule on
 per-vertex keys: x ranks below y iff key[y] - key[x] > e.  The keys come
 from one lookup per vertex, which also decides the domain: n lookups that
-hit, in a ranking of n labels, mean that the labels are 1..n.  A ranking's
-values are read-only, so the first check on it keeps its keys on it, and
-later checks on any tournament of the same size read them back; the
-weak-order minimizer, which checks the same rankings on every tournament
-and for every class, builds each ranking's keys once.  A float
+hit, in a ranking of n labels, mean that the labels are 1..n.  The keys
+are built per call and kept nowhere.  What a ranking keeps is its "ranks
+above" masks (`_rank_masks`), which the weak axiom and the backward-arc
+report read: a ranking's values are read-only, so the first of those to
+run keeps the masks on it, and later ones on any tournament of the same
+size read them back without a lookup, a key or a sort; the weak-order
+minimizer, which checks the same rankings on every tournament, builds
+each ranking's masks once.  Each mask is an int as wide as its highest
+label, so the masks of n vertices hold about n^2 / 8 bytes: 13 MB for the
+Copeland ranking of a random n = 10 000, whose keys take 0.34 MB.  A float
 ranking keys on its values with e = eps.  An exact ranking keys on its
 values times the LCM of their denominators, Python ints in the same
 ratios, with e = 0; a ranking is exact iff every value has a denominator,
@@ -70,12 +75,15 @@ of the sorted order, by the same monotonicity, so the least x whose run
 holds another vertex, with the least other vertex of that run, is the
 certificate.
 
-What the Copeland and weak axioms read of the out-degrees, their walk and,
-for the weak axiom, the masks of the vertices that outscore each vertex,
-does not depend on the ranking.  It is built once per tournament
-(`_scores`), by the first of them to run, and kept on that tournament, so
-a minimizer that checks thousands of rankings of one tournament builds it
-once.  The spectral axiom reads none of it.
+What the Copeland and weak axioms read of the tournament does not depend
+on the ranking: the Copeland axioms read the walk of the out-degrees
+(`_scores`), and the weak axiom each vertex's candidates, the vertices
+that beat it and outscore it (`_weak_candidates`).  Each is built once per
+tournament, by the first check that reads it, and kept on that
+tournament, so a minimizer that checks thousands of rankings of one
+tournament builds it once, and a weak check is then one AND with the kept
+rank mask per vertex that has candidates.  The spectral axiom reads none
+of it.
 """
 
 from __future__ import annotations
@@ -84,7 +92,6 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
 from itertools import compress, repeat
 from operator import add, le
 from types import MappingProxyType
@@ -175,19 +182,19 @@ class Ranking:
     every check of the ranking raises ValueError.
 
     `values` is a read-only view of a copy of the mapping given, so no
-    later change reaches a ranking, nor the comparison keys that the first
-    check on it builds and keeps (`_keys`).
+    later change reaches a ranking, nor the "ranks above" masks that the
+    first weak check or backward-arc report on it builds and keeps
+    (`_rank_masks`).  Its comparison keys (`_keys`) are built per call.
     """
 
     values: Mapping[int, Rank]
-    # the keys and tolerance of `_keys`, built by the first check and kept
-    _key: Optional[Tuple[Rank, ...]] = field(default=None, init=False, repr=False, compare=False)
-    _eps: Rank = field(default=0, init=False, repr=False, compare=False)
+    # the masks of `_rank_masks`, built by the first call that reads them and kept
+    _masks: Optional[Tuple[int, ...]] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", MappingProxyType(dict(self.values)))
 
-    def __reduce__(self):  # a view does not pickle; copies rebuild it, and their keys
+    def __reduce__(self):  # a view does not pickle; copies rebuild it, and their masks
         return Ranking, (dict(self.values),)
 
     @property
@@ -261,7 +268,8 @@ class FairnessVerdict:
 
 
 def _keys(t: Tournament, r: Ranking) -> Tuple[Tuple[Rank, ...], Rank]:
-    """Comparison keys indexed by vertex and the tolerance e, kept on r.
+    """Comparison keys indexed by vertex and the tolerance e, built per
+    call and kept nowhere.
 
     x ranks below y iff key[y] - key[x] > e.  An exact ranking, one whose
     values all have a denominator, keys on its values times the LCM of
@@ -275,15 +283,7 @@ def _keys(t: Tournament, r: Ranking) -> Tuple[Tuple[Rank, ...], Rank]:
     Every read of a ranking's values comes through here: n lookups that
     all hit, in a mapping of n labels, mean that the labels are exactly
     1..n; otherwise `Ranking.require_domain` raises.
-
-    The keys depend on the values alone, which are read-only, and they
-    were built for a domain of 1..n: a later tournament on n vertices gets
-    them back without a lookup, and any other n reads the values again,
-    with the same checks, and keeps the keys it builds.
     """
-    key = r._key
-    if key is not None and len(key) - 1 == t.n:
-        return key, r._eps
     try:
         values = list(map(r.values.__getitem__, t.vertices()))
     except KeyError:
@@ -304,9 +304,24 @@ def _keys(t: Tournament, r: Ranking) -> Tuple[Tuple[Rank, ...], Rank]:
     else:
         scale = math.lcm(*denominators)
         key = (0, *[int(v.numerator) * (scale // d) for v, d in zip(values, denominators)])
-    object.__setattr__(r, "_key", key)
-    object.__setattr__(r, "_eps", e)
     return key, e
+
+
+def _rank_masks(t: Tournament, r: Ranking) -> Tuple[int, ...]:
+    """`_above` of r's keys as a tuple indexed by vertex from 1, kept on r:
+    masks[x] is the bitset of the y that rank above x.
+
+    The masks depend on the values alone, which are read-only, and they
+    were built for a domain of 1..n: a later tournament on n vertices gets
+    them back without a lookup, and any other n builds them through
+    `_keys`, whose domain, nan and float-range checks raise before anything
+    is kept, and keeps the masks it builds.
+    """
+    masks = r._masks
+    if masks is None or len(masks) - 1 != t.n:
+        masks = tuple(_above(*_keys(t, r)))
+        object.__setattr__(r, "_masks", masks)
+    return masks
 
 
 def _above(key: Sequence[Rank], e: Rank) -> List[int]:
@@ -319,13 +334,13 @@ def _above(key: Sequence[Rank], e: Rank) -> List[int]:
     is false.
 
     This is the one builder of "ranks above" bitsets: backward arcs and the
-    weak axiom read it of the ranks, and the weak axiom of the out-degrees
-    through `_Walk.above`.  It sorts and walks once, where `_Walk` walks
-    twice to find its positions: on the 4683 weak orders of 6 vertices,
-    which the weak-order sweep checks through the weak axiom, it took 9-16
-    ms per 4683 calls against 21-32 ms for the walk with masks built from
-    its positions (best of 9 per run, nine runs or more; 2-vCPU Xeon VM,
-    Python 3.11).
+    weak axiom read it of the ranks through `_rank_masks`, and the weak
+    axiom of the out-degrees through `_weak_candidates`.  It sorts and
+    walks once, where `_Walk` walks twice to find its positions: when every
+    weak check built its masks, on the 4683 weak orders of 6 vertices, it
+    took 9-16 ms per 4683 calls against 21-32 ms for the walk with masks
+    built from its positions (best of 9 per run, nine runs or more; 2-vCPU
+    Xeon VM, Python 3.11).
     """
     order = sorted(range(1, len(key)), key=key.__getitem__)
     above = [0] * len(key)
@@ -342,8 +357,7 @@ def _above(key: Sequence[Rank], e: Rank) -> List[int]:
 def backward_arcs(t: Tournament, r: Ranking) -> BackwardReport:
     """Partition arcs by rank comparison and report the backward ones: the
     arc x -> y is backward when key[y] - key[x] > e."""
-    key, e = _keys(t, r)
-    above = _above(key, e)
+    above = _rank_masks(t, r)
     return BackwardReport(tuple([o & a for o, a in zip(t.out, above[1:])]))
 
 
@@ -367,9 +381,8 @@ class _Walk:
     b - a > e.  The y not below x form a suffix of the order, and so do the
     y above x, since fl(a - b) never decreases as a grows or as b shrinks;
     both start points only move right as x does, so one walk finds them
-    all, and order[geq[x]:gt[x]] holds the vertices within e of x.
-    `above` is `_above(key, e)`, built on first use: the walk gives
-    positions, and `_above` every bitset.
+    all, and order[geq[x]:gt[x]] holds the vertices within e of x.  The
+    walk gives positions, and `_above` every bitset.
     """
 
     def __init__(self, key: Sequence[Rank], e: Rank):
@@ -386,21 +399,29 @@ class _Walk:
             geq[x], gt[x] = i, j
         self.key, self.e, self.order, self.geq, self.gt = key, e, order, geq, gt
 
-    @cached_property
-    def above(self) -> List[int]:
-        return _above(self.key, self.e)
-
 
 def _scores(t: Tournament) -> _Walk:
     """The `_Walk` of t's out-degrees, built on the first call for t and
-    kept on t, with its `above` masks (the y that outscore x) once the weak
-    axiom reads them.  Out-degrees are ints, which differ by 0 or by at
-    least 1, so the walk with e = 0 serves every e < 1."""
+    kept on t.  Out-degrees are ints, which differ by 0 or by at least 1,
+    so the walk with e = 0 serves every e < 1."""
     scores = t._scores
     if scores is None:
         scores = _Walk([0, *map(int.bit_count, t.out)], 0)
         object.__setattr__(t, "_scores", scores)
     return scores
+
+
+def _weak_candidates(t: Tournament) -> List[Tuple[int, int, int]]:
+    """(x, out-set of x, the y that beat x and outscore x) for each x that
+    has any such y, in ascending x, built on the first call for t and kept
+    on t.  The y that outscore x are `_above` of the out-degrees, with
+    e = 0, which serves every e < 1 as in `_scores`."""
+    weak = t._weak
+    if weak is None:
+        outscore = _above([0, *map(int.bit_count, t.out)], 0)
+        weak = [(x, ox, y) for x, ox in enumerate(t.out, start=1) if (y := outscore[x] & ~ox)]
+        object.__setattr__(t, "_weak", weak)
+    return weak
 
 
 def _monotone_verdict(
@@ -455,6 +476,20 @@ def is_fair(t: Tournament, r: Ranking, c: FairnessClass) -> FairnessVerdict:
     beyond float range, or when a float out-sum of the linear axiom
     overflows.
     """
+    if c is FairnessClass.WEAK:
+        # x+ ⊆ y+ forces y -> x, since x -> y would put y in y+, and then
+        # y+ holds x+ and x, so deg(y) > deg(x): only the y that beat x,
+        # outscore x and do not rank above x can break the axiom
+        above, out = _rank_masks(t, r), t.out
+        for x, ox, beat in _weak_candidates(t):
+            candidates = beat & ~above[x]
+            while candidates:
+                b = candidates & -candidates
+                candidates ^= b
+                if ox & ~out[b.bit_length() - 1] == 0:
+                    return FairnessVerdict((x, b.bit_length()), "weak fairness violated")
+        return FairnessVerdict()
+
     n = t.n
     key, e = _keys(t, r)
 
@@ -495,21 +530,6 @@ def is_fair(t: Tournament, r: Ranking, c: FairnessClass) -> FairnessVerdict:
             if walk.gt[x] - walk.geq[x] > 1:
                 tied = sorted(walk.order[walk.geq[x] : walk.gt[x]])
                 return FairnessVerdict((x, tied[1]), "equal ranks")
-        return FairnessVerdict()
-
-    if c is FairnessClass.WEAK:
-        # x+ ⊆ y+ forces y -> x, since x -> y would put y in y+, and then
-        # y+ holds x+ and x, so deg(y) > deg(x): only the y that beat x,
-        # outscore x and do not rank above x can break the axiom
-        outscore = _scores(t).above
-        above = _above(key, e)
-        for x, ox in enumerate(t.out, start=1):
-            candidates = outscore[x] & ~above[x] & ~ox
-            while candidates:
-                b = candidates & -candidates
-                candidates ^= b
-                if ox & ~t.out[b.bit_length() - 1] == 0:
-                    return FairnessVerdict((x, b.bit_length()), "weak fairness violated")
         return FairnessVerdict()
 
     raise ValueError(f"unhandled fairness class {c}")

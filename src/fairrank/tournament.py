@@ -38,10 +38,12 @@ class Tournament:
 
     out: Tuple[int, ...] = field(repr=False)
     n: int = field(init=False)  # len(out)
-    # The out-degree walk of the score-based predicates, built by the first
-    # of them to run (`ranking._scores`) and kept with the tournament that
-    # it describes.  It derives from `out` alone, so it never goes stale.
+    # The out-degree walk of the Copeland predicates (`ranking._scores`) and
+    # the weak axiom's candidates (`ranking._weak_candidates`), each built
+    # by the first check that reads it and kept with the tournament that it
+    # describes.  They derive from `out` alone, so they never go stale.
     _scores: Optional[object] = field(default=None, init=False, repr=False, compare=False)
+    _weak: Optional[list] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "out", tuple(self.out))  # callers may pass a list

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from itertools import permutations
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -286,12 +286,18 @@ def weak_order_ranking(blocks: Sequence[Sequence[int]]) -> Ranking:
     return Ranking.exact(values)
 
 
+@cache
+def weak_order_rankings(n: int) -> Tuple[Ranking, ...]:
+    """The `weak_order_ranking` of every ordered set partition of 1..n, in
+    `iter_weak_orders` order, built on the first call for each n and kept."""
+    return tuple(map(weak_order_ranking, iter_weak_orders(range(1, n + 1))))
+
+
 def min_backward_fair_blocks(t: Tournament, c: FairnessClass) -> MinBackwardResult:
     """Minimum over a fairness class by ordered set partitions, one Fraction
     ranking per partition; ties go to the least rank tuple in vertex order."""
     best: Optional[Tuple[int, Tuple[Fraction, ...], Ranking]] = None
-    for blocks in iter_weak_orders(list(t.vertices())):
-        r = weak_order_ranking(blocks)
+    for r in weak_order_rankings(t.n):
         if not is_fair(t, r, c):
             continue
         count = backward_arcs(t, r).count

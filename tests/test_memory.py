@@ -5,9 +5,9 @@ at the weak-order cap.
 Out-sets and backward arcs are int bitsets, about n/8 bytes per vertex, so
 a 2000-vertex tournament and its backward-arc report each hold well under
 2 MB, and parsing its 4 MB matrix text peaks at a few times the text.  The
-weak-order minimizer keeps one ranking per weak order, each with its
-comparison keys: 2.81 MB for the 4683 weak orders at n = 6.  The spectral
-check above `SPEC_WALK_MAX` vertices works in chunks of
+weak-order minimizer keeps one ranking per weak order, each with its rank
+masks (not its keys): 2.80 MB for the 4683 weak orders at n = 6.  The
+spectral check above `SPEC_WALK_MAX` vertices works in chunks of
 `SPEC_CHUNK_ENTRIES` entries: it keeps twice that many entries of sorted
 spectra, one cache for x and y (two int16 arrays, 2 x 4 bytes an entry),
 and a chunk adds its block's candidate mask (1 byte) and pair lists (two

@@ -354,9 +354,8 @@ class TestInjective:
 
 class TestRankWalk:
     # `_above` builds every mask, the y that rank above each x, which is the
-    # suffix of the walk's order from gt[x] on; the walk's own `above` is
-    # `_above`; the walk with e = 0 places each key among the others, as
-    # the spectral axiom reads it
+    # suffix of the walk's order from gt[x] on; the walk with e = 0 places
+    # each key among the others, as the spectral axiom reads it
 
     @pytest.mark.parametrize("seed", range(20))
     def test_above_and_positions_read_the_walk(self, seed):
@@ -372,7 +371,6 @@ class TestRankWalk:
                        [rng.choice(pool) for _ in levels]):
             key, e = _keys(t, Ranking(dict(enumerate(values, start=1))))
             walk, above, exact = _Walk(key, e), _above(key, e), _Walk(key, 0)
-            assert walk.above == above, values
             for x in t.vertices():
                 assert above[x] == sum(1 << (y - 1) for y in walk.order[walk.gt[x]:]), (values, x)
                 assert exact.geq[x] == sum(key[y] < key[x] for y in t.vertices()), (values, x)
@@ -491,7 +489,7 @@ class TestValuesDecideExactness:
                 is_fair(t, r, cls)
         with pytest.raises(ValueError, match="nan"):
             backward_arcs(t, r)
-        assert r._key is None  # nothing was kept on the ranking
+        assert r._masks is None  # no masks were kept on the ranking
 
 
 class TestPerCallPaths:
@@ -547,10 +545,24 @@ class TestPerCallPaths:
                 for cls in FC:
                     assert is_fair(t, r, cls) == is_fair_pairs(t, r, cls), (t.out, cls)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_kept_weak_candidates_and_masks_match_the_pair_scan(self, n):
+        # each tournament keeps its weak candidates and each kept weak order
+        # its rank masks; every ranking meets every tournament in turn, so
+        # both are read back across tournaments and rankings
+        if n <= 4:
+            tournaments = list(enumerate_all(n))
+        else:
+            tournaments = [gen_random(n, seed) for seed in range(10)]
+        for r in _level_vectors(n)[0]:
+            for t in tournaments:
+                assert is_fair(t, r, FC.WEAK) == is_fair_pairs(t, r, FC.WEAK), (t.out, dict(r.values))
+
 
 class TestKeptKeys:
-    # a ranking keeps the keys of its first check; its values are read-only,
-    # so a kept key matches the values for as long as the ranking lives
+    # a ranking keeps the rank masks of its first weak check or backward-arc
+    # report, not its keys; its values are read-only, so kept masks match
+    # the values for as long as the ranking lives
 
     def test_values_are_read_only(self):
         r = Ranking({1: 1, 2: 2, 3: 3})
@@ -561,7 +573,7 @@ class TestKeptKeys:
 
     def test_copies_and_pickles_are_equal_rankings(self, chain3):
         r = Ranking({1: Fraction(1, 2), 2: 2, 3: 0.5})
-        is_fair(chain3, r, FC.WEAK)  # keeps its keys
+        is_fair(chain3, r, FC.WEAK)  # keeps its masks
         for again in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
             assert again == r and not again.is_exact
             with pytest.raises(TypeError):
@@ -590,19 +602,28 @@ class TestKeptKeys:
             assert is_fair(chain3, r, cls) == before[cls] == is_fair_pairs(chain3, r, cls)
         assert backward_pairs(backward_arcs(chain3, r)) == report == ()
 
-    def test_a_kept_key_serves_its_own_n_only(self):
-        r = Ranking({1: 2, 2: 1, 3: 2, 4: 3, 5: 1, 6: 2})
+    @pytest.mark.parametrize("values", [
+        (2, 1, 2, 3, 1, 2),
+        # 2.0 ties 2.0 + 4e-10 within eps; 1.0 and 1.0 + 2e-9 do not tie
+        (2.0, 1.0, 2.0 + 4e-10, 3.0, 1.0 + 2e-9, 2.0),
+    ], ids=["exact", "float"])
+    def test_kept_masks_serve_their_own_n_only(self, values):
+        r = Ranking(dict(enumerate(values, start=1)))
         t6, t5, other6 = gen_random(6, 1), gen_random(5, 1), gen_random(6, 2)
-        for cls in FC:
-            assert is_fair(t6, r, cls) == is_fair_pairs(t6, r, cls)
-        for cls in FC:
-            with pytest.raises(DomainMismatchError, match=r"\[1, 2, 3, 4, 5, 6\] does not match 1..5"):
-                is_fair(t5, r, cls)
-        with pytest.raises(DomainMismatchError):
-            backward_arcs(t5, r)
-        for cls in FC:
-            assert is_fair(other6, r, cls) == is_fair_pairs(other6, r, cls)
-        assert backward_pairs(backward_arcs(other6, r)) == backward_arcs_pairs(other6, r)
+        for t in (t6, t5, other6, t6):  # WEAK and backward arcs read the kept masks
+            kept = r._masks
+            if t is t5:
+                for cls in FC:
+                    with pytest.raises(DomainMismatchError, match=r"\[1, 2, 3, 4, 5, 6\] does not match 1..5"):
+                        is_fair(t5, r, cls)
+                with pytest.raises(DomainMismatchError):
+                    backward_arcs(t5, r)
+                assert r._masks is kept  # a raise keeps nothing
+                continue
+            for cls in FC:
+                assert is_fair(t, r, cls) == is_fair_pairs(t, r, cls), (t.out, cls)
+            assert backward_pairs(backward_arcs(t, r)) == backward_arcs_pairs(t, r)
+            assert len(r._masks) == 7 and (kept is None or r._masks is kept)
 
     @pytest.mark.parametrize("values", [
         (2, 1, 2, 3, 1),
