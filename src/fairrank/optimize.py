@@ -12,8 +12,12 @@ with the least (count, levels read by vertex).
 NSCOP, SCOP and COP have closed-form minima, read off the out-degrees at
 any n (`_dense_levels` gives the proof).  The injective class is
 minimized by one DP over the set of vertices already placed (Held and
-Karp, 1962), up to INJECTIVE_SEARCH_CAP vertices; `min_backward_injective`
-and `min_backward_fair(t, INJ)` both run it and report the same witness.
+Karp, 1962), up to INJECTIVE_SEARCH_CAP vertices, in one numpy pass per
+placed-set size: all sets of one size are columns, all next vertices rows,
+and each set keeps its least (count, levels) in two int64 keys, the count
+and the first levels in one, the other levels in the second, compared in
+that order, so no Python step runs per set.  `min_backward_injective` and
+`min_backward_fair(t, INJ)` both run it and report the same witness.
 WEAK, SPEC and LIN search the weak orders up to WEAK_ORDER_CAP.  The
 backward counts of all of them come first, from one array of their levels,
 and the witness is the first fair order in ascending (count, levels).
@@ -71,7 +75,11 @@ from .tournament import (
     unpack_rows,
 )
 
-INJECTIVE_SEARCH_CAP = 16
+INJECTIVE_SEARCH_CAP = 20
+# (placed set, next vertex) entries in one chunk of an injective DP pass:
+# a chunk holds under 32 bytes an entry, 4 MB, beside the two int64 keys
+# per placed set, 16 MB at the cap (tests/test_memory.py)
+INJECTIVE_CHUNK_ENTRIES = 2**17
 EMN_LMAX_CAP = 10_000
 WEAK_ORDER_CAP = 6
 
@@ -167,39 +175,75 @@ def _dense_levels(t: Tournament) -> List[int]:
 
 def _least_injective_order(t: Tournament) -> Ranking:
     """The injective ranking with the least (backward count, levels read by
-    vertex), by a DP over placed sets (Held and Karp, 1962).
+    vertex), by a DP over placed sets (Held and Karp, 1962), one numpy pass
+    per placed-set size.
 
-    Vertices are placed one at a time, lowest level first; with vertices
-    as bits, s is the set placed so far, and placing y on s makes the arcs
-    from s into y backward.  best[s] packs the least (count, levels of the
-    unplaced vertices read by vertex, from 1) into one int, the count above
-    `width`-bit level fields with vertex 1's highest, so comparing ints
-    compares the pairs.  With y placed next, y takes level 1 and every
-    later level goes up by one, which adds the same `unit` to every
-    candidate of s: the least candidate of s | y stays least, and best[s]
-    is the least arcs(s, y) + best[s | y], plus unit.
+    Vertices are placed one at a time, lowest level first, so the vertex
+    placed on a set of k vertices takes level k + 1; with vertices as bits,
+    s is the set placed so far, and placing y on s makes the arcs from s
+    into y backward.  best[s] is the least (count, levels) over the orders
+    that place the other vertices above s, counting the backward arcs into
+    those vertices and reading their levels by vertex, packed: the count
+    above `width`-bit level fields with vertex 1's highest, so comparing
+    packs compares the pairs, and packs add field by field, since no count
+    passes C(n, 2) and no level passes n.  Placing y on s, with |s| = k,
+    adds arcs(s, y) to the count and k + 1 to y's field, whatever comes
+    after: among the orders that place y next, the least is the one that
+    completes s | y least, and best[s] is the least of
+    arcs(s, y) + best[s | y] + (k + 1 in y's field) over y not in s.
+
+    The sets of one size read best only at the next size, so one pass
+    takes every s of size k = n - 1 ... 0 as a column and every vertex y as
+    a row, masks out the y already in s, and takes each column's least; the
+    columns go in chunks of at most INJECTIVE_CHUNK_ENTRIES entries.
+
+    The pack takes bit_length(C(n, 2)) + n * width bits, 87 at n = 16, so
+    it is split into two int64 keys at a 63-bit boundary: key0 holds the
+    count above the fields of vertices 1..h, with h as large as that
+    allows, and key1 the fields of vertices h + 1..n (none below n = 15).
+    The least key0, then the least key1 among its ties, is the least pack,
+    and each key adds on its own, since no field carries.  key1 fits its
+    63 bits up to n = 23, above the cap.
     """
     if t.n > INJECTIVE_SEARCH_CAP:
         raise ResourceLimitError(f"permutation search capped at n <= {INJECTIVE_SEARCH_CAP}")
     n, full = t.n, (1 << t.n) - 1
     width = n.bit_length()  # levels run up to n
-    shift = width * n
-    # per vertex: its bit, the x with x -> y, and 1 in its level field
-    rows = [(1 << y - 1, full ^ out ^ 1 << y - 1, 1 << width * (n - y))
-            for y, out in enumerate(t.out, start=1)]
-    best = [0] * (full + 1)
-    top = (t.num_arcs + 1) << shift  # above every candidate
-    for s in range(full - 1, -1, -1):
-        least, unit = top, 0
-        for b, into, field in rows:
-            if not s & b:
-                unit += field
-                k = ((into & s).bit_count() << shift) + best[s | b]
-                if k < least:
-                    least = k
-        best[s] = least + unit
-    levels, mask = best[0], (1 << width) - 1
-    return Ranking.exact({y: levels >> width * (n - y) & mask for y in t.vertices()})
+    h = min(n, (63 - (n * (n - 1) // 2).bit_length()) // width)
+
+    def column(values: List[int]) -> np.ndarray:
+        return np.array(values, dtype=np.int64)[:, None]
+
+    # one row per vertex y: its bit, the x with x -> y, and 1 in its field
+    bits = column([1 << y - 1 for y in t.vertices()])
+    into = column([full ^ out ^ 1 << y - 1 for y, out in enumerate(t.out, start=1)])
+    field0 = column([1 << width * (h - y) if y <= h else 0 for y in t.vertices()])
+    field1 = column([0 if y <= h else 1 << width * (n - y) for y in t.vertices()])
+    counts = np.arange(n, dtype=np.int64) << width * h  # arcs(s, y) < n, placed in key0
+    key0 = np.zeros(1 << n, dtype=np.int64)
+    key1 = np.zeros(1 << n, dtype=np.int64)
+    sizes = np.bitwise_count(np.arange(1 << n, dtype=np.uint32))
+    top = np.iinfo(np.int64).max  # above every candidate
+    per = INJECTIVE_CHUNK_ENTRIES // n
+    for k in range(n - 1, -1, -1):
+        layer = np.flatnonzero(sizes == k)
+        lift0, lift1 = (k + 1) * field0, (k + 1) * field1
+        for start in range(0, len(layer), per):
+            s = layer[start:start + per]
+            after = s | bits
+            cand0 = counts.take(np.bitwise_count(s & into))
+            cand0 += key0.take(after)
+            cand0 += lift0
+            np.copyto(cand0, top, where=after == s)
+            least0 = cand0.min(axis=0)
+            cand1 = key1.take(after)
+            cand1 += lift1
+            np.copyto(cand1, top, where=cand0 != least0)
+            key0[s] = least0
+            key1[s] = cand1.min(axis=0)
+    first, rest, mask = int(key0[0]), int(key1[0]), (1 << width) - 1
+    return Ranking.exact({y: (first >> width * (h - y) if y <= h else rest >> width * (n - y)) & mask
+                          for y in t.vertices()})
 
 
 def min_backward_fair(t: Tournament, c: FairnessClass) -> MinBackwardResult:

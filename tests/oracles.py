@@ -13,10 +13,12 @@ from fairrank.errors import (
     EmptyClassError,
     NoConvergenceError,
     NotStronglyConnectedError,
+    ResourceLimitError,
     UnknownVertexError,
 )
 from fairrank.fixpoint import PerronResult
 from fairrank.optimize import (
+    INJECTIVE_SEARCH_CAP,
     BoundCheckReport,
     MinBackwardResult,
     copeland_bound,
@@ -64,6 +66,16 @@ def composite_vertex(m: int, i: int, l: int) -> int:
 def arcs(t: Tournament) -> List[Tuple[int, int]]:
     """All arcs in lexicographic order of (x, y)."""
     return [(x, y) for x in t.vertices() for y in sorted(out_set(t, x))]
+
+
+def relabeled(t: Tournament, perm: Sequence[int]) -> Tournament:
+    """t with vertex v renamed perm[v - 1]."""
+    out = [0] * t.n
+    for x, row in enumerate(t.out, start=1):
+        for y in t.vertices():
+            if row >> (y - 1) & 1:
+                out[perm[x - 1] - 1] |= 1 << (perm[y - 1] - 1)
+    return Tournament(out)
 
 
 def backward_pairs(report: BackwardReport) -> Tuple[Tuple[int, int], ...]:
@@ -250,6 +262,43 @@ def min_backward_injective_permutations(t: Tournament) -> MinBackwardResult:
     witness = Ranking.exact(dict(zip(t.vertices(), levels)))
     fraction = Fraction(count, t.num_arcs) if t.num_arcs else Fraction(0)
     return MinBackwardResult(count, fraction, witness, "permutations")
+
+
+def least_injective_order_loop(t: Tournament) -> Ranking:
+    """The injective ranking with the least (backward count, levels read by
+    vertex), by a DP over placed sets (Held and Karp, 1962).
+
+    Vertices are placed one at a time, lowest level first; with vertices
+    as bits, s is the set placed so far, and placing y on s makes the arcs
+    from s into y backward.  best[s] packs the least (count, levels of the
+    unplaced vertices read by vertex, from 1) into one int, the count above
+    `width`-bit level fields with vertex 1's highest, so comparing ints
+    compares the pairs.  With y placed next, y takes level 1 and every
+    later level goes up by one, which adds the same `unit` to every
+    candidate of s: the least candidate of s | y stays least, and best[s]
+    is the least arcs(s, y) + best[s | y], plus unit.
+    """
+    if t.n > INJECTIVE_SEARCH_CAP:
+        raise ResourceLimitError(f"permutation search capped at n <= {INJECTIVE_SEARCH_CAP}")
+    n, full = t.n, (1 << t.n) - 1
+    width = n.bit_length()  # levels run up to n
+    shift = width * n
+    # per vertex: its bit, the x with x -> y, and 1 in its level field
+    rows = [(1 << y - 1, full ^ out ^ 1 << y - 1, 1 << width * (n - y))
+            for y, out in enumerate(t.out, start=1)]
+    best = [0] * (full + 1)
+    top = (t.num_arcs + 1) << shift  # above every candidate
+    for s in range(full - 1, -1, -1):
+        least, unit = top, 0
+        for b, into, field in rows:
+            if not s & b:
+                unit += field
+                k = ((into & s).bit_count() << shift) + best[s | b]
+                if k < least:
+                    least = k
+        best[s] = least + unit
+    levels, mask = best[0], (1 << width) - 1
+    return Ranking.exact({y: levels >> width * (n - y) & mask for y in t.vertices()})
 
 
 # -- weak orders as ordered set partitions ---------------------------------

@@ -172,6 +172,12 @@ class TestMinimize:
         assert main(argv + ["weak"]) == 2
         assert capsys.readouterr() == ("", "error: weak-order enumeration capped at n <= 6\n")
 
+    def test_injective_past_the_cap_is_input_error(self, tmp_path, capsys):
+        t = tmp_path / "t.txt"
+        t.write_text(serialize_tournament(gen_random(21, 1)))
+        assert main(["minimize", "--in", str(t), "--space", "injective"]) == 2
+        assert capsys.readouterr() == ("", "error: permutation search capped at n <= 20\n")
+
 
 class TestEmn:
     def test_sweep_rows(self, capsys):

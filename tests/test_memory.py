@@ -17,7 +17,12 @@ bytes an entry.  The SPEC and LIN minimizers decide the 4683 weak orders
 at n = 6 in one pass over (n, n, 4683) bool arrays, 168 KB each, and the
 exhaustive Copeland check holds one row of C(n, 2) arc bits and n
 degrees per tournament, 32 768 of them at n = 6; all are built per call
-and dropped.
+and dropped.  The injective DP keeps two int64 keys per placed set, 16 MB
+at `INJECTIVE_SEARCH_CAP` = 20, and one popcount byte per set, and works
+through each set size in chunks of `INJECTIVE_CHUNK_ENTRIES` (set, next
+vertex) entries: the sets' next sets and two candidate keys (three int64
+arrays) and a mask (1 byte), under 32 bytes an entry, 4 MB a chunk, beside
+the size's list of sets, at most C(20, 10) int64s (1.5 MB).
 """
 
 import tracemalloc
@@ -31,11 +36,12 @@ from fairrank import (
     is_fair,
     linear_fair_ranking,
     min_backward_fair,
+    min_backward_injective,
     parse_tournament,
     serialize_tournament,
     verify_copeland_upper_bound,
 )
-from fairrank.optimize import WEAK_ORDER_CAP, _level_vectors
+from fairrank.optimize import INJECTIVE_SEARCH_CAP, WEAK_ORDER_CAP, _level_vectors
 from fairrank.ranking import SPEC_CHUNK_ENTRIES
 from fairrank.tournament import ENUMERATION_CAP
 
@@ -128,3 +134,10 @@ def test_array_passes_peak_per_call():
             assert peak < bound, f"{c.value} on seed {seed} peaks at {peak / MB:.2f} MB"
     peak = traced_peak(lambda: verify_copeland_upper_bound(ENUMERATION_CAP))
     assert peak < 4 * MB, f"the exhaustive check peaks at {peak / MB:.2f} MB"
+
+
+def test_injective_dp_peaks_within_its_keys_and_chunks_at_the_cap():
+    # measured: 23.6 MB at n = 20, of which 16 MB are the two keys
+    t = gen_random(INJECTIVE_SEARCH_CAP, 1)
+    peak = traced_peak(lambda: min_backward_injective(t))
+    assert peak < 48 * MB, f"the injective DP at n = {t.n} peaks at {peak / MB:.2f} MB"

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -34,9 +35,11 @@ from oracles import (
     arcs,
     is_fair_pairs,
     iter_weak_orders,
+    least_injective_order_loop,
     min_backward_fair_blocks,
     min_backward_injective_bnb,
     min_backward_injective_permutations,
+    relabeled,
     verify_copeland_upper_bound_loop,
 )
 
@@ -168,7 +171,7 @@ class TestInjective:
 
     def test_cap(self):
         with pytest.raises(ResourceLimitError):
-            min_backward_injective(gen_random(17, 0))
+            min_backward_injective(gen_random(INJECTIVE_SEARCH_CAP + 1, 0))
 
     # counts against branch and bound; witnesses, the least (count, levels
     # read by vertex), against every permutation tried in order, up to n = 8
@@ -195,6 +198,43 @@ class TestInjective:
             res = min_backward_injective(t)
             assert res.witness == min_backward_fair(t, FC.INJ).witness
             assert res.search_space == "permutations"
+
+
+def assert_matches_loop(t):
+    """The layered DP's whole result, count and witness, is the one of the
+    loop over placed sets that it replaced."""
+    expected = optimize._result(t, least_injective_order_loop(t), "permutations")
+    assert min_backward_injective(t) == expected
+
+
+class TestInjectiveLayers:
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_exhaustive(self, n):
+        for t in enumerate_all(n):
+            assert_matches_loop(t)
+
+    @pytest.mark.parametrize("n", range(6, 13))
+    def test_random(self, n):
+        for seed in range(20):
+            assert_matches_loop(gen_random(n, seed))
+
+    @pytest.mark.parametrize("l", range(1, 8))
+    def test_relabeled_rotational(self, l):
+        # regular: every vertex has the same degree, so many orders tie on
+        # the count and the levels decide the witness
+        base = gen_rotational(l)
+        assert_matches_loop(relabeled(base, random.Random(l).sample(range(1, base.n + 1), base.n)))
+
+    # the whole pack, the count above one level field per vertex, fits one
+    # int64 key up to n = 14; from n = 15 the last levels move to the
+    # second key (five of them at n = 16), and from n = 17 the first key
+    # takes all 63 bits
+    @pytest.mark.parametrize("n, seeds", [(14, [1]), (15, [1]), (16, range(3)), (17, [1])])
+    def test_around_the_key_split(self, n, seeds):
+        pack_bits = (n * (n - 1) // 2).bit_length() + n * n.bit_length()
+        assert (pack_bits > 63) == (n >= 15)
+        for seed in seeds:
+            assert_matches_loop(gen_random(n, seed))
 
 
 class TestClosedForm:
@@ -413,15 +453,15 @@ class TestPairwiseAboveEnumeration:
         assert_pairwise_invariants(gen_random(n, n))
 
     def test_regular_at_the_cap(self):
-        # rotational l = 7, n = 15, is the largest regular tournament under
+        # rotational l = 9, n = 19, is the largest regular tournament under
         # the cap, as regular tournaments have odd n: every vertex ties for
-        # SCOP, and ranked by label, 1 highest, only the l(l + 1)/2 = 28
+        # SCOP, and ranked by label, 1 highest, only the l(l + 1)/2 = 45
         # arcs that wrap around are backward, the least any injective
         # ranking achieves
-        t = gen_rotational(7)
+        t = gen_rotational(9)
         assert t.n == INJECTIVE_SEARCH_CAP - 1
         res = assert_pairwise_invariants(t)
-        assert (res[FC.SCOP].count, res[FC.INJ].count) == (0, 28)
+        assert (res[FC.SCOP].count, res[FC.INJ].count) == (0, 45)
 
 
 class TestCopelandClosedForms:

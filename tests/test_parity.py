@@ -42,7 +42,14 @@ from fairrank import (
 from fairrank import ranking as ranking_module
 from fairrank.ranking import DEFAULT_EPS
 from fairrank.tournament import _BLOCK_ROWS, DEFAULT_VERTEX_CAP, Tournament
-from oracles import backward_arcs_pairs, backward_pairs, is_fair_pairs, iter_weak_orders, weak_order_ranking
+from oracles import (
+    backward_arcs_pairs,
+    backward_pairs,
+    is_fair_pairs,
+    iter_weak_orders,
+    relabeled,
+    weak_order_ranking,
+)
 
 FC = FairnessClass
 MONOTONE = (FC.NSCOP, FC.SCOP, FC.COP, FC.LIN)
@@ -398,16 +405,6 @@ def test_parser_faults_across_a_block_boundary(faults, error, message):
 # sorted lists of rank positions or, above SPEC_WALK_MAX vertices, in numpy
 # chunks of sorted spectra; `is_fair_pairs` sorts both spectra of every
 # ordered pair and compares them entry by entry with the raw-value comparators.
-
-
-def relabeled(t, perm):
-    """t with vertex v renamed perm[v - 1]."""
-    out = [0] * t.n
-    for x, row in enumerate(t.out, start=1):
-        for y in t.vertices():
-            if row >> (y - 1) & 1:
-                out[perm[x - 1] - 1] |= 1 << (perm[y - 1] - 1)
-    return Tournament(out)
 
 
 @pytest.mark.parametrize("l", [1, 2, 3])
