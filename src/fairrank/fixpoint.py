@@ -77,7 +77,8 @@ def perron_fixed_point(t: Tournament, vertices: Iterable[int]) -> PerronResult:
     multiplies block by block, so no product is large enough for OpenBLAS
     to thread; every k <= 512 is one block and one product.  The k x k
     matrix is still whole, so memory grows as k**2 (800 MB at k = 10 000).
-    The score cut on the row sums decides strong connectivity.
+    The score cut on the out-degrees within the component, read off the
+    out-set bitsets before any matrix is built, decides strong connectivity.
     Power iteration on A + SHIFT*I; stops when the unshifted residual
     max|lambda*r - A*r| <= TOLERANCE, or raises NoConvergenceError after
     MAX_ITERATIONS steps.
@@ -87,16 +88,18 @@ def perron_fixed_point(t: Tournament, vertices: Iterable[int]) -> PerronResult:
         if not 1 <= v <= t.n:
             raise UnknownVertexError(f"vertex {v} not in 1..{t.n}")
     k = len(labels)
+    component = sum(1 << (v - 1) for v in labels)
+    scores = [(t.out[v - 1] & component).bit_count() for v in labels]
+    if k < 3 or len(_score_components(scores)) != 1:
+        raise NotStronglyConnectedError(
+            f"component of size {k} is not a strongly connected tournament with n >= 3"
+        )
     columns = np.array(labels, dtype=np.intp) - 1
-    block = max(8, (BLOCK_ENTRIES // max(k, 1)) // 8 * 8)  # k = 0 fails the cut below
+    block = max(8, (BLOCK_ENTRIES // k) // 8 * 8)
     starts = range(0, k, block)
     a = np.empty((k, k))
     for i in starts:
         a[i:i + block] = unpack_rows(t.out, columns[i:i + block].tolist())[:, columns]
-    if k < 3 or len(_score_components(np.count_nonzero(a, axis=1).tolist())) != 1:
-        raise NotStronglyConnectedError(
-            f"component of size {k} is not a strongly connected tournament with n >= 3"
-        )
     r = np.full(k, 1.0 / k)
     ar = np.empty(k)
     for it in range(1, MAX_ITERATIONS + 1):

@@ -33,12 +33,19 @@ where values matter beyond their order, are integer sums instead of
 Fraction sums.  An integer sum does not depend on the order of its terms,
 so when the keys are narrow against n (LIN_PLANE_RATIO) it is read off bit
 planes (`_plane_sums`): one AND and one popcount per plane, weighted by
-the plane's place value.  Float addition rounds at every step, so float
-out-sums are added over the out-set in ascending vertex order from 0.0,
-as the pair-scan reference in `tests/oracles.py` adds them, and the two
-agree on float verdicts to the last bit: the keys are read through the
-out-set's byte mask (`compress` over `bit_mask`), which yields the same
-values in the same order to the same builtin `sum`.
+the plane's place value.  Float addition rounds at every step, so a float
+out-sum is defined as the out-set's keys added in ascending vertex order
+from 0.0, rounded after each add.  That is what builtin `sum` gave before
+Python 3.12, which compensates it, and what the pair-scan reference in
+`tests/oracles.py` adds in a loop, so the two agree on float verdicts to
+the last bit on every Python.  `_float_sums` adds all n out-sums in numpy,
+one pass per block of rows: the block's own out-set rows mark the terms,
+which are selected bitwise, not multiplied by 0 or 1 (0 * inf is nan),
+and one reduce adds the rows in order.  The out-sums of the linear-fair
+ranking took 2.3 ms at random n = 1000, 9.6 ms at n = 2000 and 0.26 ms on
+the composite family at l = 8, against 24, 75 and 1.4 ms for builtin `sum`
+over each out-set's byte mask (best of 7; 2-vCPU Xeon VM, Python 3.11,
+numpy 2.4).
 
 The Copeland axioms and the linear axiom share one shape: key(x) <= key(y)
 implies rank(x) <= rank(y), and key(x) < key(y) implies rank(x) < rank(y),
@@ -136,7 +143,9 @@ SPEC_WALK_MAX = 20
 # cache of sorted rows, which serves x and y alike, keeps twice as many,
 # 512 KB of int16 per array; a check peaks under 40 bytes an entry
 # (tests/test_memory.py).  Up to n = 512 every row fits, so the composite
-# family (n = 81 to 289 at l = 4 to 8) sorts each row once per side.
+# family (n = 81 to 289 at l = 4 to 8) sorts each row once per side.  The
+# same bound sizes the row blocks of the linear axiom's float out-sums
+# (`_float_sums`): SPEC_CHUNK_ENTRIES // n rows of n float64 terms, 1 MB.
 SPEC_CHUNK_ENTRIES = 2**17
 
 
@@ -474,7 +483,11 @@ def is_fair(t: Tournament, r: Ranking, c: FairnessClass) -> FairnessVerdict:
 
     Raises ValueError when a float ranking holds nan or an exact value
     beyond float range, or when a float out-sum of the linear axiom
-    overflows.
+    overflows.  A float out-sum adds the out-set's ranks in ascending
+    vertex order from 0.0, rounded after each add, on every Python: numpy
+    adds them for all vertices in one pass per row block (`_float_sums`),
+    selecting each term bitwise, since a product with 0 turns a +inf rank
+    into nan.  Exact ranks sum as ints, through byte masks or bit planes.
     """
     if c is FairnessClass.WEAK:
         # x+ ⊆ y+ forces y -> x, since x -> y would put y in y+, and then
@@ -500,16 +513,19 @@ def is_fair(t: Tournament, r: Ranking, c: FairnessClass) -> FairnessVerdict:
         for x in t.vertices():
             if key[x] <= 0:
                 return FairnessVerdict((x, x), "non-positive rank")
-        zero, values = key[0], key[1:]  # zero: 0 or 0.0, the start of every out-sum
+        values = key[1:]
+        if e:
+            float_sums = _float_sums(t.out, values)
+            # inf - inf is nan, which no comparison counts as greater: an
+            # overflowed out-sum would hide violations, so refuse to decide
+            if not np.isfinite(float_sums).all():
+                raise ValueError("a float out-sum overflows; scale the ranking down")
+            sums = [0.0, *float_sums.tolist()]
         # w >= 1 for positive keys, so n <= LIN_PLANE_RATIO needs no key read
-        if e or n <= LIN_PLANE_RATIO or n <= LIN_PLANE_RATIO * max(values).bit_length():
-            sums = [zero] + [sum(compress(values, bit_mask(o)), zero) for o in t.out]
+        elif n <= LIN_PLANE_RATIO or n <= LIN_PLANE_RATIO * max(values).bit_length():
+            sums = [0] + [sum(compress(values, bit_mask(o))) for o in t.out]
         else:
             sums = [0, *_plane_sums(t.out, values)]
-        # inf - inf is nan, which no comparison counts as greater: an
-        # overflowed out-sum would hide violations, so refuse to decide
-        if e and not math.isfinite(max(sums)):
-            raise ValueError("a float out-sum overflows; scale the ranking down")
         return _monotone_verdict(
             _Walk(sums, e), key, e, "non-strict linear violated", "strict linear violated"
         )
@@ -553,6 +569,43 @@ def _plane_sums(out: Sequence[int], values: Sequence[int]) -> List[int]:
         plane = int(digits[i::w], 2)
         sums = list(map(add, map(add, sums, sums), map(int.bit_count, map(plane.__and__, out))))
     return sums
+
+
+def _float_sums(out: Sequence[int], values: Sequence[float]) -> np.ndarray:
+    """The out-sums of float keys, one per out-set: entry i - 1 adds the
+    values[j - 1] of j in out(i) in ascending j, starting from 0.0 and
+    rounding after each add, as builtin `sum` did before Python 3.12
+    compensated it, and as the pair-scan reference adds them.
+
+    The columns are the vertices i, and the rows are taken in blocks of j,
+    at most SPEC_CHUNK_ENTRIES // n of them.  j's term belongs to column i
+    iff j is in out(i), that is iff i is not in out(j) and i != j, so the
+    block's own out-set rows (`unpack_rows`), with the diagonal set and
+    then negated, mark the terms: no transpose is needed.  A term is
+    values[j - 1] or exactly +0.0, and adding +0.0 to a positive sum
+    leaves it as it is.  A term is the value's IEEE bits ANDed with an
+    all-ones or all-zero mask, not the value times 1 or 0, since 0 * inf
+    is nan and +inf ranks are legal.  The running sums sit in the block's row 0, and
+    `np.add.reduce` over axis 0 adds the rows one after another: numpy
+    sums pairwise only along the contiguous axis, so every column is added
+    left to right.  An out-sum that overflows is +inf, which the caller
+    refuses, and raises no RuntimeWarning.
+    """
+    n = len(out)
+    bits = np.array(values, dtype=np.float64).view(np.uint64)
+    per = max(1, SPEC_CHUNK_ENTRIES // n)
+    block = np.zeros((per + 1, n))
+    terms = block.view(np.uint64)
+    with np.errstate(over="ignore"):
+        for j0 in range(0, n, per):
+            m = min(per, n - j0)
+            beaten = unpack_rows(out, range(j0, j0 + m))  # beaten[j - j0, i]: j beats i
+            beaten[np.arange(m), np.arange(j0, j0 + m)] = 1
+            # 1 - 1 = 0 masks a term out, 0 - 1 wraps to all ones and keeps it
+            np.subtract(beaten, 1, out=terms[1:m + 1], dtype=np.uint64)
+            terms[1:m + 1] &= bits[j0:j0 + m, None]
+            block[0] = np.add.reduce(block[:m + 1], axis=0)
+    return block[0]
 
 
 def _spectra(out: Sequence[int], rows: np.ndarray, ranks: np.ndarray) -> np.ndarray:

@@ -110,10 +110,23 @@ def eq(r: Ranking, a: Rank, b: Rank) -> bool:
 
 
 def linear_sums(t: Tournament, r: Ranking) -> Dict[int, Rank]:
-    """Sum of ranks over each vertex's out-neighborhood, in ascending vertex order."""
+    """Sum of ranks over each vertex's out-neighborhood, in ascending vertex order.
+
+    Exact ranks sum as Fractions.  Float ranks are added one at a time from
+    0.0, each add rounded, in a loop rather than with builtin `sum`, which
+    compensates float sums from Python 3.12 on: the reference means the
+    same on every Python.
+    """
     r.require_domain(t)
-    zero: Rank = Fraction(0) if r.is_exact else 0.0
-    return {x: sum((r[z] for z in sorted(out_set(t, x))), zero) for x in t.vertices()}
+    if r.is_exact:
+        return {x: sum((r[z] for z in sorted(out_set(t, x))), Fraction(0)) for x in t.vertices()}
+    sums = {}
+    for x in t.vertices():
+        s = 0.0
+        for z in sorted(out_set(t, x)):
+            s += float(r[z])
+        sums[x] = s
+    return sums
 
 
 def induced(t: Tournament, vertex_subset: Iterable[int]) -> Tuple[Tournament, Tuple[int, ...]]:

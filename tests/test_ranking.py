@@ -2,6 +2,7 @@ import copy
 import math
 import pickle
 import random
+import warnings
 from decimal import Decimal
 from fractions import Fraction
 from itertools import compress
@@ -26,12 +27,13 @@ from fairrank import (
     enumerate_all,
     gen_random,
     is_fair,
+    linear_fair_ranking,
     min_backward_injective,
     parse_ranking,
     serialize_ranking,
 )
 from fairrank.optimize import _level_vectors
-from fairrank.ranking import DEFAULT_EPS, _above, _keys, _plane_sums, _Walk
+from fairrank.ranking import DEFAULT_EPS, _above, _float_sums, _keys, _plane_sums, _Walk
 from fairrank.tournament import bit_mask
 from oracles import (
     arcs,
@@ -210,9 +212,11 @@ class TestLinear:
 
     def test_overflowing_float_sums_raise(self):
         # every out-sum is inf, and inf - inf is nan, which would pass LIN;
-        # the same ranking scaled down exactly fails on (3, 1)
+        # the same ranking scaled down exactly fails on (3, 1).  The overflow
+        # ends in the ValueError, not in a RuntimeWarning from numpy
         t = build_tournament(5, OVERFLOW_ARCS)
-        with pytest.raises(ValueError, match="overflows"):
+        with warnings.catch_warnings(), pytest.raises(ValueError, match="overflows"):
+            warnings.simplefilter("error")
             is_fair(t, Ranking.approx({1: 1e308, 2: 1e308, 3: 1e308, 4: 1e308, 5: 9e307}), FC.LIN)
         verdict = is_fair(t, exact(1, 1, 1, 1, Fraction(9, 10)), FC.LIN)
         assert (verdict.ok, verdict.certificate, verdict.reason) == (
@@ -259,11 +263,28 @@ def linear_cases():
         cases.append((f"non-positive-{bad}", t, Ranking(values)))
     one = Tournament([0])
     cases += [("n=1", one, Ranking({1: 1})), ("n=1-zero", one, Ranking({1: 0}))]
+    # float ranks sum left to right in numpy row blocks (`_float_sums`): the
+    # linear-fair ranking passes, the Copeland ranking as floats does not,
+    # and ranks 1 + deg * 4e-10 chain neighbours within eps
+    for n in (65, 200):
+        t = gen_random(n, n)
+        cases += [
+            (f"linear-fair-{n}", t, linear_fair_ranking(t).ranking),
+            (f"copeland-float-{n}", t, Ranking.approx(copeland_ranking(t).values)),
+            (f"near-ties-{n}", t, Ranking({v: 1 + t.out_degree(v) * 4e-10 for v in t.vertices()})),
+        ]
+    # vertex 1 beats all and ranks +inf: no out-set holds it, so every
+    # out-sum is finite and the verdict is decided (it passes)
+    t = Tournament([(1 << 65) - 2] + [o & ~1 for o in gen_random(65, 4).out[1:]])
+    values = dict(linear_fair_ranking(t).ranking.values)
+    values[1] = math.inf
+    cases += [("inf-on-top", t, Ranking(values)), ("n=1-float", one, Ranking({1: 0.5}))]
     return cases
 
 
 LINEAR_CASES = linear_cases()
-POSITIVE_CASES = [c for c in LINEAR_CASES if min(c[2].values.values()) > 0]
+POSITIVE_CASES = [c for c in LINEAR_CASES if min(c[2].values.values()) > 0 and c[2].is_exact]
+FLOAT_CASES = [c for c in LINEAR_CASES if not c[2].is_exact]
 
 
 class TestLinearOutSums:
@@ -303,6 +324,55 @@ class TestLinearOutSums:
         for r in _level_vectors(6)[0]:
             expected = is_fair_pairs(t, r, FC.LIN)
             assert self.both_paths(monkeypatch, t, r) == [expected, expected], dict(r.values)
+
+
+def float_bits(sums):
+    """The IEEE bit patterns of float sums, so that equality is to the last bit."""
+    return np.asarray(sums, dtype=np.float64).view(np.uint64).tolist()
+
+
+class TestFloatOutSums:
+    # a float out-sum adds the out-set's values in ascending vertex order
+    # from 0.0, rounding after each add, as the oracle's loop does on every
+    # Python; `_float_sums` adds them in numpy row blocks of
+    # SPEC_CHUNK_ENTRIES // n vertices and must agree to the last bit
+
+    @staticmethod
+    def assert_left_to_right(t, values):
+        expected = linear_sums(t, Ranking.approx(dict(enumerate(values, start=1))))
+        assert float_bits(_float_sums(t.out, values)) == float_bits(list(expected.values()))
+
+    @pytest.mark.parametrize("entries", [ranking_module.SPEC_CHUNK_ENTRIES, 1])
+    def test_random_rankings(self, monkeypatch, entries):
+        # entries = 1 puts each vertex in a block of its own
+        monkeypatch.setattr(ranking_module, "SPEC_CHUNK_ENTRIES", entries)
+        rng = random.Random(34)
+        for n in range(1, 81):
+            low = rng.uniform(-5, 280)  # magnitudes 1e-5 to 1e300
+            values = [10 ** rng.uniform(low, low + 20) for _ in range(n)]
+            if rng.random() < 0.3:
+                values[rng.randrange(n)] = math.inf
+            self.assert_left_to_right(gen_random(n, n), values)
+
+    @pytest.mark.parametrize("n", [511, 512, 513, 1000, 1200])
+    def test_across_block_edges(self, n):
+        t = gen_random(n, 1)
+        ranking = linear_fair_ranking(t).ranking
+        self.assert_left_to_right(t, [ranking[v] for v in t.vertices()])
+
+    @pytest.mark.parametrize("name, t, r", FLOAT_CASES, ids=[c[0] for c in FLOAT_CASES])
+    def test_linear_cases(self, name, t, r):
+        self.assert_left_to_right(t, [r[v] for v in t.vertices()])
+
+    def test_a_row_that_pairwise_summation_rounds_differently(self):
+        # vertex 10 beats 1..9 and j beats i < j: out(10) sums 1.0 and then
+        # eight halves of 1.0's last place, each of which rounds away, while
+        # numpy's pairwise sum adds most halves to each other and keeps 2**-50
+        t = Tournament([(1 << x) - 1 for x in range(10)])
+        values = [1.0] + [2.0**-53] * 8 + [2.0]
+        assert float(np.sum(values[:9])) == 1.0 + 2.0**-50
+        assert _float_sums(t.out, values)[9] == 1.0
+        self.assert_left_to_right(t, values)
 
 
 class TestInjective:
