@@ -68,14 +68,12 @@ out-set inclusion is tested only on the pairs that they and the
 complement of the rank mask leave, in ascending x and then y; when the
 degree order and the rank order agree, as on the Copeland ranking, no
 pair is left.  The spectral axiom prunes the same way: x's spectrum lies
-below y's only if deg(x) <= deg(y), so its candidates are the y of at
-least x's degree that do not rank above x, read off each rank's position
-among the others, which the walk over the keys gives (`_spectral_verdict`).
-Up to SPEC_WALK_MAX vertices each candidate is decided by comparing two
-sorted lists of those positions, since the weak-order minimizer checks
-thousands of rankings at n = 6 and pays each call's set-up; above it the
-candidates are decided in numpy chunks of sorted spectra
-(`_spectral_chunks`), whose work and memory per chunk SPEC_CHUNK_ENTRIES
+below y's only if deg(x) <= deg(y), and only if x's rank sum over its
+out-set is at most y's, so its candidates are the y of at least x's
+degree and rank sum that do not rank above x, read off each rank's
+position among the others, which the walk over the keys gives.  The
+candidates are decided in numpy chunks of sorted spectra at every n
+(`_spectral_verdict`), whose work and memory per chunk SPEC_CHUNK_ENTRIES
 bounds.  The injective axiom takes the walk too, for exact and float keys
 alike: the keys within e of x's (equal to it, for exact keys) are one run
 of the sorted order, by the same monotonicity, so the least x whose run
@@ -100,7 +98,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import compress, repeat
-from operator import add, le
+from operator import add
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -122,26 +120,11 @@ DEFAULT_EPS = 1e-9
 # planes took 1.6 times as long, and at n = 1000 and w = 10, as for the
 # Copeland ranking, the masks took 8.7 times as long.
 LIN_PLANE_RATIO = 8
-# The spectral axiom is decided by the list walk up to SPEC_WALK_MAX
-# vertices and in numpy chunks above it.  The walk sorts each out-set's
-# ranks into a list once per check, tests the candidate rule on every
-# ordered pair and compares two lists per candidate pair; numpy spends a
-# fixed 0.05 ms or more per check on a few dozen array calls.  Timed on
-# random tournaments with the Copeland, the linear-fair and random 1..4
-# rankings (8 seeds per n, best of 5, two runs; 2-vCPU Xeon VM, Python
-# 3.11, numpy 2.4), a check that passes, and so tests every candidate,
-# took 0.67-0.78 times numpy's time on the walk at n = 12, 0.92-1.08 times
-# at n = 16, 1.16-1.39 times at n = 20, 1.4-1.7 times at n = 24, 3.0-3.8
-# times at n = 48 and 4.8-8.6 times at n = 200.  At n = 6, where the
-# weak-order sweep checks up to 4683 rankings, the walk took 0.19-0.43
-# times numpy's time.  A check that fails took 0.38-0.96 times numpy's
-# time at n = 20 and 24, but the walk sorts every spectrum before its
-# first pair, so at n = 200 it took 1.9-5.0 times.
-SPEC_WALK_MAX = 20
 # Entries per numpy chunk of the spectral axiom, each entry a vertex of a
-# row of n: a chunk tests SPEC_CHUNK_ENTRIES // n candidate pairs, and the
-# cache of sorted rows, which serves x and y alike, keeps twice as many,
-# 512 KB of int16 per array; a check peaks under 40 bytes an entry
+# row of n: a chunk tests SPEC_CHUNK_ENTRIES // n candidate pairs, the rank
+# sums are taken over row blocks of as many out-sets, and the cache of
+# sorted spectra, which serves x and y alike, keeps twice as many rows (n
+# at most), 512 KB of int16 per array; a check peaks under 40 bytes an entry
 # (tests/test_memory.py).  Up to n = 512 every row fits, so the composite
 # family (n = 81 to 289 at l = 4 to 8) sorts each row once per side.  The
 # same bound sizes the row blocks of the linear axiom's float out-sums
@@ -614,7 +597,7 @@ def _spectra(out: Sequence[int], rows: np.ndarray, ranks: np.ndarray) -> np.ndar
 
     Two such rows hold the k-th largest entries of their spectra at the
     same position n - 1 - k, so comparing them entry by entry compares the
-    spectra from the top, as the sorted lists of `_spectral_verdict` do.
+    spectra from the top, largest entry with largest entry.
     The ranks are indexes and lows, at most n <= DEFAULT_VERTEX_CAP < 2**15,
     so int16 holds them.
     """
@@ -623,45 +606,91 @@ def _spectra(out: Sequence[int], rows: np.ndarray, ranks: np.ndarray) -> np.ndar
     return spectra
 
 
-def _spectral_chunks(out: Sequence[int], index: List[int], low: List[int]) -> FairnessVerdict:
-    """`_spectral_verdict` above SPEC_WALK_MAX vertices: the same
-    candidates, tests and certificate, decided in numpy chunks of `per`
-    rows or pairs, n entries each, at most SPEC_CHUNK_ENTRIES in all.
+def _spectral_verdict(t: Tournament, key: Sequence[Rank], e: Rank) -> FairnessVerdict:
+    """The spectral axiom, decided in numpy chunks of sorted spectra.
 
-    x is taken in label-ordered blocks of `per` rows.  One broadcast over
-    a block marks its candidate pairs, the y of at least x's degree with
-    low(y) <= index(x), and `np.nonzero` lists them in lex order, `per` to
-    a chunk.  In a chunk, x's spectrum lies below y's iff y's row of
-    indexes is at least x's row of lows at every position; such a pair
-    violates the axiom when x ranks above y (index(y) < low(x)) or, failing
-    that, when y's spectrum does not lie below x's (the same test with the
-    sides swapped).  The first violation of the first chunk that holds one
-    is the lex-least.
+    x's spectrum lies below y's iff deg(x) <= deg(y) and, for each k, the
+    k-th largest rank of x's out-set is not above the k-th largest of y's.
+    A violation at (x, y) needs that and y not ranked above x, so the
+    candidates for x are the y of at least x's degree that do not rank
+    above x, tested in ascending x and then y: the certificate is the
+    lex-least violating pair.
+
+    Ranks enter the test as small ints, read off the keys' `_Walk`.
+    index(b) is 1 plus the number of keys below b: 1 plus geq of the walk
+    with e = 0, since fl(a - b) > 0 iff a > b for finite floats, and two
+    equal infinities, whose difference is nan, tie.  The keys b with
+    a - b > e are the lowest ones, since fl(a - b) never decreases as b
+    falls (module docstring), and low(a) is 1 plus their number, 1 plus geq
+    of the walk with e, so `not a - b > e` holds iff index(b) >= low(a).
+    For exact keys (e = 0) the two walks are one, and low is index.  The
+    same rule places the ranks: y ranks above x iff index(x) < low(y).
+    x's spectrum of lows lies below y's spectrum of indexes iff, sorted
+    descending, each entry of x's is at most the entry of y's at its place;
+    every entry is at least 1, so then x's sum of lows is at most y's sum
+    of indexes.  That test is necessary only, and it prunes candidates
+    without deciding any: the sorted comparison still decides each pair
+    that it leaves, so the certificate does not change.
+
+    The candidates of x are the y != x with deg(y) >= deg(x),
+    low(y) <= index(x) and top_sum(y) >= low_sum(x), the out-sums of
+    indexes and of lows, which one int32 product per row block of
+    SPEC_CHUNK_ENTRIES // n out-set rows gives (a sum is at most
+    n(n - 1) < 2**31 at the vertex cap).  x is taken in label-ordered
+    blocks of `per` rows.  One broadcast over a block marks its candidate
+    pairs, and `np.nonzero` lists them in lex order, `per` to a chunk, n
+    entries each, at most SPEC_CHUNK_ENTRIES in all.  In a chunk, x's
+    spectrum lies below y's iff y's row of indexes is at least x's row of
+    lows at every position; such a pair violates the axiom when x ranks
+    above y (index(y) < low(x)) or, failing that, when y's spectrum does
+    not lie below x's (the same test with the sides swapped).  The first
+    violation of the first chunk that holds one is the lex-least.
 
     One cache of sorted rows, the indexes (tops) and lows of each vertex,
     serves both sides of every pair: a chunk sorts the spectra of the x and
-    y it meets first, keeps them for later chunks, up to 2 * per rows, and
-    drops them all at once when a chunk's new vertices do not fit.  A chunk
-    meets at most `per` x and `per` y, so they always fit after a drop.  Up
-    to n = sqrt(2 * SPEC_CHUNK_ENTRIES) = 512 every spectrum is sorted once
+    y it meets first, keeps them for later chunks, up to min(2 * per, n)
+    rows, and drops them all at once when a chunk's new vertices do not
+    fit.  A chunk meets at most `per` x and `per` y, and at most n
+    vertices, so they always fit after a drop.  Up to
+    n = sqrt(2 * SPEC_CHUNK_ENTRIES) = 512 every spectrum is sorted once
     per side per check, and a check that fails in its first chunk sorts
     only that chunk's rows.  No array outgrows 2 * SPEC_CHUNK_ENTRIES
     entries of n, bar the pair lists of a block, which a dense block of
     candidates fills with 16 bytes an entry.
+
+    The sum prune keeps the cache from thrashing above n = 512: the
+    passing check of the linear-fair ranking of random n = 2000 sorts 2644
+    rows with it and 30 610 (15.3n) without it, and takes 44-53 ms against
+    0.20-0.26 s (in-process, best and median of 7, three rounds; 2-vCPU
+    Xeon VM, Python 3.11, numpy 2.4).  A check that fails in its first
+    chunk still pays for the sums: the Copeland ranking there takes
+    10-13 ms against 5.5-6.7 ms, and at n = 10 000 0.31-0.34 s against
+    0.21-0.24 s.  A check at n = 6 takes about 0.1 ms, numpy's fixed cost.
     """
-    n = len(out)
-    same = low is index
+    n, out = t.n, t.out
+    low = [g + 1 for g in _Walk(key, e).geq[1:]]
+    index = [g + 1 for g in _Walk(key, 0).geq[1:]] if e else low
+    same = low == index  # no two distinct keys within e: one list serves both sides
     tops_rank = np.array(index, dtype=np.int16)
     lows_rank = tops_rank if same else np.array(low, dtype=np.int16)
     deg = np.fromiter(map(int.bit_count, out), dtype=np.int16, count=n)
     per = max(1, SPEC_CHUNK_ENTRIES // n)
-    tops = np.empty((2 * per, n), dtype=np.int16)  # kept spectra: indexes
-    lows = tops if same else np.empty((2 * per, n), dtype=np.int16)  # and lows
+    top_sum = np.empty(n, dtype=np.int32)
+    low_sum = top_sum if same else np.empty(n, dtype=np.int32)
+    for j0 in range(0, n, per):
+        rows = unpack_rows(out, range(j0, min(j0 + per, n)))
+        np.matmul(rows, tops_rank, out=top_sum[j0:j0 + len(rows)], dtype=np.int32)
+        if not same:
+            np.matmul(rows, lows_rank, out=low_sum[j0:j0 + len(rows)], dtype=np.int32)
+    size = min(2 * per, n)
+    tops = np.empty((size, n), dtype=np.int16)  # kept spectra: indexes
+    lows = tops if same else np.empty((size, n), dtype=np.int16)  # and lows
     slot = np.full(n, -1)  # a vertex's row of tops and lows, or -1
     held = 0
     for x0 in range(0, n, per):
         block = np.arange(x0, min(x0 + per, n))
         candidates = (lows_rank <= tops_rank[block, None]) & (deg >= deg[block, None])
+        candidates &= top_sum >= low_sum[block, None]
         candidates[block - x0, block] = False
         px, py = np.nonzero(candidates)
         px += x0
@@ -670,7 +699,7 @@ def _spectral_chunks(out: Sequence[int], index: List[int], low: List[int]) -> Fa
             met = np.zeros(n, dtype=bool)
             met[cx] = met[cy] = True
             new = np.flatnonzero(met & (slot < 0))
-            if held + len(new) > 2 * per:
+            if held + len(new) > size:
                 slot[:] = -1
                 held, new = 0, np.flatnonzero(met)
             if len(new):
@@ -690,67 +719,6 @@ def _spectral_chunks(out: Sequence[int], index: List[int], low: List[int]) -> Fa
                 k = bad[0]
                 reason = "non-strict spectral violated" if above[k] else "strict spectral violated"
                 return FairnessVerdict((int(cx[k]) + 1, int(cy[k]) + 1), reason)
-    return FairnessVerdict()
-
-
-def _spectral_verdict(t: Tournament, key: Sequence[Rank], e: Rank) -> FairnessVerdict:
-    """The spectral axiom: sorted rank lists compared pair by pair up to
-    SPEC_WALK_MAX vertices, numpy chunks (`_spectral_chunks`) above.
-
-    x's spectrum lies below y's iff deg(x) <= deg(y) and, for each k, the
-    k-th largest rank of x's out-set is not above the k-th largest of y's.
-    A violation at (x, y) needs that and y not ranked above x, so the
-    candidates for x are the y of at least x's degree that do not rank
-    above x, tested in ascending x and then y: the certificate is the
-    lex-least violating pair.
-
-    Ranks enter the test as small ints, read off the keys' `_Walk`.
-    index(b) is 1 plus the number of keys below b: 1 plus geq of the walk
-    with e = 0, since fl(a - b) > 0 iff a > b for finite floats, and two
-    equal infinities, whose difference is nan, tie.  The keys b with
-    a - b > e are the lowest ones, since fl(a - b) never decreases as b
-    falls (module docstring), and low(a) is 1 plus their number, 1 plus geq
-    of the walk with e, so `not a - b > e` holds iff index(b) >= low(a).
-    For exact keys (e = 0) the two walks are one, and low is index.  The
-    same rule places the ranks: y ranks above x iff index(x) < low(y).
-    Both paths take the candidates of x by one rule, the y != x with
-    deg(y) >= deg(x) and low(y) <= index(x); the list walk reads deg(y) as
-    the length of y's spectrum.
-
-    Each spectrum is a list sorted descending, of indexes for the side that
-    must be larger (tops) and of lows for the other (lows), and a pair is
-    compared entry by entry.  A candidate y has at least x's degree, so
-    the comparison, which stops at the end of x's list, reads every entry
-    of x: x's spectrum lies below y's iff each entry of lows[x] is at most
-    the entry of tops[y] at its place.  The swapped test, for the strict
-    axiom, needs deg(y) <= deg(x) first.
-
-    Above SPEC_WALK_MAX vertices the same indexes and lows, as int16, go
-    to `_spectral_chunks`, which sorts spectra in numpy and decides the
-    candidates of a block of x at once; the walk stays for small n, where
-    its per-call set-up is a few list builds and numpy's is larger than the
-    whole check.
-    """
-    n, out = t.n, t.out
-    low = [g + 1 for g in _Walk(key, e).geq[1:]]
-    index = [g + 1 for g in _Walk(key, 0).geq[1:]] if e else low
-    if low == index:  # no two distinct keys within e: one list serves both sides
-        low = index
-    if n > SPEC_WALK_MAX:
-        return _spectral_chunks(out, index, low)
-
-    tops = [sorted(compress(index, bit_mask(o)), reverse=True) for o in out]
-    lows = tops if low is index else [sorted(compress(low, bit_mask(o)), reverse=True) for o in out]
-    for x in range(n):
-        for y in range(n):
-            if y == x or len(tops[y]) < len(lows[x]) or low[y] > index[x]:
-                continue
-            if not all(map(le, lows[x], tops[y])):
-                continue
-            if index[y] < low[x]:
-                return FairnessVerdict((x + 1, y + 1), "non-strict spectral violated")
-            if len(lows[y]) > len(tops[x]) or not all(map(le, lows[y], tops[x])):
-                return FairnessVerdict((x + 1, y + 1), "strict spectral violated")
     return FairnessVerdict()
 
 

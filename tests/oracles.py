@@ -1,9 +1,12 @@
 """Brute-force oracles that the library's fast paths are checked against."""
 
+import math
 import random
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cache, partial
 from itertools import permutations
+from operator import le
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -212,6 +215,57 @@ def _spectra(t: Tournament, r: Ranking, x: int, y: int):
     return [r[z] for z in out_set(t, x)], [r[z] for z in out_set(t, y)]
 
 
+def spectral_verdict_lists(t: Tournament, r: Ranking) -> FairnessVerdict:
+    """The spectral verdict by a walk over sorted lists of rank positions:
+    the candidates of the library's degree rule, each decided by comparing
+    two lists entry by entry, in ascending x and then y.
+
+    index(a) is 1 plus the number of ranks below a and low(a) is 1 plus
+    the number of ranks b with a - b > eps, the ranks that a is above.  An
+    exact ranking's values are brought to one denominator and compared as
+    ints, so index and low agree; a float ranking's are compared as floats,
+    plainly for index.  Then b is not below a iff index(b) >= low(a), and y
+    ranks above x iff index(x) < low(y).  Each spectrum is a list sorted
+    descending, of indexes for the side that must be larger (tops) and of
+    lows for the other (lows); the candidates of x are the y != x of at
+    least x's degree with low(y) <= index(x).  A candidate has at least x's
+    degree, so the comparison, which stops at the end of x's list, reads
+    every entry of x; the swapped test, for the strict axiom, needs
+    deg(y) <= deg(x) first.  The lists are built once per call, so the walk
+    costs a few list builds at n = 6, where numpy's set-up costs more than
+    the whole check.
+    """
+    r.require_domain(t)
+    n = t.n
+    values = [r[v] for v in t.vertices()]
+    exact = r.is_exact
+    if exact:
+        scale = math.lcm(*[int(v.denominator) for v in values])
+        values = [int(v.numerator) * (scale // int(v.denominator)) for v in values]
+    else:
+        values = list(map(float, values))
+    ordered = sorted(values)
+    index = [1 + bisect_left(ordered, a) for a in values]
+    low = index
+    if not exact:  # the b with a - b > eps are a prefix of the ascending ranks
+        low = [1 + bisect_left(ordered, True, key=lambda b, a=a: not a - b > DEFAULT_EPS)
+               for a in values]
+    members = [[z for z in range(n) if o >> z & 1] for o in t.out]
+    tops = [sorted([index[z] for z in m], reverse=True) for m in members]
+    lows = tops if low is index else [sorted([low[z] for z in m], reverse=True) for m in members]
+    for x in range(n):
+        for y in range(n):
+            if y == x or len(tops[y]) < len(lows[x]) or low[y] > index[x]:
+                continue
+            if not all(map(le, lows[x], tops[y])):
+                continue
+            if index[y] < low[x]:
+                return FairnessVerdict((x + 1, y + 1), "non-strict spectral violated")
+            if len(lows[y]) > len(tops[x]) or not all(map(le, lows[y], tops[x])):
+                return FairnessVerdict((x + 1, y + 1), "strict spectral violated")
+    return FairnessVerdict()
+
+
 def spectral_leq(t: Tournament, r: Ranking, x: int, y: int) -> bool:
     """x <= y in the spectral preorder of r (via the dominance shortcut)."""
     return sorted_dominance(*_spectra(t, r, x, y), partial(leq, r))
@@ -357,10 +411,13 @@ def weak_order_rankings(n: int) -> Tuple[Ranking, ...]:
 
 def min_backward_fair_blocks(t: Tournament, c: FairnessClass) -> MinBackwardResult:
     """Minimum over a fairness class by ordered set partitions, one Fraction
-    ranking per partition; ties go to the least rank tuple in vertex order."""
+    ranking per partition; ties go to the least rank tuple in vertex order.
+    SPEC is decided by the list walk `spectral_verdict_lists`, every other
+    class by the library's `is_fair`."""
+    fair = spectral_verdict_lists if c is FairnessClass.SPEC else partial(is_fair, c=c)
     best: Optional[Tuple[int, Tuple[Fraction, ...], Ranking]] = None
     for r in weak_order_rankings(t.n):
-        if not is_fair(t, r, c):
+        if not fair(t, r):
             continue
         count = backward_arcs(t, r).count
         key = (count, tuple(r[v] for v in t.vertices()))

@@ -7,13 +7,15 @@ a 2000-vertex tournament and its backward-arc report each hold well under
 2 MB, and parsing its 4 MB matrix text peaks at a few times the text.  The
 weak-order minimizer keeps one ranking per weak order, each with its rank
 masks (not its keys): 2.80 MB for the 4683 weak orders at n = 6.  The
-spectral check above `SPEC_WALK_MAX` vertices works in chunks of
-`SPEC_CHUNK_ENTRIES` entries: it keeps twice that many entries of sorted
-spectra, one cache for x and y (two int16 arrays, 2 x 4 bytes an entry),
-and a chunk adds its block's candidate mask (1 byte) and pair lists (two
-int64 arrays, 16 bytes at most), the gathered spectra and their
-comparison (5 bytes) and the unpacked bits of a sort (3 bytes): under 40
-bytes an entry.  The SPEC and LIN minimizers decide the 4683 weak orders
+spectral check works in chunks of `SPEC_CHUNK_ENTRIES` entries at every
+n: it keeps twice that many entries of sorted spectra (n rows at most),
+one cache for x and y (two int16 arrays, 2 x 4 bytes an entry), takes
+the rank sums over row blocks of as many entries (the unpacked bits and
+their int32 product, 5 bytes an entry) before it fills the cache, and a
+chunk adds its block's candidate mask (1 byte) and pair lists (two int64
+arrays, 16 bytes at most), the gathered spectra and their comparison (5
+bytes) and the unpacked bits of a sort (3 bytes): under 40 bytes an
+entry.  The SPEC and LIN minimizers decide the 4683 weak orders
 at n = 6 in one pass over (n, n, 4683) bool arrays, 168 KB each, and the
 exhaustive Copeland check holds one row of C(n, 2) arc bits and n
 degrees per tournament, 32 768 of them at n = 6; all are built per call

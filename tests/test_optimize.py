@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -40,6 +41,7 @@ from oracles import (
     min_backward_injective_bnb,
     min_backward_injective_permutations,
     relabeled,
+    spectral_verdict_lists,
     verify_copeland_upper_bound_loop,
 )
 
@@ -373,12 +375,13 @@ class TestWeakOrderMinimum:
 
 class TestArrayVerdicts:
     # SPEC and LIN decide every weak order in one array pass; each verdict
-    # must be the one `is_fair` gives the kept ranking of that order
+    # must be the one that the list walk of `oracles.py` (SPEC) or `is_fair`
+    # (LIN) gives the kept ranking of that order
     @staticmethod
     def assert_verdicts(t):
         rankings, levels = _level_vectors(t.n)
-        for c in (FC.SPEC, FC.LIN):
-            expected = [is_fair(t, r, c).ok for r in rankings]
+        for c, fair in ((FC.SPEC, spectral_verdict_lists), (FC.LIN, partial(is_fair, c=FC.LIN))):
+            expected = [fair(t, r).ok for r in rankings]
             assert _fair_orders(t, levels, c).tolist() == expected, (t.out, c)
 
     @pytest.mark.parametrize("n", range(1, 5))

@@ -7,10 +7,12 @@ cells of a matrix in row-major order for the matrix parser.  They compare
 rank values with the raw-value comparators `lt`, `eq` and `leq` of
 `oracles.py` (exact ranks with <, float ranks with b - a > eps, and a tie
 where neither rank is below the other), never through the library's
-per-vertex keys.  The spectral axiom has two paths, sorted rank lists up
-to `ranking.SPEC_WALK_MAX` vertices and numpy chunks above it; every
-spectral parity check here runs both, and the numpy path once more with
-one candidate pair per chunk, by patching the module constants.
+per-vertex keys.  The spectral axiom is decided in numpy chunks at every
+n; every spectral parity check here runs it in its own chunks and once
+more with one candidate pair per chunk, by patching the module constant,
+and checks it against the list walk `spectral_verdict_lists` of
+`oracles.py` as well as the pair scan.  Where the pair scan is too slow,
+the list walk alone is the reference.
 """
 
 import math
@@ -48,6 +50,7 @@ from oracles import (
     is_fair_pairs,
     iter_weak_orders,
     relabeled,
+    spectral_verdict_lists,
     weak_order_ranking,
 )
 
@@ -59,28 +62,25 @@ def verdict(v):
     return (v.ok, v.certificate, v.reason)
 
 
-# (SPEC_WALK_MAX, SPEC_CHUNK_ENTRIES): the list walk at every n, numpy
-# chunks at every n, and numpy with one row per block and one pair per chunk
-SPEC_PATHS = (
-    (DEFAULT_VERTEX_CAP, ranking_module.SPEC_CHUNK_ENTRIES),
-    (0, ranking_module.SPEC_CHUNK_ENTRIES),
-    (0, 1),
-)
+# SPEC_CHUNK_ENTRIES: numpy in its own chunks, and with one row per block
+# and one pair per chunk
+SPEC_PATHS = (ranking_module.SPEC_CHUNK_ENTRIES, 1)
 
 
 def spec_verdicts(t, r, paths=SPEC_PATHS):
-    """The spectral verdict on each path of `paths`, forced by the constants."""
+    """The spectral verdict with each chunk size of `paths`, set by the constant."""
     verdicts = []
-    for walk_max, chunk in paths:
+    for chunk in paths:
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ranking_module, "SPEC_WALK_MAX", walk_max)
             mp.setattr(ranking_module, "SPEC_CHUNK_ENTRIES", chunk)
             verdicts.append(verdict(is_fair(t, r, FC.SPEC)))
     return verdicts
 
 
 def assert_spec_parity(t, r):
-    assert spec_verdicts(t, r) == [verdict(is_fair_pairs(t, r, FC.SPEC))] * len(SPEC_PATHS)
+    expected = verdict(is_fair_pairs(t, r, FC.SPEC))
+    assert verdict(spectral_verdict_lists(t, r)) == expected
+    assert spec_verdicts(t, r) == [expected] * len(SPEC_PATHS)
 
 
 def assert_parity(t, r, classes=tuple(FC)):
@@ -400,11 +400,12 @@ def test_parser_faults_across_a_block_boundary(faults, error, message):
     assert outcome(lambda: parse_tournament(text)) == outcome(lambda: streamed(n, rows)) == (error, message)
 
 
-# -- spectral axiom on sorted lists and in numpy chunks ---------------------------
-# `is_fair` tests only the candidate pairs of the degree prune, each on two
-# sorted lists of rank positions or, above SPEC_WALK_MAX vertices, in numpy
-# chunks of sorted spectra; `is_fair_pairs` sorts both spectra of every
-# ordered pair and compares them entry by entry with the raw-value comparators.
+# -- spectral axiom in numpy chunks ----------------------------------------------
+# `is_fair` tests only the candidate pairs of the degree and rank-sum
+# prunes, in numpy chunks of sorted spectra; `spectral_verdict_lists` tests
+# the candidates of the degree prune alone on sorted lists of rank
+# positions, and `is_fair_pairs` sorts both spectra of every ordered pair
+# and compares them entry by entry with the raw-value comparators.
 
 
 @pytest.mark.parametrize("l", [1, 2, 3])
@@ -445,7 +446,7 @@ def test_spec_weak_order_rankings(seed, n, levels):
 
 
 def test_spec_fields_hold_every_index():
-    # an int16 row of `_spectral_chunks` holds indexes and lows up to n
+    # an int16 row of `_spectral_verdict` holds indexes and lows up to n
     assert DEFAULT_VERTEX_CAP < 2**15
 
 
@@ -456,13 +457,12 @@ def test_spec_copeland_certificates_at_scale(n, pair):
         False, pair, "strict spectral violated")
 
 
-# where the pair scan is too slow, the two paths check each other: the list
-# walk, numpy in its own chunks, and numpy with blocks and chunks of 8
+# where the pair scan is too slow, the list walk of `oracles.py` checks
+# numpy in its own chunks and numpy with blocks and chunks of 8
 def assert_spec_paths_agree(t, r):
-    paths = SPEC_PATHS[:2] + ((0, 8 * t.n),)
-    verdicts = spec_verdicts(t, r, paths)
-    assert verdicts == [verdicts[0]] * len(paths)
-    return verdicts[0]
+    expected = verdict(spectral_verdict_lists(t, r))
+    assert spec_verdicts(t, r, (ranking_module.SPEC_CHUNK_ENTRIES, 8 * t.n)) == [expected] * 2
+    return expected
 
 
 @pytest.mark.parametrize("n", [200, 1000])
@@ -488,10 +488,13 @@ def test_spec_paths_agree_on_relabeled_composite(l):
 def test_spec_sorts_each_spectrum_once_per_side(monkeypatch):
     # up to n = 512 the numpy path keeps every sorted row, for x and y alike:
     # a check sorts each spectrum's indexes once and, when float ranks make
-    # lows differ from indexes, its lows once more
+    # lows differ from indexes, its lows once more; above it the rank-sum
+    # prune leaves few enough candidates that the linear-fair ranking of
+    # random n = 2000 still sorts at most 2n rows
     rng = random.Random(4)
     base = gen_composite(4)
     t = relabeled(base, rng.sample(range(1, base.n + 1), base.n))
+    big = gen_random(2000, 1)
     sorted_rows = []
     spectra = ranking_module._spectra
 
@@ -500,7 +503,8 @@ def test_spec_sorts_each_spectrum_once_per_side(monkeypatch):
         return spectra(out, rows, ranks)
 
     monkeypatch.setattr(ranking_module, "_spectra", counted)
-    for r, most in ((linear_fair_ranking(t).ranking, 2 * t.n), (copeland_ranking(t), t.n)):
+    for t, r, most in ((t, linear_fair_ranking(t).ranking, 2 * t.n), (t, copeland_ranking(t), t.n),
+                       (big, linear_fair_ranking(big).ranking, 2 * big.n)):
         sorted_rows.clear()
         assert is_fair(t, r, FC.SPEC).ok
         assert sum(sorted_rows) <= most
