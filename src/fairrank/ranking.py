@@ -31,9 +31,12 @@ the one rule that both `_keys` and `Ranking.is_exact` read.
 Comparisons stay exact, and the linear axiom's out-sums, the one place
 where values matter beyond their order, are integer sums instead of
 Fraction sums.  An integer sum does not depend on the order of its terms,
-so when the keys are narrow against n (LIN_PLANE_RATIO) it is read off bit
-planes (`_plane_sums`): one AND and one popcount per plane, weighted by
-the plane's place value.  Float addition rounds at every step, so a float
+so all n of them are one product A @ V (`_exact_sums`) of the 0/1
+out-set matrix A with the keys split into 32-bit limbs, one column each
+(`_int_sums`), recombined as Python ints: each limb sum is below
+n * 2**32 < 2**53, which float64 holds exactly, and the product costs
+O(n^2 ceil(w / 32)) for keys of w bits.  The spectral axiom's rank sums
+are the same product.  Float addition rounds at every step, so a float
 out-sum is defined as the out-set's keys added in ascending vertex order
 from 0.0, rounded after each add.  That is what builtin `sum` gave before
 Python 3.12, which compensates it, and what the pair-scan reference in
@@ -41,11 +44,7 @@ Python 3.12, which compensates it, and what the pair-scan reference in
 the last bit on every Python.  `_float_sums` adds all n out-sums in numpy,
 one pass per block of rows: the block's own out-set rows mark the terms,
 which are selected bitwise, not multiplied by 0 or 1 (0 * inf is nan),
-and one reduce adds the rows in order.  The out-sums of the linear-fair
-ranking took 2.3 ms at random n = 1000, 9.6 ms at n = 2000 and 0.26 ms on
-the composite family at l = 8, against 24, 75 and 1.4 ms for builtin `sum`
-over each out-set's byte mask (best of 7; 2-vCPU Xeon VM, Python 3.11,
-numpy 2.4).
+and one reduce adds the rows in order.
 
 The Copeland axioms and the linear axiom share one shape: key(x) <= key(y)
 implies rank(x) <= rank(y), and key(x) < key(y) implies rank(x) < rank(y),
@@ -97,29 +96,17 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from itertools import compress, repeat
-from operator import add
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .errors import DomainMismatchError, TournamentSyntaxError
-from .tournament import Tournament, bit_mask, unpack_rows
+from .tournament import Tournament, unpack_rows
 
 Rank = Union[int, float, Fraction]
 
 DEFAULT_EPS = 1e-9
-# The linear axiom sums exact (int) keys by bit planes when n exceeds
-# LIN_PLANE_RATIO times w, the bit length of the largest key, and otherwise
-# through each out-set's byte mask.  Planes cost about w ANDs, popcounts
-# and adds per vertex, against one n-byte mask and a sum of about n/2 keys.
-# Timed on random tournaments with random w-bit keys (w = 3 to 100, n = 6
-# to 1000; 2-vCPU Xeon VM, Python 3.11), the two paths broke even at n = 7w
-# to 8.5w for every w; at n = 6 and w = 3, as in the weak-order sweep, the
-# planes took 1.6 times as long, and at n = 1000 and w = 10, as for the
-# Copeland ranking, the masks took 8.7 times as long.
-LIN_PLANE_RATIO = 8
 # Entries per numpy chunk of the spectral axiom, each entry a vertex of a
 # row of n: a chunk tests SPEC_CHUNK_ENTRIES // n candidate pairs, the rank
 # sums are taken over row blocks of as many out-sets, and the cache of
@@ -127,8 +114,9 @@ LIN_PLANE_RATIO = 8
 # at most), 512 KB of int16 per array; a check peaks under 40 bytes an entry
 # (tests/test_memory.py).  Up to n = 512 every row fits, so the composite
 # family (n = 81 to 289 at l = 4 to 8) sorts each row once per side.  The
-# same bound sizes the row blocks of the linear axiom's float out-sums
-# (`_float_sums`): SPEC_CHUNK_ENTRIES // n rows of n float64 terms, 1 MB.
+# same bound sizes the row blocks of every out-sum, exact (`_exact_sums`)
+# or float (`_float_sums`): SPEC_CHUNK_ENTRIES // n rows of n float64
+# terms, 1 MB.
 SPEC_CHUNK_ENTRIES = 2**17
 
 
@@ -470,7 +458,7 @@ def is_fair(t: Tournament, r: Ranking, c: FairnessClass) -> FairnessVerdict:
     vertex order from 0.0, rounded after each add, on every Python: numpy
     adds them for all vertices in one pass per row block (`_float_sums`),
     selecting each term bitwise, since a product with 0 turns a +inf rank
-    into nan.  Exact ranks sum as ints, through byte masks or bit planes.
+    into nan.  Exact ranks sum as ints, in 32-bit limbs (`_int_sums`).
     """
     if c is FairnessClass.WEAK:
         # x+ ⊆ y+ forces y -> x, since x -> y would put y in y+, and then
@@ -504,11 +492,8 @@ def is_fair(t: Tournament, r: Ranking, c: FairnessClass) -> FairnessVerdict:
             if not np.isfinite(float_sums).all():
                 raise ValueError("a float out-sum overflows; scale the ranking down")
             sums = [0.0, *float_sums.tolist()]
-        # w >= 1 for positive keys, so n <= LIN_PLANE_RATIO needs no key read
-        elif n <= LIN_PLANE_RATIO or n <= LIN_PLANE_RATIO * max(values).bit_length():
-            sums = [0] + [sum(compress(values, bit_mask(o))) for o in t.out]
         else:
-            sums = [0, *_plane_sums(t.out, values)]
+            sums = [0, *_int_sums(t.out, values)]
         return _monotone_verdict(
             _Walk(sums, e), key, e, "non-strict linear violated", "strict linear violated"
         )
@@ -534,23 +519,43 @@ def is_fair(t: Tournament, r: Ranking, c: FairnessClass) -> FairnessVerdict:
     raise ValueError(f"unhandled fairness class {c}")
 
 
-def _plane_sums(out: Sequence[int], values: Sequence[int]) -> List[int]:
-    """The out-sums of positive int keys, one per out-set, by bit planes.
+def _exact_sums(out: Sequence[int], columns: np.ndarray) -> np.ndarray:
+    """A @ V as float64: row i - 1 sums the rows j - 1 of V, an (n, m)
+    array of non-negative ints below 2**32, over the j in out(i).
 
-    With w the bit length of the largest key, digit i of each key's w-digit
-    binary string is its bit w - 1 - i, and the strings of vertices n down
-    to 1 joined make each plane, the bitset of the vertices whose key has
-    that bit, one stride of digits.  An out-set o sums to the planes'
-    popcount(o & plane) times their place values, which Horner's rule adds
-    from the top plane down: one AND, one popcount and one add per vertex
-    and plane, in C-level maps over the out-sets.
+    One float64 `np.matmul` per block of SPEC_CHUNK_ENTRIES // n out-set
+    rows (`unpack_rows`), O(n^2 m) in all.  The result is exact: every
+    term is a 0/1 entry times an int below 2**32, and every partial sum of
+    a row is below n * 2**32 <= 10**4 * 2**32 < 2**53 at the vertex cap,
+    so float64 holds each sum exactly in any order of addition, and
+    neither BLAS's blocking nor its thread count can change it.
     """
-    w = max(values).bit_length()
-    digits = "".join(map(format, reversed(values), repeat(f"0{w}b")))
-    sums = [0] * len(out)
-    for i in range(w):
-        plane = int(digits[i::w], 2)
-        sums = list(map(add, map(add, sums, sums), map(int.bit_count, map(plane.__and__, out))))
+    n = len(out)
+    values = np.asarray(columns, dtype=np.float64)
+    per = max(1, SPEC_CHUNK_ENTRIES // n)
+    sums = np.empty((n, values.shape[1]))
+    for i0 in range(0, n, per):
+        rows = unpack_rows(out, range(i0, min(i0 + per, n)))
+        np.matmul(rows, values, out=sums[i0:i0 + len(rows)])
+    return sums
+
+
+def _int_sums(out: Sequence[int], values: Sequence[int]) -> List[int]:
+    """The out-sums of positive int keys of any width, one per out-set.
+
+    Each key splits into 32-bit limbs, lowest first (`int.to_bytes` read
+    as little-endian uint32), one column per limb; one `_exact_sums`
+    product sums every column, and each out-sum is its limb sums
+    recombined as Python ints, top limb first: O(n^2 ceil(w / 32)) for
+    keys of w bits.
+    """
+    nbytes = 4 * -(-max(values).bit_length() // 32)
+    data = b"".join([v.to_bytes(nbytes, "little") for v in values])
+    limbs = _exact_sums(out, np.frombuffer(data, "<u4").reshape(len(values), -1))
+    limbs = limbs.astype(np.int64).T.tolist()
+    sums = limbs.pop()
+    for limb in reversed(limbs):
+        sums = [(s << 32) + k for s, k in zip(sums, limb)]
     return sums
 
 
@@ -634,9 +639,8 @@ def _spectral_verdict(t: Tournament, key: Sequence[Rank], e: Rank) -> FairnessVe
 
     The candidates of x are the y != x with deg(y) >= deg(x),
     low(y) <= index(x) and top_sum(y) >= low_sum(x), the out-sums of
-    indexes and of lows, which one int32 product per row block of
-    SPEC_CHUNK_ENTRIES // n out-set rows gives (a sum is at most
-    n(n - 1) < 2**31 at the vertex cap).  x is taken in label-ordered
+    indexes and of lows, which one `_exact_sums` product gives, the two
+    lists as its one or two columns.  x is taken in label-ordered
     blocks of `per` rows.  One broadcast over a block marks its candidate
     pairs, and `np.nonzero` lists them in lex order, `per` to a chunk, n
     entries each, at most SPEC_CHUNK_ENTRIES in all.  In a chunk, x's
@@ -663,9 +667,9 @@ def _spectral_verdict(t: Tournament, key: Sequence[Rank], e: Rank) -> FairnessVe
     rows with it and 30 610 (15.3n) without it, and takes 44-53 ms against
     0.20-0.26 s (in-process, best and median of 7, three rounds; 2-vCPU
     Xeon VM, Python 3.11, numpy 2.4).  A check that fails in its first
-    chunk still pays for the sums: the Copeland ranking there takes
-    10-13 ms against 5.5-6.7 ms, and at n = 10 000 0.31-0.34 s against
-    0.21-0.24 s.  A check at n = 6 takes about 0.1 ms, numpy's fixed cost.
+    chunk still pays for the sums of all n vertices: at n = 10 000 the
+    product takes about 80 ms of the Copeland ranking's 0.18-0.24 s
+    check.  A check at n = 6 takes about 0.1 ms, numpy's fixed cost.
     """
     n, out = t.n, t.out
     low = [g + 1 for g in _Walk(key, e).geq[1:]]
@@ -675,13 +679,8 @@ def _spectral_verdict(t: Tournament, key: Sequence[Rank], e: Rank) -> FairnessVe
     lows_rank = tops_rank if same else np.array(low, dtype=np.int16)
     deg = np.fromiter(map(int.bit_count, out), dtype=np.int16, count=n)
     per = max(1, SPEC_CHUNK_ENTRIES // n)
-    top_sum = np.empty(n, dtype=np.int32)
-    low_sum = top_sum if same else np.empty(n, dtype=np.int32)
-    for j0 in range(0, n, per):
-        rows = unpack_rows(out, range(j0, min(j0 + per, n)))
-        np.matmul(rows, tops_rank, out=top_sum[j0:j0 + len(rows)], dtype=np.int32)
-        if not same:
-            np.matmul(rows, lows_rank, out=low_sum[j0:j0 + len(rows)], dtype=np.int32)
+    sums = _exact_sums(out, np.stack([tops_rank] if same else [tops_rank, lows_rank], axis=1))
+    top_sum, low_sum = sums[:, 0], sums[:, -1]
     size = min(2 * per, n)
     tops = np.empty((size, n), dtype=np.int16)  # kept spectra: indexes
     lows = tops if same else np.empty((size, n), dtype=np.int16)  # and lows

@@ -64,17 +64,6 @@ class Tournament:
         return range(1, self.n + 1)
 
 
-_BITS = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def bit_mask(bits: int) -> bytes:
-    """One byte per bit of a bitset, lowest bit first: byte y - 1 is 1 iff
-    vertex y is a member.  It ends at the highest set bit, so
-    `compress(values, bit_mask(bits))` reads the members' values in
-    ascending vertex order without decoding a label."""
-    return bin(bits)[:1:-1].encode().translate(_BITS)
-
-
 # -- construction and validation ------------------------------------------
 
 

@@ -11,15 +11,15 @@ spectral check works in chunks of `SPEC_CHUNK_ENTRIES` entries at every
 n: it keeps twice that many entries of sorted spectra (n rows at most),
 one cache for x and y (two int16 arrays, 2 x 4 bytes an entry), takes
 the rank sums over row blocks of as many entries (the unpacked bits and
-their int32 product, 5 bytes an entry) before it fills the cache, and a
-chunk adds its block's candidate mask (1 byte) and pair lists (two int64
-arrays, 16 bytes at most), the gathered spectra and their comparison (5
-bytes) and the unpacked bits of a sort (3 bytes): under 40 bytes an
-entry.  The SPEC and LIN minimizers decide the 4683 weak orders
-at n = 6 in one pass over (n, n, 4683) bool arrays, 168 KB each, and the
-exhaustive Copeland check holds one row of C(n, 2) arc bits and n
-degrees per tournament, 32 768 of them at n = 6; all are built per call
-and dropped.  The injective DP keeps two int64 keys per placed set, 16 MB
+the float64 copy that their product reads, 9 bytes an entry) before it
+fills the cache, and a chunk adds its block's candidate mask (1 byte)
+and pair lists (two int64 arrays, 16 bytes at most), the gathered
+spectra and their comparison (5 bytes) and the unpacked bits of a sort
+(3 bytes): under 40 bytes an entry.  The SPEC and LIN minimizers
+decide the 4683 weak orders at n = 6 in one pass over (n, n, 4683) bool
+arrays, 168 KB each, and the exhaustive Copeland check holds one row of
+C(n, 2) arc bits and n degrees per tournament, 32 768 of them at n = 6;
+all are built per call and dropped.  The injective DP keeps two int64 keys per placed set, 16 MB
 at `INJECTIVE_SEARCH_CAP` = 20, and one popcount byte per set, and works
 through each set size in chunks of `INJECTIVE_CHUNK_ENTRIES` (set, next
 vertex) entries: the sets' next sets and two candidate keys (three int64

@@ -5,7 +5,6 @@ import random
 import warnings
 from decimal import Decimal
 from fractions import Fraction
-from itertools import compress
 
 import numpy as np
 import pytest
@@ -33,8 +32,8 @@ from fairrank import (
     serialize_ranking,
 )
 from fairrank.optimize import _level_vectors
-from fairrank.ranking import DEFAULT_EPS, _above, _float_sums, _keys, _plane_sums, _Walk
-from fairrank.tournament import bit_mask
+from fairrank.ranking import DEFAULT_EPS, _above, _float_sums, _int_sums, _keys, _Walk
+from fairrank.tournament import DEFAULT_VERTEX_CAP
 from oracles import (
     arcs,
     backward_arcs_pairs,
@@ -234,7 +233,7 @@ def primes(count):
 
 
 def linear_cases():
-    """(name, tournament, ranking) cases for the two out-sum paths of LIN."""
+    """(name, tournament, ranking) cases for LIN's exact and float out-sums."""
     rng = random.Random(21)
     denominators = primes(40)
     cases = []
@@ -261,6 +260,14 @@ def linear_cases():
         values = {v: v for v in t.vertices()}
         values[40] = bad
         cases.append((f"non-positive-{bad}", t, Ranking(values)))
+    # keys at the 32-bit limb edges: one limb ends at 2**32 - 1, two at
+    # 2**64 - 1; each key alone, mixed, and mixed within 2 of an edge
+    edges = [2**32 - 1, 2**32, 2**64 - 1, 2**64]
+    t = gen_random(9, 9)
+    cases += [(f"all-{k:#x}", t, Ranking(dict.fromkeys(t.vertices(), k))) for k in edges]
+    cases += [("limb-edges", t, Ranking({v: rng.choice(edges) for v in t.vertices()})),
+              ("near-limb-edges", t, Ranking({v: rng.choice(edges) + rng.randrange(-2, 3)
+                                              for v in t.vertices()}))]
     one = Tournament([0])
     cases += [("n=1", one, Ranking({1: 1})), ("n=1-zero", one, Ranking({1: 0}))]
     # float ranks sum left to right in numpy row blocks (`_float_sums`): the
@@ -288,42 +295,40 @@ FLOAT_CASES = [c for c in LINEAR_CASES if not c[2].is_exact]
 
 
 class TestLinearOutSums:
-    # exact keys sum by bit planes when n > LIN_PLANE_RATIO * w, w the bit
-    # length of the largest key, and through byte masks otherwise: both
-    # paths must give the pair scan's verdict on the same rankings
-
-    @staticmethod
-    def both_paths(monkeypatch, t, r):
-        verdicts = []
-        for ratio in (0, t.n):  # planes for every positive key, then for none
-            monkeypatch.setattr(ranking_module, "LIN_PLANE_RATIO", ratio)
-            verdicts.append(is_fair(t, r, FC.LIN))
-        return verdicts
+    # exact keys sum in 32-bit limbs, one float64 product of the out-set
+    # matrix with the limb columns (`_int_sums`, `_exact_sums`): the verdict
+    # must be the pair scan's, and the sums the reference's, at any width
 
     @pytest.mark.parametrize("name, t, r", LINEAR_CASES, ids=[c[0] for c in LINEAR_CASES])
-    def test_both_paths_match_the_pair_scan(self, monkeypatch, name, t, r):
+    def test_matches_the_pair_scan(self, name, t, r):
         expected = is_fair_pairs(t, r, FC.LIN)
-        assert self.both_paths(monkeypatch, t, r) == [expected, expected]
-        monkeypatch.undo()
         assert is_fair(t, r, FC.LIN) == expected
         if name.startswith("non-positive"):
             assert expected.certificate == (40, 40) and expected.reason == "non-positive rank"
 
+    @pytest.mark.parametrize("entries", [ranking_module.SPEC_CHUNK_ENTRIES, 1])
     @pytest.mark.parametrize("name, t, r", POSITIVE_CASES, ids=[c[0] for c in POSITIVE_CASES])
-    def test_plane_sums_are_the_out_sums(self, name, t, r):
+    def test_exact_sums_are_the_out_sums(self, monkeypatch, name, t, r, entries):
+        # the keys are the values times one scale, the LCM of their
+        # denominators; entries = 1 puts each out-set in a block of its own
+        monkeypatch.setattr(ranking_module, "SPEC_CHUNK_ENTRIES", entries)
         key, _ = _keys(t, r)
-        values = key[1:]
-        masked = [sum(compress(values, bit_mask(o)), 0) for o in t.out]
-        assert _plane_sums(t.out, values) == masked
-        if all(type(v) is int for v in r.values.values()):  # its own keys
-            assert masked == list(linear_sums(t, r).values())
+        scale = key[1] / Fraction(r[1])
+        expected = [scale * s for s in linear_sums(t, r).values()]
+        assert _int_sums(t.out, key[1:]) == expected
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_weak_order_levels_at_n6(self, monkeypatch, seed):
+    def test_weak_order_levels_at_n6(self, seed):
         t = gen_random(6, seed)
         for r in _level_vectors(6)[0]:
-            expected = is_fair_pairs(t, r, FC.LIN)
-            assert self.both_paths(monkeypatch, t, r) == [expected, expected], dict(r.values)
+            assert is_fair(t, r, FC.LIN) == is_fair_pairs(t, r, FC.LIN), dict(r.values)
+
+    def test_exact_at_the_vertex_cap(self):
+        # x beats every y < x at n = 10 000, every key 2**32 - 1: the largest
+        # out-sum, 9999 * (2**32 - 1), is the largest one limb reaches at the cap
+        n = DEFAULT_VERTEX_CAP
+        t = Tournament([(1 << x) - 1 for x in range(n)])
+        assert _int_sums(t.out, [2**32 - 1] * n) == [(x - 1) * (2**32 - 1) for x in t.vertices()]
 
 
 def float_bits(sums):
@@ -508,7 +513,7 @@ class TestValuesDecideExactness:
     @pytest.mark.parametrize("offset", [0, 2**62])
     def test_numpy_ints_decide_as_the_equal_python_ints(self, offset):
         # numpy ints have a denominator, so they are exact; their keys are
-        # Python ints, which have bit_length (LIN's plane test reads it) and
+        # Python ints, which have bit_length and to_bytes (LIN's limbs read them) and
         # do not wrap at 2**63 in LIN's out-sums near 2**62
         t = gen_random(20, 1)
         ints = {v: offset + t.out_degree(v) + 1 for v in t.vertices()}
