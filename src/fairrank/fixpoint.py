@@ -25,7 +25,7 @@ from .errors import (
     VerificationFailedError,
 )
 from .ranking import FairnessClass, Ranking, is_fair
-from .tournament import Tournament, _score_components, scc_decompose, unpack_rows
+from .tournament import CHUNK_ENTRIES, Tournament, _score_components, scc_decompose, unpack_rows
 
 # Residual bound max|lambda*r - A*r| of the Perron vector: a thousand times
 # finer than DEFAULT_EPS, the tolerance its scaled ranks are compared with.
@@ -39,14 +39,6 @@ MAX_ITERATIONS = 100_000
 # Any positive shift makes A + SHIFT*I primitive on a strong component
 # without moving its eigenvectors; A alone cycles on the 3-cycle.
 SHIFT = 1.0
-# Entries per row block of the Perron matrix (2 MB of float64), for the fill
-# and for each power step's product.  numpy's bundled OpenBLAS runs a gemv of
-# 460 800 entries or more on several threads, and on a 2-core host each such
-# call then waited 7.5-8 ms for them; blocks of 256 000 entries or fewer
-# never waited.  Block row counts stay multiples of 8: blocks of 262 rows
-# changed the last bits of random n = 1000 ranks, while 256 rows reproduced
-# the single `a @ r`.
-BLOCK_ENTRIES = 2**18
 
 
 @dataclass(frozen=True)
@@ -72,11 +64,14 @@ def perron_fixed_point(t: Tournament, vertices: Iterable[int]) -> PerronResult:
     matrix, rows and columns in ascending label order, is a dense
     C-contiguous float64 array (a strided matrix makes the product round
     differently) filled from t's out-set bitsets in row blocks of
-    B = max(8, (BLOCK_ENTRIES // k) // 8 * 8) rows: one `unpack_rows` and
+    B = max(8, (CHUNK_ENTRIES // k) // 8 * 8) rows: one `unpack_rows` and
     one write of the component's columns per block.  Each power step
     multiplies block by block, so no product is large enough for OpenBLAS
-    to thread; every k <= 512 is one block and one product.  The k x k
-    matrix is still whole, so memory grows as k**2 (800 MB at k = 10 000).
+    to thread; every k <= 360 is one block and one product.  B stays a
+    multiple of 8, which keeps the ranks bit-identical to the single
+    `a @ r`: blocks of 262 rows changed the last bits of random n = 1000
+    ranks, while 256 and 128 rows reproduce them.  The k x k matrix is
+    still whole, so memory grows as k**2 (800 MB at k = 10 000).
     The score cut on the out-degrees within the component, read off the
     out-set bitsets before any matrix is built, decides strong connectivity.
     Power iteration on A + SHIFT*I; stops when the unshifted residual
@@ -95,7 +90,7 @@ def perron_fixed_point(t: Tournament, vertices: Iterable[int]) -> PerronResult:
             f"component of size {k} is not a strongly connected tournament with n >= 3"
         )
     columns = np.array(labels, dtype=np.intp) - 1
-    block = max(8, (BLOCK_ENTRIES // k) // 8 * 8)
+    block = max(8, (CHUNK_ENTRIES // k) // 8 * 8)
     starts = range(0, k, block)
     a = np.empty((k, k))
     for i in starts:

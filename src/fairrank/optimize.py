@@ -37,16 +37,16 @@ benchmark's own tests pin how many `is_fair` calls its sweep makes
 (ROADMAP item 12).
 
 The enumerated weak orders are integer level vectors (`weak_order_levels`),
-built once per n and kept as exact rankings that hold those ints, next to
-one int8 array of the same levels: 2.80 MB at n = 6 once each ranking has
-kept its rank masks.  The weak axiom keys the ints by the one exact-key
-rule on a ranking's first check and keeps its "ranks above" masks on it,
-not its keys (see `ranking`), so no Fraction, no key and no sort is built
-per candidate in later sweeps at that n; only the reported witness holds
-Fractions.  What the weak axiom derives from the tournament alone, each
-vertex's candidates, is built on the first candidate and kept with the
-tournament, so the per-candidate cost is one AND per vertex that has
-candidates, and an inclusion test per candidate left.
+built once per n and kept as exact rankings that hold those ints, each
+with its "ranks above" masks (`ranking._level_ranking`), next to one int8
+array of the same levels: 2.80 MB at n = 6.  So no Fraction, no key and no
+sort is built per candidate; only the reported witness holds Fractions.
+What the weak axiom derives from the tournament alone, each vertex's
+candidates, is kept on the tournament before the sweep
+(`ranking._keep_weak_candidates`), so the per-candidate cost is one AND
+per vertex that has candidates, and an inclusion test per candidate left.
+These are the only data that any check reads back: every other check
+builds its masks and candidates per call (see `ranking`).
 """
 
 from __future__ import annotations
@@ -64,10 +64,13 @@ from .ranking import (
     _COPELAND_CLASSES,
     FairnessClass,
     Ranking,
+    _keep_weak_candidates,
+    _level_ranking,
     backward_arcs,
     is_fair,
 )
 from .tournament import (
+    CHUNK_ENTRIES,
     Tournament,
     _require_enumerable,
     _require_size,
@@ -76,10 +79,6 @@ from .tournament import (
 )
 
 INJECTIVE_SEARCH_CAP = 20
-# (placed set, next vertex) entries in one chunk of an injective DP pass:
-# a chunk holds under 32 bytes an entry, 4 MB, beside the two int64 keys
-# per placed set, 16 MB at the cap (tests/test_memory.py)
-INJECTIVE_CHUNK_ENTRIES = 2**17
 EMN_LMAX_CAP = 10_000
 WEAK_ORDER_CAP = 6
 
@@ -128,15 +127,13 @@ def _level_vectors(n: int) -> Tuple[Tuple[Ranking, ...], np.ndarray]:
     array with one row per vertex: levels[v - 1, i] is vertex v's level in
     the i-th ranking.
 
-    Built on the first call for each n and kept, so each ranking keeps the
-    rank masks that its first weak check builds (`ranking._rank_masks`):
-    4683 rankings, 2.80 MB with their masks, and a 28 KB array at
-    n = WEAK_ORDER_CAP.
+    Built on the first call for each n and kept, each ranking with its
+    rank masks (`ranking._level_ranking`): 4683 rankings, 2.80 MB with
+    their masks, and a 28 KB array at n = WEAK_ORDER_CAP.
     Callers check the cap first, so no larger n is kept.
     """
     orders = sorted(weak_order_levels(n))
-    vertices = range(1, n + 1)
-    rankings = tuple(Ranking(dict(zip(vertices, levels))) for levels in orders)
+    rankings = tuple(map(_level_ranking, orders))
     return rankings, np.array(orders, dtype=np.int8).T.copy()
 
 
@@ -195,7 +192,9 @@ def _least_injective_order(t: Tournament) -> Ranking:
     The sets of one size read best only at the next size, so one pass
     takes every s of size k = n - 1 ... 0 as a column and every vertex y as
     a row, masks out the y already in s, and takes each column's least; the
-    columns go in chunks of at most INJECTIVE_CHUNK_ENTRIES entries.
+    columns go in chunks of at most CHUNK_ENTRIES (set, next vertex)
+    entries, under 32 bytes an entry, beside the two int64 keys per placed
+    set, 16 MB at the cap (tests/test_memory.py).
 
     The pack takes bit_length(C(n, 2)) + n * width bits, 87 at n = 16, so
     it is split into two int64 keys at a 63-bit boundary: key0 holds the
@@ -224,7 +223,7 @@ def _least_injective_order(t: Tournament) -> Ranking:
     key1 = np.zeros(1 << n, dtype=np.int64)
     sizes = np.bitwise_count(np.arange(1 << n, dtype=np.uint32))
     top = np.iinfo(np.int64).max  # above every candidate
-    per = INJECTIVE_CHUNK_ENTRIES // n
+    per = CHUNK_ENTRIES // n
     for k in range(n - 1, -1, -1):
         layer = np.flatnonzero(sizes == k)
         lift0, lift1 = (k + 1) * field0, (k + 1) * field1
@@ -331,6 +330,7 @@ def min_backward_fair(t: Tournament, c: FairnessClass) -> MinBackwardResult:
     if c is FairnessClass.WEAK:
         # WEAK checks every candidate: bench/test_bench.py pins its is_fair
         # calls (75 on transitive(4)), ROADMAP items 12 and 16
+        _keep_weak_candidates(t)
         for i in order.tolist():
             if is_fair(t, rankings[i], c) and best is None:
                 best = rankings[i]

@@ -14,20 +14,20 @@ key, the same verdicts and the same text as the equal Fraction.
 Every predicate and the backward-arc report compare through one rule on
 per-vertex keys: x ranks below y iff key[y] - key[x] > e.  The keys come
 from one lookup per vertex, which also decides the domain: n lookups that
-hit, in a ranking of n labels, mean that the labels are 1..n.  The keys
-are built per call and kept nowhere.  What a ranking keeps is its "ranks
-above" masks (`_rank_masks`), which the weak axiom and the backward-arc
-report read: a ranking's values are read-only, so the first of those to
-run keeps the masks on it, and later ones on any tournament of the same
-size read them back without a lookup, a key or a sort; the weak-order
-minimizer, which checks the same rankings on every tournament, builds
-each ranking's masks once.  Each mask is an int as wide as its highest
-label, so the masks of n vertices hold about n^2 / 8 bytes: 13 MB for the
-Copeland ranking of a random n = 10 000, whose keys take 0.34 MB.  A float
-ranking keys on its values with e = eps.  An exact ranking keys on its
-values times the LCM of their denominators, Python ints in the same
-ratios, with e = 0; a ranking is exact iff every value has a denominator,
-the one rule that both `_keys` and `Ranking.is_exact` read.
+hit, in a ranking of n labels, mean that the labels are 1..n.  The keys,
+and the "ranks above" masks (`_rank_masks`) that the weak axiom and the
+backward-arc report read, are built per call: a check keeps nothing on
+its arguments.  Each mask is an int as wide as its highest label, so the
+masks of n vertices hold about n^2 / 8 bytes, as many as the out-sets.
+Only the weak-order minimizer, which checks the same rankings on every
+tournament of their size, keeps them: `_level_ranking` builds each of its
+rankings with its masks, which a ranking's read-only values never make
+stale, and later checks read them back without a lookup, a key or a
+sort.  A float ranking keys on its values with e = eps.  An exact
+ranking keys on its values times the LCM of their denominators, Python
+ints in the same ratios, with e = 0; a ranking is exact iff every value
+has a denominator, the one rule that both `_keys` and `Ranking.is_exact`
+read.
 Comparisons stay exact, and the linear axiom's out-sums, the one place
 where values matter beyond their order, are integer sums instead of
 Fraction sums.  An integer sum does not depend on the order of its terms,
@@ -72,22 +72,23 @@ out-set is at most y's, so its candidates are the y of at least x's
 degree and rank sum that do not rank above x, read off each rank's
 position among the others, which the walk over the keys gives.  The
 candidates are decided in numpy chunks of sorted spectra at every n
-(`_spectral_verdict`), whose work and memory per chunk SPEC_CHUNK_ENTRIES
-bounds.  The injective axiom takes the walk too, for exact and float keys
+(`_spectral_verdict`), whose work and memory per chunk
+`tournament.CHUNK_ENTRIES` bounds, as it bounds the row blocks of every
+out-sum.  The injective axiom takes the walk too, for exact and float keys
 alike: the keys within e of x's (equal to it, for exact keys) are one run
 of the sorted order, by the same monotonicity, so the least x whose run
 holds another vertex, with the least other vertex of that run, is the
 certificate.
 
 What the Copeland and weak axioms read of the tournament does not depend
-on the ranking: the Copeland axioms read the walk of the out-degrees
-(`_scores`), and the weak axiom each vertex's candidates, the vertices
-that beat it and outscore it (`_weak_candidates`).  Each is built once per
-tournament, by the first check that reads it, and kept on that
-tournament, so a minimizer that checks thousands of rankings of one
-tournament builds it once, and a weak check is then one AND with the kept
-rank mask per vertex that has candidates.  The spectral axiom reads none
-of it.
+on the ranking: the Copeland axioms read the walk of the out-degrees, and
+the weak axiom each vertex's candidates, the vertices that beat it and
+outscore it (`_weak_candidates`).  Both take one sort of the out-degrees
+and are built per call, bar the candidates in the weak-order minimizer:
+it keeps them on the tournament (`_keep_weak_candidates`) before it
+checks its thousands of rankings, so a weak check there is one AND with
+the kept rank mask per vertex that has candidates.  The spectral axiom
+reads none of it.
 """
 
 from __future__ import annotations
@@ -102,22 +103,11 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import DomainMismatchError, TournamentSyntaxError
-from .tournament import Tournament, unpack_rows
+from .tournament import CHUNK_ENTRIES, Tournament, unpack_rows
 
 Rank = Union[int, float, Fraction]
 
 DEFAULT_EPS = 1e-9
-# Entries per numpy chunk of the spectral axiom, each entry a vertex of a
-# row of n: a chunk tests SPEC_CHUNK_ENTRIES // n candidate pairs, the rank
-# sums are taken over row blocks of as many out-sets, and the cache of
-# sorted spectra, which serves x and y alike, keeps twice as many rows (n
-# at most), 512 KB of int16 per array; a check peaks under 40 bytes an entry
-# (tests/test_memory.py).  Up to n = 512 every row fits, so the composite
-# family (n = 81 to 289 at l = 4 to 8) sorts each row once per side.  The
-# same bound sizes the row blocks of every out-sum, exact (`_exact_sums`)
-# or float (`_float_sums`): SPEC_CHUNK_ENTRIES // n rows of n float64
-# terms, 1 MB.
-SPEC_CHUNK_ENTRIES = 2**17
 
 
 class FairnessClass(Enum):
@@ -163,12 +153,13 @@ class Ranking:
 
     `values` is a read-only view of a copy of the mapping given, so no
     later change reaches a ranking, nor the "ranks above" masks that the
-    first weak check or backward-arc report on it builds and keeps
-    (`_rank_masks`).  Its comparison keys (`_keys`) are built per call.
+    weak-order minimizer keeps on its rankings (`_level_ranking`).  Every
+    other ranking keeps nothing: its comparison keys (`_keys`) and masks
+    (`_rank_masks`) are built per call.
     """
 
     values: Mapping[int, Rank]
-    # the masks of `_rank_masks`, built by the first call that reads them and kept
+    # the masks of `_rank_masks`, kept by `_level_ranking` alone
     _masks: Optional[Tuple[int, ...]] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -287,21 +278,30 @@ def _keys(t: Tournament, r: Ranking) -> Tuple[Tuple[Rank, ...], Rank]:
     return key, e
 
 
-def _rank_masks(t: Tournament, r: Ranking) -> Tuple[int, ...]:
-    """`_above` of r's keys as a tuple indexed by vertex from 1, kept on r:
-    masks[x] is the bitset of the y that rank above x.
+def _rank_masks(t: Tournament, r: Ranking) -> Sequence[int]:
+    """`_above` of r's keys, indexed by vertex from 1: masks[x] is the
+    bitset of the y that rank above x.
 
-    The masks depend on the values alone, which are read-only, and they
-    were built for a domain of 1..n: a later tournament on n vertices gets
-    them back without a lookup, and any other n builds them through
-    `_keys`, whose domain, nan and float-range checks raise before anything
-    is kept, and keeps the masks it builds.
+    The masks that `_level_ranking` kept on r depend on its values alone,
+    which are read-only, and were built for a domain of 1..n: a tournament
+    on n vertices reads them back without a lookup.  Any other n, and any
+    ranking without kept masks, builds them per call through `_keys`,
+    whose domain, nan and float-range checks raise first; nothing is kept.
     """
     masks = r._masks
     if masks is None or len(masks) - 1 != t.n:
-        masks = tuple(_above(*_keys(t, r)))
-        object.__setattr__(r, "_masks", masks)
+        masks = _above(*_keys(t, r))
     return masks
+
+
+def _level_ranking(levels: Sequence[int]) -> Ranking:
+    """The exact ranking of each vertex v at the int levels[v - 1], with its
+    rank masks kept on it for `_rank_masks`: the weak-order minimizer checks
+    each such ranking on every tournament of its size.  Ints are their own
+    keys, with e = 0, by the exact-key rule of `_keys`."""
+    r = Ranking(dict(enumerate(levels, start=1)))
+    object.__setattr__(r, "_masks", tuple(_above([0, *levels], 0)))
+    return r
 
 
 def _above(key: Sequence[Rank], e: Rank) -> List[int]:
@@ -380,28 +380,23 @@ class _Walk:
         self.key, self.e, self.order, self.geq, self.gt = key, e, order, geq, gt
 
 
-def _scores(t: Tournament) -> _Walk:
-    """The `_Walk` of t's out-degrees, built on the first call for t and
-    kept on t.  Out-degrees are ints, which differ by 0 or by at least 1,
-    so the walk with e = 0 serves every e < 1."""
-    scores = t._scores
-    if scores is None:
-        scores = _Walk([0, *map(int.bit_count, t.out)], 0)
-        object.__setattr__(t, "_scores", scores)
-    return scores
-
-
 def _weak_candidates(t: Tournament) -> List[Tuple[int, int, int]]:
     """(x, out-set of x, the y that beat x and outscore x) for each x that
-    has any such y, in ascending x, built on the first call for t and kept
-    on t.  The y that outscore x are `_above` of the out-degrees, with
-    e = 0, which serves every e < 1 as in `_scores`."""
+    has any such y, in ascending x: those kept on t by
+    `_keep_weak_candidates`, or else built per call and kept nowhere.  The
+    y that outscore x are `_above` of the out-degrees with e = 0: they are
+    ints, which differ by 0 or by at least 1, so e = 0 serves every e < 1."""
     weak = t._weak
     if weak is None:
         outscore = _above([0, *map(int.bit_count, t.out)], 0)
         weak = [(x, ox, y) for x, ox in enumerate(t.out, start=1) if (y := outscore[x] & ~ox)]
-        object.__setattr__(t, "_weak", weak)
     return weak
+
+
+def _keep_weak_candidates(t: Tournament) -> None:
+    """Keep t's `_weak_candidates` on t, for a sweep that checks many
+    rankings of t; they derive from t's out-sets alone."""
+    object.__setattr__(t, "_weak", _weak_candidates(t))
 
 
 def _monotone_verdict(
@@ -499,8 +494,10 @@ def is_fair(t: Tournament, r: Ranking, c: FairnessClass) -> FairnessVerdict:
         )
 
     if c in _COPELAND_CLASSES:
+        # out-degrees differ by 0 or by at least 1: their walk with e = 0
+        # serves every e < 1
         return _monotone_verdict(
-            _scores(t), key, e,
+            _Walk([0, *map(int.bit_count, t.out)], 0), key, e,
             None if c is FairnessClass.SCOP else "non-strict Copeland violated",
             None if c is FairnessClass.NSCOP else "strict Copeland violated",
         )
@@ -523,7 +520,7 @@ def _exact_sums(out: Sequence[int], columns: np.ndarray) -> np.ndarray:
     """A @ V as float64: row i - 1 sums the rows j - 1 of V, an (n, m)
     array of non-negative ints below 2**32, over the j in out(i).
 
-    One float64 `np.matmul` per block of SPEC_CHUNK_ENTRIES // n out-set
+    One float64 `np.matmul` per block of CHUNK_ENTRIES // n out-set
     rows (`unpack_rows`), O(n^2 m) in all.  The result is exact: every
     term is a 0/1 entry times an int below 2**32, and every partial sum of
     a row is below n * 2**32 <= 10**4 * 2**32 < 2**53 at the vertex cap,
@@ -532,7 +529,7 @@ def _exact_sums(out: Sequence[int], columns: np.ndarray) -> np.ndarray:
     """
     n = len(out)
     values = np.asarray(columns, dtype=np.float64)
-    per = max(1, SPEC_CHUNK_ENTRIES // n)
+    per = max(1, CHUNK_ENTRIES // n)
     sums = np.empty((n, values.shape[1]))
     for i0 in range(0, n, per):
         rows = unpack_rows(out, range(i0, min(i0 + per, n)))
@@ -566,7 +563,7 @@ def _float_sums(out: Sequence[int], values: Sequence[float]) -> np.ndarray:
     compensated it, and as the pair-scan reference adds them.
 
     The columns are the vertices i, and the rows are taken in blocks of j,
-    at most SPEC_CHUNK_ENTRIES // n of them.  j's term belongs to column i
+    at most CHUNK_ENTRIES // n of them.  j's term belongs to column i
     iff j is in out(i), that is iff i is not in out(j) and i != j, so the
     block's own out-set rows (`unpack_rows`), with the diagonal set and
     then negated, mark the terms: no transpose is needed.  A term is
@@ -581,7 +578,7 @@ def _float_sums(out: Sequence[int], values: Sequence[float]) -> np.ndarray:
     """
     n = len(out)
     bits = np.array(values, dtype=np.float64).view(np.uint64)
-    per = max(1, SPEC_CHUNK_ENTRIES // n)
+    per = max(1, CHUNK_ENTRIES // n)
     block = np.zeros((per + 1, n))
     terms = block.view(np.uint64)
     with np.errstate(over="ignore"):
@@ -643,7 +640,7 @@ def _spectral_verdict(t: Tournament, key: Sequence[Rank], e: Rank) -> FairnessVe
     lists as its one or two columns.  x is taken in label-ordered
     blocks of `per` rows.  One broadcast over a block marks its candidate
     pairs, and `np.nonzero` lists them in lex order, `per` to a chunk, n
-    entries each, at most SPEC_CHUNK_ENTRIES in all.  In a chunk, x's
+    entries each, at most CHUNK_ENTRIES in all.  In a chunk, x's
     spectrum lies below y's iff y's row of indexes is at least x's row of
     lows at every position; such a pair violates the axiom when x ranks
     above y (index(y) < low(x)) or, failing that, when y's spectrum does
@@ -656,20 +653,17 @@ def _spectral_verdict(t: Tournament, key: Sequence[Rank], e: Rank) -> FairnessVe
     rows, and drops them all at once when a chunk's new vertices do not
     fit.  A chunk meets at most `per` x and `per` y, and at most n
     vertices, so they always fit after a drop.  Up to
-    n = sqrt(2 * SPEC_CHUNK_ENTRIES) = 512 every spectrum is sorted once
+    n = sqrt(2 * CHUNK_ENTRIES) = 512 every spectrum is sorted once
     per side per check, and a check that fails in its first chunk sorts
-    only that chunk's rows.  No array outgrows 2 * SPEC_CHUNK_ENTRIES
+    only that chunk's rows.  No array outgrows 2 * CHUNK_ENTRIES
     entries of n, bar the pair lists of a block, which a dense block of
-    candidates fills with 16 bytes an entry.
+    candidates fills with 16 bytes an entry: a check peaks under 40 bytes
+    an entry (tests/test_memory.py).
 
     The sum prune keeps the cache from thrashing above n = 512: the
     passing check of the linear-fair ranking of random n = 2000 sorts 2644
-    rows with it and 30 610 (15.3n) without it, and takes 44-53 ms against
-    0.20-0.26 s (in-process, best and median of 7, three rounds; 2-vCPU
-    Xeon VM, Python 3.11, numpy 2.4).  A check that fails in its first
-    chunk still pays for the sums of all n vertices: at n = 10 000 the
-    product takes about 80 ms of the Copeland ranking's 0.18-0.24 s
-    check.  A check at n = 6 takes about 0.1 ms, numpy's fixed cost.
+    rows with it and 30 610 (15.3n) without it.  A check that fails in its
+    first chunk still pays for the O(n^2) sums of all n vertices.
     """
     n, out = t.n, t.out
     low = [g + 1 for g in _Walk(key, e).geq[1:]]
@@ -678,7 +672,7 @@ def _spectral_verdict(t: Tournament, key: Sequence[Rank], e: Rank) -> FairnessVe
     tops_rank = np.array(index, dtype=np.int16)
     lows_rank = tops_rank if same else np.array(low, dtype=np.int16)
     deg = np.fromiter(map(int.bit_count, out), dtype=np.int16, count=n)
-    per = max(1, SPEC_CHUNK_ENTRIES // n)
+    per = max(1, CHUNK_ENTRIES // n)
     sums = _exact_sums(out, np.stack([tops_rank] if same else [tops_rank, lows_rank], axis=1))
     top_sum, low_sum = sums[:, 0], sums[:, -1]
     size = min(2 * per, n)

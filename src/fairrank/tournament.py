@@ -33,16 +33,15 @@ class Tournament:
     Each out-neighborhood is one int bitset, bit y - 1 standing for vertex
     y, so an arc test is a shift and a mask and an out-degree a bit count.
     Instances built through this constructor are trusted; use
-    :func:`build_tournament` to validate raw arc lists.
+    :func:`build_tournament` to validate raw arc lists.  A check keeps
+    nothing on a tournament: only the weak-order minimizer, which checks
+    thousands of rankings of one tournament, keeps its weak candidates.
     """
 
     out: Tuple[int, ...] = field(repr=False)
     n: int = field(init=False)  # len(out)
-    # The out-degree walk of the Copeland predicates (`ranking._scores`) and
-    # the weak axiom's candidates (`ranking._weak_candidates`), each built
-    # by the first check that reads it and kept with the tournament that it
-    # describes.  They derive from `out` alone, so they never go stale.
-    _scores: Optional[object] = field(default=None, init=False, repr=False, compare=False)
+    # `ranking._weak_candidates`, kept by `ranking._keep_weak_candidates`
+    # alone; they derive from `out` alone, so they never go stale
     _weak: Optional[list] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -105,6 +104,15 @@ def _from_matrix(a: np.ndarray) -> Tournament:
     """The tournament of a checked n x n bool adjacency matrix, row x - 1 for vertex x."""
     packed = np.packbits(a, axis=1, bitorder="little")
     return Tournament([int.from_bytes(row.tobytes(), "little") for row in packed])
+
+
+# Entries (bits, bytes or float64s) in one block of every numpy pass over
+# rows of n: the parser's row blocks, the Perron fill and product, the
+# out-sums, the spectral chunks and the injective DP chunks all take
+# CHUNK_ENTRIES // n rows or pairs at a time, 1 MB of float64.  It must stay
+# below 460 800 entries: numpy's bundled OpenBLAS threads a gemv of that
+# size or more, and on a 2-core host each such call waited 7.5-8 ms.
+CHUNK_ENTRIES = 2**17
 
 
 def unpack_rows(out: Sequence[int], rows: Iterable[int]) -> np.ndarray:
@@ -278,11 +286,9 @@ def parse_tournament(text: str) -> Tournament:
     return _tournament_from_rows(n, lines[1:])
 
 
-_BLOCK_ROWS = 256  # rows per array block of the matrix parser
-
-
 def _tournament_from_rows(n: int, rows: Sequence[str]) -> Tournament:
-    """Check and validate n matrix rows in blocks of rows and build the tournament.
+    """Check and validate n matrix rows in blocks of CHUNK_ENTRIES // n rows
+    and build the tournament.
 
     The first bad row in file order raises `TournamentSyntaxError`, whether
     its length is wrong or it holds a character other than '0' or '1'.
@@ -304,8 +310,9 @@ def _tournament_from_rows(n: int, rows: Sequence[str]) -> Tournament:
     """
     wrong = next((i for i, row in enumerate(rows) if len(row) != n), len(rows))
     a = np.empty((wrong, n), dtype=bool)
-    for lo in range(0, wrong, _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, wrong)
+    per = max(1, CHUNK_ENTRIES // max(n, 1))  # n = 0 has no rows and fails the size check
+    for lo in range(0, wrong, per):
+        hi = min(lo + per, wrong)
         block = "".join(rows[lo:hi]).encode("ascii", "replace")
         cells = np.frombuffer(block, dtype=np.uint8).reshape(hi - lo, n) - ord("0")
         bad = (cells > 1).any(axis=1)  # below '0' wraps around to above 1
@@ -316,8 +323,8 @@ def _tournament_from_rows(n: int, rows: Sequence[str]) -> Tournament:
     if wrong < len(rows):
         raise TournamentSyntaxError(f"bad matrix row {rows[wrong]!r}")
     _require_size(n)
-    for lo in range(0, n, _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, n)
+    for lo in range(0, n, per):
+        hi = min(lo + per, n)
         twice = a[lo:hi, :hi] & a[:hi, lo:hi].T  # at (x, x) itself, the loop
         if twice.any():  # the mirror of a hit above the diagonal is in the block
             i, j = divmod(int(np.argmax(np.tril(twice, lo))), hi)
@@ -326,8 +333,8 @@ def _tournament_from_rows(n: int, rows: Sequence[str]) -> Tournament:
                 raise LoopArcError(f"loop arc ({x},{x})")
             raise DuplicateOrConflictError(f"pair {{{x},{y}}} oriented twice")
     if np.count_nonzero(a) != n * (n - 1) // 2:
-        for lo in range(0, n, _BLOCK_ROWS):
-            hi = min(lo + _BLOCK_ROWS, n)
+        for lo in range(0, n, per):
+            hi = min(lo + per, n)
             missing = np.triu(~(a[lo:hi, lo:] | a[lo:, lo:hi].T), 1)
             if missing.any():
                 i, j = divmod(int(np.argmax(missing)), n - lo)

@@ -161,9 +161,9 @@ class TestPerron:
         "make",
         [pytest.param(lambda s=s: gen_random(1000, s), id=f"random-1000-{s}") for s in (1, 2, 3)]
         + [pytest.param(lambda: gen_random(2000, 1), id="random-2000-1"),
-           # 2**18 // 777 = 337 rows round down to blocks of 336
+           # blocks of 2**17 // 777 = 168 rows, and a last block of 105
            pytest.param(lambda: gen_random(777, 1), id="random-777-1"),
-           # two components of 600 vertices, each filled in two blocks
+           # two components of 600 vertices, each filled in three blocks
            pytest.param(lambda: stacked_random(600, 1), id="stacked-random-600")],
     )
     def test_row_blocks_match_dense_solve(self, make):
@@ -176,7 +176,7 @@ class TestPerron:
             assert perron_fixed_point(t, comp) == perron_fixed_point_dense(t, comp)
 
     def test_reducible_subset_across_blocks_rejected(self):
-        # the union of both 600-vertex components, filled in six blocks
+        # the union of both 600-vertex components, refused before any block
         t = stacked_random(600, 1)
         with pytest.raises(NotStronglyConnectedError):
             perron_fixed_point(t, t.vertices())

@@ -4,27 +4,30 @@ at the weak-order cap.
 
 Out-sets and backward arcs are int bitsets, about n/8 bytes per vertex, so
 a 2000-vertex tournament and its backward-arc report each hold well under
-2 MB, and parsing its 4 MB matrix text peaks at a few times the text.  The
-weak-order minimizer keeps one ranking per weak order, each with its rank
-masks (not its keys): 2.80 MB for the 4683 weak orders at n = 6.  The
-spectral check works in chunks of `SPEC_CHUNK_ENTRIES` entries at every
-n: it keeps twice that many entries of sorted spectra (n rows at most),
-one cache for x and y (two int16 arrays, 2 x 4 bytes an entry), takes
-the rank sums over row blocks of as many entries (the unpacked bits and
-the float64 copy that their product reads, 9 bytes an entry) before it
-fills the cache, and a chunk adds its block's candidate mask (1 byte)
-and pair lists (two int64 arrays, 16 bytes at most), the gathered
-spectra and their comparison (5 bytes) and the unpacked bits of a sort
-(3 bytes): under 40 bytes an entry.  The SPEC and LIN minimizers
-decide the 4683 weak orders at n = 6 in one pass over (n, n, 4683) bool
-arrays, 168 KB each, and the exhaustive Copeland check holds one row of
-C(n, 2) arc bits and n degrees per tournament, 32 768 of them at n = 6;
-all are built per call and dropped.  The injective DP keeps two int64 keys per placed set, 16 MB
-at `INJECTIVE_SEARCH_CAP` = 20, and one popcount byte per set, and works
-through each set size in chunks of `INJECTIVE_CHUNK_ENTRIES` (set, next
-vertex) entries: the sets' next sets and two candidate keys (three int64
-arrays) and a mask (1 byte), under 32 bytes an entry, 4 MB a chunk, beside
-the size's list of sets, at most C(20, 10) int64s (1.5 MB).
+2 MB, and parsing its 4 MB matrix text peaks at a few times the text.  A
+check keeps nothing on its arguments; the weak-order minimizer alone keeps
+one ranking per weak order, each with its rank masks (not its keys):
+2.80 MB for the 4683 weak orders at n = 6.
+
+Every numpy pass works in blocks or chunks of `tournament.CHUNK_ENTRIES`
+entries.  The spectral check does so at every n: it keeps twice that many
+entries of sorted spectra (n rows at most), one cache for x and y (two
+int16 arrays, 2 x 4 bytes an entry), takes the rank sums over row blocks
+of as many entries (the unpacked bits and the float64 copy that their
+product reads, 9 bytes an entry) before it fills the cache, and a chunk
+adds its block's candidate mask (1 byte) and pair lists (two int64
+arrays, 16 bytes at most), the gathered spectra and their comparison
+(5 bytes) and the unpacked bits of a sort (3 bytes): under 40 bytes an
+entry.  The SPEC and LIN minimizers decide the 4683 weak orders at n = 6
+in one pass over (n, n, 4683) bool arrays, 168 KB each, and the
+exhaustive Copeland check holds one row of C(n, 2) arc bits and n degrees
+per tournament, 32 768 of them at n = 6; all are built per call and
+dropped.  The injective DP keeps two int64 keys per placed set, 16 MB at
+`INJECTIVE_SEARCH_CAP` = 20, and one popcount byte per set, and works
+through each set size in chunks of `CHUNK_ENTRIES` (set, next vertex)
+entries: the sets' next sets and two candidate keys (three int64 arrays)
+and a mask (1 byte), under 32 bytes an entry, 4 MB a chunk, beside the
+size's list of sets, at most C(20, 10) int64s (1.5 MB).
 """
 
 import tracemalloc
@@ -44,8 +47,7 @@ from fairrank import (
     verify_copeland_upper_bound,
 )
 from fairrank.optimize import INJECTIVE_SEARCH_CAP, WEAK_ORDER_CAP, _level_vectors
-from fairrank.ranking import SPEC_CHUNK_ENTRIES
-from fairrank.tournament import ENUMERATION_CAP
+from fairrank.tournament import CHUNK_ENTRIES, ENUMERATION_CAP
 
 MB = 1 << 20
 
@@ -87,7 +89,7 @@ def test_spectral_check_peaks_within_its_chunks_at_n2000():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    bound = 40 * SPEC_CHUNK_ENTRIES
+    bound = 40 * CHUNK_ENTRIES
     assert verdict.ok
     assert bound < 2 * t.n * t.n
     assert peak < bound, f"the spectral check peaks at {peak / MB:.2f} MB, bound {bound / MB:.2f} MB"

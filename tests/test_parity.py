@@ -43,7 +43,7 @@ from fairrank import (
 )
 from fairrank import ranking as ranking_module
 from fairrank.ranking import DEFAULT_EPS
-from fairrank.tournament import _BLOCK_ROWS, DEFAULT_VERTEX_CAP, Tournament
+from fairrank.tournament import CHUNK_ENTRIES, DEFAULT_VERTEX_CAP, Tournament
 from oracles import (
     backward_arcs_pairs,
     backward_pairs,
@@ -62,17 +62,18 @@ def verdict(v):
     return (v.ok, v.certificate, v.reason)
 
 
-# SPEC_CHUNK_ENTRIES: numpy in its own chunks, and with one row per block
-# and one pair per chunk
-SPEC_PATHS = (ranking_module.SPEC_CHUNK_ENTRIES, 1)
+# CHUNK_ENTRIES: numpy in its own chunks, and with one row per block and
+# one pair per chunk
+SPEC_PATHS = (CHUNK_ENTRIES, 1)
 
 
 def spec_verdicts(t, r, paths=SPEC_PATHS):
-    """The spectral verdict with each chunk size of `paths`, set by the constant."""
+    """The spectral verdict with each chunk size of `paths`, set by the
+    constant where `ranking` reads it."""
     verdicts = []
     for chunk in paths:
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ranking_module, "SPEC_CHUNK_ENTRIES", chunk)
+            mp.setattr(ranking_module, "CHUNK_ENTRIES", chunk)
             verdicts.append(verdict(is_fair(t, r, FC.SPEC)))
     return verdicts
 
@@ -334,7 +335,8 @@ def test_bad_row_still_a_syntax_error():
 
 # -- the first bad row, across row blocks ----------------------------------------
 
-B = _BLOCK_ROWS  # rows B and B + 1 straddle the first block boundary
+N = 400  # the parser reads the rows of these tests in two blocks
+B = CHUNK_ENTRIES // N  # rows B and B + 1 straddle the first block boundary
 
 
 def bad_char(row):
@@ -364,11 +366,11 @@ def too_short(row):
     (6, {3: non_ascii}, 3),
     (6, {6: non_ascii_digit}, 6),
     (6, {1: lambda row: "é" * 6, 2: too_short}, 1),
-    (B + 44, {B: bad_char, B + 1: too_long}, B),
-    (B + 44, {B: too_short, B + 1: bad_char}, B),
-    (B + 44, {B + 1: bad_char, B + 9: too_long}, B + 1),
-    (B + 44, {B + 1: too_long, B + 2: non_ascii}, B + 1),
-    (B + 44, {B + 44: non_ascii}, B + 44),
+    (N, {B: bad_char, B + 1: too_long}, B),
+    (N, {B: too_short, B + 1: bad_char}, B),
+    (N, {B + 1: bad_char, B + 9: too_long}, B + 1),
+    (N, {B + 1: too_long, B + 2: non_ascii}, B + 1),
+    (N, {N: non_ascii}, N),
 ])
 def test_parser_reports_first_bad_row(n, edits, reported):
     rows = matrix_rows(gen_random(n, 8))
@@ -392,7 +394,7 @@ def test_parser_reports_first_bad_row(n, edits, reported):
     ({"0": [(1, 2), (2, 1)], "1": [(B + 1, B + 1)]}, LoopArcError, f"loop arc ({B + 1},{B + 1})"),
 ])
 def test_parser_faults_across_a_block_boundary(faults, error, message):
-    n = B + 44
+    n = N
     rows = matrix_rows(gen_random(n, 9))
     for value, cells in faults.items():
         rows = set_cells(rows, cells, value)
@@ -461,7 +463,7 @@ def test_spec_copeland_certificates_at_scale(n, pair):
 # numpy in its own chunks and numpy with blocks and chunks of 8
 def assert_spec_paths_agree(t, r):
     expected = verdict(spectral_verdict_lists(t, r))
-    assert spec_verdicts(t, r, (ranking_module.SPEC_CHUNK_ENTRIES, 8 * t.n)) == [expected] * 2
+    assert spec_verdicts(t, r, (CHUNK_ENTRIES, 8 * t.n)) == [expected] * 2
     return expected
 
 

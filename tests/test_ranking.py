@@ -27,12 +27,22 @@ from fairrank import (
     gen_random,
     is_fair,
     linear_fair_ranking,
+    min_backward_fair,
     min_backward_injective,
     parse_ranking,
     serialize_ranking,
 )
 from fairrank.optimize import _level_vectors
-from fairrank.ranking import DEFAULT_EPS, _above, _float_sums, _int_sums, _keys, _Walk
+from fairrank.ranking import (
+    DEFAULT_EPS,
+    _above,
+    _float_sums,
+    _int_sums,
+    _keep_weak_candidates,
+    _keys,
+    _level_ranking,
+    _Walk,
+)
 from fairrank.tournament import DEFAULT_VERTEX_CAP
 from oracles import (
     arcs,
@@ -306,12 +316,12 @@ class TestLinearOutSums:
         if name.startswith("non-positive"):
             assert expected.certificate == (40, 40) and expected.reason == "non-positive rank"
 
-    @pytest.mark.parametrize("entries", [ranking_module.SPEC_CHUNK_ENTRIES, 1])
+    @pytest.mark.parametrize("entries", [ranking_module.CHUNK_ENTRIES, 1])
     @pytest.mark.parametrize("name, t, r", POSITIVE_CASES, ids=[c[0] for c in POSITIVE_CASES])
     def test_exact_sums_are_the_out_sums(self, monkeypatch, name, t, r, entries):
         # the keys are the values times one scale, the LCM of their
         # denominators; entries = 1 puts each out-set in a block of its own
-        monkeypatch.setattr(ranking_module, "SPEC_CHUNK_ENTRIES", entries)
+        monkeypatch.setattr(ranking_module, "CHUNK_ENTRIES", entries)
         key, _ = _keys(t, r)
         scale = key[1] / Fraction(r[1])
         expected = [scale * s for s in linear_sums(t, r).values()]
@@ -340,17 +350,17 @@ class TestFloatOutSums:
     # a float out-sum adds the out-set's values in ascending vertex order
     # from 0.0, rounding after each add, as the oracle's loop does on every
     # Python; `_float_sums` adds them in numpy row blocks of
-    # SPEC_CHUNK_ENTRIES // n vertices and must agree to the last bit
+    # CHUNK_ENTRIES // n vertices and must agree to the last bit
 
     @staticmethod
     def assert_left_to_right(t, values):
         expected = linear_sums(t, Ranking.approx(dict(enumerate(values, start=1))))
         assert float_bits(_float_sums(t.out, values)) == float_bits(list(expected.values()))
 
-    @pytest.mark.parametrize("entries", [ranking_module.SPEC_CHUNK_ENTRIES, 1])
+    @pytest.mark.parametrize("entries", [ranking_module.CHUNK_ENTRIES, 1])
     def test_random_rankings(self, monkeypatch, entries):
         # entries = 1 puts each vertex in a block of its own
-        monkeypatch.setattr(ranking_module, "SPEC_CHUNK_ENTRIES", entries)
+        monkeypatch.setattr(ranking_module, "CHUNK_ENTRIES", entries)
         rng = random.Random(34)
         for n in range(1, 81):
             low = rng.uniform(-5, 280)  # magnitudes 1e-5 to 1e300
@@ -569,7 +579,8 @@ class TestValuesDecideExactness:
 
 class TestPerCallPaths:
     # `_keys` decides the domain from its own lookups and reads all-int
-    # values as they are; the out-degree data is kept on each tournament
+    # values as they are; a tournament keeps its weak candidates only when
+    # `_keep_weak_candidates` put them there
 
     @pytest.mark.parametrize("values, labels", [
         ({1: 1, 2: 2}, "[1, 2]"),  # vertex 3 unranked
@@ -608,36 +619,56 @@ class TestPerCallPaths:
             assert backward_pairs(backward_arcs(t, r)) == backward_arcs_pairs(t, r)
 
     def test_interleaved_tournaments_keep_their_own_scores(self):
+        # t1 keeps its weak candidates, as the weak-order sweep keeps them;
+        # its equal copy and its relabeling build theirs per call
         t1, t2 = gen_random(7, 1), gen_random(7, 2)
         perm = (0, 3, 1, 2, 7, 5, 4, 6)  # relabels t1: the same scores on other vertices
         moved = build_tournament(7, [(perm[x], perm[y]) for x, y in arcs(t1)])
         copy = Tournament(list(t1.out))
         assert copy == t1 and copy is not t1 and moved != t1
+        _keep_weak_candidates(t1)
+        kept = t1._weak
         rng = random.Random(3)
         for _ in range(25):
             r = Ranking({v: rng.randint(1, 4) for v in range(1, 8)})
             for t in (t1, t2, copy, moved, t1, copy, t2):
                 for cls in FC:
                     assert is_fair(t, r, cls) == is_fair_pairs(t, r, cls), (t.out, cls)
+        assert t1._weak is kept and t2._weak is copy._weak is moved._weak is None
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_kept_weak_candidates_and_masks_match_the_pair_scan(self, n):
-        # each tournament keeps its weak candidates and each kept weak order
-        # its rank masks; every ranking meets every tournament in turn, so
-        # both are read back across tournaments and rankings
+        # each tournament keeps its weak candidates and each weak order its
+        # rank masks, as the weak-order sweep keeps them; every ranking
+        # meets every tournament in turn, so both are read back across
+        # tournaments and rankings
         if n <= 4:
             tournaments = list(enumerate_all(n))
         else:
             tournaments = [gen_random(n, seed) for seed in range(10)]
+        for t in tournaments:
+            _keep_weak_candidates(t)
         for r in _level_vectors(n)[0]:
+            assert r._masks is not None
             for t in tournaments:
                 assert is_fair(t, r, FC.WEAK) == is_fair_pairs(t, r, FC.WEAK), (t.out, dict(r.values))
 
 
 class TestKeptKeys:
-    # a ranking keeps the rank masks of its first weak check or backward-arc
-    # report, not its keys; its values are read-only, so kept masks match
-    # the values for as long as the ranking lives
+    # a check keeps nothing on its arguments: a ranking keeps rank masks
+    # only when `_level_ranking` built it, and a tournament weak candidates
+    # only when `_keep_weak_candidates` kept them; a ranking's values are
+    # read-only, so kept masks match the values for as long as it lives
+
+    def test_checks_keep_nothing_on_their_arguments(self):
+        t = gen_random(200, 1)
+        r = copeland_ranking(t)
+        for cls in FC:
+            is_fair(t, r, cls)
+        backward_arcs(t, r)
+        assert r._masks is None and t._weak is None
+        min_backward_fair(gen_random(6, 1), FC.WEAK)
+        assert all(level._masks is not None for level in _level_vectors(6)[0])
 
     def test_values_are_read_only(self):
         r = Ranking({1: 1, 2: 2, 3: 3})
@@ -648,13 +679,18 @@ class TestKeptKeys:
 
     def test_copies_and_pickles_are_equal_rankings(self, chain3):
         r = Ranking({1: Fraction(1, 2), 2: 2, 3: 0.5})
-        is_fair(chain3, r, FC.WEAK)  # keeps its masks
+        is_fair(chain3, r, FC.WEAK)
         for again in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
             assert again == r and not again.is_exact
             with pytest.raises(TypeError):
                 again.values[1] = 9
             for cls in FC:
                 assert is_fair(chain3, again, cls) == is_fair(chain3, r, cls)
+        kept = _level_ranking((2, 1, 2))  # copies rebuild it without its masks
+        for again in (copy.copy(kept), copy.deepcopy(kept), pickle.loads(pickle.dumps(kept))):
+            assert again == kept and again.is_exact and again._masks is None
+            for cls in FC:
+                assert is_fair(chain3, again, cls) == is_fair(chain3, kept, cls)
 
     def test_equal_rankings_hash_alike(self, three_cycle):
         r = Ranking.exact({1: 1, 2: Fraction(1, 2), 3: 3})
@@ -683,22 +719,29 @@ class TestKeptKeys:
         (2.0, 1.0, 2.0 + 4e-10, 3.0, 1.0 + 2e-9, 2.0),
     ], ids=["exact", "float"])
     def test_kept_masks_serve_their_own_n_only(self, values):
-        r = Ranking(dict(enumerate(values, start=1)))
+        # the ranking built per call keeps no masks; the one that
+        # `_level_ranking` built (int values only) reads its masks back on
+        # either tournament of its size, and n = 5 builds them per call,
+        # which raises on the domain
+        rankings = [Ranking(dict(enumerate(values, start=1)))]
+        if all(isinstance(v, int) for v in values):
+            rankings.append(_level_ranking(values))
         t6, t5, other6 = gen_random(6, 1), gen_random(5, 1), gen_random(6, 2)
-        for t in (t6, t5, other6, t6):  # WEAK and backward arcs read the kept masks
+        for r in rankings:
             kept = r._masks
-            if t is t5:
-                for cls in FC:
-                    with pytest.raises(DomainMismatchError, match=r"\[1, 2, 3, 4, 5, 6\] does not match 1..5"):
-                        is_fair(t5, r, cls)
-                with pytest.raises(DomainMismatchError):
-                    backward_arcs(t5, r)
-                assert r._masks is kept  # a raise keeps nothing
-                continue
-            for cls in FC:
-                assert is_fair(t, r, cls) == is_fair_pairs(t, r, cls), (t.out, cls)
-            assert backward_pairs(backward_arcs(t, r)) == backward_arcs_pairs(t, r)
-            assert len(r._masks) == 7 and (kept is None or r._masks is kept)
+            assert kept is None or kept == tuple(_above(*_keys(t6, r)))
+            for t in (t6, t5, other6, t6):  # WEAK and backward arcs read the masks
+                if t is t5:
+                    for cls in FC:
+                        with pytest.raises(DomainMismatchError, match=r"\[1, 2, 3, 4, 5, 6\] does not match 1..5"):
+                            is_fair(t5, r, cls)
+                    with pytest.raises(DomainMismatchError):
+                        backward_arcs(t5, r)
+                else:
+                    for cls in FC:
+                        assert is_fair(t, r, cls) == is_fair_pairs(t, r, cls), (t.out, cls)
+                    assert backward_pairs(backward_arcs(t, r)) == backward_arcs_pairs(t, r)
+                assert r._masks is kept
 
     @pytest.mark.parametrize("values", [
         (2, 1, 2, 3, 1),
