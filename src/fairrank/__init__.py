@@ -31,7 +31,6 @@ from .optimize import (
     min_backward_fair,
     min_backward_injective,
     verify_copeland_upper_bound,
-    weak_order_levels,
 )
 from .ranking import (
     BackwardReport,

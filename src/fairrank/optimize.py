@@ -18,12 +18,14 @@ and each set keeps its least (count, levels) in two int64 keys, the count
 and the first levels in one, the other levels in the second, compared in
 that order, so no Python step runs per set.  `min_backward_injective` and
 `min_backward_fair(t, INJ)` both run it and report the same witness.
-WEAK, SPEC and LIN search the weak orders up to WEAK_ORDER_CAP.  The
-backward counts of all of them come first, from one array of their levels,
-and the witness is the first fair order in ascending (count, levels).
-SPEC and LIN decide every order in one array pass over the levels L
-(levels 1..k, one row per vertex) and the out-set matrix A, then certify
-their witness with one `is_fair` call:
+WEAK and LIN search the weak orders up to WEAK_ORDER_CAP, SPEC up to
+SPEC_ORDER_CAP.  The backward counts of all of them come first, from one
+array of their levels, and the witness is the first fair order in
+ascending (count, levels).
+SPEC and LIN decide the orders in that order, in chunks of 256 that grow
+4x up to CHUNK_ENTRIES // n^2 orders, one array pass per chunk over the
+levels L (levels 1..k, one row per vertex) and the out-set matrix A, and
+certify their witness with one `is_fair` call:
 - LIN holds iff L and the out-sums S = A L order every pair alike: the
   axiom asks S[x] < S[y] => L[x] < L[y] and S[x] <= S[y] => L[x] <= L[y],
   which, read for a pair and its swap, say exactly that.
@@ -34,19 +36,23 @@ their witness with one `is_fair` call:
   over (x, y), as `min_backward_fair` proves.
 Only WEAK still checks the orders one by one, every one of them, since the
 benchmark's own tests pin how many `is_fair` calls its sweep makes
-(ROADMAP item 12).
+(ROADMAP item 12).  LIN keeps WEAK's cap: its level values give only an
+upper bound on its minimum (ROADMAP item 2).
 
-The enumerated weak orders are integer level vectors (`weak_order_levels`),
-built once per n and kept as exact rankings that hold those ints, each
-with its "ranks above" masks (`ranking._level_ranking`), next to one int8
-array of the same levels: 2.80 MB at n = 6.  So no Fraction, no key and no
-sort is built per candidate; only the reported witness holds Fractions.
-What the weak axiom derives from the tournament alone, each vertex's
-candidates, is kept on the tournament before the sweep
-(`ranking._keep_weak_candidates`), so the per-candidate cost is one AND
-per vertex that has candidates, and an inclusion test per candidate left.
-These are the only data that any check reads back: every other check
-builds its masks and candidates per call (see `ranking`).
+The weak orders of n vertices are one int8 array of levels, one row per
+vertex and one column per order (`_level_array`), built once per n by
+insertion in numpy and kept: 28 KB at n = 6, 0.33 MB at n = 7 and 4.4 MB
+at n = 8, whose build peaks at 17 MB under tracemalloc.  Only WEAK's loop
+reads rankings, built once per n from the array (`_weak_rankings`), each
+an exact ranking of its int levels with its "ranks above" masks
+(`ranking._level_rankings`), 2.80 MB at n = 6; so no Fraction, no key and
+no sort is built per candidate, and only the reported witness holds
+Fractions.  What the weak axiom derives from the tournament alone, the
+candidates whose out-sets hold a vertex's, is kept on the tournament
+before the sweep (`ranking._keep_weak_candidates`), so the per-candidate
+cost is one AND per vertex that has such a candidate.  These are the only
+data that any check reads back: every other check builds its masks and
+candidates per call (see `ranking`).
 """
 
 from __future__ import annotations
@@ -55,7 +61,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -65,7 +71,7 @@ from .ranking import (
     FairnessClass,
     Ranking,
     _keep_weak_candidates,
-    _level_ranking,
+    _level_rankings,
     backward_arcs,
     is_fair,
 )
@@ -81,6 +87,7 @@ from .tournament import (
 INJECTIVE_SEARCH_CAP = 20
 EMN_LMAX_CAP = 10_000
 WEAK_ORDER_CAP = 6
+SPEC_ORDER_CAP = 8
 
 
 @dataclass(frozen=True)
@@ -100,41 +107,48 @@ def _result(t: Tournament, witness: Ranking, search_space: str) -> MinBackwardRe
 # -- weak order enumeration -------------------------------------------------
 
 
-def weak_order_levels(n: int) -> Iterator[Tuple[int, ...]]:
-    """Every weak order on the vertices 1..n once, as its level vector.
+@cache
+def _level_array(n: int) -> np.ndarray:
+    """Every weak order on the vertices 1..n once, as one read-only int8
+    array with one row per vertex: levels[v - 1, i] is vertex v's level in
+    order i, and the levels of each order are exactly 1..k for some k (a
+    surjection onto 1..k).  The columns are in ascending order of the
+    levels read by vertex.
 
-    levels[v - 1] is the level of vertex v, and the levels used are exactly
-    1..k for some k (a surjection onto 1..k).  The orders on 1..m come from
-    those on 1..m-1 by inserting vertex m into one of their k levels, or as
-    a new level j in 1..k+1 that lifts the levels from j on by one.  Deleting
-    vertex m undoes exactly one such insertion, so no order repeats.
+    The orders on 1..m come from those on 1..m-1 by inserting vertex m into
+    one of their k levels j, or as a new level j in 1..k+1 that lifts the
+    levels from j on by one; deleting vertex m undoes exactly one such
+    insertion, so no order repeats.  Each j takes, in one numpy step per
+    kind, every order that has a level j - 1 (or j), and one `np.lexsort`
+    sorts the columns at the end.
+
+    Built on the first call for each n and kept: 4683 orders in 28 KB at
+    n = 6, 47 293 in 0.33 MB at n = 7 and 545 835 in 4.4 MB at n = 8.
+    Callers check their cap first, so no larger n is kept.
     """
-    if n == 0:
-        yield ()
-        return
-    for levels in weak_order_levels(n - 1):
-        k = max(levels, default=0)
-        for j in range(1, k + 1):
-            yield levels + (j,)
-        for j in range(1, k + 2):
-            yield tuple(level + (level >= j) for level in levels) + (j,)
+    levels = np.zeros((0, 1), dtype=np.int8)
+    for m in range(n):
+        k = levels.max(axis=0, initial=0)
+        parts = []
+        for j in range(1, m + 2):
+            if j <= m:  # vertex m + 1 joins level j
+                old = levels[:, k >= j]
+                parts.append(np.vstack([old, np.full((1, old.shape[1]), j, np.int8)]))
+            old = levels[:, k >= j - 1]  # vertex m + 1 alone on a new level j
+            parts.append(np.vstack([old + (old >= j), np.full((1, old.shape[1]), j, np.int8)]))
+        levels = np.concatenate(parts, axis=1)
+    levels = levels.take(np.lexsort(levels[::-1]), axis=1)  # C order: rows are contiguous
+    levels.flags.writeable = False
+    return levels
 
 
 @cache
-def _level_vectors(n: int) -> Tuple[Tuple[Ranking, ...], np.ndarray]:
-    """Every weak order on 1..n as a ranking of its int levels, in ascending
-    order of the levels read by vertex, and the same levels as an int8
-    array with one row per vertex: levels[v - 1, i] is vertex v's level in
-    the i-th ranking.
-
-    Built on the first call for each n and kept, each ranking with its
-    rank masks (`ranking._level_ranking`): 4683 rankings, 2.80 MB with
-    their masks, and a 28 KB array at n = WEAK_ORDER_CAP.
-    Callers check the cap first, so no larger n is kept.
-    """
-    orders = sorted(weak_order_levels(n))
-    rankings = tuple(map(_level_ranking, orders))
-    return rankings, np.array(orders, dtype=np.int8).T.copy()
+def _weak_rankings(n: int) -> Tuple[Ranking, ...]:
+    """The ranking of every column of `_level_array(n)`, with its rank
+    masks, for WEAK's loop: 4683 rankings, 2.80 MB with their masks, at
+    n = WEAK_ORDER_CAP.  Built on the first call for each n and kept;
+    callers check the cap first."""
+    return _level_rankings(_level_array(n))
 
 
 # -- exact minimizers -------------------------------------------------------
@@ -266,18 +280,22 @@ def min_backward_fair(t: Tournament, c: FairnessClass) -> MinBackwardResult:
 
     INJ takes the witness from the DP of `_least_injective_order`, as
     `min_backward_injective` does, up to INJECTIVE_SEARCH_CAP vertices.
-    WEAK, SPEC and LIN search the weak orders up to WEAK_ORDER_CAP, each
-    an exact ranking of its int levels.  The backward counts of all of
-    them come first, one numpy compare over the level array per arc.  A
-    stable sort of the counts keeps the ascending levels of
-    `_level_vectors` among equal counts, so the witness is the first fair
-    order in ascending (count, levels).  WEAK finds it by one `is_fair`
-    call per order and checks every order, empty class or not: it
-    constrains ranks pair by pair and could be placed by a DP too, but the
-    benchmark's own tests pin its number of `is_fair` calls (ROADMAP item
-    12).  SPEC and LIN decide every order in one array pass
-    (`_fair_orders`), and only their witness gets an `is_fair` call, as a
-    certificate that must agree; an empty class makes none.
+    WEAK and LIN search the weak orders up to WEAK_ORDER_CAP, and SPEC up
+    to SPEC_ORDER_CAP, each order an exact ranking of its int levels.  The
+    backward counts of all of them come first, one numpy compare over the
+    level array per arc.  A stable sort of the counts keeps the ascending
+    levels of `_level_array` among equal counts, so the witness is the
+    first fair order in ascending (count, levels).  WEAK finds it by one
+    `is_fair` call per order and checks every order, empty class or not:
+    it constrains ranks pair by pair and could be placed by a DP too, but
+    the benchmark's own tests pin its number of `is_fair` calls (ROADMAP
+    item 12).  SPEC and LIN decide the orders in that order by array
+    passes (`_fair_orders`) over chunks of 256, 1024, ... orders, each 4x
+    the last, up to CHUNK_ENTRIES // n^2, so no (n, n, orders) array of a
+    pass outgrows CHUNK_ENTRIES entries; the first chunk that holds a fair
+    order ends the search, and only its first fair order, the witness,
+    gets an `is_fair` call, as a certificate that must agree; an empty
+    class makes none.
 
     The array pass reads each order's levels L (1..k, so positive) and the
     out-set matrix A, and an order is fair iff no ordered pair (x, y)
@@ -316,10 +334,13 @@ def min_backward_fair(t: Tournament, c: FairnessClass) -> MinBackwardResult:
         return _result(t, Ranking.exact(dict(zip(t.vertices(), levels))), "weakOrders")
     if c is FairnessClass.INJ:
         return _result(t, _least_injective_order(t), "weakOrders")
-    if t.n > WEAK_ORDER_CAP:
+    if c is FairnessClass.SPEC:
+        if t.n > SPEC_ORDER_CAP:
+            raise ResourceLimitError(f"spectral weak-order search capped at n <= {SPEC_ORDER_CAP}")
+    elif t.n > WEAK_ORDER_CAP:
         raise ResourceLimitError(f"weak-order enumeration capped at n <= {WEAK_ORDER_CAP}")
-    rankings, levels = _level_vectors(t.n)
-    counts = np.zeros(len(rankings), dtype=np.int8)  # at most C(6, 2) = 15
+    levels = _level_array(t.n)
+    counts = np.zeros(levels.shape[1], dtype=np.int8)  # at most C(8, 2) = 28
     for x, out in enumerate(t.out):
         for y in range(t.n):
             if out >> y & 1:
@@ -330,16 +351,22 @@ def min_backward_fair(t: Tournament, c: FairnessClass) -> MinBackwardResult:
     if c is FairnessClass.WEAK:
         # WEAK checks every candidate: bench/test_bench.py pins its is_fair
         # calls (75 on transitive(4)), ROADMAP items 12 and 16
+        rankings = _weak_rankings(t.n)
         _keep_weak_candidates(t)
         for i in order.tolist():
             if is_fair(t, rankings[i], c) and best is None:
                 best = rankings[i]
     else:
-        fair = np.flatnonzero(_fair_orders(t, levels, c)[order])
-        if len(fair):
-            best = rankings[order[fair[0]]]
-            if not is_fair(t, best, c):
-                raise AssertionError(f"{c.value} array verdict refuted by is_fair on {best}")
+        per = CHUNK_ENTRIES // (t.n * t.n)
+        start, size = 0, min(256, per)
+        while best is None and start < len(order):
+            chunk = order[start:start + size]
+            fair = np.flatnonzero(_fair_orders(t, levels.take(chunk, axis=1), c))
+            if len(fair):
+                best = Ranking(dict(enumerate(levels[:, chunk[fair[0]]].tolist(), start=1)))
+                if not is_fair(t, best, c):
+                    raise AssertionError(f"{c.value} array verdict refuted by is_fair on {best}")
+            start, size = start + size, min(4 * size, per)
     if best is None:
         raise EmptyClassError(f"no weak-order ranking satisfies {c.value}")
     return _result(t, Ranking.exact(best.values), "weakOrders")
@@ -348,12 +375,13 @@ def min_backward_fair(t: Tournament, c: FairnessClass) -> MinBackwardResult:
 def _fair_orders(t: Tournament, levels: np.ndarray, c: FairnessClass) -> np.ndarray:
     """The SPEC or LIN verdict of every weak order at once: fair[i] is
     whether the ranking of column i of `levels` (one row per vertex, as
-    `_level_vectors` keeps them) passes `is_fair`, by the rules that
+    `_level_array` holds them) passes `is_fair`, by the rules that
     `min_backward_fair` proves.  The arrays are (n, n, orders) bools,
-    168 KB each at n = 6, built per call and not kept."""
+    built per call and not kept; `min_backward_fair` passes chunks of at
+    most CHUNK_ENTRIES // n^2 orders, so each holds at most CHUNK_ENTRIES."""
     n = t.n
     # float32 products run in BLAS, where int products do not, and are
-    # exact here: every entry is an integer of at most 6 * 5 = 30
+    # exact here: every entry is an integer of at most n(n - 1) = 56
     a = unpack_rows(t.out, range(n)).astype(np.float32)
     if c is FairnessClass.LIN:
         sums = a @ levels.astype(np.float32)

@@ -20,14 +20,14 @@ backward-arc report read, are built per call: a check keeps nothing on
 its arguments.  Each mask is an int as wide as its highest label, so the
 masks of n vertices hold about n^2 / 8 bytes, as many as the out-sets.
 Only the weak-order minimizer, which checks the same rankings on every
-tournament of their size, keeps them: `_level_ranking` builds each of its
-rankings with its masks, which a ranking's read-only values never make
-stale, and later checks read them back without a lookup, a key or a
-sort.  A float ranking keys on its values with e = eps.  An exact
-ranking keys on its values times the LCM of their denominators, Python
-ints in the same ratios, with e = 0; a ranking is exact iff every value
-has a denominator, the one rule that both `_keys` and `Ranking.is_exact`
-read.
+tournament of their size, keeps them: `_level_rankings` builds its
+rankings with their masks, from one compare of their levels, and a
+ranking's read-only values never make them stale, so later checks read
+them back without a lookup, a key or a sort.  A float ranking keys on
+its values with e = eps.  An exact ranking keys on its values times the
+LCM of their denominators, Python ints in the same ratios, with e = 0; a
+ranking is exact iff every value has a denominator, the one rule that
+both `_keys` and `Ranking.is_exact` read.
 Comparisons stay exact, and the linear axiom's out-sums, the one place
 where values matter beyond their order, are integer sums instead of
 Fraction sums.  An integer sum does not depend on the order of its terms,
@@ -85,10 +85,11 @@ on the ranking: the Copeland axioms read the walk of the out-degrees, and
 the weak axiom each vertex's candidates, the vertices that beat it and
 outscore it (`_weak_candidates`).  Both take one sort of the out-degrees
 and are built per call, bar the candidates in the weak-order minimizer:
-it keeps them on the tournament (`_keep_weak_candidates`) before it
-checks its thousands of rankings, so a weak check there is one AND with
-the kept rank mask per vertex that has candidates.  The spectral axiom
-reads none of it.
+it keeps on the tournament (`_keep_weak_candidates`), before it checks
+its thousands of rankings, only the candidates whose out-set holds x's,
+so inclusion is tested once per tournament, and a weak check there is
+one AND with the kept rank mask per vertex that has such a candidate.
+The spectral axiom reads none of it.
 """
 
 from __future__ import annotations
@@ -97,6 +98,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -129,6 +131,7 @@ class FairnessClass(Enum):
 
 # built once: each FairnessClass.X lookup costs about as much as a small check
 _COPELAND_CLASSES = (FairnessClass.NSCOP, FairnessClass.SCOP, FairnessClass.COP)
+_WEAK = FairnessClass.WEAK
 
 
 def _fraction(r: Rank) -> Fraction:
@@ -153,13 +156,13 @@ class Ranking:
 
     `values` is a read-only view of a copy of the mapping given, so no
     later change reaches a ranking, nor the "ranks above" masks that the
-    weak-order minimizer keeps on its rankings (`_level_ranking`).  Every
+    weak-order minimizer keeps on its rankings (`_level_rankings`).  Every
     other ranking keeps nothing: its comparison keys (`_keys`) and masks
     (`_rank_masks`) are built per call.
     """
 
     values: Mapping[int, Rank]
-    # the masks of `_rank_masks`, kept by `_level_ranking` alone
+    # the masks of `_rank_masks`, kept by `_level_rankings` alone
     _masks: Optional[Tuple[int, ...]] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -238,6 +241,17 @@ class FairnessVerdict:
     ok = property(__bool__)
 
 
+# The weak check's verdicts are shared, as a verdict is immutable: the
+# weak-order sweep returns the same few verdicts thousands of times, and
+# building a frozen dataclass costs more than the rest of such a check.
+_PASS = FairnessVerdict()
+
+
+@lru_cache(maxsize=64)  # the 30 ordered pairs of a sweep's 6 vertices fit
+def _weak_violation(x: int, y: int) -> FairnessVerdict:
+    return FairnessVerdict((x, y), "weak fairness violated")
+
+
 def _keys(t: Tournament, r: Ranking) -> Tuple[Tuple[Rank, ...], Rank]:
     """Comparison keys indexed by vertex and the tolerance e, built per
     call and kept nowhere.
@@ -282,7 +296,7 @@ def _rank_masks(t: Tournament, r: Ranking) -> Sequence[int]:
     """`_above` of r's keys, indexed by vertex from 1: masks[x] is the
     bitset of the y that rank above x.
 
-    The masks that `_level_ranking` kept on r depend on its values alone,
+    The masks that `_level_rankings` kept on r depend on its values alone,
     which are read-only, and were built for a domain of 1..n: a tournament
     on n vertices reads them back without a lookup.  Any other n, and any
     ranking without kept masks, builds them per call through `_keys`,
@@ -294,14 +308,23 @@ def _rank_masks(t: Tournament, r: Ranking) -> Sequence[int]:
     return masks
 
 
-def _level_ranking(levels: Sequence[int]) -> Ranking:
-    """The exact ranking of each vertex v at the int levels[v - 1], with its
-    rank masks kept on it for `_rank_masks`: the weak-order minimizer checks
+def _level_rankings(levels: np.ndarray) -> Tuple[Ranking, ...]:
+    """The exact ranking of each column of levels, an (n, orders) int
+    array with n <= 8, vertex v at the int levels[v - 1, i], with its rank
+    masks kept on it for `_rank_masks`: the weak-order minimizer checks
     each such ranking on every tournament of its size.  Ints are their own
-    keys, with e = 0, by the exact-key rule of `_keys`."""
-    r = Ranking(dict(enumerate(levels, start=1)))
-    object.__setattr__(r, "_masks", tuple(_above([0, *levels], 0)))
-    return r
+    keys, with e = 0, by the exact-key rule of `_keys`, so y ranks above x
+    iff levels[y - 1] > levels[x - 1]: one compare of every (x, y) pair of
+    every column, packed little-endian along y, gives every mask, which are
+    the masks that `_above` builds."""
+    n = levels.shape[0]
+    above = np.packbits(levels[None] > levels[:, None], axis=1, bitorder="little")
+    rankings = []
+    for values, masks in zip(levels.T.tolist(), above.reshape(n, -1).T.tolist()):
+        r = Ranking(dict(enumerate(values, start=1)))
+        object.__setattr__(r, "_masks", (0, *masks))
+        rankings.append(r)
+    return tuple(rankings)
 
 
 def _above(key: Sequence[Rank], e: Rank) -> List[int]:
@@ -382,10 +405,11 @@ class _Walk:
 
 def _weak_candidates(t: Tournament) -> List[Tuple[int, int, int]]:
     """(x, out-set of x, the y that beat x and outscore x) for each x that
-    has any such y, in ascending x: those kept on t by
-    `_keep_weak_candidates`, or else built per call and kept nowhere.  The
-    y that outscore x are `_above` of the out-degrees with e = 0: they are
-    ints, which differ by 0 or by at least 1, so e = 0 serves every e < 1."""
+    has any such y, in ascending x, built per call and kept nowhere; or
+    those that `_keep_weak_candidates` kept on t, the y among them whose
+    out-set holds x's.  The y that outscore x are `_above` of the
+    out-degrees with e = 0: they are ints, which differ by 0 or by at least
+    1, so e = 0 serves every e < 1."""
     weak = t._weak
     if weak is None:
         outscore = _above([0, *map(int.bit_count, t.out)], 0)
@@ -394,9 +418,24 @@ def _weak_candidates(t: Tournament) -> List[Tuple[int, int, int]]:
 
 
 def _keep_weak_candidates(t: Tournament) -> None:
-    """Keep t's `_weak_candidates` on t, for a sweep that checks many
-    rankings of t; they derive from t's out-sets alone."""
-    object.__setattr__(t, "_weak", _weak_candidates(t))
+    """Keep on t, for a sweep that checks many rankings of t, those of its
+    `_weak_candidates` whose out-set holds x's, the only ones that can
+    break the weak axiom; they derive from t's out-sets alone.  Each
+    inclusion is then tested once per tournament, and a kept candidate
+    that does not rank above x is a violation: `is_fair`'s inclusion test
+    passes on the first one it meets."""
+    out = t.out
+    kept = []
+    for x, ox, beat in _weak_candidates(t):
+        y = 0
+        while beat:
+            b = beat & -beat
+            beat ^= b
+            if ox & ~out[b.bit_length() - 1] == 0:
+                y |= b
+        if y:
+            kept.append((x, ox, y))
+    object.__setattr__(t, "_weak", kept)
 
 
 def _monotone_verdict(
@@ -455,7 +494,7 @@ def is_fair(t: Tournament, r: Ranking, c: FairnessClass) -> FairnessVerdict:
     selecting each term bitwise, since a product with 0 turns a +inf rank
     into nan.  Exact ranks sum as ints, in 32-bit limbs (`_int_sums`).
     """
-    if c is FairnessClass.WEAK:
+    if c is _WEAK:
         # x+ ⊆ y+ forces y -> x, since x -> y would put y in y+, and then
         # y+ holds x+ and x, so deg(y) > deg(x): only the y that beat x,
         # outscore x and do not rank above x can break the axiom
@@ -466,8 +505,8 @@ def is_fair(t: Tournament, r: Ranking, c: FairnessClass) -> FairnessVerdict:
                 b = candidates & -candidates
                 candidates ^= b
                 if ox & ~out[b.bit_length() - 1] == 0:
-                    return FairnessVerdict((x, b.bit_length()), "weak fairness violated")
-        return FairnessVerdict()
+                    return _weak_violation(x, b.bit_length())
+        return _PASS
 
     n = t.n
     key, e = _keys(t, r)

@@ -40,8 +40,9 @@ class Tournament:
 
     out: Tuple[int, ...] = field(repr=False)
     n: int = field(init=False)  # len(out)
-    # `ranking._weak_candidates`, kept by `ranking._keep_weak_candidates`
-    # alone; they derive from `out` alone, so they never go stale
+    # the weak candidates whose out-set holds x's, kept by
+    # `ranking._keep_weak_candidates` alone; they derive from `out` alone,
+    # so they never go stale
     _weak: Optional[list] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):

@@ -1,13 +1,15 @@
 """Brute-force oracles that the library's fast paths are checked against."""
 
 import math
+import operator
 import random
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cache, partial
 from itertools import permutations
 from operator import le
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -97,18 +99,28 @@ def backward_pairs(report: BackwardReport) -> Tuple[Tuple[int, int], ...]:
 # greater, so they tie.
 
 
-def lt(r: Ranking, a: Rank, b: Rank) -> bool:
+class Comparators(NamedTuple):
+    lt: Callable[[Rank, Rank], bool]
+    leq: Callable[[Rank, Rank], bool]
+    eq: Callable[[Rank, Rank], bool]
+
+
+def comparators(r: Ranking) -> Comparators:
+    """lt, leq and eq on r's values, with r's exactness read once: the
+    caller binds them once per check, not once per compared pair."""
     if r.is_exact:
-        return a < b
-    return b - a > DEFAULT_EPS
+        lt = operator.lt
+    else:
+        def lt(a: Rank, b: Rank) -> bool:
+            return b - a > DEFAULT_EPS
 
+    def leq(a: Rank, b: Rank) -> bool:
+        return not lt(b, a)
 
-def leq(r: Ranking, a: Rank, b: Rank) -> bool:
-    return not lt(r, b, a)
+    def eq(a: Rank, b: Rank) -> bool:
+        return leq(a, b) and leq(b, a)
 
-
-def eq(r: Ranking, a: Rank, b: Rank) -> bool:
-    return leq(r, a, b) and leq(r, b, a)
+    return Comparators(lt, leq, eq)
 
 
 def linear_sums(t: Tournament, r: Ranking) -> Dict[int, Rank]:
@@ -267,7 +279,7 @@ def spectral_verdict_lists(t: Tournament, r: Ranking) -> FairnessVerdict:
 
 def spectral_leq(t: Tournament, r: Ranking, x: int, y: int) -> bool:
     """x <= y in the spectral preorder of r (via the dominance shortcut)."""
-    return sorted_dominance(*_spectra(t, r, x, y), partial(leq, r))
+    return sorted_dominance(*_spectra(t, r, x, y), comparators(r).leq)
 
 
 def spectral_strict_less(t: Tournament, r: Ranking, x: int, y: int) -> bool:
@@ -285,7 +297,7 @@ def injection_exists(sx: Sequence[Rank], sy: Sequence[Rank], leq) -> bool:
 
 
 def spectral_leq_bruteforce(t: Tournament, r: Ranking, x: int, y: int) -> bool:
-    return injection_exists(*_spectra(t, r, x, y), partial(leq, r))
+    return injection_exists(*_spectra(t, r, x, y), comparators(r).leq)
 
 
 def min_backward_injective_bnb(t: Tournament) -> int:
@@ -390,6 +402,43 @@ def iter_weak_orders(items: Sequence[int]) -> Iterator[Tuple[Tuple[int, ...], ..
                 yield (block,) + tail
 
     return rec(items)
+
+
+def weak_order_levels(n: int) -> Iterator[Tuple[int, ...]]:
+    """Every weak order on the vertices 1..n once, as its level vector, by
+    recursion: the parity oracle of `optimize._level_array`.
+
+    levels[v - 1] is the level of vertex v, and the levels used are exactly
+    1..k for some k (a surjection onto 1..k).  The orders on 1..m come from
+    those on 1..m-1 by inserting vertex m into one of their k levels, or as
+    a new level j in 1..k+1 that lifts the levels from j on by one.  Deleting
+    vertex m undoes exactly one such insertion, so no order repeats.
+    """
+    if n == 0:
+        yield ()
+        return
+    for levels in weak_order_levels(n - 1):
+        k = max(levels, default=0)
+        for j in range(1, k + 1):
+            yield levels + (j,)
+        for j in range(1, k + 2):
+            yield tuple(level + (level >= j) for level in levels) + (j,)
+
+
+def min_backward_spectral_loop(t: Tournament) -> Optional[MinBackwardResult]:
+    """The SPEC minimum over the level vectors of `weak_order_levels`, or
+    None when the class is empty: every order sorted by (backward count, levels
+    read by vertex), each count taken arc by arc, and decided in that
+    order by the list walk `spectral_verdict_lists` until the first fair
+    one, whose count and levels are the result."""
+    pairs = arcs(t)
+    keyed = sorted((sum(levels[x - 1] < levels[y - 1] for x, y in pairs), levels)
+                   for levels in weak_order_levels(t.n))
+    for count, levels in keyed:
+        r = Ranking.exact(dict(zip(t.vertices(), levels)))
+        if spectral_verdict_lists(t, r):
+            return MinBackwardResult(count, Fraction(count, t.num_arcs or 1), r, "weakOrders")
+    return None
 
 
 def weak_order_ranking(blocks: Sequence[Sequence[int]]) -> Ranking:
@@ -509,7 +558,8 @@ def scc_decompose_tarjan(t: Tournament) -> Tuple[frozenset, ...]:
 def backward_arcs_pairs(t: Tournament, r: Ranking) -> Tuple[Tuple[int, int], ...]:
     """Backward arcs by comparing the ranks of every arc's ends."""
     r.require_domain(t)
-    return tuple((x, y) for (x, y) in arcs(t) if lt(r, r[x], r[y]))
+    lt = comparators(r).lt
+    return tuple((x, y) for (x, y) in arcs(t) if lt(r[x], r[y]))
 
 
 def _ordered_pairs(n: int):
@@ -522,10 +572,11 @@ def _ordered_pairs(n: int):
 def is_fair_pairs(t: Tournament, r: Ranking, c: FairnessClass) -> FairnessVerdict:
     """Fairness check by a scan of all ordered pairs in lexicographic order."""
     r.require_domain(t)
+    lt, leq, eq = comparators(r)
 
     if c is FairnessClass.INJ:
         for x, y in _ordered_pairs(t.n):
-            if x < y and eq(r, r[x], r[y]):
+            if x < y and eq(r[x], r[y]):
                 return FairnessVerdict((x, y), "equal ranks")
         return FairnessVerdict()
 
@@ -533,17 +584,17 @@ def is_fair_pairs(t: Tournament, r: Ranking, c: FairnessClass) -> FairnessVerdic
         deg = {x: t.out_degree(x) for x in t.vertices()}
         for x, y in _ordered_pairs(t.n):
             if c in (FairnessClass.NSCOP, FairnessClass.COP):
-                if deg[x] <= deg[y] and not leq(r, r[x], r[y]):
+                if deg[x] <= deg[y] and not leq(r[x], r[y]):
                     return FairnessVerdict((x, y), "non-strict Copeland violated")
             if c in (FairnessClass.SCOP, FairnessClass.COP):
-                if deg[x] < deg[y] and not lt(r, r[x], r[y]):
+                if deg[x] < deg[y] and not lt(r[x], r[y]):
                     return FairnessVerdict((x, y), "strict Copeland violated")
         return FairnessVerdict()
 
     if c is FairnessClass.WEAK:
         outs = {x: out_set(t, x) for x in t.vertices()}
         for x, y in _ordered_pairs(t.n):
-            if outs[x] <= outs[y] and not lt(r, r[x], r[y]):
+            if outs[x] <= outs[y] and not lt(r[x], r[y]):
                 return FairnessVerdict((x, y), "weak fairness violated")
         return FairnessVerdict()
 
@@ -551,11 +602,11 @@ def is_fair_pairs(t: Tournament, r: Ranking, c: FairnessClass) -> FairnessVerdic
         spectra = {x: [r[z] for z in out_set(t, x)] for x in t.vertices()}
         below = {}
         for x, y in _ordered_pairs(t.n):
-            below[(x, y)] = sorted_dominance(spectra[x], spectra[y], partial(leq, r))
+            below[(x, y)] = sorted_dominance(spectra[x], spectra[y], leq)
         for x, y in _ordered_pairs(t.n):
-            if below[(x, y)] and not leq(r, r[x], r[y]):
+            if below[(x, y)] and not leq(r[x], r[y]):
                 return FairnessVerdict((x, y), "non-strict spectral violated")
-            if below[(x, y)] and not below[(y, x)] and not lt(r, r[x], r[y]):
+            if below[(x, y)] and not below[(y, x)] and not lt(r[x], r[y]):
                 return FairnessVerdict((x, y), "strict spectral violated")
         return FairnessVerdict()
 
@@ -565,9 +616,9 @@ def is_fair_pairs(t: Tournament, r: Ranking, c: FairnessClass) -> FairnessVerdic
                 return FairnessVerdict((x, x), "non-positive rank")
         sums = linear_sums(t, r)
         for x, y in _ordered_pairs(t.n):
-            if leq(r, sums[x], sums[y]) and not leq(r, r[x], r[y]):
+            if leq(sums[x], sums[y]) and not leq(r[x], r[y]):
                 return FairnessVerdict((x, y), "non-strict linear violated")
-            if lt(r, sums[x], sums[y]) and not lt(r, r[x], r[y]):
+            if lt(sums[x], sums[y]) and not lt(r[x], r[y]):
                 return FairnessVerdict((x, y), "strict linear violated")
         return FairnessVerdict()
 

@@ -1,13 +1,14 @@
 """Memory held and peaked under tracemalloc: tournament construction at
-n = 2000, the spectral check at n = 2000, and the weak-order rankings kept
-at the weak-order cap.
+n = 2000, the spectral check at n = 2000, the weak orders kept at the
+weak-order cap, and the spectral minimizer at its own cap.
 
 Out-sets and backward arcs are int bitsets, about n/8 bytes per vertex, so
 a 2000-vertex tournament and its backward-arc report each hold well under
 2 MB, and parsing its 4 MB matrix text peaks at a few times the text.  A
 check keeps nothing on its arguments; the weak-order minimizer alone keeps
-one ranking per weak order, each with its rank masks (not its keys):
-2.80 MB for the 4683 weak orders at n = 6.
+one int8 level array per n and, for WEAK's loop, one ranking per weak
+order, each with its rank masks (not its keys): 2.80 MB for the 4683 weak
+orders at n = 6.
 
 Every numpy pass works in blocks or chunks of `tournament.CHUNK_ENTRIES`
 entries.  The spectral check does so at every n: it keeps twice that many
@@ -18,9 +19,12 @@ product reads, 9 bytes an entry) before it fills the cache, and a chunk
 adds its block's candidate mask (1 byte) and pair lists (two int64
 arrays, 16 bytes at most), the gathered spectra and their comparison
 (5 bytes) and the unpacked bits of a sort (3 bytes): under 40 bytes an
-entry.  The SPEC and LIN minimizers decide the 4683 weak orders at n = 6
-in one pass over (n, n, 4683) bool arrays, 168 KB each, and the
-exhaustive Copeland check holds one row of C(n, 2) arc bits and n degrees
+entry.  The SPEC and LIN minimizers decide the weak orders in chunks of
+at most `CHUNK_ENTRIES // n^2` orders, one pass over (n, n, orders) bool
+arrays of at most `CHUNK_ENTRIES` entries each, beside the backward count
+(one byte) and the sort index (8 bytes) of every order: 4.4 MB of
+levels, kept, and about 5 MB more at SPEC's cap n = 8.  The exhaustive
+Copeland check holds one row of C(n, 2) arc bits and n degrees
 per tournament, 32 768 of them at n = 6; all are built per call and
 dropped.  The injective DP keeps two int64 keys per placed set, 16 MB at
 `INJECTIVE_SEARCH_CAP` = 20, and one popcount byte per set, and works
@@ -46,7 +50,13 @@ from fairrank import (
     serialize_tournament,
     verify_copeland_upper_bound,
 )
-from fairrank.optimize import INJECTIVE_SEARCH_CAP, WEAK_ORDER_CAP, _level_vectors
+from fairrank.optimize import (
+    INJECTIVE_SEARCH_CAP,
+    SPEC_ORDER_CAP,
+    WEAK_ORDER_CAP,
+    _level_array,
+    _weak_rankings,
+)
 from fairrank.tournament import CHUNK_ENTRIES, ENUMERATION_CAP
 
 MB = 1 << 20
@@ -97,7 +107,8 @@ def test_spectral_check_peaks_within_its_chunks_at_n2000():
 
 def test_weak_order_rankings_at_the_cap():
     t = gen_random(WEAK_ORDER_CAP, 1)
-    _level_vectors.cache_clear()  # built and kept under tracing below
+    _level_array.cache_clear()  # built and kept under tracing below
+    _weak_rankings.cache_clear()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -109,7 +120,7 @@ def test_weak_order_rankings_at_the_cap():
         held = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
-    assert _level_vectors.cache_info().currsize == 1
+    assert _level_array.cache_info().currsize == _weak_rankings.cache_info().currsize == 1
     assert held < 3 * MB, f"the weak orders at n = {WEAK_ORDER_CAP} hold {held / MB:.2f} MB"
 
 
@@ -127,8 +138,8 @@ def traced_peak(call):
 
 
 def test_array_passes_peak_per_call():
-    # measured: 0.63 MB for SPEC and LIN (a witness and an empty class
-    # alike) and 3.34 MB for the exhaustive check at n = 6
+    # measured: 0.13-0.50 MB for SPEC and LIN (a witness and an empty
+    # class alike) and 3.34 MB for the exhaustive check at n = 6
     bounds = {FairnessClass.SPEC: 0.8 * MB, FairnessClass.LIN: 0.8 * MB}
     for seed in (1, 2):  # LIN is empty on seed 2
         t = gen_random(WEAK_ORDER_CAP, seed)
@@ -138,6 +149,19 @@ def test_array_passes_peak_per_call():
             assert peak < bound, f"{c.value} on seed {seed} peaks at {peak / MB:.2f} MB"
     peak = traced_peak(lambda: verify_copeland_upper_bound(ENUMERATION_CAP))
     assert peak < 4 * MB, f"the exhaustive check peaks at {peak / MB:.2f} MB"
+
+
+def test_spectral_minimum_at_its_cap():
+    # measured: the level array of the 545 835 weak orders of 8 vertices
+    # peaks at 17.3 MB while it is built and keeps 4.2 MB; a minimum then
+    # peaks at 5.2 MB, the sort index (4.4 MB) and counts of every order
+    # beside one chunk's arrays
+    t = gen_random(SPEC_ORDER_CAP, 1)
+    _level_array.cache_clear()
+    first = traced_peak(lambda: min_backward_fair(t, FairnessClass.SPEC))
+    again = traced_peak(lambda: min_backward_fair(t, FairnessClass.SPEC))
+    assert first < 24 * MB, f"the first SPEC minimum at n = {t.n} peaks at {first / MB:.2f} MB"
+    assert again < 8 * MB, f"a SPEC minimum at n = {t.n} peaks at {again / MB:.2f} MB"
 
 
 def test_injective_dp_peaks_within_its_keys_and_chunks_at_the_cap():

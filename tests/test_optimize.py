@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from functools import partial
 
+import numpy as np
 import pytest
 
 from fairrank import (
@@ -27,11 +28,18 @@ from fairrank import (
     min_backward_fair,
     min_backward_injective,
     verify_copeland_upper_bound,
-    weak_order_levels,
 )
 from fairrank import optimize
 from fairrank.cli import report_json
-from fairrank.optimize import INJECTIVE_SEARCH_CAP, _fair_orders, _level_vectors
+from fairrank.ranking import _above
+from fairrank.optimize import (
+    INJECTIVE_SEARCH_CAP,
+    SPEC_ORDER_CAP,
+    WEAK_ORDER_CAP,
+    _fair_orders,
+    _level_array,
+    _weak_rankings,
+)
 from oracles import (
     arcs,
     is_fair_pairs,
@@ -40,18 +48,20 @@ from oracles import (
     min_backward_fair_blocks,
     min_backward_injective_bnb,
     min_backward_injective_permutations,
+    min_backward_spectral_loop,
     relabeled,
     spectral_verdict_lists,
     verify_copeland_upper_bound_loop,
+    weak_order_levels,
 )
 
 FC = FairnessClass
 
-FUBINI = {1: 1, 2: 3, 3: 13, 4: 75, 5: 541, 6: 4683}
+FUBINI = {1: 1, 2: 3, 3: 13, 4: 75, 5: 541, 6: 4683, 7: 47293, 8: 545835}
 
 
 class TestWeakOrders:
-    @pytest.mark.parametrize("n,count", sorted(FUBINI.items()))
+    @pytest.mark.parametrize("n,count", [(n, c) for n, c in sorted(FUBINI.items()) if n <= 6])
     def test_counts(self, n, count):
         assert sum(1 for _ in iter_weak_orders(range(1, n + 1))) == count
 
@@ -62,7 +72,8 @@ class TestWeakOrders:
 
 
 class TestWeakOrderLevels:
-    @pytest.mark.parametrize("n,count", sorted(FUBINI.items()))
+    # the recursive generator, kept in oracles.py as the level array's oracle
+    @pytest.mark.parametrize("n,count", [(n, c) for n, c in sorted(FUBINI.items()) if n <= 6])
     def test_counts_without_repeats(self, n, count):
         orders = list(weak_order_levels(n))
         assert len(orders) == len(set(orders)) == count
@@ -80,6 +91,34 @@ class TestWeakOrderLevels:
             level = {v: k for k, block in enumerate(blocks, start=1) for v in block}
             from_blocks.add(tuple(level[v] for v in range(1, n + 1)))
         assert set(weak_order_levels(n)) == from_blocks
+
+
+class TestLevelArray:
+    @pytest.mark.parametrize("n,count", sorted(FUBINI.items()))
+    def test_counts_and_levels(self, n, count):
+        levels = _level_array(n)
+        assert levels.shape == (n, count) and levels.dtype == np.int8
+        assert not levels.flags.writeable and _level_array(n) is levels  # kept, read-only
+        assert levels.flags.c_contiguous  # each vertex's row is one run of bytes
+        # each column uses the levels 1..k and no column repeats
+        k = levels.max(axis=0)
+        assert (levels.min(axis=0) == 1).all()
+        for level in range(1, n + 1):
+            assert ((levels == level).any(axis=0) == (k >= level)).all()
+        assert len(np.unique(levels, axis=1).T) == count
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_equals_the_sorted_oracle(self, n):
+        expected = np.array(sorted(weak_order_levels(n)), dtype=np.int8).reshape(-1, n).T
+        assert np.array_equal(_level_array(n), expected)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_weak_rankings_are_the_columns(self, n):
+        rankings, levels = _weak_rankings(n), _level_array(n)
+        assert [tuple(r.values.values()) for r in rankings] == list(map(tuple, levels.T.tolist()))
+        assert all(type(v) is int for r in rankings for v in r.values.values())
+        # the masks of one broadcast compare are the ones `_above` builds
+        assert all(r._masks == tuple(_above([0, *r.values.values()], 0)) for r in rankings)
 
 
 def block_loop_outcome(minimize, t, c):
@@ -135,6 +174,19 @@ class TestWeakOrderParity:
             values = " ".join(str(res.witness[v]) for v in t.vertices())
             digest.update(f"{res.count} {values}\n".encode())
         assert digest.hexdigest() == self.N5_DIGESTS[c]
+
+    # SPEC past WEAK's cap: the first order in ascending (count, levels)
+    # that the list walk passes, with every order tried in that order
+    @pytest.mark.parametrize("seeds", [range(s, s + 5) for s in range(0, 20, 5)],
+                             ids=lambda r: f"{r.start}-{r.stop - 1}")
+    def test_spectral_at_n7(self, seeds):
+        for seed in seeds:
+            t = gen_random(7, seed)
+            expected = min_backward_spectral_loop(t)
+            assert expected is not None
+            res = min_backward_fair(t, FC.SPEC)
+            assert res == expected, seed
+            assert all(type(v) is Fraction for v in res.witness.values.values())
 
     # one n = 7 tournament per pairwise class: the block loop tries all
     # 47 293 weak orders, an independent check of the closed forms and of
@@ -352,9 +404,15 @@ class TestWeakOrderMinimum:
         assert len(made) == calls
 
     def test_cap(self):
-        for c in (FC.WEAK, FC.SPEC, FC.LIN):
+        # WEAK and LIN stop at WEAK_ORDER_CAP = 6, SPEC at SPEC_ORDER_CAP = 8
+        assert (WEAK_ORDER_CAP, SPEC_ORDER_CAP) == (6, 8)
+        for c in (FC.WEAK, FC.LIN):
             with pytest.raises(ResourceLimitError, match="weak-order enumeration capped at n <= 6"):
                 min_backward_fair(gen_random(7, 0), c)
+        res = min_backward_fair(gen_random(8, 0), FC.SPEC)
+        assert is_fair_pairs(gen_random(8, 0), res.witness, FC.SPEC).ok
+        with pytest.raises(ResourceLimitError, match="spectral weak-order search capped at n <= 8"):
+            min_backward_fair(gen_random(9, 0), FC.SPEC)
 
     @pytest.mark.parametrize("c", [FC.NSCOP, FC.SCOP, FC.COP, FC.INJ], ids=lambda c: c.value)
     def test_pairwise_cap(self, c):
@@ -379,7 +437,7 @@ class TestArrayVerdicts:
     # (LIN) gives the kept ranking of that order
     @staticmethod
     def assert_verdicts(t):
-        rankings, levels = _level_vectors(t.n)
+        rankings, levels = _weak_rankings(t.n), _level_array(t.n)
         for c, fair in ((FC.SPEC, spectral_verdict_lists), (FC.LIN, partial(is_fair, c=FC.LIN))):
             expected = [fair(t, r).ok for r in rankings]
             assert _fair_orders(t, levels, c).tolist() == expected, (t.out, c)
@@ -402,6 +460,18 @@ class TestArrayVerdicts:
             for c in (FC.SPEC, FC.LIN):
                 expected = block_loop_outcome(min_backward_fair_blocks, t, c)
                 assert block_loop_outcome(min_backward_fair, t, c) == expected, (seed, c)
+
+    @pytest.mark.parametrize("per", [1, 5])
+    def test_chunks_of_any_size(self, monkeypatch, per):
+        # chunks of one or five orders, CHUNK_ENTRIES // n^2 of them, put a
+        # chunk boundary next to every witness: each outcome, a witness or
+        # an empty class, must be the one of the default chunks
+        seeds = range(12)
+        outcomes = {(seed, c): block_loop_outcome(min_backward_fair, gen_random(6, seed), c)
+                    for seed in seeds for c in (FC.SPEC, FC.LIN)}
+        monkeypatch.setattr(optimize, "CHUNK_ENTRIES", per * 36)
+        for (seed, c), expected in outcomes.items():
+            assert block_loop_outcome(min_backward_fair, gen_random(6, seed), c) == expected, (seed, c)
 
     @pytest.mark.parametrize("c", [FC.SPEC, FC.LIN], ids=lambda c: c.value)
     def test_refuted_witness_raises(self, monkeypatch, c):

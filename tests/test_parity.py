@@ -4,9 +4,10 @@ The references in `oracles.py` are the pair-by-pair implementations that
 the library used before: a scan of all ordered pairs for `is_fair`, a
 comparison per arc for `backward_arcs`, and `build_tournament` fed the '1'
 cells of a matrix in row-major order for the matrix parser.  They compare
-rank values with the raw-value comparators `lt`, `eq` and `leq` of
-`oracles.py` (exact ranks with <, float ranks with b - a > eps, and a tie
-where neither rank is below the other), never through the library's
+rank values with the raw-value comparators `lt`, `eq` and `leq` that
+`oracles.comparators` binds once per check (exact ranks with <, float
+ranks with b - a > eps, and a tie where neither rank is below the
+other), never through the library's
 per-vertex keys.  The spectral axiom is decided in numpy chunks at every
 n; every spectral parity check here runs it in its own chunks and once
 more with one candidate pair per chunk, by patching the module constant,

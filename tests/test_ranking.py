@@ -32,7 +32,7 @@ from fairrank import (
     parse_ranking,
     serialize_ranking,
 )
-from fairrank.optimize import _level_vectors
+from fairrank.optimize import _weak_rankings
 from fairrank.ranking import (
     DEFAULT_EPS,
     _above,
@@ -40,7 +40,7 @@ from fairrank.ranking import (
     _int_sums,
     _keep_weak_candidates,
     _keys,
-    _level_ranking,
+    _level_rankings,
     _Walk,
 )
 from fairrank.tournament import DEFAULT_VERTEX_CAP
@@ -51,6 +51,7 @@ from oracles import (
     injection_exists,
     is_fair_pairs,
     linear_sums,
+    out_set,
     sorted_dominance,
     spectral_leq,
     spectral_leq_bruteforce,
@@ -330,7 +331,7 @@ class TestLinearOutSums:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_weak_order_levels_at_n6(self, seed):
         t = gen_random(6, seed)
-        for r in _level_vectors(6)[0]:
+        for r in _weak_rankings(6):
             assert is_fair(t, r, FC.LIN) == is_fair_pairs(t, r, FC.LIN), dict(r.values)
 
     def test_exact_at_the_vertex_cap(self):
@@ -636,6 +637,16 @@ class TestPerCallPaths:
                     assert is_fair(t, r, cls) == is_fair_pairs(t, r, cls), (t.out, cls)
         assert t1._weak is kept and t2._weak is copy._weak is moved._weak is None
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_kept_weak_candidates_are_the_inclusions(self, n):
+        # the sweep keeps, per x, only the y whose out-set holds x's
+        for t in enumerate_all(n):
+            _keep_weak_candidates(t)
+            kept = {(x, y) for x, ox, ys in t._weak for y in t.vertices()
+                    if ys >> (y - 1) & 1 and ox == t.out[x - 1]}
+            assert kept == {(x, y) for x in t.vertices() for y in t.vertices()
+                            if x != y and out_set(t, x) <= out_set(t, y)}, t.out
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_kept_weak_candidates_and_masks_match_the_pair_scan(self, n):
         # each tournament keeps its weak candidates and each weak order its
@@ -648,7 +659,7 @@ class TestPerCallPaths:
             tournaments = [gen_random(n, seed) for seed in range(10)]
         for t in tournaments:
             _keep_weak_candidates(t)
-        for r in _level_vectors(n)[0]:
+        for r in _weak_rankings(n):
             assert r._masks is not None
             for t in tournaments:
                 assert is_fair(t, r, FC.WEAK) == is_fair_pairs(t, r, FC.WEAK), (t.out, dict(r.values))
@@ -656,7 +667,7 @@ class TestPerCallPaths:
 
 class TestKeptKeys:
     # a check keeps nothing on its arguments: a ranking keeps rank masks
-    # only when `_level_ranking` built it, and a tournament weak candidates
+    # only when `_level_rankings` built it, and a tournament weak candidates
     # only when `_keep_weak_candidates` kept them; a ranking's values are
     # read-only, so kept masks match the values for as long as it lives
 
@@ -668,7 +679,7 @@ class TestKeptKeys:
         backward_arcs(t, r)
         assert r._masks is None and t._weak is None
         min_backward_fair(gen_random(6, 1), FC.WEAK)
-        assert all(level._masks is not None for level in _level_vectors(6)[0])
+        assert all(level._masks is not None for level in _weak_rankings(6))
 
     def test_values_are_read_only(self):
         r = Ranking({1: 1, 2: 2, 3: 3})
@@ -686,7 +697,7 @@ class TestKeptKeys:
                 again.values[1] = 9
             for cls in FC:
                 assert is_fair(chain3, again, cls) == is_fair(chain3, r, cls)
-        kept = _level_ranking((2, 1, 2))  # copies rebuild it without its masks
+        kept, = _level_rankings(np.array([[2], [1], [2]]))  # copies rebuild it without its masks
         for again in (copy.copy(kept), copy.deepcopy(kept), pickle.loads(pickle.dumps(kept))):
             assert again == kept and again.is_exact and again._masks is None
             for cls in FC:
@@ -720,12 +731,12 @@ class TestKeptKeys:
     ], ids=["exact", "float"])
     def test_kept_masks_serve_their_own_n_only(self, values):
         # the ranking built per call keeps no masks; the one that
-        # `_level_ranking` built (int values only) reads its masks back on
+        # `_level_rankings` built (int values only) reads its masks back on
         # either tournament of its size, and n = 5 builds them per call,
         # which raises on the domain
         rankings = [Ranking(dict(enumerate(values, start=1)))]
         if all(isinstance(v, int) for v in values):
-            rankings.append(_level_ranking(values))
+            rankings.extend(_level_rankings(np.array(values)[:, None]))
         t6, t5, other6 = gen_random(6, 1), gen_random(5, 1), gen_random(6, 2)
         for r in rankings:
             kept = r._masks
