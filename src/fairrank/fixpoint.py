@@ -65,7 +65,8 @@ def perron_fixed_point(t: Tournament, vertices: Iterable[int]) -> PerronResult:
     C-contiguous float64 array (a strided matrix makes the product round
     differently) filled from t's out-set bitsets in row blocks of
     B = max(8, (CHUNK_ENTRIES // k) // 8 * 8) rows: one `unpack_rows` and
-    one write of the component's columns per block.  Each power step
+    one write of the component's columns per block, with no gather of the
+    columns when the component is all of t.  Each power step
     multiplies block by block, so no product is large enough for OpenBLAS
     to thread; every k <= 360 is one block and one product.  B stays a
     multiple of 8, which keeps the ranks bit-identical to the single
@@ -94,7 +95,8 @@ def perron_fixed_point(t: Tournament, vertices: Iterable[int]) -> PerronResult:
     starts = range(0, k, block)
     a = np.empty((k, k))
     for i in starts:
-        a[i:i + block] = unpack_rows(t.out, columns[i:i + block].tolist())[:, columns]
+        rows = unpack_rows(t.out, columns[i:i + block].tolist())
+        a[i:i + block] = rows if k == t.n else rows[:, columns]  # all of t: no gather
     r = np.full(k, 1.0 / k)
     ar = np.empty(k)
     for it in range(1, MAX_ITERATIONS + 1):

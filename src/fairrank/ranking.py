@@ -763,14 +763,25 @@ def serialize_ranking(r: Ranking) -> str:
     return "".join(f"{v} {r[v]}\n" for v in sorted(r.values))
 
 
+def _plain(word: str) -> str:
+    """`word` itself, or ValueError if it holds a '_' or a non-ASCII
+    character, which `int`, `float` and `Fraction` would read as digits."""
+    if "_" in word or not word.isascii():
+        raise ValueError(word)
+    return word
+
+
 def parse_ranking(text: str) -> Ranking:
     """Parse "vertex value" lines; p/q and integers give an exact ranking.
 
-    Integers stay ints and p/q values become Fractions.  Floats must be
-    finite: nan and inf have no place in a rank order.  A ranking with any
-    float is a float ranking, so its exact values must be within float range.
+    Labels and values are ASCII: a '_' digit group or a non-ASCII digit is
+    a bad vertex or a bad value.  Integers stay ints and p/q values become
+    Fractions.  Floats must be finite: nan and inf have no place in a rank
+    order.  A ranking with any float is a float ranking, so its exact values
+    must be within float range.
     """
     values: Dict[int, Rank] = {}
+    plain = text.isascii() and "_" not in text  # one scan clears every word of a plain text
     for ln in map(str.strip, text.splitlines()):
         if not ln:
             continue
@@ -778,14 +789,14 @@ def parse_ranking(text: str) -> Ranking:
         if len(parts) != 2:
             raise TournamentSyntaxError(f"bad ranking line {ln!r}")
         try:
-            v = int(parts[0])
+            v = int(parts[0] if plain else _plain(parts[0]))
         except ValueError:
             raise TournamentSyntaxError(f"bad vertex in line {ln!r}") from None
         raw = parts[1]
         if v in values:
             raise TournamentSyntaxError(f"vertex {v} ranked twice")
         try:
-            if raw.lstrip("+-").isdigit():
+            if (raw if plain else _plain(raw)).lstrip("+-").isdigit():
                 value = int(raw)
             else:
                 value = Fraction(raw) if "/" in raw else float(raw)

@@ -104,13 +104,14 @@ def build_tournament(n: int, arc_list: Iterable[Tuple[int, int]]) -> Tournament:
 def _from_matrix(a: np.ndarray) -> Tournament:
     """The tournament of a checked n x n bool adjacency matrix, row x - 1 for vertex x."""
     packed = np.packbits(a, axis=1, bitorder="little")
-    return Tournament([int.from_bytes(row.tobytes(), "little") for row in packed])
+    data, step = packed.tobytes(), packed.shape[1]
+    return Tournament([int.from_bytes(data[i:i + step], "little") for i in range(0, len(data), step)])
 
 
 # Entries (bits, bytes or float64s) in one block of every numpy pass over
-# rows of n: the parser's row blocks, the Perron fill and product, the
-# out-sums, the spectral chunks and the injective DP chunks all take
-# CHUNK_ENTRIES // n rows or pairs at a time, 1 MB of float64.  It must stay
+# rows of n: the parser's and the writer's row blocks, the Perron fill and
+# product, the out-sums, the spectral chunks and the injective DP chunks all
+# take CHUNK_ENTRIES // n rows or pairs at a time, 1 MB of float64.  It must stay
 # below 460 800 entries: numpy's bundled OpenBLAS threads a gemv of that
 # size or more, and on a 2-core host each such call waited 7.5-8 ms.
 CHUNK_ENTRIES = 2**17
@@ -248,9 +249,24 @@ def scc_decompose(t: Tournament) -> Tuple[frozenset, ...]:
 
 
 def serialize_tournament(t: Tournament) -> str:
-    """Canonical matrix format: n, then n rows of '0'/'1' characters."""
-    rows = [format(bits, f"0{t.n}b")[::-1] for bits in t.out]
-    return "\n".join([str(t.n)] + rows) + "\n"
+    """Canonical matrix format: n, then n rows of '0'/'1' characters, each
+    ending in '\\n'.
+
+    The header and the rows are filled into one uint8 buffer, the rows by
+    `unpack_rows` in blocks of CHUNK_ENTRIES // n, and the buffer is decoded
+    once: O(n^2) time, and the n(n + 1)-byte buffer beside the text.
+    """
+    n = t.n
+    head = b"%d\n" % n
+    buf = np.empty(len(head) + n * (n + 1), dtype=np.uint8)
+    buf[:len(head)] = np.frombuffer(head, dtype=np.uint8)
+    rows = buf[len(head):].reshape(n, n + 1)
+    rows[:, n] = ord("\n")
+    per = max(1, CHUNK_ENTRIES // n)
+    for lo in range(0, n, per):
+        hi = min(lo + per, n)
+        np.bitwise_or(unpack_rows(t.out, range(lo, hi)), ord("0"), out=rows[lo:hi, :n])
+    return str(buf, "ascii")
 
 
 def _edge_list(lines: Iterable[str]) -> Iterator[Tuple[int, int]]:
@@ -265,9 +281,24 @@ def _edge_list(lines: Iterable[str]) -> Iterator[Tuple[int, int]]:
 def parse_tournament(text: str) -> Tournament:
     """Parse the matrix format or the "n=<N>" edge-list format.
 
-    Edge lines are parsed as `build_tournament` reads them, after its cap
-    check: the first bad line in file order raises, malformed or a bad arc.
+    The layout that `serialize_tournament` writes, an ASCII decimal header
+    and exactly n rows of n '0'/'1' characters, each ending in '\\n', takes
+    the array path of `_canonical_matrix`: O(n^2) time with no step per
+    line, and the encoded text and the n x n bool matrix beside the text.
+    Every other text (CRLF, blank or indented lines, no final newline, a
+    bad cell, a non-ASCII character, an edge list) takes the line path,
+    which strips and splits the lines and raises every syntax error, so
+    both paths give the same tournament or the same error.  Edge lines are
+    parsed as `build_tournament` reads them, after its cap check: the first
+    bad line in file order raises, malformed or a bad arc.
     """
+    a = _canonical_matrix(text)
+    return _parse_lines(text) if a is None else _matrix_tournament(a)
+
+
+def _parse_lines(text: str) -> Tournament:
+    """The line path of `parse_tournament`, the reader of every layout but
+    the canonical one."""
     lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
     if not lines:
         raise TournamentSyntaxError("empty input")
@@ -287,9 +318,40 @@ def parse_tournament(text: str) -> Tournament:
     return _tournament_from_rows(n, lines[1:])
 
 
+def _canonical_matrix(text: str) -> Optional[np.ndarray]:
+    """The n x n bool matrix of a text in the layout that
+    `serialize_tournament` writes, or None for any other text.
+
+    The length is checked against the header's n(n + 1) before anything is
+    allocated.  The text is encoded once and viewed as an (n, n + 1) uint8
+    array, whose rows are checked (n cells of '0' or '1', then '\\n') and
+    copied in blocks of CHUNK_ENTRIES // n rows; a bad block leaves the
+    text to the line path, which names the error.
+    """
+    end = text.find("\n")
+    head = text[:end]
+    if end < 1 or not (text.isascii() and head.isdigit()):
+        return None
+    try:
+        n = int(head)
+    except ValueError:  # more digits than `int` reads: far too long for this text
+        return None
+    if len(text) != end + 1 + n * (n + 1):
+        return None
+    cells = np.frombuffer(text.encode("ascii"), dtype=np.uint8, offset=end + 1).reshape(n, n + 1)
+    a = np.empty((n, n), dtype=np.uint8)
+    per = max(1, CHUNK_ENTRIES // max(n, 1))  # n = 0 has no rows and fails the size check
+    for lo in range(0, n, per):
+        block = cells[lo:lo + per]
+        bits = np.subtract(block[:, :n], ord("0"), out=a[lo:lo + per])
+        if (bits > 1).any() or (block[:, n] != ord("\n")).any():  # below '0' wraps to above 1
+            return None
+    return a.view(bool)
+
+
 def _tournament_from_rows(n: int, rows: Sequence[str]) -> Tournament:
-    """Check and validate n matrix rows in blocks of CHUNK_ENTRIES // n rows
-    and build the tournament.
+    """The line path: check n stripped matrix rows in blocks of
+    CHUNK_ENTRIES // n rows and build the tournament by `_matrix_tournament`.
 
     The first bad row in file order raises `TournamentSyntaxError`, whether
     its length is wrong or it holds a character other than '0' or '1'.
@@ -298,16 +360,8 @@ def _tournament_from_rows(n: int, rows: Sequence[str]) -> Tournament:
     `a` holds only the rows before the first one of the wrong length, each
     n characters of the text, so it is never larger than the text; it is
     n x n once every row has passed, and the size check follows the syntax
-    checks.
-
-    The first error in row-major order is then the one that
-    `build_tournament` finds when fed the '1' cells in that order: a '1' on
-    the diagonal is a loop, a '1' below the diagonal whose mirror is '1'
-    orients its pair twice, and only then does the first pair x < y with
-    two '0's count as missing.  With no loop and no pair oriented twice,
-    the pairs are all covered iff the matrix holds C(n, 2) '1's.  Every
-    check works on a block of rows against the mirrored block of columns,
-    so `a` is the only allocation that grows as n^2.
+    checks.  O(n^2) time plus a step per line to split and strip, and the
+    list of lines and the n x n bool matrix beside the text.
     """
     wrong = next((i for i, row in enumerate(rows) if len(row) != n), len(rows))
     a = np.empty((wrong, n), dtype=bool)
@@ -323,7 +377,25 @@ def _tournament_from_rows(n: int, rows: Sequence[str]) -> Tournament:
         a[lo:hi] = cells.view(bool)
     if wrong < len(rows):
         raise TournamentSyntaxError(f"bad matrix row {rows[wrong]!r}")
+    return _matrix_tournament(a)
+
+
+def _matrix_tournament(a: np.ndarray) -> Tournament:
+    """Validate the n x n bool matrix of either parser path and build the
+    tournament, after the vertex-count check.
+
+    The first error in row-major order is the one that `build_tournament`
+    finds when fed the '1' cells in that order: a '1' on the diagonal is a
+    loop, a '1' below the diagonal whose mirror is '1' orients its pair
+    twice, and only then does the first pair x < y with two '0's count as
+    missing.  With no loop and no pair oriented twice, the pairs are all
+    covered iff the matrix holds C(n, 2) '1's.  Every check works on a
+    block of rows against the mirrored block of columns, so `a` is the only
+    allocation that grows as n^2.
+    """
+    n = len(a)
     _require_size(n)
+    per = max(1, CHUNK_ENTRIES // n)
     for lo in range(0, n, per):
         hi = min(lo + per, n)
         twice = a[lo:hi, :hi] & a[:hi, lo:hi].T  # at (x, x) itself, the loop

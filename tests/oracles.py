@@ -82,6 +82,13 @@ def relabeled(t: Tournament, perm: Sequence[int]) -> Tournament:
     return Tournament(out)
 
 
+def serialize_tournament_format(t: Tournament) -> str:
+    """`serialize_tournament` as it was first written: one `format` per row,
+    reversed so that column y - 1 is vertex y, then one join."""
+    rows = [format(bits, f"0{t.n}b")[::-1] for bits in t.out]
+    return "\n".join([str(t.n)] + rows) + "\n"
+
+
 def backward_pairs(report: BackwardReport) -> Tuple[Tuple[int, int], ...]:
     """The backward arcs (x, y) of a report in lexicographic order, read from
     its row bitsets one bit at a time."""

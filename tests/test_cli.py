@@ -251,6 +251,19 @@ def test_bad_ranking_file_is_input_error(ranking, message, cycle_path, tmp_path,
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("ranking,message", [
+    ("1 1_000\n2 1\n3 2\n", "bad value '1_000'"),
+    ("1 1\n2 \u0661\n3 2\n", "bad value '\u0661'"),
+    ("1_0 1\n", "bad vertex in line '1_0 1'"),
+])
+def test_ranking_label_or_value_off_ascii_decimal_is_input_error(ranking, message, cycle_path, tmp_path,
+                                                                 capsys):
+    r = tmp_path / "r.txt"
+    r.write_text(ranking, encoding="utf-8")
+    assert main(["check", "--in", cycle_path, "--ranking", str(r), "--class", "lin"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("text,message", [
     ("", "empty input"),
     ("n=x\n", "bad header 'n=x'"),

@@ -1,14 +1,15 @@
-"""Memory held and peaked under tracemalloc: tournament construction at
-n = 2000, the spectral check at n = 2000, the weak orders kept at the
-weak-order cap, and the spectral minimizer at its own cap.
+"""Memory held and peaked under tracemalloc: tournament construction and
+text I/O at n = 2000, the spectral check at n = 2000, the weak orders
+kept at the weak-order cap, and the spectral minimizer at its own cap.
 
 Out-sets and backward arcs are int bitsets, about n/8 bytes per vertex, so
 a 2000-vertex tournament and its backward-arc report each hold well under
-2 MB, and parsing its 4 MB matrix text peaks at a few times the text.  A
-check keeps nothing on its arguments; the weak-order minimizer alone keeps
-one int8 level array per n and, for WEAK's loop, one ranking per weak
-order, each with its rank masks (not its keys): 2.80 MB for the 4683 weak
-orders at n = 6.
+2 MB, parsing its 4 MB matrix text peaks at a few times the text, and
+writing it peaks at the text and one buffer of the same size.  A check
+keeps nothing on its arguments; the weak-order minimizer alone keeps one
+int8 level array per n and, for WEAK's loop, one ranking per weak order,
+each with its rank masks (not its keys): 2.80 MB for the 4683 weak orders
+at n = 6.
 
 Every numpy pass works in blocks or chunks of `tournament.CHUNK_ENTRIES`
 entries.  The spectral check does so at every n: it keeps twice that many
@@ -85,6 +86,23 @@ def test_bitset_core_memory_at_n2000():
     assert gen_held < 2 * MB, f"gen_random holds {gen_held / MB:.1f} MB"
     assert parse_peak < 20 * MB, f"parsing peaks {parse_peak / MB:.1f} MB above its text"
     assert report_held < 2 * MB, f"backward_arcs holds {report_held / MB:.1f} MB"
+
+
+def test_serializer_peaks_at_its_buffer_and_text_at_n2000():
+    # the n(n + 1)-byte buffer and the text decoded from it, beside one
+    # block of unpacked rows; the per-row `format` strings and their join
+    # peaked at three times the text
+    t = gen_random(2000, 1)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        text = serialize_tournament(t)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    bound = 2 * t.n * (t.n + 1) + 4 * CHUNK_ENTRIES
+    assert len(text) == len("2000\n") + t.n * (t.n + 1)
+    assert peak < bound, f"serializing peaks at {peak / MB:.2f} MB, bound {bound / MB:.2f} MB"
 
 
 def test_spectral_check_peaks_within_its_chunks_at_n2000():

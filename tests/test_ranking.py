@@ -816,3 +816,24 @@ class TestRankingIO:
     def test_non_finite_rejected(self, raw):
         with pytest.raises(TournamentSyntaxError):
             parse_ranking(f"1 {raw}\n2 1\n")
+
+    @pytest.mark.parametrize("raw", [
+        # `int`, `float` and `Fraction` read '_' digit groups and non-ASCII digits
+        "1_000", "1_0/3", "1_0.5", "1e1_0", "\u0661", "\u0661/3", "\uff11.5", "\U0001d7cf",
+    ])
+    def test_value_must_be_ascii_without_underscores(self, raw):
+        with pytest.raises(TournamentSyntaxError, match=r"^bad value "):
+            parse_ranking(f"1 {raw}\n2 1\n")
+
+    @pytest.mark.parametrize("label", ["1_0", "\u0661", "\uff12"])
+    def test_label_must_be_ascii_without_underscores(self, label):
+        with pytest.raises(TournamentSyntaxError, match=r"^bad vertex in line "):
+            parse_ranking(f"{label} 1\n2 1\n")
+
+    def test_plain_values_keep_their_types(self):
+        # the same numbers in plain ASCII digits: one int stays exact
+        r = parse_ranking("1 1000\n2 10/3\n3 1\n")
+        assert r.is_exact and r.values == {1: 1000, 2: Fraction(10, 3), 3: 1}
+        assert not parse_ranking("1 1000\n2 1e10\n").is_exact
+        # a non-ASCII space between the words separates them, as before
+        assert parse_ranking("1\u00a01000\n2 10/3\n3 1\n") == r

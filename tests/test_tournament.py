@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from fairrank import (
     DuplicateOrConflictError,
+    FairrankError,
     LoopArcError,
     MissingPairError,
     ResourceLimitError,
@@ -23,7 +24,7 @@ from fairrank import (
     scc_decompose,
     serialize_tournament,
 )
-from fairrank.tournament import DEFAULT_VERTEX_CAP
+from fairrank.tournament import CHUNK_ENTRIES, DEFAULT_VERTEX_CAP, _canonical_matrix, _parse_lines
 from oracles import (
     arcs,
     composite_vertex,
@@ -31,6 +32,7 @@ from oracles import (
     induced,
     out_set,
     scc_decompose_tarjan,
+    serialize_tournament_format,
 )
 
 
@@ -337,3 +339,109 @@ class TestTextFormat:
     def test_edge_list_unknown_vertex(self):
         with pytest.raises(UnknownVertexError):
             parse_tournament("n=2\n1 3\n")
+
+
+def _with_row(text, x, edit):
+    """text with row x of the matrix (line x, the header being line 0) edited."""
+    lines = text.split("\n")
+    lines[x] = edit(lines[x])
+    return "\n".join(lines)
+
+
+def _with_cells(text, *cells):
+    """text with the cell in row x and column y set to c, for each (x, y, c)."""
+    for x, y, c in cells:
+        text = _with_row(text, x, lambda row: row[:y - 1] + c + row[y:])
+    return text
+
+
+def _boundary(n):
+    """The last row of the parser's first block of rows (the last row but
+    one when a single block holds them all)."""
+    return min(CHUNK_ENTRIES // n, n - 1)
+
+
+def _body(text):
+    return text[text.index("\n"):]
+
+
+# (id, edit of a canonical text of n rows, whether the result keeps the
+# canonical layout with '0'/'1' cells and so takes the array path)
+PARSER_EDITS = [
+    ("canonical", lambda s, n: s, True),
+    ("crlf", lambda s, n: s.replace("\n", "\r\n"), False),
+    ("trailing-space", lambda s, n: _with_row(s, 2, lambda r: r + " "), False),
+    ("blank-line", lambda s, n: _with_row(s, 1, lambda r: r + "\n"), False),
+    ("indented-line", lambda s, n: _with_row(s, 3, lambda r: "  " + r), False),
+    ("no-final-newline", lambda s, n: s[:-1], False),
+    ("tab-after-row", lambda s, n: _with_row(s, 2, lambda r: r + "\t"), False),
+    ("tab-cell", lambda s, n: _with_cells(s, (2, 3, "\t")), False),
+    ("nbsp-after-row", lambda s, n: _with_row(s, 2, lambda r: r + "\u00a0"), False),
+    ("nbsp-cell", lambda s, n: _with_cells(s, (2, 3, "\u00a0")), False),
+    ("line-separators", lambda s, n: s.replace("\n", "\u2028"), False),
+    ("line-separator-cell", lambda s, n: _with_cells(s, (2, 3, "\u2028")), False),
+    ("cell-2", lambda s, n: _with_cells(s, (n, 1, "2")), False),
+    ("cell-e-acute", lambda s, n: _with_cells(s, (n, 1, "\u00e9")), False),
+    ("short-row", lambda s, n: _with_row(s, 2, lambda r: r[:-1]), False),
+    ("long-row", lambda s, n: _with_row(s, 2, lambda r: r + "0"), False),
+    ("header-leading-zero", lambda s, n: "0" + s, True),
+    ("header-plus", lambda s, n: "+" + s, False),
+    ("header-0", lambda s, n: "0\n", True),
+    ("header-0-over-the-body", lambda s, n: "0" + _body(s), False),
+    ("huge-header", lambda s, n: "1000000" + _body(s), False),
+    ("header-beyond-int-digits", lambda s, n: "9" * 5000 + _body(s), False),
+    ("loop", lambda s, n: _with_cells(s, (_boundary(n) + 1, _boundary(n) + 1, "1")), True),
+    ("twice-at-boundary", lambda s, n: _with_cells(
+        s, (_boundary(n), _boundary(n) + 1, "1"), (_boundary(n) + 1, _boundary(n), "1")), True),
+    ("twice-across-blocks", lambda s, n: _with_cells(s, (1, n, "1"), (n, 1, "1")), True),
+    ("missing-at-boundary", lambda s, n: _with_cells(
+        s, (_boundary(n), _boundary(n) + 1, "0"), (_boundary(n) + 1, _boundary(n), "0")), True),
+    ("missing-across-blocks", lambda s, n: _with_cells(s, (1, n, "0"), (n, 1, "0")), True),
+]
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except (FairrankError, ValueError) as e:  # ValueError: n = 0
+        return type(e), str(e)
+
+
+class TestParserPaths:
+    @pytest.mark.parametrize("n", [6, 400])  # 400 rows are two blocks of rows
+    @pytest.mark.parametrize("edit, canonical", [pytest.param(e, c, id=name) for name, e, c in PARSER_EDITS])
+    def test_array_and_line_paths_agree(self, n, edit, canonical):
+        text = edit(serialize_tournament(gen_random(n, 1)), n)
+        assert (_canonical_matrix(text) is not None) == canonical
+        assert _outcome(parse_tournament, text) == _outcome(_parse_lines, text)
+
+    def test_faults_are_found_across_the_block_boundary(self):
+        n = 400
+        b = _boundary(n)
+        assert b < n - 1
+        s = serialize_tournament(gen_random(n, 1))
+        for name, message in [("loop", f"loop arc ({b + 1},{b + 1})"),
+                              ("twice-at-boundary", f"pair {{{b + 1},{b}}} oriented twice"),
+                              ("twice-across-blocks", f"pair {{{n},1}} oriented twice"),
+                              ("missing-at-boundary", f"pair {{{b},{b + 1}}} has no arc"),
+                              ("missing-across-blocks", f"pair {{1,{n}}} has no arc")]:
+            edit = next(e for e_name, e, _ in PARSER_EDITS if e_name == name)
+            assert _outcome(parse_tournament, edit(s, n))[1] == message, name
+
+
+class TestSerializer:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_the_format_reference(self, seed):
+        for n in range(1, 71):
+            t = gen_random(n, seed)
+            assert serialize_tournament(t) == serialize_tournament_format(t), n
+
+    @pytest.mark.parametrize("n", [1000, 2000])
+    def test_matches_the_format_reference_at_large_n(self, n):
+        t = gen_random(n, 1)
+        assert serialize_tournament(t) == serialize_tournament_format(t)
+
+    @pytest.mark.parametrize("l", range(1, 9))
+    def test_matches_the_format_reference_on_the_families(self, l):
+        for t in (gen_rotational(l), gen_composite(l)):
+            assert serialize_tournament(t) == serialize_tournament_format(t)
