@@ -105,7 +105,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import DomainMismatchError, TournamentSyntaxError
-from .tournament import CHUNK_ENTRIES, Tournament, unpack_rows
+from .tournament import CHUNK_ENTRIES, Tournament, _plain, unpack_rows
 
 Rank = Union[int, float, Fraction]
 
@@ -338,12 +338,9 @@ def _above(key: Sequence[Rank], e: Rank) -> List[int]:
 
     This is the one builder of "ranks above" bitsets: backward arcs and the
     weak axiom read it of the ranks through `_rank_masks`, and the weak
-    axiom of the out-degrees through `_weak_candidates`.  It sorts and
-    walks once, where `_Walk` walks twice to find its positions: when every
-    weak check built its masks, on the 4683 weak orders of 6 vertices, it
-    took 9-16 ms per 4683 calls against 21-32 ms for the walk with masks
-    built from its positions (best of 9 per run, nine runs or more; 2-vCPU
-    Xeon VM, Python 3.11).
+    axiom of the out-degrees through `_weak_candidates`.  One sort and one
+    walk: O(n log n) comparisons, and n mask updates of O(n / 64) words
+    each, O(n^2 / 64) in all.
     """
     order = sorted(range(1, len(key)), key=key.__getitem__)
     above = [0] * len(key)
@@ -761,14 +758,6 @@ def serialize_ranking(r: Ranking) -> str:
     """One "vertex value" pair per line: str() writes a Fraction as p or
     p/q and a float as its repr."""
     return "".join(f"{v} {r[v]}\n" for v in sorted(r.values))
-
-
-def _plain(word: str) -> str:
-    """`word` itself, or ValueError if it holds a '_' or a non-ASCII
-    character, which `int`, `float` and `Fraction` would read as digits."""
-    if "_" in word or not word.isascii():
-        raise ValueError(word)
-    return word
 
 
 def parse_ranking(text: str) -> Ranking:

@@ -269,10 +269,19 @@ def serialize_tournament(t: Tournament) -> str:
     return str(buf, "ascii")
 
 
-def _edge_list(lines: Iterable[str]) -> Iterator[Tuple[int, int]]:
+def _plain(word: str) -> str:
+    """`word` itself, or ValueError if it holds a '_' or a non-ASCII
+    character, which `int`, `float` and `Fraction` would read as digits."""
+    if "_" in word or not word.isascii():
+        raise ValueError(word)
+    return word
+
+
+def _edge_list(lines: Iterable[str], plain: bool) -> Iterator[Tuple[int, int]]:
     for ln in lines:
         try:
-            u, v = map(int, ln.split())  # two integers, or ValueError
+            # two integers, or ValueError
+            u, v = map(int, ln.split() if plain else map(_plain, ln.split()))
         except ValueError:
             raise TournamentSyntaxError(f"bad edge line {ln!r}") from None
         yield u, v
@@ -281,52 +290,74 @@ def _edge_list(lines: Iterable[str]) -> Iterator[Tuple[int, int]]:
 def parse_tournament(text: str) -> Tournament:
     """Parse the matrix format or the "n=<N>" edge-list format.
 
-    The layout that `serialize_tournament` writes, an ASCII decimal header
-    and exactly n rows of n '0'/'1' characters, each ending in '\\n', takes
-    the array path of `_canonical_matrix`: O(n^2) time with no step per
-    line, and the encoded text and the n x n bool matrix beside the text.
-    Every other text (CRLF, blank or indented lines, no final newline, a
-    bad cell, a non-ASCII character, an edge list) takes the line path,
-    which strips and splits the lines and raises every syntax error, so
-    both paths give the same tournament or the same error.  Edge lines are
-    parsed as `build_tournament` reads them, after its cap check: the first
-    bad line in file order raises, malformed or a bad arc.
+    Every matrix cell is read by one reader, `_canonical_matrix`, which
+    takes the layout that `serialize_tournament` writes: an ASCII decimal
+    header and exactly n rows of n '0'/'1' characters, each ending in
+    '\\n'.  Any other text (CRLF, blank or indented lines, no final
+    newline, a bad cell, a non-ASCII character, an edge list) goes to
+    `_parse_lines`, which normalizes a matrix into that layout first, so
+    both give the same tournament or the same error.  The headers and the
+    edge endpoints are ASCII decimals: a '_' digit group or a non-ASCII
+    digit is a syntax error.  Edge lines are parsed as
+    `build_tournament` reads them, after its cap check: the first bad line
+    in file order raises, malformed or a bad arc.
     """
     a = _canonical_matrix(text)
     return _parse_lines(text) if a is None else _matrix_tournament(a)
 
 
 def _parse_lines(text: str) -> Tournament:
-    """The line path of `parse_tournament`, the reader of every layout but
-    the canonical one."""
+    """The normalizer of `parse_tournament`, for every layout but the
+    canonical one.
+
+    It strips and splits the lines, reads the header, and checks the row
+    count.  A matrix is then rebuilt in the canonical layout, the header
+    `str(n)` and each row ending in '\\n', and read by `_canonical_matrix`;
+    only when that fails are the rows scanned for the first one in file
+    order that is not n '0'/'1' cells.  O(n^2) time plus a step per line,
+    and beside the text the list of lines, then a second copy of the text,
+    which `_canonical_matrix` encodes beside the n x n bool matrix.
+    """
     lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
     if not lines:
         raise TournamentSyntaxError("empty input")
     head = lines[0]
     if head.startswith("n="):
         try:
-            n = int(head[2:])
+            n = int(_plain(head[2:]))
         except ValueError:
             raise TournamentSyntaxError(f"bad header {head!r}") from None
-        return build_tournament(n, _edge_list(islice(lines, 1, None)))
+        plain = text.isascii() and "_" not in text  # one scan clears every word of a plain text
+        return build_tournament(n, _edge_list(islice(lines, 1, None), plain))
     try:
-        n = int(head)
+        n = int(_plain(head))
     except ValueError:
         raise TournamentSyntaxError(f"bad vertex count {head!r}") from None
     if len(lines) != n + 1:
         raise TournamentSyntaxError(f"expected {n} matrix rows, found {len(lines) - 1}")
-    return _tournament_from_rows(n, lines[1:])
+    lines[0] = str(n)
+    lines.append("")  # the last row's '\n'; "0\n" for n = 0, which fails the size check
+    text = "\n".join(lines)
+    del lines  # else the lines, the new text and its encoding are all held at once
+    a = _canonical_matrix(text)
+    if a is None:  # a row is bad: the first one in file order that is not n '0'/'1' cells
+        cells = str.maketrans("", "", "01")  # a row of cells alone translates to ""
+        row = next(row for row in text.split("\n")[1:-1] if len(row) != n or row.translate(cells))
+        raise TournamentSyntaxError(f"bad matrix row {row!r}")
+    return _matrix_tournament(a)
 
 
 def _canonical_matrix(text: str) -> Optional[np.ndarray]:
     """The n x n bool matrix of a text in the layout that
-    `serialize_tournament` writes, or None for any other text.
+    `serialize_tournament` writes, or None for any other text: the one
+    reader of matrix cells.
 
     The length is checked against the header's n(n + 1) before anything is
     allocated.  The text is encoded once and viewed as an (n, n + 1) uint8
     array, whose rows are checked (n cells of '0' or '1', then '\\n') and
-    copied in blocks of CHUNK_ENTRIES // n rows; a bad block leaves the
-    text to the line path, which names the error.
+    copied in blocks of CHUNK_ENTRIES // n rows: O(n^2) time with no step
+    per line, and the encoded text and the n x n bool matrix beside the
+    text.  A bad block returns None; `_parse_lines` names the error.
     """
     end = text.find("\n")
     head = text[:end]
@@ -349,40 +380,9 @@ def _canonical_matrix(text: str) -> Optional[np.ndarray]:
     return a.view(bool)
 
 
-def _tournament_from_rows(n: int, rows: Sequence[str]) -> Tournament:
-    """The line path: check n stripped matrix rows in blocks of
-    CHUNK_ENTRIES // n rows and build the tournament by `_matrix_tournament`.
-
-    The first bad row in file order raises `TournamentSyntaxError`, whether
-    its length is wrong or it holds a character other than '0' or '1'.
-    Each block is one string, encoded to one byte per character (a non-ASCII
-    one becomes '?'), so every character check is one array comparison.
-    `a` holds only the rows before the first one of the wrong length, each
-    n characters of the text, so it is never larger than the text; it is
-    n x n once every row has passed, and the size check follows the syntax
-    checks.  O(n^2) time plus a step per line to split and strip, and the
-    list of lines and the n x n bool matrix beside the text.
-    """
-    wrong = next((i for i, row in enumerate(rows) if len(row) != n), len(rows))
-    a = np.empty((wrong, n), dtype=bool)
-    per = max(1, CHUNK_ENTRIES // max(n, 1))  # n = 0 has no rows and fails the size check
-    for lo in range(0, wrong, per):
-        hi = min(lo + per, wrong)
-        block = "".join(rows[lo:hi]).encode("ascii", "replace")
-        cells = np.frombuffer(block, dtype=np.uint8).reshape(hi - lo, n) - ord("0")
-        bad = (cells > 1).any(axis=1)  # below '0' wraps around to above 1
-        if bad.any():
-            wrong = lo + int(np.argmax(bad))
-            break
-        a[lo:hi] = cells.view(bool)
-    if wrong < len(rows):
-        raise TournamentSyntaxError(f"bad matrix row {rows[wrong]!r}")
-    return _matrix_tournament(a)
-
-
 def _matrix_tournament(a: np.ndarray) -> Tournament:
-    """Validate the n x n bool matrix of either parser path and build the
-    tournament, after the vertex-count check.
+    """Validate the n x n bool matrix that `_canonical_matrix` reads and
+    build the tournament, after the vertex-count check.
 
     The first error in row-major order is the one that `build_tournament`
     finds when fed the '1' cells in that order: a '1' on the diagonal is a

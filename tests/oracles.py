@@ -3,22 +3,24 @@
 import math
 import operator
 import random
+import re
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cache, partial
-from itertools import permutations
+from itertools import islice, permutations
 from operator import le
 from typing import (Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional,
                     Sequence, Tuple)
 
 import numpy as np
 
-from fairrank import fixpoint
+from fairrank import build_tournament, fixpoint
 from fairrank.errors import (
     EmptyClassError,
     NoConvergenceError,
     NotStronglyConnectedError,
     ResourceLimitError,
+    TournamentSyntaxError,
     UnknownVertexError,
 )
 from fairrank.fixpoint import PerronResult
@@ -38,7 +40,8 @@ from fairrank.ranking import (
     Ranking,
     is_fair,
 )
-from fairrank.tournament import Tournament, _from_matrix, _score_components, enumerate_all
+from fairrank.tournament import (CHUNK_ENTRIES, Tournament, _from_matrix, _matrix_tournament,
+                                 _score_components, enumerate_all)
 
 # -- adjacency, decoded bit by bit ---------------------------------------
 
@@ -87,6 +90,78 @@ def serialize_tournament_format(t: Tournament) -> str:
     reversed so that column y - 1 is vertex y, then one join."""
     rows = [format(bits, f"0{t.n}b")[::-1] for bits in t.out]
     return "\n".join([str(t.n)] + rows) + "\n"
+
+
+def _decimal(word: str) -> int:
+    """int(word) for an ASCII decimal alone, whitespace around it allowed:
+    `int` would also read '_' digit groups and non-ASCII digits."""
+    if not (word.isascii() and re.fullmatch(r"[+-]?[0-9]+", word.strip())):
+        raise ValueError(word)
+    return int(word)
+
+
+def parse_tournament_lines(text: str) -> Tournament:
+    """`parse_tournament` as its line path read every text before one
+    reader served all matrix cells: the stripped, non-blank lines, then
+    the header, then the matrix rows checked in blocks of their own by
+    `_tournament_from_rows`.  Integers are read by `_decimal`."""
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
+    if not lines:
+        raise TournamentSyntaxError("empty input")
+    head = lines[0]
+    if head.startswith("n="):
+        try:
+            n = _decimal(head[2:])
+        except ValueError:
+            raise TournamentSyntaxError(f"bad header {head!r}") from None
+        return build_tournament(n, _edge_list(islice(lines, 1, None)))
+    try:
+        n = _decimal(head)
+    except ValueError:
+        raise TournamentSyntaxError(f"bad vertex count {head!r}") from None
+    if len(lines) != n + 1:
+        raise TournamentSyntaxError(f"expected {n} matrix rows, found {len(lines) - 1}")
+    return _tournament_from_rows(n, lines[1:])
+
+
+def _edge_list(lines: Iterable[str]) -> Iterator[Tuple[int, int]]:
+    for ln in lines:
+        try:
+            u, v = map(_decimal, ln.split())  # two integers, or ValueError
+        except ValueError:
+            raise TournamentSyntaxError(f"bad edge line {ln!r}") from None
+        yield u, v
+
+
+def _tournament_from_rows(n: int, rows: Sequence[str]) -> Tournament:
+    """The line path: check n stripped matrix rows in blocks of
+    CHUNK_ENTRIES // n rows and build the tournament by `_matrix_tournament`.
+
+    The first bad row in file order raises `TournamentSyntaxError`, whether
+    its length is wrong or it holds a character other than '0' or '1'.
+    Each block is one string, encoded to one byte per character (a non-ASCII
+    one becomes '?'), so every character check is one array comparison.
+    `a` holds only the rows before the first one of the wrong length, each
+    n characters of the text, so it is never larger than the text; it is
+    n x n once every row has passed, and the size check follows the syntax
+    checks.  O(n^2) time plus a step per line to split and strip, and the
+    list of lines and the n x n bool matrix beside the text.
+    """
+    wrong = next((i for i, row in enumerate(rows) if len(row) != n), len(rows))
+    a = np.empty((wrong, n), dtype=bool)
+    per = max(1, CHUNK_ENTRIES // max(n, 1))  # n = 0 has no rows and fails the size check
+    for lo in range(0, wrong, per):
+        hi = min(lo + per, wrong)
+        block = "".join(rows[lo:hi]).encode("ascii", "replace")
+        cells = np.frombuffer(block, dtype=np.uint8).reshape(hi - lo, n) - ord("0")
+        bad = (cells > 1).any(axis=1)  # below '0' wraps around to above 1
+        if bad.any():
+            wrong = lo + int(np.argmax(bad))
+            break
+        a[lo:hi] = cells.view(bool)
+    if wrong < len(rows):
+        raise TournamentSyntaxError(f"bad matrix row {rows[wrong]!r}")
+    return _matrix_tournament(a)
 
 
 def backward_pairs(report: BackwardReport) -> Tuple[Tuple[int, int], ...]:

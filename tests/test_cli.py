@@ -270,10 +270,19 @@ def test_ranking_label_or_value_off_ascii_decimal_is_input_error(ranking, messag
     ("3\n011\n", "expected 3 matrix rows, found 1"),
     ("0\n", "n must be positive"),
     ("n=0\n", "n must be positive"),
+    # headers and arc endpoints are ASCII decimals
+    pytest.param("n=1_0\n" + "".join(f"{x} {y}\n" for x in range(1, 11) for y in range(x + 1, 11)),
+                 "bad header 'n=1_0'", id="header-underscore"),
+    pytest.param("n=\u0663\n1 2\n2 3\n3 1\n", "bad header 'n=\u0663'", id="header-arabic-digit"),
+    pytest.param("n=3\n1 2\n3 0_1\n2 3\n", "bad edge line '3 0_1'", id="endpoint-underscore"),
+    pytest.param("n=3\n1 2\n\u0663 1\n2 3\n", "bad edge line '\u0663 1'", id="endpoint-arabic-digit"),
+    pytest.param("n=3\n1 2\n3 \uff11\n2 3\n", "bad edge line '3 \uff11'", id="endpoint-fullwidth-digit"),
+    pytest.param("0_3\n011\n001\n000\n", "bad vertex count '0_3'", id="count-underscore"),
+    pytest.param("\u0663\n011\n001\n000\n", "bad vertex count '\u0663'", id="count-arabic-digit"),
 ])
 def test_bad_tournament_file_is_input_error(text, message, tmp_path, capsys):
     t = tmp_path / "t.txt"
-    t.write_text(text)
+    t.write_text(text, encoding="utf-8")
     assert main(["rank", "--in", str(t), "--method", "copeland"]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
 

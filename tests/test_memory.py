@@ -88,6 +88,24 @@ def test_bitset_core_memory_at_n2000():
     assert report_held < 2 * MB, f"backward_arcs holds {report_held / MB:.1f} MB"
 
 
+def test_line_path_peaks_within_three_and_a_quarter_texts_at_n2000():
+    # a space before every '\n' sends the text to the line path: its lines,
+    # then the rebuilt canonical text, then that text encoded beside the
+    # n x n matrix (measured 3.03 texts; the array path 2.03, and one more
+    # copy of the text fails the bound)
+    t = gen_random(2000, 1)
+    text = serialize_tournament(t).replace("\n", " \n")
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        parsed = parse_tournament(text)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert parsed == t
+    assert peak < 3.25 * len(text), f"the line path peaks at {peak / len(text):.2f} texts"
+
+
 def test_serializer_peaks_at_its_buffer_and_text_at_n2000():
     # the n(n + 1)-byte buffer and the text decoded from it, beside one
     # block of unpacked rows; the per-row `format` strings and their join

@@ -31,6 +31,7 @@ from oracles import (
     gen_random_listcomp,
     induced,
     out_set,
+    parse_tournament_lines,
     scc_decompose_tarjan,
     serialize_tournament_format,
 )
@@ -324,6 +325,27 @@ class TestTextFormat:
         with pytest.raises(LoopArcError):
             parse_tournament("2\n11\n00\n")
 
+    # `int` reads '_' digit groups and non-ASCII digits; the headers and the
+    # edge endpoints are ASCII decimals, as ranking labels and values are
+    @pytest.mark.parametrize("text, message", [
+        pytest.param("n=1_0\n" + "".join(f"{x} {y}\n" for x in range(1, 11) for y in range(x + 1, 11)),
+                     "bad header 'n=1_0'", id="header-underscore"),
+        pytest.param("n=\u0663\n1 2\n2 3\n3 1\n", "bad header 'n=\u0663'", id="header-arabic-digit"),
+        pytest.param("n=3\n1 2\n3 0_1\n2 3\n", "bad edge line '3 0_1'", id="endpoint-underscore"),
+        pytest.param("n=3\n1 2\n\u0663 1\n2 3\n", "bad edge line '\u0663 1'", id="endpoint-arabic-digit"),
+        pytest.param("n=3\n1 2\n3 \uff11\n2 3\n", "bad edge line '3 \uff11'", id="endpoint-fullwidth-digit"),
+        pytest.param("0_3\n011\n001\n000\n", "bad vertex count '0_3'", id="count-underscore"),
+        pytest.param("\u0663\n011\n001\n000\n", "bad vertex count '\u0663'", id="count-arabic-digit"),
+    ])
+    def test_integer_off_ascii_decimal_is_syntax_error(self, text, message):
+        assert _outcome(parse_tournament, text) == (TournamentSyntaxError, message)
+        assert _outcome(parse_tournament_lines, text) == (TournamentSyntaxError, message)
+
+    @pytest.mark.parametrize("text", ["+3\n011\n001\n000\n", "n=+3\n1 2\n1 3\n2 3\n",
+                                      "n=3\n1\u00a02\n1 3\n2 3\n"])
+    def test_signed_headers_and_non_ascii_spaces_stay_legal(self, text):
+        assert arcs(parse_tournament(text)) == [(1, 2), (1, 3), (2, 3)]
+
     @pytest.mark.parametrize("text, error", [
         # edge lines are read in file order: the first bad one decides
         ("n=4\n1 2\n2 1\n1 3\nx y\n", DuplicateOrConflictError),
@@ -413,7 +435,9 @@ class TestParserPaths:
     def test_array_and_line_paths_agree(self, n, edit, canonical):
         text = edit(serialize_tournament(gen_random(n, 1)), n)
         assert (_canonical_matrix(text) is not None) == canonical
-        assert _outcome(parse_tournament, text) == _outcome(_parse_lines, text)
+        expected = _outcome(parse_tournament_lines, text)
+        assert _outcome(parse_tournament, text) == expected
+        assert _outcome(_parse_lines, text) == expected
 
     def test_faults_are_found_across_the_block_boundary(self):
         n = 400
