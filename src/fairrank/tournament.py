@@ -277,11 +277,10 @@ def _plain(word: str) -> str:
     return word
 
 
-def _edge_list(lines: Iterable[str], plain: bool) -> Iterator[Tuple[int, int]]:
+def _edge_list(lines: Iterable[str]) -> Iterator[Tuple[int, int]]:
     for ln in lines:
         try:
-            # two integers, or ValueError
-            u, v = map(int, ln.split() if plain else map(_plain, ln.split()))
+            u, v = map(int, map(_plain, ln.split()))  # two integers, or ValueError
         except ValueError:
             raise TournamentSyntaxError(f"bad edge line {ln!r}") from None
         yield u, v
@@ -324,11 +323,10 @@ def _parse_lines(text: str) -> Tournament:
     head = lines[0]
     if head.startswith("n="):
         try:
-            n = int(_plain(head[2:]))
+            n = int(_plain(head[2:].strip()))
         except ValueError:
             raise TournamentSyntaxError(f"bad header {head!r}") from None
-        plain = text.isascii() and "_" not in text  # one scan clears every word of a plain text
-        return build_tournament(n, _edge_list(islice(lines, 1, None), plain))
+        return build_tournament(n, _edge_list(islice(lines, 1, None)))
     try:
         n = int(_plain(head))
     except ValueError:
@@ -340,11 +338,18 @@ def _parse_lines(text: str) -> Tournament:
     text = "\n".join(lines)
     del lines  # else the lines, the new text and its encoding are all held at once
     a = _canonical_matrix(text)
-    if a is None:  # a row is bad: the first one in file order that is not n '0'/'1' cells
-        cells = str.maketrans("", "", "01")  # a row of cells alone translates to ""
-        row = next(row for row in text.split("\n")[1:-1] if len(row) != n or row.translate(cells))
-        raise TournamentSyntaxError(f"bad matrix row {row!r}")
-    return _matrix_tournament(a)
+    if a is not None:
+        return _matrix_tournament(a)
+    # a row is bad: the first one in file order that is not n '0'/'1' cells,
+    # found by walking the rows in place, with no list of them built
+    cells = str.maketrans("", "", "01")  # a row of cells alone translates to ""
+    end = text.find("\n")
+    for _ in range(n):
+        start, end = end + 1, text.find("\n", end + 1)
+        row = text[start:end]
+        if len(row) != n or row.translate(cells):
+            break
+    raise TournamentSyntaxError(f"bad matrix row {row!r}")
 
 
 def _canonical_matrix(text: str) -> Optional[np.ndarray]:

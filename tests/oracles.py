@@ -95,7 +95,8 @@ def serialize_tournament_format(t: Tournament) -> str:
 def _decimal(word: str) -> int:
     """int(word) for an ASCII decimal alone, whitespace around it allowed:
     `int` would also read '_' digit groups and non-ASCII digits."""
-    if not (word.isascii() and re.fullmatch(r"[+-]?[0-9]+", word.strip())):
+    word = word.strip()
+    if not (word.isascii() and re.fullmatch(r"[+-]?[0-9]+", word)):
         raise ValueError(word)
     return int(word)
 

@@ -342,9 +342,11 @@ class TestTextFormat:
         assert _outcome(parse_tournament_lines, text) == (TournamentSyntaxError, message)
 
     @pytest.mark.parametrize("text", ["+3\n011\n001\n000\n", "n=+3\n1 2\n1 3\n2 3\n",
-                                      "n=3\n1\u00a02\n1 3\n2 3\n"])
+                                      "n=3\n1\u00a02\n1 3\n2 3\n", "n=\u00a03\n1 2\n1 3\n2 3\n",
+                                      "\u00a03\n011\n001\n000\n"])
     def test_signed_headers_and_non_ascii_spaces_stay_legal(self, text):
         assert arcs(parse_tournament(text)) == [(1, 2), (1, 3), (2, 3)]
+        assert arcs(parse_tournament_lines(text)) == [(1, 2), (1, 3), (2, 3)]
 
     @pytest.mark.parametrize("text, error", [
         # edge lines are read in file order: the first bad one decides
