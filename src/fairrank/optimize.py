@@ -15,9 +15,10 @@ minimized by one DP over the set of vertices already placed (Held and
 Karp, 1962), up to INJECTIVE_SEARCH_CAP vertices, in one numpy pass per
 placed-set size: all sets of one size are columns, all next vertices rows,
 and each set keeps its least (count, levels) in two int64 keys, the count
-and the first levels in one, the other levels in the second, compared in
-that order, so no Python step runs per set.  `min_backward_injective` and
-`min_backward_fair(t, INJ)` both run it and report the same witness.
+and the first levels in one, the other levels, from n = 15 on, in the
+second, compared in that order, so no Python step runs per set.
+`min_backward_injective` and `min_backward_fair(t, INJ)` both run it and
+report the same witness.
 WEAK and LIN search the weak orders up to WEAK_ORDER_CAP, SPEC up to
 SPEC_ORDER_CAP.  The backward counts of all of them come first, from one
 array of their levels, and the witness is the first fair order in
@@ -49,9 +50,11 @@ an exact ranking of its int levels with its "ranks above" masks
 no sort is built per candidate, and only the reported witness holds
 Fractions.  What the weak axiom derives from the tournament alone, the
 candidates whose out-sets hold a vertex's, is kept on the tournament
-before the sweep (`ranking._keep_weak_candidates`), so the per-candidate
-cost is one AND per vertex that has such a candidate.  These are the only
-data that any check reads back: every other check builds its masks and
+before the sweep (`ranking._keep_weak_candidates`).  The weak branch of
+`is_fair` reads both straight off the ranking and the tournament, and
+calls no helper to build them, so the per-candidate cost is one call and
+one AND per vertex that has such a candidate.  These are the only data
+that any check reads back: every other check builds its masks and
 candidates per call (see `ranking`).
 """
 
@@ -213,10 +216,11 @@ def _least_injective_order(t: Tournament) -> Ranking:
     The pack takes bit_length(C(n, 2)) + n * width bits, 87 at n = 16, so
     it is split into two int64 keys at a 63-bit boundary: key0 holds the
     count above the fields of vertices 1..h, with h as large as that
-    allows, and key1 the fields of vertices h + 1..n (none below n = 15).
-    The least key0, then the least key1 among its ties, is the least pack,
-    and each key adds on its own, since no field carries.  key1 fits its
-    63 bits up to n = 23, above the cap.
+    allows, and key1 the fields of vertices h + 1..n; its pass runs only
+    when h < n, from n = 15 on, and below that key1 stays 0 and is not
+    read.  The least key0, then the least key1 among its ties, is the least
+    pack, and each key adds on its own, since no field carries.  key1 fits
+    its 63 bits up to n = 23, above the cap.
     """
     if t.n > INJECTIVE_SEARCH_CAP:
         raise ResourceLimitError(f"permutation search capped at n <= {INJECTIVE_SEARCH_CAP}")
@@ -240,7 +244,7 @@ def _least_injective_order(t: Tournament) -> Ranking:
     per = CHUNK_ENTRIES // n
     for k in range(n - 1, -1, -1):
         layer = np.flatnonzero(sizes == k)
-        lift0, lift1 = (k + 1) * field0, (k + 1) * field1
+        lift0 = (k + 1) * field0
         for start in range(0, len(layer), per):
             s = layer[start:start + per]
             after = s | bits
@@ -249,11 +253,12 @@ def _least_injective_order(t: Tournament) -> Ranking:
             cand0 += lift0
             np.copyto(cand0, top, where=after == s)
             least0 = cand0.min(axis=0)
-            cand1 = key1.take(after)
-            cand1 += lift1
-            np.copyto(cand1, top, where=cand0 != least0)
             key0[s] = least0
-            key1[s] = cand1.min(axis=0)
+            if h < n:  # key1 holds the fields of h + 1..n, from n = 15 on
+                cand1 = key1.take(after)
+                cand1 += (k + 1) * field1
+                np.copyto(cand1, top, where=cand0 != least0)
+                key1[s] = cand1.min(axis=0)
     first, rest, mask = int(key0[0]), int(key1[0]), (1 << width) - 1
     return Ranking.exact({y: (first >> width * (h - y) if y <= h else rest >> width * (n - y)) & mask
                           for y in t.vertices()})
@@ -354,7 +359,7 @@ def min_backward_fair(t: Tournament, c: FairnessClass) -> MinBackwardResult:
         rankings = _weak_rankings(t.n)
         _keep_weak_candidates(t)
         for i in order.tolist():
-            if is_fair(t, rankings[i], c) and best is None:
+            if is_fair(t, rankings[i], c).certificate is None and best is None:
                 best = rankings[i]
     else:
         per = CHUNK_ENTRIES // (t.n * t.n)

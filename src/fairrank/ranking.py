@@ -22,8 +22,9 @@ masks of n vertices hold about n^2 / 8 bytes, as many as the out-sets.
 Only the weak-order minimizer, which checks the same rankings on every
 tournament of their size, keeps them: `_level_rankings` builds its
 rankings with their masks, from one compare of their levels, and a
-ranking's read-only values never make them stale, so later checks read
-them back without a lookup, a key or a sort.  A float ranking keys on
+ranking's read-only values never make them stale, so a weak check on a
+tournament of that size reads them back without a lookup, a key or a
+sort.  The backward-arc report builds its own.  A float ranking keys on
 its values with e = eps.  An exact ranking keys on its values times the
 LCM of their denominators, Python ints in the same ratios, with e = 0; a
 ranking is exact iff every value has a denominator, the one rule that
@@ -87,9 +88,12 @@ outscore it (`_weak_candidates`).  Both take one sort of the out-degrees
 and are built per call, bar the candidates in the weak-order minimizer:
 it keeps on the tournament (`_keep_weak_candidates`), before it checks
 its thousands of rankings, only the candidates whose out-set holds x's,
-so inclusion is tested once per tournament, and a weak check there is
-one AND with the kept rank mask per vertex that has such a candidate.
-The spectral axiom reads none of it.
+so inclusion is tested once per tournament.  The weak branch of `is_fair`
+reads the kept state itself, `Ranking._masks` when it has t.n + 1
+entries and `Tournament._weak` when it is set, and calls `_rank_masks`
+or `_weak_candidates` only for what is absent; so a weak check in the
+sweep makes no helper call and is one AND with the kept rank mask per
+vertex that has such a candidate.  The spectral axiom reads none of it.
 """
 
 from __future__ import annotations
@@ -292,31 +296,23 @@ def _keys(t: Tournament, r: Ranking) -> Tuple[Tuple[Rank, ...], Rank]:
     return key, e
 
 
-def _rank_masks(t: Tournament, r: Ranking) -> Sequence[int]:
+def _rank_masks(t: Tournament, r: Ranking) -> List[int]:
     """`_above` of r's keys, indexed by vertex from 1: masks[x] is the
-    bitset of the y that rank above x.
-
-    The masks that `_level_rankings` kept on r depend on its values alone,
-    which are read-only, and were built for a domain of 1..n: a tournament
-    on n vertices reads them back without a lookup.  Any other n, and any
-    ranking without kept masks, builds them per call through `_keys`,
+    bitset of the y that rank above x.  Built per call through `_keys`,
     whose domain, nan and float-range checks raise first; nothing is kept.
-    """
-    masks = r._masks
-    if masks is None or len(masks) - 1 != t.n:
-        masks = _above(*_keys(t, r))
-    return masks
+    Only the weak check reads masks that `_level_rankings` kept instead."""
+    return _above(*_keys(t, r))
 
 
 def _level_rankings(levels: np.ndarray) -> Tuple[Ranking, ...]:
     """The exact ranking of each column of levels, an (n, orders) int
     array with n <= 8, vertex v at the int levels[v - 1, i], with its rank
-    masks kept on it for `_rank_masks`: the weak-order minimizer checks
-    each such ranking on every tournament of its size.  Ints are their own
-    keys, with e = 0, by the exact-key rule of `_keys`, so y ranks above x
-    iff levels[y - 1] > levels[x - 1]: one compare of every (x, y) pair of
-    every column, packed little-endian along y, gives every mask, which are
-    the masks that `_above` builds."""
+    masks kept on it for `is_fair`'s weak check: the weak-order minimizer
+    checks each such ranking on every tournament of its size.  Ints are
+    their own keys, with e = 0, by the exact-key rule of `_keys`, so y
+    ranks above x iff levels[y - 1] > levels[x - 1]: one compare of every
+    (x, y) pair of every column, packed little-endian along y, gives every
+    mask, which are the masks that `_above` builds."""
     n = levels.shape[0]
     above = np.packbits(levels[None] > levels[:, None], axis=1, bitorder="little")
     rankings = []
@@ -402,16 +398,13 @@ class _Walk:
 
 def _weak_candidates(t: Tournament) -> List[Tuple[int, int, int]]:
     """(x, out-set of x, the y that beat x and outscore x) for each x that
-    has any such y, in ascending x, built per call and kept nowhere; or
-    those that `_keep_weak_candidates` kept on t, the y among them whose
-    out-set holds x's.  The y that outscore x are `_above` of the
-    out-degrees with e = 0: they are ints, which differ by 0 or by at least
-    1, so e = 0 serves every e < 1."""
-    weak = t._weak
-    if weak is None:
-        outscore = _above([0, *map(int.bit_count, t.out)], 0)
-        weak = [(x, ox, y) for x, ox in enumerate(t.out, start=1) if (y := outscore[x] & ~ox)]
-    return weak
+    has any such y, in ascending x, built per call and kept nowhere.  The
+    y that outscore x are `_above` of the out-degrees with e = 0: they are
+    ints, which differ by 0 or by at least 1, so e = 0 serves every e < 1.
+    Only the weak check reads those that `_keep_weak_candidates` kept
+    instead."""
+    outscore = _above([0, *map(int.bit_count, t.out)], 0)
+    return [(x, ox, y) for x, ox in enumerate(t.out, start=1) if (y := outscore[x] & ~ox)]
 
 
 def _keep_weak_candidates(t: Tournament) -> None:
@@ -494,9 +487,15 @@ def is_fair(t: Tournament, r: Ranking, c: FairnessClass) -> FairnessVerdict:
     if c is _WEAK:
         # x+ ⊆ y+ forces y -> x, since x -> y would put y in y+, and then
         # y+ holds x+ and x, so deg(y) > deg(x): only the y that beat x,
-        # outscore x and do not rank above x can break the axiom
-        above, out = _rank_masks(t, r), t.out
-        for x, ox, beat in _weak_candidates(t):
+        # outscore x and do not rank above x can break the axiom.  The
+        # weak-order sweep kept both the rank masks, for a domain of 1..n,
+        # and the candidates; any other call builds what was not kept
+        above, weak, out = r._masks, t._weak, t.out
+        if above is None or len(above) != t.n + 1:
+            above = _rank_masks(t, r)
+        if weak is None:
+            weak = _weak_candidates(t)
+        for x, ox, beat in weak:
             candidates = beat & ~above[x]
             while candidates:
                 b = candidates & -candidates

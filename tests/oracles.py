@@ -38,7 +38,6 @@ from fairrank.ranking import (
     FairnessVerdict,
     Rank,
     Ranking,
-    is_fair,
 )
 from fairrank.tournament import (CHUNK_ENTRIES, Tournament, _from_matrix, _matrix_tournament,
                                  _score_components, enumerate_all)
@@ -209,13 +208,16 @@ def comparators(r: Ranking) -> Comparators:
 def linear_sums(t: Tournament, r: Ranking) -> Dict[int, Rank]:
     """Sum of ranks over each vertex's out-neighborhood, in ascending vertex order.
 
-    Exact ranks sum as Fractions.  Float ranks are added one at a time from
-    0.0, each add rounded, in a loop rather than with builtin `sum`, which
-    compensates float sums from Python 3.12 on: the reference means the
-    same on every Python.
+    Exact ranks sum as Fractions, or, when every denominator is 1, as the
+    ints of their numerators in any order: equal sums without a Fraction
+    add.  Float ranks are added one at a time from 0.0, each add rounded,
+    in a loop rather than with builtin `sum`, which compensates float sums
+    from Python 3.12 on: the reference means the same on every Python.
     """
     r.require_domain(t)
     if r.is_exact:
+        if all(v.denominator == 1 for v in r.values.values()):
+            return {x: sum(int(r[z].numerator) for z in out_set(t, x)) for x in t.vertices()}
         return {x: sum((r[z] for z in sorted(out_set(t, x))), Fraction(0)) for x in t.vertices()}
     sums = {}
     for x in t.vertices():
@@ -545,17 +547,11 @@ def min_backward_fair_blocks(t: Tournament, c: FairnessClass) -> MinBackwardResu
     ranking per partition; ties go to the least rank tuple in vertex order.
 
     Counts are `backward_arcs_pairs`.  SPEC is decided by the list walk
-    `spectral_verdict_lists` and every class but LIN by the pair scan
-    `is_fair_pairs`, none of which reads the library's predicates.  LIN
-    is decided by the library's `is_fair`: the pair scan sums Fractions,
-    0.5 s against 0.2 s over the 4683 weak orders of one n = 6
-    tournament, and tests/test_ranking.py::TestLinearOutSums checks the
-    library's LIN verdict against the pair scan on its own, on every weak
-    order of three n = 6 tournaments."""
-    if c is FairnessClass.SPEC:
-        fair = spectral_verdict_lists
-    else:
-        fair = partial(is_fair if c is FairnessClass.LIN else is_fair_pairs, c=c)
+    `spectral_verdict_lists` and every other class by the pair scan
+    `is_fair_pairs`, LIN included, whose out-sums of these integer levels
+    are int sums (`linear_sums`): the loop reads none of the library's
+    predicates."""
+    fair = spectral_verdict_lists if c is FairnessClass.SPEC else partial(is_fair_pairs, c=c)
     best: Optional[Tuple[int, Tuple[Fraction, ...], Ranking]] = None
     for r in weak_order_rankings(t.n):
         if not fair(t, r):

@@ -664,6 +664,40 @@ class TestPerCallPaths:
             for t in tournaments:
                 assert is_fair(t, r, FC.WEAK) == is_fair_pairs(t, r, FC.WEAK), (t.out, dict(r.values))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_kept_and_built_combination_matches_the_pair_scan(self, n):
+        # the weak check reads masks kept (`_weak_rankings`) or built (an
+        # equal ranking of the same values), and candidates kept
+        # (`_keep_weak_candidates`) or built (an equal tournament of the same
+        # out-sets): each of the four pairs gives the pair scan's verdict
+        for t in enumerate_all(n):
+            kept_t, built_t = Tournament(t.out), Tournament(t.out)
+            _keep_weak_candidates(kept_t)
+            for kept_r in _weak_rankings(n):
+                built_r = Ranking(dict(kept_r.values))
+                expected = is_fair_pairs(t, kept_r, FC.WEAK)
+                for tt in (kept_t, built_t):
+                    for r in (kept_r, built_r):
+                        assert is_fair(tt, r, FC.WEAK) == expected, (t.out, dict(r.values))
+            assert built_t._weak is None and kept_t._weak is not None
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_kept_masks_of_another_size_are_a_domain_mismatch(self, n):
+        # masks kept for 1..4 serve a tournament on 4 vertices only: on 3 or
+        # 5 the check builds them per call, whose domain check raises,
+        # whether the tournament's candidates are kept or built
+        message = f"ranking domain [1, 2, 3, 4] does not match 1..{n}"
+        built_t, kept_t = gen_random(n, 1), gen_random(n, 1)
+        _keep_weak_candidates(kept_t)
+        for r in _weak_rankings(4):
+            for t in (built_t, kept_t):
+                with pytest.raises(DomainMismatchError) as exc:
+                    is_fair(t, r, FC.WEAK)
+                assert str(exc.value) == message
+                with pytest.raises(DomainMismatchError) as exc:
+                    backward_arcs(t, r)
+                assert str(exc.value) == message
+
 
 class TestKeptKeys:
     # a check keeps nothing on its arguments: a ranking keeps rank masks
