@@ -129,13 +129,15 @@ def cmd_rank(args) -> int:
     r = copeland_ranking(t) if result is None else result.ranking
     report = backward_arcs(t, r)
     _write(args.out, serialize_ranking(r))
-    print(f"method={args.method} bw={frac_str(report.fraction)}")
+    # the summary keeps out of a data stream on stdout, as gen's does
+    log = sys.stderr if "-" in (args.out, args.json_report) else sys.stdout
+    print(f"method={args.method} bw={frac_str(report.fraction)}", file=log)
     for comp in () if result is None else result.components:
         if len(comp.ranking) == 1:
-            print(f"  component {list(comp.vertices)}: singleton")
+            print(f"  component {list(comp.vertices)}: singleton", file=log)
         else:
             print(f"  component {list(comp.vertices)}: lambda={comp.eigenvalue:.9f} "
-                  f"residual={comp.residual:.3e}")
+                  f"residual={comp.residual:.3e}", file=log)
     if args.json_report:
         _write(args.json_report, json.dumps(linear_fair_json(result), indent=2) + "\n")
     return EXIT_OK

@@ -46,14 +46,16 @@ insertion in numpy and kept: 28 KB at n = 6, 0.33 MB at n = 7 and 4.4 MB
 at n = 8, whose build peaks at 17 MB under tracemalloc.  Only WEAK's loop
 reads rankings, built once per n from the array (`_weak_rankings`), each
 an exact ranking of its int levels with its "ranks above" masks
-(`ranking._level_rankings`), 2.80 MB at n = 6; so no Fraction, no key and
-no sort is built per candidate, and only the reported witness holds
-Fractions.  What the weak axiom derives from the tournament alone, the
-candidates whose out-sets hold a vertex's, is kept on the tournament
-before the sweep (`ranking._keep_weak_candidates`).  The weak branch of
-`is_fair` reads both straight off the ranking and the tournament, and
-calls no helper to build them, so the per-candidate cost is one call and
-one AND per vertex that has such a candidate.  These are the only data
+(`ranking._level_rankings`), 2.80 MB at n = 6.  The masks come from
+`ranking._above`, the one builder of such masks, run on each order's
+levels once per n; so no Fraction, no key and no sort is built per
+candidate, and only the reported witness holds Fractions.  What the weak
+axiom derives from the tournament alone, the candidates whose out-sets
+hold a vertex's, is kept on the tournament before the sweep
+(`ranking._keep_weak_candidates`).  The weak branch of `is_fair` reads
+both straight off the ranking and the tournament, and calls no helper to
+build them, so the per-candidate cost is one call and one AND per vertex
+that has such a candidate.  These are the only data
 that any check reads back: every other check builds its masks and
 candidates per call (see `ranking`).
 """

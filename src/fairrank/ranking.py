@@ -15,16 +15,17 @@ Every predicate and the backward-arc report compare through one rule on
 per-vertex keys: x ranks below y iff key[y] - key[x] > e.  The keys come
 from one lookup per vertex, which also decides the domain: n lookups that
 hit, in a ranking of n labels, mean that the labels are 1..n.  The keys,
-and the "ranks above" masks (`_rank_masks`) that the weak axiom and the
-backward-arc report read, are built per call: a check keeps nothing on
-its arguments.  Each mask is an int as wide as its highest label, so the
-masks of n vertices hold about n^2 / 8 bytes, as many as the out-sets.
-Only the weak-order minimizer, which checks the same rankings on every
-tournament of their size, keeps them: `_level_rankings` builds its
-rankings with their masks, from one compare of their levels, and a
-ranking's read-only values never make them stale, so a weak check on a
-tournament of that size reads them back without a lookup, a key or a
-sort.  The backward-arc report builds its own.  A float ranking keys on
+and the "ranks above" masks that the weak axiom and the backward-arc
+report read, are built per call: a check keeps nothing on its arguments.
+`_above` is the one builder of those masks, and of every other "ranks
+above" bitset here.  Each mask is an int as wide as its highest label, so
+the masks of n vertices hold about n^2 / 8 bytes, as many as the
+out-sets.  Only the weak-order minimizer, which checks the same rankings
+on every tournament of their size, keeps them: `_level_rankings` builds
+its rankings with their masks, `_above` of each ranking's int levels,
+and a ranking's read-only values never make them stale, so a weak check
+on a tournament of that size reads them back without a lookup, a key or
+a sort.  The backward-arc report builds its own.  A float ranking keys on
 its values with e = eps.  An exact ranking keys on its values times the
 LCM of their denominators, Python ints in the same ratios, with e = 0; a
 ranking is exact iff every value has a denominator, the one rule that
@@ -90,10 +91,11 @@ it keeps on the tournament (`_keep_weak_candidates`), before it checks
 its thousands of rankings, only the candidates whose out-set holds x's,
 so inclusion is tested once per tournament.  The weak branch of `is_fair`
 reads the kept state itself, `Ranking._masks` when it has t.n + 1
-entries and `Tournament._weak` when it is set, and calls `_rank_masks`
-or `_weak_candidates` only for what is absent; so a weak check in the
-sweep makes no helper call and is one AND with the kept rank mask per
-vertex that has such a candidate.  The spectral axiom reads none of it.
+entries and `Tournament._weak` when it is set, and builds only what is
+absent, `_above` of the ranking's keys or `_weak_candidates`; so a weak
+check in the sweep makes no helper call and is one AND with the kept
+rank mask per vertex that has such a candidate.  The spectral axiom
+reads none of it.
 """
 
 from __future__ import annotations
@@ -162,11 +164,11 @@ class Ranking:
     later change reaches a ranking, nor the "ranks above" masks that the
     weak-order minimizer keeps on its rankings (`_level_rankings`).  Every
     other ranking keeps nothing: its comparison keys (`_keys`) and masks
-    (`_rank_masks`) are built per call.
+    (`_above` of the keys) are built per call.
     """
 
     values: Mapping[int, Rank]
-    # the masks of `_rank_masks`, kept by `_level_rankings` alone
+    # `_above` of the values, indexed by vertex from 1, kept by `_level_rankings` alone
     _masks: Optional[Tuple[int, ...]] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -296,29 +298,18 @@ def _keys(t: Tournament, r: Ranking) -> Tuple[Tuple[Rank, ...], Rank]:
     return key, e
 
 
-def _rank_masks(t: Tournament, r: Ranking) -> List[int]:
-    """`_above` of r's keys, indexed by vertex from 1: masks[x] is the
-    bitset of the y that rank above x.  Built per call through `_keys`,
-    whose domain, nan and float-range checks raise first; nothing is kept.
-    Only the weak check reads masks that `_level_rankings` kept instead."""
-    return _above(*_keys(t, r))
-
-
 def _level_rankings(levels: np.ndarray) -> Tuple[Ranking, ...]:
     """The exact ranking of each column of levels, an (n, orders) int
     array with n <= 8, vertex v at the int levels[v - 1, i], with its rank
     masks kept on it for `is_fair`'s weak check: the weak-order minimizer
     checks each such ranking on every tournament of its size.  Ints are
-    their own keys, with e = 0, by the exact-key rule of `_keys`, so y
-    ranks above x iff levels[y - 1] > levels[x - 1]: one compare of every
-    (x, y) pair of every column, packed little-endian along y, gives every
-    mask, which are the masks that `_above` builds."""
-    n = levels.shape[0]
-    above = np.packbits(levels[None] > levels[:, None], axis=1, bitorder="little")
+    their own keys, with e = 0, by the exact-key rule of `_keys`, so each
+    column's masks are `_above` of its levels: one sort and one walk per
+    column, built once per n by the minimizer."""
     rankings = []
-    for values, masks in zip(levels.T.tolist(), above.reshape(n, -1).T.tolist()):
+    for values in levels.T.tolist():
         r = Ranking(dict(enumerate(values, start=1)))
-        object.__setattr__(r, "_masks", (0, *masks))
+        object.__setattr__(r, "_masks", tuple(_above([0, *values], 0)))
         rankings.append(r)
     return tuple(rankings)
 
@@ -333,8 +324,9 @@ def _above(key: Sequence[Rank], e: Rank) -> List[int]:
     is false.
 
     This is the one builder of "ranks above" bitsets: backward arcs and the
-    weak axiom read it of the ranks through `_rank_masks`, and the weak
-    axiom of the out-degrees through `_weak_candidates`.  One sort and one
+    weak axiom read it of the ranks' keys, `_level_rankings` of the
+    weak-order minimizer's int levels, and the weak axiom of the
+    out-degrees through `_weak_candidates`.  One sort and one
     walk: O(n log n) comparisons, and n mask updates of O(n / 64) words
     each, O(n^2 / 64) in all.
     """
@@ -353,7 +345,7 @@ def _above(key: Sequence[Rank], e: Rank) -> List[int]:
 def backward_arcs(t: Tournament, r: Ranking) -> BackwardReport:
     """Partition arcs by rank comparison and report the backward ones: the
     arc x -> y is backward when key[y] - key[x] > e."""
-    above = _rank_masks(t, r)
+    above = _above(*_keys(t, r))
     return BackwardReport(tuple([o & a for o, a in zip(t.out, above[1:])]))
 
 
@@ -489,10 +481,12 @@ def is_fair(t: Tournament, r: Ranking, c: FairnessClass) -> FairnessVerdict:
         # y+ holds x+ and x, so deg(y) > deg(x): only the y that beat x,
         # outscore x and do not rank above x can break the axiom.  The
         # weak-order sweep kept both the rank masks, for a domain of 1..n,
-        # and the candidates; any other call builds what was not kept
+        # and the candidates; any other call builds what was not kept, the
+        # masks as `_above` of r's keys, whose domain, nan and float-range
+        # checks raise first
         above, weak, out = r._masks, t._weak, t.out
         if above is None or len(above) != t.n + 1:
-            above = _rank_masks(t, r)
+            above = _above(*_keys(t, r))
         if weak is None:
             weak = _weak_candidates(t)
         for x, ox, beat in weak:

@@ -1,10 +1,12 @@
+import io
 import json
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
 
-from fairrank import gen_random, optimize, serialize_tournament
+from fairrank import gen_random, optimize, parse_ranking, serialize_tournament
 from fairrank.cli import main
 
 CYCLE = "3\n010\n001\n100\n"
@@ -77,6 +79,31 @@ class TestRank:
         big.write_text("n=100000000\n1 2\n")
         assert main(["rank", "--in", str(big), "--method", "copeland"]) == 2
         assert "cap" in capsys.readouterr().err
+
+    def test_streams_keep_the_summary_on_stderr(self, tmp_path, monkeypatch, capsys):
+        # gen | rank --in - --out - | check --ranking -: each data stream on
+        # stdout holds the data alone, and each summary goes to stderr
+        assert main(["gen", "--family", "random", "--n", "5", "--seed", "1", "--out", "-"]) == 0
+        text = capsys.readouterr().out
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        assert main(["rank", "--in", "-", "--method", "copeland", "--out", "-"]) == 0
+        streamed = capsys.readouterr()
+        t, r = tmp_path / "t.txt", tmp_path / "r.txt"
+        t.write_text(text)
+        assert main(["rank", "--in", str(t), "--method", "copeland", "--out", str(r)]) == 0
+        summary = capsys.readouterr()
+        assert parse_ranking(streamed.out) == parse_ranking(r.read_text())
+        assert streamed.err == summary.out and summary.out.startswith("method=copeland bw=")
+        assert summary.err == ""
+        monkeypatch.setattr(sys, "stdin", io.StringIO(streamed.out))
+        assert main(["check", "--in", str(t), "--ranking", "-", "--class", "scop"]) == 0
+        assert capsys.readouterr().out.startswith("PASS class=scop")
+        # the JSON report on stdout, the ranking in a file
+        assert main(["rank", "--in", str(t), "--method", "linear-fair",
+                     "--out", str(r), "--json-report", "-"]) == 0
+        streamed = capsys.readouterr()
+        assert json.loads(streamed.out)["verified"] is True
+        assert streamed.err.startswith("method=linear-fair bw=")
 
 
 class TestCheck:

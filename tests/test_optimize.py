@@ -31,7 +31,6 @@ from fairrank import (
 )
 from fairrank import optimize
 from fairrank.cli import report_json
-from fairrank.ranking import _above
 from fairrank.optimize import (
     INJECTIVE_SEARCH_CAP,
     SPEC_ORDER_CAP,
@@ -117,8 +116,11 @@ class TestLevelArray:
         rankings, levels = _weak_rankings(n), _level_array(n)
         assert [tuple(r.values.values()) for r in rankings] == list(map(tuple, levels.T.tolist()))
         assert all(type(v) is int for r in rankings for v in r.values.values())
-        # the masks of one broadcast compare are the ones `_above` builds
-        assert all(r._masks == tuple(_above([0, *r.values.values()], 0)) for r in rankings)
+        # masks[x] holds the y whose level is above x's, built here from the levels
+        for r in rankings:
+            level = r.values
+            masks = [sum(1 << (y - 1) for y in level if level[y] > level[x]) for x in level]
+            assert r._masks == (0, *masks)
 
 
 def block_loop_outcome(minimize, t, c):
