@@ -46,7 +46,6 @@ from .ranking import (
 from .tournament import (
     Tournament,
     build_tournament,
-    enumerate_all,
     gen_composite,
     gen_random,
     gen_rotational,

@@ -87,6 +87,15 @@ def _reject_ignored(flags: dict, scope: str) -> None:
         raise ValueError(f"{given[0]} applies only to {scope}")
 
 
+def _reject_shared_stream(flags: dict) -> None:
+    """Two flags of one command that both name `-` would share stdin or
+    stdout, so it is an input error (exit 2) before anything is read or
+    written; `flags` maps each flag of one direction to its path."""
+    shared = [flag for flag, path in flags.items() if path == "-"]
+    if len(shared) > 1:
+        raise ValueError(f"{shared[0]} and {shared[1]} cannot both be '-'")
+
+
 def _read(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -124,6 +133,7 @@ def cmd_gen(args) -> int:
 def cmd_rank(args) -> int:
     if args.method == "copeland":
         _reject_ignored({"--json-report": args.json_report}, "--method linear-fair")
+    _reject_shared_stream({"--out": args.out, "--json-report": args.json_report})
     t = parse_tournament(_read(args.in_path))
     result = linear_fair_ranking(t) if args.method == "linear-fair" else None
     r = copeland_ranking(t) if result is None else result.ranking
@@ -144,6 +154,7 @@ def cmd_rank(args) -> int:
 
 
 def cmd_check(args) -> int:
+    _reject_shared_stream({"--in": args.in_path, "--ranking": args.ranking})
     t = parse_tournament(_read(args.in_path))
     r = parse_ranking(_read(args.ranking))
     c = FairnessClass.from_string(args.cls)
@@ -204,6 +215,7 @@ def cmd_emn(args) -> int:
 
 
 def cmd_dump(args) -> int:
+    _reject_shared_stream({"--in": args.in_path, "--ranking": args.ranking})
     t = parse_tournament(_read(args.in_path))
     order, backward = list(t.vertices()), (0,) * t.n
     if args.ranking:

@@ -83,7 +83,6 @@ from .ranking import (
 from .tournament import (
     CHUNK_ENTRIES,
     Tournament,
-    _require_enumerable,
     _require_size,
     gen_composite,
     unpack_rows,
@@ -93,6 +92,7 @@ INJECTIVE_SEARCH_CAP = 20
 EMN_LMAX_CAP = 10_000
 WEAK_ORDER_CAP = 6
 SPEC_ORDER_CAP = 8
+ENUMERATION_CAP = 6
 
 
 @dataclass(frozen=True)
@@ -502,17 +502,20 @@ class BoundCheckReport:
 
 def verify_copeland_upper_bound(n: int) -> BoundCheckReport:
     """Check the per-size strict-Copeland bound over all 2^C(n,2) labelled
-    tournaments on n vertices, as far as `enumerate_all` goes.
+    tournaments on n vertices, up to ENUMERATION_CAP vertices.
 
     The least strict-Copeland backward count of a tournament is its number
     of degree-rising arcs, x -> y with deg(x) < deg(y) (`_dense_levels`
     gives the proof), so no ranking is built.  Tournament number `mask`
-    orients the k-th pair (i, j), i < j, of `combinations` as `enumerate_all`
-    does, j -> i iff bit k of `mask` is set; one array of those bits holds
-    every tournament, its out-degrees are one product with the pairs'
-    endpoints, and each count is one compare of the endpoints' degrees.
+    orients the k-th pair (i, j), i < j, of `combinations(range(n), 2)` as
+    j -> i iff bit k of `mask` is set, and as i -> j otherwise; one array
+    of those bits holds every tournament, its out-degrees are one product
+    with the pairs' endpoints, and each count is one compare of the
+    endpoints' degrees.
     """
-    _require_enumerable(n)
+    if n > ENUMERATION_CAP:
+        raise ResourceLimitError(f"enumeration capped at n <= {ENUMERATION_CAP}")
+    _require_size(n)
     pairs = np.array(list(combinations(range(n), 2)), dtype=np.intp).reshape(-1, 2)
     m = len(pairs)
     masks = np.arange(1 << m, dtype="<u4").view(np.uint8).reshape(-1, 4)

@@ -23,7 +23,6 @@ from .errors import (
 )
 
 DEFAULT_VERTEX_CAP = 10_000
-ENUMERATION_CAP = 6
 
 
 @dataclass(frozen=True, slots=True)
@@ -186,27 +185,6 @@ def gen_random(n: int, seed: int) -> Tournament:
         a[i, i + 1 :] = wins
         a[i + 1 :, i] = ~wins
     return _from_matrix(a)
-
-
-def _require_enumerable(n: int) -> None:
-    """The checks of every exhaustive sweep: 1 <= n <= ENUMERATION_CAP."""
-    if n > ENUMERATION_CAP:
-        raise ResourceLimitError(f"enumeration capped at n <= {ENUMERATION_CAP}")
-    _require_size(n)
-
-
-def enumerate_all(n: int) -> Iterator[Tournament]:
-    """Yield all 2^C(n,2) labeled tournaments on n vertices exactly once."""
-    _require_enumerable(n)
-    pairs = list(combinations(range(n), 2))
-    for mask in range(1 << len(pairs)):
-        out = [0] * n
-        for k, (i, j) in enumerate(pairs):
-            if mask >> k & 1:
-                out[j] |= 1 << i
-            else:
-                out[i] |= 1 << j
-        yield Tournament(out)
 
 
 # -- strongly connected components ----------------------------------------

@@ -7,7 +7,7 @@ import re
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cache, partial
-from itertools import islice, permutations
+from itertools import combinations, islice, permutations
 from operator import le
 from typing import (Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional,
                     Sequence, Tuple)
@@ -40,7 +40,7 @@ from fairrank.ranking import (
     Ranking,
 )
 from fairrank.tournament import (CHUNK_ENTRIES, Tournament, _from_matrix, _matrix_tournament,
-                                 _score_components, enumerate_all)
+                                 _score_components)
 
 # -- adjacency, decoded bit by bit ---------------------------------------
 
@@ -61,6 +61,21 @@ def gen_random_listcomp(n: int, seed: int) -> Tournament:
         a[i, i + 1 :] = wins
         a[i + 1 :, i] = ~wins
     return _from_matrix(a)
+
+
+def enumerate_all(n: int) -> Iterator[Tournament]:
+    """Yield all 2^C(n,2) labelled tournaments on n vertices exactly once:
+    tournament number `mask` orients the k-th pair (i, j), i < j, of
+    `combinations`, j -> i iff bit k of `mask` is set."""
+    pairs = list(combinations(range(n), 2))
+    for mask in range(1 << len(pairs)):
+        out = [0] * n
+        for k, (i, j) in enumerate(pairs):
+            if mask >> k & 1:
+                out[j] |= 1 << i
+            else:
+                out[i] |= 1 << j
+        yield Tournament(out)
 
 
 def composite_vertex(m: int, i: int, l: int) -> int:

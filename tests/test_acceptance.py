@@ -12,7 +12,6 @@ from fairrank import (
     FairnessClass,
     Ranking,
     composite_fraction,
-    enumerate_all,
     gen_composite,
     gen_random,
     gen_rotational,
@@ -27,6 +26,7 @@ from fairrank import (
 from fairrank.optimize import composite_edge_count, composite_min_backward_count
 from oracles import (
     composite_vertex,
+    enumerate_all,
     injection_exists,
     iter_weak_orders,
     metric_distance,

@@ -339,6 +339,23 @@ def test_flag_ignored_by_mode_is_input_error(argv, flag, cycle_path, tmp_path, c
     assert list(tmp_path.iterdir()) == [Path(cycle_path)]
 
 
+@pytest.mark.parametrize("argv,flags", [
+    ("check --in - --ranking - --class scop", "--in and --ranking"),
+    ("dump --in - --ranking -", "--in and --ranking"),
+    ("rank --in - --method linear-fair --out - --json-report -", "--out and --json-report"),
+])
+def test_two_flags_on_one_stream_is_input_error(argv, flags, monkeypatch, capsys):
+    # one stdin cannot hold both the tournament and the ranking, nor one
+    # stdout both the ranking and the JSON report: nothing is read or written
+    text = serialize_tournament(gen_random(4, 1))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flags} cannot both be '-'\n"
+    assert sys.stdin.read() == text
+
+
 class TestDump:
     def test_plain_grid(self, cycle_path, capsys):
         assert main(["dump", "--in", cycle_path]) == 0

@@ -13,7 +13,6 @@ from fairrank import (
     UnknownVertexError,
     VerificationFailedError,
     build_tournament,
-    enumerate_all,
     fixpoint,
     gen_composite,
     gen_random,
@@ -25,7 +24,8 @@ from fairrank import (
     serialize_tournament,
 )
 from fairrank.cli import linear_fair_json, main
-from oracles import arcs, induced, metric_distance, out_set, perron_fixed_point_dense, recalc_apply
+from oracles import (arcs, enumerate_all, induced, metric_distance, out_set,
+                     perron_fixed_point_dense, recalc_apply)
 
 FC = FairnessClass
 

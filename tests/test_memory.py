@@ -52,13 +52,14 @@ from fairrank import (
     verify_copeland_upper_bound,
 )
 from fairrank.optimize import (
+    ENUMERATION_CAP,
     INJECTIVE_SEARCH_CAP,
     SPEC_ORDER_CAP,
     WEAK_ORDER_CAP,
     _level_array,
     _weak_rankings,
 )
-from fairrank.tournament import CHUNK_ENTRIES, ENUMERATION_CAP
+from fairrank.tournament import CHUNK_ENTRIES
 
 MB = 1 << 20
 

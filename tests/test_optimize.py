@@ -19,7 +19,6 @@ from fairrank import (
     composite_fraction,
     copeland_bound,
     emn_sweep_composite,
-    enumerate_all,
     gen_composite,
     gen_random,
     gen_rotational,
@@ -41,6 +40,7 @@ from fairrank.optimize import (
 )
 from oracles import (
     arcs,
+    enumerate_all,
     is_fair_pairs,
     iter_weak_orders,
     least_injective_order_loop,

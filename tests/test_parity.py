@@ -34,7 +34,6 @@ from fairrank import (
     backward_arcs,
     build_tournament,
     copeland_ranking,
-    enumerate_all,
     gen_composite,
     gen_random,
     is_fair,
@@ -48,6 +47,7 @@ from fairrank.tournament import CHUNK_ENTRIES, DEFAULT_VERTEX_CAP, Tournament
 from oracles import (
     backward_arcs_pairs,
     backward_pairs,
+    enumerate_all,
     is_fair_pairs,
     iter_weak_orders,
     relabeled,

@@ -23,7 +23,6 @@ from fairrank import (
     backward_arcs,
     build_tournament,
     copeland_ranking,
-    enumerate_all,
     gen_random,
     is_fair,
     linear_fair_ranking,
@@ -48,6 +47,7 @@ from oracles import (
     arcs,
     backward_arcs_pairs,
     backward_pairs,
+    enumerate_all,
     injection_exists,
     is_fair_pairs,
     linear_sums,

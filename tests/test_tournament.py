@@ -16,18 +16,20 @@ from fairrank import (
     TournamentSyntaxError,
     UnknownVertexError,
     build_tournament,
-    enumerate_all,
     gen_composite,
     gen_random,
     gen_rotational,
     parse_tournament,
     scc_decompose,
     serialize_tournament,
+    verify_copeland_upper_bound,
 )
+from fairrank.optimize import ENUMERATION_CAP
 from fairrank.tournament import CHUNK_ENTRIES, DEFAULT_VERTEX_CAP, _canonical_matrix, _parse_lines
 from oracles import (
     arcs,
     composite_vertex,
+    enumerate_all,
     gen_random_listcomp,
     induced,
     out_set,
@@ -90,8 +92,8 @@ class TestBuild:
 @pytest.mark.parametrize("build", [
     lambda: build_tournament(0, []),
     lambda: gen_random(0, 0),
-    lambda: next(enumerate_all(0)),
-], ids=["build_tournament", "gen_random", "enumerate_all"])
+    lambda: verify_copeland_upper_bound(0),
+], ids=["build_tournament", "gen_random", "verify_copeland_upper_bound"])
 def test_no_vertices_is_value_error(build):
     with pytest.raises(ValueError, match="^n must be positive$"):
         build()
@@ -206,8 +208,8 @@ class TestEnumeration:
         assert len(seen) == count
 
     def test_cap(self):
-        with pytest.raises(ResourceLimitError):
-            next(enumerate_all(7))
+        with pytest.raises(ResourceLimitError, match=f"^enumeration capped at n <= {ENUMERATION_CAP}$"):
+            verify_copeland_upper_bound(ENUMERATION_CAP + 1)
 
     def test_all_valid(self):
         for t in enumerate_all(4):
