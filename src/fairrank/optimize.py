@@ -22,11 +22,14 @@ report the same witness.
 WEAK and LIN search the weak orders up to WEAK_ORDER_CAP, SPEC up to
 SPEC_ORDER_CAP.  The backward counts of all of them come first, from one
 array of their levels, and the witness is the first fair order in
-ascending (count, levels).
-SPEC and LIN decide the orders in that order, in chunks of 256 that grow
-4x up to CHUNK_ENTRIES // n^2 orders, one array pass per chunk over the
-levels L (levels 1..k, one row per vertex) and the out-set matrix A, and
-certify their witness with one `is_fair` call:
+ascending (count, levels).  All three decide the orders in that order, in
+chunks of 256 that grow 4x up to CHUNK_ENTRIES // n^2 orders, and the
+first chunk that holds a fair order ends the search.  WEAK decides each
+order of a chunk by one `is_fair` call on the ranking of its levels, since
+the benchmark's own tests count those calls (ROADMAP item 12).  SPEC and
+LIN decide a chunk by one array pass over the levels L (levels 1..k, one
+row per vertex) and the out-set matrix A, and certify their witness with
+one `is_fair` call:
 - LIN holds iff L and the out-sums S = A L order every pair alike: the
   axiom asks S[x] < S[y] => L[x] < L[y] and S[x] <= S[y] => L[x] <= L[y],
   which, read for a pair and its swap, say exactly that.
@@ -35,29 +38,16 @@ certify their witness with one `is_fair` call:
   >= θ as y, since the m-th largest entry of a spectrum is at least θ iff
   at least m of its entries are.  The axiom is then two boolean masks
   over (x, y), as `min_backward_fair` proves.
-Only WEAK still checks the orders one by one, every one of them, since the
-benchmark's own tests pin how many `is_fair` calls its sweep makes
-(ROADMAP item 12).  LIN keeps WEAK's cap: its level values give only an
-upper bound on its minimum (ROADMAP item 2).
+LIN keeps WEAK's cap: its level values give only an upper bound on its
+minimum (ROADMAP item 2).
 
 The weak orders of n vertices are one int8 array of levels, one row per
 vertex and one column per order (`_level_array`), built once per n by
 insertion in numpy and kept: 28 KB at n = 6, 0.33 MB at n = 7 and 4.4 MB
-at n = 8, whose build peaks at 17 MB under tracemalloc.  Only WEAK's loop
-reads rankings, built once per n from the array (`_weak_rankings`), each
-an exact ranking of its int levels with its "ranks above" masks
-(`ranking._level_rankings`), 2.80 MB at n = 6.  The masks come from
-`ranking._above`, the one builder of such masks, run on each order's
-levels once per n; so no Fraction, no key and no sort is built per
-candidate, and only the reported witness holds Fractions.  What the weak
-axiom derives from the tournament alone, the candidates whose out-sets
-hold a vertex's, is kept on the tournament before the sweep
-(`ranking._keep_weak_candidates`).  The weak branch of `is_fair` reads
-both straight off the ranking and the tournament, and calls no helper to
-build them, so the per-candidate cost is one call and one AND per vertex
-that has such a candidate.  These are the only data
-that any check reads back: every other check builds its masks and
-candidates per call (see `ranking`).
+at n = 8, whose build peaks at 17 MB under tracemalloc.  That array is
+all the minimizer keeps: WEAK builds the ranking of each order it
+decides from its chunk's columns, and a check keeps nothing on its
+arguments (see `ranking`).
 """
 
 from __future__ import annotations
@@ -75,8 +65,6 @@ from .ranking import (
     _COPELAND_CLASSES,
     FairnessClass,
     Ranking,
-    _keep_weak_candidates,
-    _level_rankings,
     backward_arcs,
     is_fair,
 )
@@ -145,15 +133,6 @@ def _level_array(n: int) -> np.ndarray:
     levels = levels.take(np.lexsort(levels[::-1]), axis=1)  # C order: rows are contiguous
     levels.flags.writeable = False
     return levels
-
-
-@cache
-def _weak_rankings(n: int) -> Tuple[Ranking, ...]:
-    """The ranking of every column of `_level_array(n)`, with its rank
-    masks, for WEAK's loop: 4683 rankings, 2.80 MB with their masks, at
-    n = WEAK_ORDER_CAP.  Built on the first call for each n and kept;
-    callers check the cap first."""
-    return _level_rankings(_level_array(n))
 
 
 # -- exact minimizers -------------------------------------------------------
@@ -292,15 +271,15 @@ def min_backward_fair(t: Tournament, c: FairnessClass) -> MinBackwardResult:
     backward counts of all of them come first, one numpy compare over the
     level array per arc.  A stable sort of the counts keeps the ascending
     levels of `_level_array` among equal counts, so the witness is the
-    first fair order in ascending (count, levels).  WEAK finds it by one
-    `is_fair` call per order and checks every order, empty class or not:
-    it constrains ranks pair by pair and could be placed by a DP too, but
-    the benchmark's own tests pin its number of `is_fair` calls (ROADMAP
-    item 12).  SPEC and LIN decide the orders in that order by array
-    passes (`_fair_orders`) over chunks of 256, 1024, ... orders, each 4x
-    the last, up to CHUNK_ENTRIES // n^2, so no (n, n, orders) array of a
-    pass outgrows CHUNK_ENTRIES entries; the first chunk that holds a fair
-    order ends the search, and only its first fair order, the witness,
+    first fair order in ascending (count, levels).  All three decide the
+    orders in that order (`_fair_orders`), in chunks of 256, 1024, ...
+    orders, each 4x the last, up to CHUNK_ENTRIES // n^2, so no
+    (n, n, orders) array of a pass outgrows CHUNK_ENTRIES entries, and the
+    first chunk that holds a fair order ends the search.  WEAK decides
+    each order of a chunk by one `is_fair` call: it constrains ranks pair
+    by pair and could be placed by a DP too, but the benchmark's own tests
+    count its `is_fair` calls (ROADMAP item 12).  SPEC and LIN decide a
+    chunk by one array pass, and only its first fair order, the witness,
     gets an `is_fair` call, as a certificate that must agree; an empty
     class makes none.
 
@@ -355,37 +334,34 @@ def min_backward_fair(t: Tournament, c: FairnessClass) -> MinBackwardResult:
     # a stable sort keeps the levels order among equal counts
     order = np.argsort(counts, kind="stable")
     best: Optional[Ranking] = None
-    if c is FairnessClass.WEAK:
-        # WEAK checks every candidate: bench/test_bench.py pins its is_fair
-        # calls (75 on transitive(4)), ROADMAP items 12 and 16
-        rankings = _weak_rankings(t.n)
-        _keep_weak_candidates(t)
-        for i in order.tolist():
-            if is_fair(t, rankings[i], c).certificate is None and best is None:
-                best = rankings[i]
-    else:
-        per = CHUNK_ENTRIES // (t.n * t.n)
-        start, size = 0, min(256, per)
-        while best is None and start < len(order):
-            chunk = order[start:start + size]
-            fair = np.flatnonzero(_fair_orders(t, levels.take(chunk, axis=1), c))
-            if len(fair):
-                best = Ranking(dict(enumerate(levels[:, chunk[fair[0]]].tolist(), start=1)))
-                if not is_fair(t, best, c):
-                    raise AssertionError(f"{c.value} array verdict refuted by is_fair on {best}")
-            start, size = start + size, min(4 * size, per)
+    # the first chunk, 256 orders, must hold all 75 orders of n = 4:
+    # bench/test_bench.py counts WEAK's 75 is_fair calls on them
+    per = CHUNK_ENTRIES // (t.n * t.n)
+    start, size = 0, min(256, per)
+    while best is None and start < len(order):
+        chunk = levels.take(order[start:start + size], axis=1)
+        fair = np.flatnonzero(_fair_orders(t, chunk, c))
+        if len(fair):
+            best = Ranking(dict(enumerate(chunk[:, fair[0]].tolist(), start=1)))
+            if c is not FairnessClass.WEAK and not is_fair(t, best, c):
+                raise AssertionError(f"{c.value} array verdict refuted by is_fair on {best}")
+        start, size = start + size, min(4 * size, per)
     if best is None:
         raise EmptyClassError(f"no weak-order ranking satisfies {c.value}")
     return _result(t, Ranking.exact(best.values), "weakOrders")
 
 
 def _fair_orders(t: Tournament, levels: np.ndarray, c: FairnessClass) -> np.ndarray:
-    """The SPEC or LIN verdict of every weak order at once: fair[i] is
-    whether the ranking of column i of `levels` (one row per vertex, as
-    `_level_array` holds them) passes `is_fair`, by the rules that
-    `min_backward_fair` proves.  The arrays are (n, n, orders) bools,
-    built per call and not kept; `min_backward_fair` passes chunks of at
-    most CHUNK_ENTRIES // n^2 orders, so each holds at most CHUNK_ENTRIES."""
+    """The WEAK, SPEC or LIN verdict of every weak order at once: fair[i]
+    is whether the ranking of column i of `levels` (one row per vertex, as
+    `_level_array` holds them) passes `is_fair`.  WEAK asks `is_fair`
+    itself, once per column.  SPEC and LIN follow the rules that
+    `min_backward_fair` proves, on (n, n, orders) bool arrays, built per
+    call and not kept; `min_backward_fair` passes chunks of at most
+    CHUNK_ENTRIES // n^2 orders, so each holds at most CHUNK_ENTRIES."""
+    if c is FairnessClass.WEAK:
+        return np.array([bool(is_fair(t, Ranking(dict(enumerate(column, start=1))), c))
+                         for column in levels.T.tolist()], dtype=bool)
     n = t.n
     # float32 products run in BLAS, where int products do not, and are
     # exact here: every entry is an integer of at most n(n - 1) = 56

@@ -16,20 +16,15 @@ per-vertex keys: x ranks below y iff key[y] - key[x] > e.  The keys come
 from one lookup per vertex, which also decides the domain: n lookups that
 hit, in a ranking of n labels, mean that the labels are 1..n.  The keys,
 and the "ranks above" masks that the weak axiom and the backward-arc
-report read, are built per call: a check keeps nothing on its arguments.
-`_above` is the one builder of those masks, and of every other "ranks
-above" bitset here.  Each mask is an int as wide as its highest label, so
-the masks of n vertices hold about n^2 / 8 bytes, as many as the
-out-sets.  Only the weak-order minimizer, which checks the same rankings
-on every tournament of their size, keeps them: `_level_rankings` builds
-its rankings with their masks, `_above` of each ranking's int levels,
-and a ranking's read-only values never make them stale, so a weak check
-on a tournament of that size reads them back without a lookup, a key or
-a sort.  The backward-arc report builds its own.  A float ranking keys on
-its values with e = eps.  An exact ranking keys on its values times the
-LCM of their denominators, Python ints in the same ratios, with e = 0; a
-ranking is exact iff every value has a denominator, the one rule that
-both `_keys` and `Ranking.is_exact` read.
+report read, are built per call: a check keeps nothing on its arguments,
+with no exception.  `_above` is the one builder of those masks, and of
+every other "ranks above" bitset here.  Each mask is an int as wide as its
+highest label, so the masks of n vertices hold about n^2 / 8 bytes, as
+many as the out-sets.  A float ranking keys on its values with e = eps.
+An exact ranking keys on its values times the LCM of their denominators,
+Python ints in the same ratios, with e = 0; a ranking is exact iff every
+value has a denominator, the one rule that both `_keys` and
+`Ranking.is_exact` read.
 Comparisons stay exact, and the linear axiom's out-sums, the one place
 where values matter beyond their order, are integer sums instead of
 Fraction sums.  An integer sum does not depend on the order of its terms,
@@ -86,25 +81,16 @@ What the Copeland and weak axioms read of the tournament does not depend
 on the ranking: the Copeland axioms read the walk of the out-degrees, and
 the weak axiom each vertex's candidates, the vertices that beat it and
 outscore it (`_weak_candidates`).  Both take one sort of the out-degrees
-and are built per call, bar the candidates in the weak-order minimizer:
-it keeps on the tournament (`_keep_weak_candidates`), before it checks
-its thousands of rankings, only the candidates whose out-set holds x's,
-so inclusion is tested once per tournament.  The weak branch of `is_fair`
-reads the kept state itself, `Ranking._masks` when it has t.n + 1
-entries and `Tournament._weak` when it is set, and builds only what is
-absent, `_above` of the ranking's keys or `_weak_candidates`; so a weak
-check in the sweep makes no helper call and is one AND with the kept
-rank mask per vertex that has such a candidate.  The spectral axiom
-reads none of it.
+and are built per call, as are the weak axiom's rank masks, `_above` of
+the ranking's keys.  The spectral axiom reads none of it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -161,20 +147,17 @@ class Ranking:
     every check of the ranking raises ValueError.
 
     `values` is a read-only view of a copy of the mapping given, so no
-    later change reaches a ranking, nor the "ranks above" masks that the
-    weak-order minimizer keeps on its rankings (`_level_rankings`).  Every
-    other ranking keeps nothing: its comparison keys (`_keys`) and masks
-    (`_above` of the keys) are built per call.
+    later change reaches a ranking.  A ranking keeps nothing else: its
+    comparison keys (`_keys`) and masks (`_above` of the keys) are built
+    per call.
     """
 
     values: Mapping[int, Rank]
-    # `_above` of the values, indexed by vertex from 1, kept by `_level_rankings` alone
-    _masks: Optional[Tuple[int, ...]] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", MappingProxyType(dict(self.values)))
 
-    def __reduce__(self):  # a view does not pickle; copies rebuild it, and their masks
+    def __reduce__(self):  # a view does not pickle; copies rebuild it
         return Ranking, (dict(self.values),)
 
     @property
@@ -247,17 +230,6 @@ class FairnessVerdict:
     ok = property(__bool__)
 
 
-# The weak check's verdicts are shared, as a verdict is immutable: the
-# weak-order sweep returns the same few verdicts thousands of times, and
-# building a frozen dataclass costs more than the rest of such a check.
-_PASS = FairnessVerdict()
-
-
-@lru_cache(maxsize=64)  # the 30 ordered pairs of a sweep's 6 vertices fit
-def _weak_violation(x: int, y: int) -> FairnessVerdict:
-    return FairnessVerdict((x, y), "weak fairness violated")
-
-
 def _keys(t: Tournament, r: Ranking) -> Tuple[Tuple[Rank, ...], Rank]:
     """Comparison keys indexed by vertex and the tolerance e, built per
     call and kept nowhere.
@@ -298,22 +270,6 @@ def _keys(t: Tournament, r: Ranking) -> Tuple[Tuple[Rank, ...], Rank]:
     return key, e
 
 
-def _level_rankings(levels: np.ndarray) -> Tuple[Ranking, ...]:
-    """The exact ranking of each column of levels, an (n, orders) int
-    array with n <= 8, vertex v at the int levels[v - 1, i], with its rank
-    masks kept on it for `is_fair`'s weak check: the weak-order minimizer
-    checks each such ranking on every tournament of its size.  Ints are
-    their own keys, with e = 0, by the exact-key rule of `_keys`, so each
-    column's masks are `_above` of its levels: one sort and one walk per
-    column, built once per n by the minimizer."""
-    rankings = []
-    for values in levels.T.tolist():
-        r = Ranking(dict(enumerate(values, start=1)))
-        object.__setattr__(r, "_masks", tuple(_above([0, *values], 0)))
-        rankings.append(r)
-    return tuple(rankings)
-
-
 def _above(key: Sequence[Rank], e: Rank) -> List[int]:
     """above[x] is the bitset of the y with key[y] - key[x] > e; both lists
     are indexed by vertex from 1.
@@ -324,11 +280,10 @@ def _above(key: Sequence[Rank], e: Rank) -> List[int]:
     is false.
 
     This is the one builder of "ranks above" bitsets: backward arcs and the
-    weak axiom read it of the ranks' keys, `_level_rankings` of the
-    weak-order minimizer's int levels, and the weak axiom of the
-    out-degrees through `_weak_candidates`.  One sort and one
-    walk: O(n log n) comparisons, and n mask updates of O(n / 64) words
-    each, O(n^2 / 64) in all.
+    weak axiom read it of the ranks' keys, and the weak axiom of the
+    out-degrees through `_weak_candidates`.  One sort and one walk:
+    O(n log n) comparisons, and n mask updates of O(n / 64) words each,
+    O(n^2 / 64) in all.
     """
     order = sorted(range(1, len(key)), key=key.__getitem__)
     above = [0] * len(key)
@@ -392,32 +347,9 @@ def _weak_candidates(t: Tournament) -> List[Tuple[int, int, int]]:
     """(x, out-set of x, the y that beat x and outscore x) for each x that
     has any such y, in ascending x, built per call and kept nowhere.  The
     y that outscore x are `_above` of the out-degrees with e = 0: they are
-    ints, which differ by 0 or by at least 1, so e = 0 serves every e < 1.
-    Only the weak check reads those that `_keep_weak_candidates` kept
-    instead."""
+    ints, which differ by 0 or by at least 1, so e = 0 serves every e < 1."""
     outscore = _above([0, *map(int.bit_count, t.out)], 0)
     return [(x, ox, y) for x, ox in enumerate(t.out, start=1) if (y := outscore[x] & ~ox)]
-
-
-def _keep_weak_candidates(t: Tournament) -> None:
-    """Keep on t, for a sweep that checks many rankings of t, those of its
-    `_weak_candidates` whose out-set holds x's, the only ones that can
-    break the weak axiom; they derive from t's out-sets alone.  Each
-    inclusion is then tested once per tournament, and a kept candidate
-    that does not rank above x is a violation: `is_fair`'s inclusion test
-    passes on the first one it meets."""
-    out = t.out
-    kept = []
-    for x, ox, beat in _weak_candidates(t):
-        y = 0
-        while beat:
-            b = beat & -beat
-            beat ^= b
-            if ox & ~out[b.bit_length() - 1] == 0:
-                y |= b
-        if y:
-            kept.append((x, ox, y))
-    object.__setattr__(t, "_weak", kept)
 
 
 def _monotone_verdict(
@@ -479,24 +411,18 @@ def is_fair(t: Tournament, r: Ranking, c: FairnessClass) -> FairnessVerdict:
     if c is _WEAK:
         # x+ ⊆ y+ forces y -> x, since x -> y would put y in y+, and then
         # y+ holds x+ and x, so deg(y) > deg(x): only the y that beat x,
-        # outscore x and do not rank above x can break the axiom.  The
-        # weak-order sweep kept both the rank masks, for a domain of 1..n,
-        # and the candidates; any other call builds what was not kept, the
-        # masks as `_above` of r's keys, whose domain, nan and float-range
-        # checks raise first
-        above, weak, out = r._masks, t._weak, t.out
-        if above is None or len(above) != t.n + 1:
-            above = _above(*_keys(t, r))
-        if weak is None:
-            weak = _weak_candidates(t)
-        for x, ox, beat in weak:
+        # outscore x and do not rank above x can break the axiom.  The masks
+        # are `_above` of r's keys, whose domain, nan and float-range checks
+        # raise first
+        above, out = _above(*_keys(t, r)), t.out
+        for x, ox, beat in _weak_candidates(t):
             candidates = beat & ~above[x]
             while candidates:
                 b = candidates & -candidates
                 candidates ^= b
                 if ox & ~out[b.bit_length() - 1] == 0:
-                    return _weak_violation(x, b.bit_length())
-        return _PASS
+                    return FairnessVerdict((x, b.bit_length()), "weak fairness violated")
+        return FairnessVerdict()
 
     n = t.n
     key, e = _keys(t, r)

@@ -33,16 +33,11 @@ class Tournament:
     y, so an arc test is a shift and a mask and an out-degree a bit count.
     Instances built through this constructor are trusted; use
     :func:`build_tournament` to validate raw arc lists.  A check keeps
-    nothing on a tournament: only the weak-order minimizer, which checks
-    thousands of rankings of one tournament, keeps its weak candidates.
+    nothing on a tournament.
     """
 
     out: Tuple[int, ...] = field(repr=False)
     n: int = field(init=False)  # len(out)
-    # the weak candidates whose out-set holds x's, kept by
-    # `ranking._keep_weak_candidates` alone; they derive from `out` alone,
-    # so they never go stale
-    _weak: Optional[list] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "out", tuple(self.out))  # callers may pass a list

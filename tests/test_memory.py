@@ -6,10 +6,8 @@ Out-sets and backward arcs are int bitsets, about n/8 bytes per vertex, so
 a 2000-vertex tournament and its backward-arc report each hold well under
 2 MB, parsing its 4 MB matrix text peaks at a few times the text, and
 writing it peaks at the text and one buffer of the same size.  A check
-keeps nothing on its arguments; the weak-order minimizer alone keeps one
-int8 level array per n and, for WEAK's loop, one ranking per weak order,
-each with its rank masks (not its keys): 2.80 MB for the 4683 weak orders
-at n = 6.
+keeps nothing on its arguments, and the weak-order minimizer keeps only
+one int8 level array per n: 28 KB for the 4683 weak orders at n = 6.
 
 Every numpy pass works in blocks or chunks of `tournament.CHUNK_ENTRIES`
 entries.  The spectral check does so at every n: it keeps twice that many
@@ -57,7 +55,6 @@ from fairrank.optimize import (
     SPEC_ORDER_CAP,
     WEAK_ORDER_CAP,
     _level_array,
-    _weak_rankings,
 )
 from fairrank.tournament import CHUNK_ENTRIES
 
@@ -145,7 +142,6 @@ def test_spectral_check_peaks_within_its_chunks_at_n2000():
 def test_weak_order_rankings_at_the_cap():
     t = gen_random(WEAK_ORDER_CAP, 1)
     _level_array.cache_clear()  # built and kept under tracing below
-    _weak_rankings.cache_clear()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -157,8 +153,10 @@ def test_weak_order_rankings_at_the_cap():
         held = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
-    assert _level_array.cache_info().currsize == _weak_rankings.cache_info().currsize == 1
-    assert held < 3 * MB, f"the weak orders at n = {WEAK_ORDER_CAP} hold {held / MB:.2f} MB"
+    # the level array alone is kept, 28 KB at n = 6; every ranking WEAK
+    # checks is built per order and dropped
+    assert _level_array.cache_info().currsize == 1
+    assert held < 64 * 1024, f"the weak orders at n = {WEAK_ORDER_CAP} hold {held / 1024:.0f} KB"
 
 
 def traced_peak(call):

@@ -14,6 +14,7 @@ from fairrank import (
     MinBackwardResult,
     Ranking,
     ResourceLimitError,
+    Tournament,
     backward_arcs,
     build_tournament,
     composite_fraction,
@@ -36,7 +37,6 @@ from fairrank.optimize import (
     WEAK_ORDER_CAP,
     _fair_orders,
     _level_array,
-    _weak_rankings,
 )
 from oracles import (
     arcs,
@@ -110,17 +110,6 @@ class TestLevelArray:
     def test_equals_the_sorted_oracle(self, n):
         expected = np.array(sorted(weak_order_levels(n)), dtype=np.int8).reshape(-1, n).T
         assert np.array_equal(_level_array(n), expected)
-
-    @pytest.mark.parametrize("n", range(1, 7))
-    def test_weak_rankings_are_the_columns(self, n):
-        rankings, levels = _weak_rankings(n), _level_array(n)
-        assert [tuple(r.values.values()) for r in rankings] == list(map(tuple, levels.T.tolist()))
-        assert all(type(v) is int for r in rankings for v in r.values.values())
-        # masks[x] holds the y whose level is above x's, built here from the levels
-        for r in rankings:
-            level = r.values
-            masks = [sum(1 << (y - 1) for y in level if level[y] > level[x]) for x in level]
-            assert r._masks == (0, *masks)
 
 
 def block_loop_outcome(minimize, t, c):
@@ -380,12 +369,13 @@ class TestWeakOrderMinimum:
         assert is_fair_pairs(t, res.witness, FC.SPEC).ok
 
     # the witness is the first fair weak order in ascending (count, levels);
-    # WEAK finds it by checking all 4683, as the benchmark's own tests pin
-    # its calls, while SPEC and LIN decide every order in one array pass and
-    # check only the witness, so an empty class makes no call
+    # WEAK decides each order of a chunk by one call, and here the first
+    # chunk, 256 orders, holds it, while SPEC and LIN decide every order of
+    # a chunk in one array pass and check only the witness, so an empty
+    # class makes no call
     @pytest.mark.parametrize("c, seed, calls, witness", [
         (FC.SPEC, 1, 1, (4, 2, 4, 3, 5, 1)), (FC.LIN, 1, 1, (4, 2, 4, 3, 5, 1)),
-        (FC.WEAK, 1, 4683, (2, 2, 2, 2, 3, 1)), (FC.LIN, 2, 0, None),
+        (FC.WEAK, 1, 256, (2, 2, 2, 2, 3, 1)), (FC.LIN, 2, 0, None),
     ], ids=lambda p: getattr(p, "value", p))
     def test_is_fair_calls(self, monkeypatch, c, seed, calls, witness):
         made = []
@@ -404,6 +394,21 @@ class TestWeakOrderMinimum:
             assert tuple(res.witness[v] for v in t.vertices()) == witness
             assert is_fair(t, res.witness, c).ok
         assert len(made) == calls
+
+    def test_weak_decides_all_75_orders_of_4_vertices(self, monkeypatch):
+        # the first chunk, 256 orders, holds every weak order of 4 vertices:
+        # the 75 calls that the benchmark's own tests count on the
+        # transitive tournament, whose one weak-fair order is the strict one
+        made = []
+
+        def counted(*args):
+            made.append(args)
+            return is_fair(*args)
+
+        monkeypatch.setattr(optimize, "is_fair", counted)
+        res = min_backward_fair(Tournament([(1 << x) - 1 for x in range(4)]), FC.WEAK)
+        assert len(made) == 75
+        assert (res.count, dict(res.witness.values)) == (0, {1: 1, 2: 2, 3: 3, 4: 4})
 
     def test_cap(self):
         # WEAK and LIN stop at WEAK_ORDER_CAP = 6, SPEC at SPEC_ORDER_CAP = 8
@@ -434,13 +439,16 @@ class TestWeakOrderMinimum:
 
 
 class TestArrayVerdicts:
-    # SPEC and LIN decide every weak order in one array pass; each verdict
-    # must be the one that the list walk of `oracles.py` (SPEC) or `is_fair`
-    # (LIN) gives the kept ranking of that order
+    # SPEC and LIN decide every weak order in one array pass, and WEAK by
+    # one `is_fair` call per order; each verdict must be the one that the
+    # list walk of `oracles.py` (SPEC), `is_fair` (LIN) or the pair scan
+    # (WEAK) gives the ranking of that order's int levels
     @staticmethod
     def assert_verdicts(t):
-        rankings, levels = _weak_rankings(t.n), _level_array(t.n)
-        for c, fair in ((FC.SPEC, spectral_verdict_lists), (FC.LIN, partial(is_fair, c=FC.LIN))):
+        levels = _level_array(t.n)
+        rankings = [Ranking(dict(enumerate(column, start=1))) for column in levels.T.tolist()]
+        for c, fair in ((FC.SPEC, spectral_verdict_lists), (FC.LIN, partial(is_fair, c=FC.LIN)),
+                        (FC.WEAK, partial(is_fair_pairs, c=FC.WEAK))):
             expected = [fair(t, r).ok for r in rankings]
             assert _fair_orders(t, levels, c).tolist() == expected, (t.out, c)
 
@@ -470,7 +478,7 @@ class TestArrayVerdicts:
         # an empty class, must be the one of the default chunks
         seeds = range(12)
         outcomes = {(seed, c): block_loop_outcome(min_backward_fair, gen_random(6, seed), c)
-                    for seed in seeds for c in (FC.SPEC, FC.LIN)}
+                    for seed in seeds for c in (FC.WEAK, FC.SPEC, FC.LIN)}
         monkeypatch.setattr(optimize, "CHUNK_ENTRIES", per * 36)
         for (seed, c), expected in outcomes.items():
             assert block_loop_outcome(min_backward_fair, gen_random(6, seed), c) == expected, (seed, c)

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 import pickle
 import random
@@ -31,15 +32,13 @@ from fairrank import (
     parse_ranking,
     serialize_ranking,
 )
-from fairrank.optimize import _weak_rankings
+from fairrank.optimize import _level_array
 from fairrank.ranking import (
     DEFAULT_EPS,
     _above,
     _float_sums,
     _int_sums,
-    _keep_weak_candidates,
     _keys,
-    _level_rankings,
     _Walk,
 )
 from fairrank.tournament import DEFAULT_VERTEX_CAP
@@ -51,7 +50,6 @@ from oracles import (
     injection_exists,
     is_fair_pairs,
     linear_sums,
-    out_set,
     sorted_dominance,
     spectral_leq,
     spectral_leq_bruteforce,
@@ -331,8 +329,9 @@ class TestLinearOutSums:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_weak_order_levels_at_n6(self, seed):
         t = gen_random(6, seed)
-        for r in _weak_rankings(6):
-            assert is_fair(t, r, FC.LIN) == is_fair_pairs(t, r, FC.LIN), dict(r.values)
+        for levels in _level_array(6).T.tolist():
+            r = Ranking(dict(enumerate(levels, start=1)))
+            assert is_fair(t, r, FC.LIN) == is_fair_pairs(t, r, FC.LIN), levels
 
     def test_exact_at_the_vertex_cap(self):
         # x beats every y < x at n = 10 000, every key 2**32 - 1: the largest
@@ -575,13 +574,11 @@ class TestValuesDecideExactness:
                 is_fair(t, r, cls)
         with pytest.raises(ValueError, match="nan"):
             backward_arcs(t, r)
-        assert r._masks is None  # no masks were kept on the ranking
 
 
 class TestPerCallPaths:
     # `_keys` decides the domain from its own lookups and reads all-int
-    # values as they are; a tournament keeps its weak candidates only when
-    # `_keep_weak_candidates` put them there
+    # values as they are
 
     @pytest.mark.parametrize("values, labels", [
         ({1: 1, 2: 2}, "[1, 2]"),  # vertex 3 unranked
@@ -620,100 +617,38 @@ class TestPerCallPaths:
             assert backward_pairs(backward_arcs(t, r)) == backward_arcs_pairs(t, r)
 
     def test_interleaved_tournaments_keep_their_own_scores(self):
-        # t1 keeps its weak candidates, as the weak-order sweep keeps them;
-        # its equal copy and its relabeling build theirs per call
+        # t1, its equal copy and its relabeling share their scores, on the
+        # same or on other vertices; each check builds its own per call
         t1, t2 = gen_random(7, 1), gen_random(7, 2)
         perm = (0, 3, 1, 2, 7, 5, 4, 6)  # relabels t1: the same scores on other vertices
         moved = build_tournament(7, [(perm[x], perm[y]) for x, y in arcs(t1)])
         copy = Tournament(list(t1.out))
         assert copy == t1 and copy is not t1 and moved != t1
-        _keep_weak_candidates(t1)
-        kept = t1._weak
         rng = random.Random(3)
         for _ in range(25):
             r = Ranking({v: rng.randint(1, 4) for v in range(1, 8)})
             for t in (t1, t2, copy, moved, t1, copy, t2):
                 for cls in FC:
                     assert is_fair(t, r, cls) == is_fair_pairs(t, r, cls), (t.out, cls)
-        assert t1._weak is kept and t2._weak is copy._weak is moved._weak is None
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_kept_weak_candidates_are_the_inclusions(self, n):
-        # the sweep keeps, per x, only the y whose out-set holds x's
-        for t in enumerate_all(n):
-            _keep_weak_candidates(t)
-            kept = {(x, y) for x, ox, ys in t._weak for y in t.vertices()
-                    if ys >> (y - 1) & 1 and ox == t.out[x - 1]}
-            assert kept == {(x, y) for x in t.vertices() for y in t.vertices()
-                            if x != y and out_set(t, x) <= out_set(t, y)}, t.out
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-    def test_kept_weak_candidates_and_masks_match_the_pair_scan(self, n):
-        # each tournament keeps its weak candidates and each weak order its
-        # rank masks, as the weak-order sweep keeps them; every ranking
-        # meets every tournament in turn, so both are read back across
-        # tournaments and rankings
-        if n <= 4:
-            tournaments = list(enumerate_all(n))
-        else:
-            tournaments = [gen_random(n, seed) for seed in range(10)]
-        for t in tournaments:
-            _keep_weak_candidates(t)
-        for r in _weak_rankings(n):
-            assert r._masks is not None
-            for t in tournaments:
-                assert is_fair(t, r, FC.WEAK) == is_fair_pairs(t, r, FC.WEAK), (t.out, dict(r.values))
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_every_kept_and_built_combination_matches_the_pair_scan(self, n):
-        # the weak check reads masks kept (`_weak_rankings`) or built (an
-        # equal ranking of the same values), and candidates kept
-        # (`_keep_weak_candidates`) or built (an equal tournament of the same
-        # out-sets): each of the four pairs gives the pair scan's verdict
-        for t in enumerate_all(n):
-            kept_t, built_t = Tournament(t.out), Tournament(t.out)
-            _keep_weak_candidates(kept_t)
-            for kept_r in _weak_rankings(n):
-                built_r = Ranking(dict(kept_r.values))
-                expected = is_fair_pairs(t, kept_r, FC.WEAK)
-                for tt in (kept_t, built_t):
-                    for r in (kept_r, built_r):
-                        assert is_fair(tt, r, FC.WEAK) == expected, (t.out, dict(r.values))
-            assert built_t._weak is None and kept_t._weak is not None
-
-    @pytest.mark.parametrize("n", [3, 5])
-    def test_kept_masks_of_another_size_are_a_domain_mismatch(self, n):
-        # masks kept for 1..4 serve a tournament on 4 vertices only: on 3 or
-        # 5 the check builds them per call, whose domain check raises,
-        # whether the tournament's candidates are kept or built
-        message = f"ranking domain [1, 2, 3, 4] does not match 1..{n}"
-        built_t, kept_t = gen_random(n, 1), gen_random(n, 1)
-        _keep_weak_candidates(kept_t)
-        for r in _weak_rankings(4):
-            for t in (built_t, kept_t):
-                with pytest.raises(DomainMismatchError) as exc:
-                    is_fair(t, r, FC.WEAK)
-                assert str(exc.value) == message
-                with pytest.raises(DomainMismatchError) as exc:
-                    backward_arcs(t, r)
-                assert str(exc.value) == message
-
 
 class TestKeptKeys:
-    # a check keeps nothing on its arguments: a ranking keeps rank masks
-    # only when `_level_rankings` built it, and a tournament weak candidates
-    # only when `_keep_weak_candidates` kept them; a ranking's values are
-    # read-only, so kept masks match the values for as long as it lives
+    # a check keeps nothing on its arguments: a ranking has one slot, its
+    # read-only values, and a tournament two, its out-sets and n
 
     def test_checks_keep_nothing_on_their_arguments(self):
+        assert [f.name for f in dataclasses.fields(Ranking)] == ["values"]
+        assert [f.name for f in dataclasses.fields(Tournament)] == ["out", "n"]
+        assert Ranking.__slots__ == ("values",) and Tournament.__slots__ == ("out", "n")
         t = gen_random(200, 1)
         r = copeland_ranking(t)
         for cls in FC:
             is_fair(t, r, cls)
         backward_arcs(t, r)
-        assert r._masks is None and t._weak is None
-        min_backward_fair(gen_random(6, 1), FC.WEAK)
-        assert all(level._masks is not None for level in _weak_rankings(6))
+        small = gen_random(6, 1)
+        witness = min_backward_fair(small, FC.WEAK).witness
+        for held in (t, r, small, witness):
+            assert not hasattr(held, "__dict__"), held
+        assert r == copeland_ranking(t) and small == gen_random(6, 1)
 
     def test_values_are_read_only(self):
         r = Ranking({1: 1, 2: 2, 3: 3})
@@ -731,11 +666,6 @@ class TestKeptKeys:
                 again.values[1] = 9
             for cls in FC:
                 assert is_fair(chain3, again, cls) == is_fair(chain3, r, cls)
-        kept, = _level_rankings(np.array([[2], [1], [2]]))  # copies rebuild it without its masks
-        for again in (copy.copy(kept), copy.deepcopy(kept), pickle.loads(pickle.dumps(kept))):
-            assert again == kept and again.is_exact and again._masks is None
-            for cls in FC:
-                assert is_fair(chain3, again, cls) == is_fair(chain3, kept, cls)
 
     def test_equal_rankings_hash_alike(self, three_cycle):
         r = Ranking.exact({1: 1, 2: Fraction(1, 2), 3: 3})
@@ -757,36 +687,6 @@ class TestKeptKeys:
         for cls in FC:
             assert is_fair(chain3, r, cls) == before[cls] == is_fair_pairs(chain3, r, cls)
         assert backward_pairs(backward_arcs(chain3, r)) == report == ()
-
-    @pytest.mark.parametrize("values", [
-        (2, 1, 2, 3, 1, 2),
-        # 2.0 ties 2.0 + 4e-10 within eps; 1.0 and 1.0 + 2e-9 do not tie
-        (2.0, 1.0, 2.0 + 4e-10, 3.0, 1.0 + 2e-9, 2.0),
-    ], ids=["exact", "float"])
-    def test_kept_masks_serve_their_own_n_only(self, values):
-        # the ranking built per call keeps no masks; the one that
-        # `_level_rankings` built (int values only) reads its masks back on
-        # either tournament of its size, and n = 5 builds them per call,
-        # which raises on the domain
-        rankings = [Ranking(dict(enumerate(values, start=1)))]
-        if all(isinstance(v, int) for v in values):
-            rankings.extend(_level_rankings(np.array(values)[:, None]))
-        t6, t5, other6 = gen_random(6, 1), gen_random(5, 1), gen_random(6, 2)
-        for r in rankings:
-            kept = r._masks
-            assert kept is None or kept == tuple(_above(*_keys(t6, r)))
-            for t in (t6, t5, other6, t6):  # WEAK and backward arcs read the masks
-                if t is t5:
-                    for cls in FC:
-                        with pytest.raises(DomainMismatchError, match=r"\[1, 2, 3, 4, 5, 6\] does not match 1..5"):
-                            is_fair(t5, r, cls)
-                    with pytest.raises(DomainMismatchError):
-                        backward_arcs(t5, r)
-                else:
-                    for cls in FC:
-                        assert is_fair(t, r, cls) == is_fair_pairs(t, r, cls), (t.out, cls)
-                    assert backward_pairs(backward_arcs(t, r)) == backward_arcs_pairs(t, r)
-                assert r._masks is kept
 
     @pytest.mark.parametrize("values", [
         (2, 1, 2, 3, 1),
