@@ -342,13 +342,13 @@ def min_backward_fair(t: Tournament, c: FairnessClass) -> MinBackwardResult:
         chunk = levels.take(order[start:start + size], axis=1)
         fair = np.flatnonzero(_fair_orders(t, chunk, c))
         if len(fair):
-            best = Ranking(dict(enumerate(chunk[:, fair[0]].tolist(), start=1)))
+            best = Ranking.exact(dict(enumerate(chunk[:, fair[0]].tolist(), start=1)))
             if c is not FairnessClass.WEAK and not is_fair(t, best, c):
                 raise AssertionError(f"{c.value} array verdict refuted by is_fair on {best}")
         start, size = start + size, min(4 * size, per)
     if best is None:
         raise EmptyClassError(f"no weak-order ranking satisfies {c.value}")
-    return _result(t, Ranking.exact(best.values), "weakOrders")
+    return _result(t, best, "weakOrders")
 
 
 def _fair_orders(t: Tournament, levels: np.ndarray, c: FairnessClass) -> np.ndarray:

@@ -15,12 +15,13 @@ Every predicate and the backward-arc report compare through one rule on
 per-vertex keys: x ranks below y iff key[y] - key[x] > e.  The keys come
 from one lookup per vertex, which also decides the domain: n lookups that
 hit, in a ranking of n labels, mean that the labels are 1..n.  The keys,
-and the "ranks above" masks that the weak axiom and the backward-arc
-report read, are built per call: a check keeps nothing on its arguments,
-with no exception.  `_above` is the one builder of those masks, and of
-every other "ranks above" bitset here.  Each mask is an int as wide as its
-highest label, so the masks of n vertices hold about n^2 / 8 bytes, as
-many as the out-sets.  A float ranking keys on its values with e = eps.
+and the "ranks above" and "ranks below" masks that every pairwise verdict
+reads, are built per call: a check keeps nothing on its arguments, with no
+exception.  `_above` is the one builder of those masks, and `_below` is
+`_above` of the negated keys.  Each mask is an int as wide as its highest
+label, so one list of masks of n vertices holds about n^2 / 8 bytes, as
+many as the out-sets, and a check holds up to four such lists.
+A float ranking keys on its values with e = eps.
 An exact ranking keys on its values times the LCM of their denominators,
 Python ints in the same ratios, with e = 0; a ranking is exact iff every
 value has a denominator, the one rule that both `_keys` and
@@ -46,20 +47,20 @@ and one reduce adds the rows in order.
 The Copeland axioms and the linear axiom share one shape: key(x) <= key(y)
 implies rank(x) <= rank(y), and key(x) < key(y) implies rank(x) < rank(y),
 with the out-degree (Copeland) or the out-neighborhood rank sum (linear)
-as the key.  One walk up the keys in sorted order (`_Walk`) decides them
-in O(n log n) once the keys are known, instead of a scan of all n(n - 1)
-ordered pairs: the y whose key is not below x's form a suffix of the
-sorted order, so do the y whose key is above x's, and x breaks an
-implication against some y of its suffix iff it breaks it against the
-least rank there.  This holds under eps as well, because the rounded
-difference fl(a - b) never decreases as a grows or as b shrinks, so each
-comparison above is monotone in either operand.  Only the least violating
-x has its row scanned, to name the least y, so the certificate is the
-lex-least violating pair, as a full scan finds it.
-Backward arcs take the same sort and one mask per vertex, the y ranked
-above x (`_above`, the one builder of such masks).  The weak axiom needs
-y -> x, hence deg(y) > deg(x), and y not ranked above x, so the same
-masks over the out-degrees give each x the y with higher degree, and
+as the key.  x breaks the first against the y that rank below it and
+whose key is not below its own, and the second against the y whose key is
+above its own and that do not rank above it: each is a set difference of
+the `_below` or `_above` masks of the keys and of the ranks
+(`_monotone_verdict`), O(n log n) comparisons and O(n^2 / 64) word
+operations instead of a scan of all n(n - 1) ordered pairs.  The least x
+with a violator, and the lowest set bit of its violators, is the lex-least
+violating pair, as a full scan finds it.  The injective axiom's ties of x
+are the vertices in neither x's `_above` nor its `_below` mask, for exact
+and float keys alike, and the least tied x with its lowest tie is the
+certificate.
+Backward arcs AND each vertex's out-set with its `_above` mask.  The weak
+axiom needs y -> x, hence deg(y) > deg(x), and y not ranked above x, so
+`_above` of the out-degrees gives each x the y with higher degree, and
 out-set inclusion is tested only on the pairs that they and the
 complement of the rank mask leave, in ascending x and then y; when the
 degree order and the rank order agree, as on the Copeland ranking, no
@@ -67,22 +68,11 @@ pair is left.  The spectral axiom prunes the same way: x's spectrum lies
 below y's only if deg(x) <= deg(y), and only if x's rank sum over its
 out-set is at most y's, so its candidates are the y of at least x's
 degree and rank sum that do not rank above x, read off each rank's
-position among the others, which the walk over the keys gives.  The
-candidates are decided in numpy chunks of sorted spectra at every n
+position among the others, one plus the popcount of its `_below` mask.
+The candidates are decided in numpy chunks of sorted spectra at every n
 (`_spectral_verdict`), whose work and memory per chunk
 `tournament.CHUNK_ENTRIES` bounds, as it bounds the row blocks of every
-out-sum.  The injective axiom takes the walk too, for exact and float keys
-alike: the keys within e of x's (equal to it, for exact keys) are one run
-of the sorted order, by the same monotonicity, so the least x whose run
-holds another vertex, with the least other vertex of that run, is the
-certificate.
-
-What the Copeland and weak axioms read of the tournament does not depend
-on the ranking: the Copeland axioms read the walk of the out-degrees, and
-the weak axiom each vertex's candidates, the vertices that beat it and
-outscore it (`_weak_candidates`).  Both take one sort of the out-degrees
-and are built per call, as are the weak axiom's rank masks, `_above` of
-the ranking's keys.  The spectral axiom reads none of it.
+out-sum.
 """
 
 from __future__ import annotations
@@ -148,8 +138,8 @@ class Ranking:
 
     `values` is a read-only view of a copy of the mapping given, so no
     later change reaches a ranking.  A ranking keeps nothing else: its
-    comparison keys (`_keys`) and masks (`_above` of the keys) are built
-    per call.
+    comparison keys (`_keys`) and masks (`_above` and `_below` of the keys)
+    are built per call.
     """
 
     values: Mapping[int, Rank]
@@ -241,7 +231,7 @@ def _keys(t: Tournament, r: Ranking) -> Tuple[Tuple[Rank, ...], Rank]:
     wrap), with e = 0.  Any other ranking keys on its values as floats,
     with e = DEFAULT_EPS; one value without a denominator makes every key
     a float, and an exact value beyond float range then raises ValueError.
-    A nan value raises ValueError, as the sorted walks cannot place it;
+    A nan value raises ValueError, as no sorted order can place it;
     infinities are kept.  Index 0 holds the zero of the key type, 0 or 0.0.
     Every read of a ranking's values comes through here: n lookups that
     all hit, in a mapping of n labels, mean that the labels are exactly
@@ -261,7 +251,7 @@ def _keys(t: Tournament, r: Ranking) -> Tuple[Tuple[Rank, ...], Rank]:
             key, e = (0.0, *map(float, values)), DEFAULT_EPS
         except OverflowError:
             raise ValueError("ranking mixes floats with an exact value beyond float range") from None
-        # nan compares false both ways, which the sorted walks cannot order
+        # nan compares false both ways, which no sorted order can place
         if any(map(math.isnan, key)):
             raise ValueError("ranking holds nan, which has no place in a rank order")
     else:
@@ -275,15 +265,17 @@ def _above(key: Sequence[Rank], e: Rank) -> List[int]:
     are indexed by vertex from 1.
 
     Those y form a suffix of the ascending key order that grows as key[x]
-    falls (see the module docstring), so one walk down the order keeps the
-    mask.  The walk stops at x itself at the latest, as key[x] - key[x] > e
-    is false.
+    falls: the rounded difference fl(a - b) never decreases as a grows or
+    as b shrinks, so the comparison is monotone in either operand, with
+    e > 0 as with e = 0; two equal infinities, whose difference is nan, tie.
+    So one walk down the order keeps the mask.  The walk stops at x itself
+    at the latest, as key[x] - key[x] > e is false.
 
-    This is the one builder of "ranks above" bitsets: backward arcs and the
-    weak axiom read it of the ranks' keys, and the weak axiom of the
-    out-degrees through `_weak_candidates`.  One sort and one walk:
-    O(n log n) comparisons, and n mask updates of O(n / 64) words each,
-    O(n^2 / 64) in all.
+    This is the one builder of "ranks above" bitsets, and `_below` reads it
+    of the negated keys: every pairwise verdict of `is_fair` but the
+    spectral comparison itself is set algebra on the two.  One sort and one
+    walk: O(n log n) comparisons, and n mask updates of O(n / 64) words
+    each, O(n^2 / 64) in all.
     """
     order = sorted(range(1, len(key)), key=key.__getitem__)
     above = [0] * len(key)
@@ -295,6 +287,12 @@ def _above(key: Sequence[Rank], e: Rank) -> List[int]:
             j -= 1
         above[x] = mask
     return above
+
+
+def _below(key: Sequence[Rank], e: Rank) -> List[int]:
+    """below[x] is the bitset of the y with key[x] - key[y] > e: `_above` of
+    the negated keys, since negation is exact and fl(-b - (-a)) = fl(a - b)."""
+    return _above([-k for k in key], e)
 
 
 def backward_arcs(t: Tournament, r: Ranking) -> BackwardReport:
@@ -315,34 +313,6 @@ def copeland_ranking(t: Tournament) -> Ranking:
 # -- fairness predicates ---------------------------------------------------
 
 
-class _Walk:
-    """One walk up the keys in ascending order, ties by label (`order`).
-
-    geq[x] and gt[x] are the positions of that order where the keys not
-    below key[x], and the keys above it, begin (gt[x] = n when no key is
-    above); `key`, geq and gt are indexed by vertex from 1, and a < b means
-    b - a > e.  The y not below x form a suffix of the order, and so do the
-    y above x, since fl(a - b) never decreases as a grows or as b shrinks;
-    both start points only move right as x does, so one walk finds them
-    all, and order[geq[x]:gt[x]] holds the vertices within e of x.  The
-    walk gives positions, and `_above` every bitset.
-    """
-
-    def __init__(self, key: Sequence[Rank], e: Rank):
-        n = len(key) - 1
-        order = sorted(range(1, n + 1), key=key.__getitem__)
-        geq, gt = [0] * (n + 1), [0] * (n + 1)
-        i = j = 0
-        for x in order:
-            kx = key[x]
-            while kx - key[order[i]] > e:
-                i += 1
-            while j < n and not key[order[j]] - kx > e:
-                j += 1
-            geq[x], gt[x] = i, j
-        self.key, self.e, self.order, self.geq, self.gt = key, e, order, geq, gt
-
-
 def _weak_candidates(t: Tournament) -> List[Tuple[int, int, int]]:
     """(x, out-set of x, the y that beat x and outscore x) for each x that
     has any such y, in ascending x, built per call and kept nowhere.  The
@@ -353,48 +323,34 @@ def _weak_candidates(t: Tournament) -> List[Tuple[int, int, int]]:
 
 
 def _monotone_verdict(
-    walk: _Walk,
+    key: Sequence[Rank],
+    key_e: Rank,
     rank: Sequence[Rank],
     e: Rank,
     nonstrict: Optional[str],
     strict: Optional[str],
 ) -> FairnessVerdict:
     """Decide key(x) <= key(y) => rank(x) <= rank(y) and, separately,
-    key(x) < key(y) => rank(x) < rank(y) over all ordered pairs x != y,
-    where key is `walk.key`.
+    key(x) < key(y) => rank(x) < rank(y) over all ordered pairs x != y.
 
     Each implication is checked when its reason string is given.  The
-    lists are indexed by vertex from 1; a < b means b - a > e, for keys and
-    ranks alike, and the walk is taken with the same e.  The y with key not
-    below x's are order[geq[x]:], and those with key above x's order[gt[x]:].
-    x breaks an implication against some y of its suffix iff it breaks it
-    against the suffix's least rank low[geq[x]] or low[gt[x]], since
-    fl(a - b) is monotone in each argument.  The least such x is found by
-    testing the vertices in ascending label order; only its row is
-    scanned, to name the least y.
+    lists are indexed by vertex from 1; a < b means b - a > key_e for keys
+    and b - a > e for ranks.  x breaks the first against the y that rank
+    below it and whose key is not below its own, and the second against the
+    y whose key is above its own and that do not rank above it: set
+    differences of `_below` and `_above` masks.  The least x with such a y,
+    and the lowest bit of the union, is the lex-least violating pair; the
+    reason is the non-strict one when that y breaks the first.
     """
-    key, order, geq, gt = walk.key, walk.order, walk.geq, walk.gt
-    n = len(order)
-    low = [rank[v] for v in order]
-    for j in range(n - 2, -1, -1):
-        if low[j + 1] < low[j]:
-            low[j] = low[j + 1]
-    for x in range(1, n + 1):
-        rx = rank[x]
-        if (nonstrict and rx - low[geq[x]] > e) or (
-            strict and gt[x] < n and not low[gt[x]] - rx > e
-        ):
-            break
-    else:
-        return FairnessVerdict()
-    for y in range(1, n + 1):
-        if y == x:
-            continue
-        if nonstrict and not key[x] - key[y] > e and rank[x] - rank[y] > e:
-            return FairnessVerdict((x, y), nonstrict)
-        if strict and key[y] - key[x] > e and not rank[y] - rank[x] > e:
-            return FairnessVerdict((x, y), strict)
-    raise AssertionError(f"vertex {x} flagged without a violating pair")
+    none = [0] * len(key)
+    ranked_below, key_below = (_below(rank, e), _below(key, key_e)) if nonstrict else (none, none)
+    key_above, ranked_above = (_above(key, key_e), _above(rank, e)) if strict else (none, none)
+    for x, (rb, kb, ka, ra) in enumerate(zip(ranked_below, key_below, key_above, ranked_above)):
+        weak = rb & ~kb
+        if violators := weak | ka & ~ra:
+            y = violators & -violators
+            return FairnessVerdict((x, y.bit_length()), nonstrict if weak & y else strict)
+    return FairnessVerdict()
 
 
 def is_fair(t: Tournament, r: Ranking, c: FairnessClass) -> FairnessVerdict:
@@ -424,7 +380,6 @@ def is_fair(t: Tournament, r: Ranking, c: FairnessClass) -> FairnessVerdict:
                     return FairnessVerdict((x, b.bit_length()), "weak fairness violated")
         return FairnessVerdict()
 
-    n = t.n
     key, e = _keys(t, r)
 
     if c is FairnessClass.SPEC:
@@ -445,27 +400,25 @@ def is_fair(t: Tournament, r: Ranking, c: FairnessClass) -> FairnessVerdict:
         else:
             sums = [0, *_int_sums(t.out, values)]
         return _monotone_verdict(
-            _Walk(sums, e), key, e, "non-strict linear violated", "strict linear violated"
+            sums, e, key, e, "non-strict linear violated", "strict linear violated"
         )
 
     if c in _COPELAND_CLASSES:
-        # out-degrees differ by 0 or by at least 1: their walk with e = 0
-        # serves every e < 1
+        # out-degrees differ by 0 or by at least 1: their masks with e = 0
+        # serve every e < 1
         return _monotone_verdict(
-            _Walk([0, *map(int.bit_count, t.out)], 0), key, e,
+            [0, *map(int.bit_count, t.out)], 0, key, e,
             None if c is FairnessClass.SCOP else "non-strict Copeland violated",
             None if c is FairnessClass.NSCOP else "strict Copeland violated",
         )
 
     if c is FairnessClass.INJ:
-        # order[geq[x]:gt[x]] holds the vertices within e of x (of x's key,
-        # for exact keys), x among them; each is tied, so for the least tied
-        # x they are x and larger labels
-        walk = _Walk(key, e)
-        for x in range(1, n + 1):
-            if walk.gt[x] - walk.geq[x] > 1:
-                tied = sorted(walk.order[walk.geq[x] : walk.gt[x]])
-                return FairnessVerdict((x, tied[1]), "equal ranks")
+        # x's ties are the other y neither above nor below it; a tie holds
+        # both ways, so the least tied x is tied to larger labels only
+        above, below, full = _above(key, e), _below(key, e), (1 << t.n) - 1
+        for x in t.vertices():
+            if tied := full ^ (above[x] | below[x] | 1 << (x - 1)):
+                return FairnessVerdict((x, (tied & -tied).bit_length()), "equal ranks")
         return FairnessVerdict()
 
     raise ValueError(f"unhandled fairness class {c}")
@@ -573,15 +526,16 @@ def _spectral_verdict(t: Tournament, key: Sequence[Rank], e: Rank) -> FairnessVe
     above x, tested in ascending x and then y: the certificate is the
     lex-least violating pair.
 
-    Ranks enter the test as small ints, read off the keys' `_Walk`.
-    index(b) is 1 plus the number of keys below b: 1 plus geq of the walk
-    with e = 0, since fl(a - b) > 0 iff a > b for finite floats, and two
-    equal infinities, whose difference is nan, tie.  The keys b with
-    a - b > e are the lowest ones, since fl(a - b) never decreases as b
-    falls (module docstring), and low(a) is 1 plus their number, 1 plus geq
-    of the walk with e, so `not a - b > e` holds iff index(b) >= low(a).
-    For exact keys (e = 0) the two walks are one, and low is index.  The
-    same rule places the ranks: y ranks above x iff index(x) < low(y).
+    Ranks enter the test as small ints, popcounts of the keys' `_below`
+    masks.  index(b) is 1 plus the number of keys below b: 1 plus the
+    popcount of b's mask with e = 0, since fl(a - b) > 0 iff a > b for
+    finite floats, and two equal infinities, whose difference is nan, tie.
+    The keys b with a - b > e are the lowest ones, since fl(a - b) never
+    decreases as b falls (`_above`), and low(a) is 1 plus their number, 1
+    plus the popcount of a's mask with e, so `not a - b > e` holds iff
+    index(b) >= low(a).  For exact keys (e = 0) the two masks are one, and
+    low is index.  The same rule places the ranks: y ranks above x iff
+    index(x) < low(y).
     x's spectrum of lows lies below y's spectrum of indexes iff, sorted
     descending, each entry of x's is at most the entry of y's at its place;
     every entry is at least 1, so then x's sum of lows is at most y's sum
@@ -621,8 +575,8 @@ def _spectral_verdict(t: Tournament, key: Sequence[Rank], e: Rank) -> FairnessVe
     first chunk still pays for the O(n^2) sums of all n vertices.
     """
     n, out = t.n, t.out
-    low = [g + 1 for g in _Walk(key, e).geq[1:]]
-    index = [g + 1 for g in _Walk(key, 0).geq[1:]] if e else low
+    low = [b.bit_count() + 1 for b in _below(key, e)[1:]]
+    index = [b.bit_count() + 1 for b in _below(key, 0)[1:]] if e else low
     same = low == index  # no two distinct keys within e: one list serves both sides
     tops_rank = np.array(index, dtype=np.int16)
     lows_rank = tops_rank if same else np.array(low, dtype=np.int16)

@@ -1,6 +1,7 @@
 """Memory held and peaked under tracemalloc: tournament construction and
-text I/O at n = 2000, the spectral check at n = 2000, the weak orders
-kept at the weak-order cap, and the spectral minimizer at its own cap.
+text I/O at n = 2000, every check and the spectral check's chunks at
+n = 2000, the weak orders kept at the weak-order cap, and the spectral
+minimizer at its own cap.
 
 Out-sets and backward arcs are int bitsets, about n/8 bytes per vertex, so
 a 2000-vertex tournament and its backward-arc report each hold well under
@@ -8,6 +9,10 @@ a 2000-vertex tournament and its backward-arc report each hold well under
 writing it peaks at the text and one buffer of the same size.  A check
 keeps nothing on its arguments, and the weak-order minimizer keeps only
 one int8 level array per n: 28 KB for the 4683 weak orders at n = 6.
+A check builds its "ranks above" and "ranks below" masks per call, one
+int per vertex as wide as its highest label, so a list of them holds
+about n^2/8 bytes (0.57 MB at n = 2000), and a check holds up to four
+such lists: COP and LIN take both masks of the keys and of the ranks.
 
 Every numpy pass works in blocks or chunks of `tournament.CHUNK_ENTRIES`
 entries.  The spectral check does so at every n: it keeps twice that many
@@ -38,6 +43,7 @@ import tracemalloc
 from fairrank import (
     EmptyClassError,
     FairnessClass,
+    Ranking,
     backward_arcs,
     copeland_ranking,
     gen_random,
@@ -170,6 +176,19 @@ def traced_peak(call):
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+
+
+def test_every_check_peaks_within_its_masks_at_n2000():
+    # measured: at most 3.5 MB, for LIN on the linear-fair ranking, whose
+    # four mask lists sit beside the float out-sums
+    t = gen_random(2000, 1)
+    rankings = {"linear-fair": linear_fair_ranking(t).ranking,
+                "identity": Ranking({v: v for v in t.vertices()}),
+                "Copeland": copeland_ranking(t)}
+    for name, r in rankings.items():
+        for c in FairnessClass:
+            peak = traced_peak(lambda: is_fair(t, r, c))
+            assert peak < 5 * MB, f"{c.value} on the {name} ranking peaks at {peak / MB:.2f} MB"
 
 
 def test_array_passes_peak_per_call():

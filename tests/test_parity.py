@@ -424,7 +424,7 @@ def test_spec_relabeled_composite(l):
         rankings = [fair, copeland_ranking(t), *[perturbed(fair, rng, k) for k in (1, 3, base.n // 2)]]
         rankings.append(Ranking.approx(
             {v: x + rng.choice((0.0, -0.5, 0.5, 1.5)) * DEFAULT_EPS for v, x in fair.values.items()}))
-        for r in rankings:  # INJ on float ranks walks the near-tie runs too
+        for r in rankings:  # INJ on float ranks masks the near-tie chains too
             assert_parity(t, r, (FC.SPEC, FC.INJ))
 
 

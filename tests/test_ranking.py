@@ -36,10 +36,10 @@ from fairrank.optimize import _level_array
 from fairrank.ranking import (
     DEFAULT_EPS,
     _above,
+    _below,
     _float_sums,
     _int_sums,
     _keys,
-    _Walk,
 )
 from fairrank.tournament import DEFAULT_VERTEX_CAP
 from oracles import (
@@ -438,9 +438,10 @@ class TestInjective:
 
 
 class TestRankWalk:
-    # `_above` builds every mask, the y that rank above each x, which is the
-    # suffix of the walk's order from gt[x] on; the walk with e = 0 places
-    # each key among the others, as the spectral axiom reads it
+    # `_above` and `_below` build every mask, the y that rank above and
+    # below each x, as a scan of all pairs finds them; the popcount of
+    # `_below` with e = 0 places each key among the others, as the
+    # spectral axiom reads it
 
     @pytest.mark.parametrize("seed", range(20))
     def test_above_and_positions_read_the_walk(self, seed):
@@ -455,10 +456,11 @@ class TestRankWalk:
                        [1.0 + k * 4e-10 for k in levels],
                        [rng.choice(pool) for _ in levels]):
             key, e = _keys(t, Ranking(dict(enumerate(values, start=1))))
-            walk, above, exact = _Walk(key, e), _above(key, e), _Walk(key, 0)
+            above, below, exact = _above(key, e), _below(key, e), _below(key, 0)
             for x in t.vertices():
-                assert above[x] == sum(1 << (y - 1) for y in walk.order[walk.gt[x]:]), (values, x)
-                assert exact.geq[x] == sum(key[y] < key[x] for y in t.vertices()), (values, x)
+                assert above[x] == sum(1 << (y - 1) for y in t.vertices() if key[y] - key[x] > e), (values, x)
+                assert below[x] == sum(1 << (y - 1) for y in t.vertices() if key[x] - key[y] > e), (values, x)
+                assert exact[x].bit_count() == sum(key[y] < key[x] for y in t.vertices()), (values, x)
 
 
 class TestContainments:
