@@ -140,7 +140,19 @@ def _level_array(n: int) -> np.ndarray:
 
 def min_backward_injective(t: Tournament) -> MinBackwardResult:
     """Exact minimum over all injective rankings, up to INJECTIVE_SEARCH_CAP
-    vertices; the same witness as `min_backward_fair(t, INJ)`."""
+    vertices; the same witness as `min_backward_fair(t, INJ)`.
+
+    Every injective ranking with the fewest backward arcs is WEAK-fair, so
+    the WEAK ∧ INJ minimum is this one and EM(WEAK ∧ INJ) = EM(INJ) = 1/2.
+    The proof is an exchange.  Let out(x) ⊊ out(y) with x ranked above y;
+    then y -> x (see `min_backward_fair`).  Swap x and y.  Only the arc
+    between them and the arcs between {x, y} and the z ranked between them
+    change.  y -> x turns forward: +1.  A z with x -> z has y -> z too, as
+    z is in out(x) ⊆ out(y): x -> z turns backward and y -> z forward, net
+    0.  A z with z -> x turns forward, and the arc between y and z changes
+    by at most one: net >= 0.  So the swap removes a backward arc, which no
+    minimum allows (tests/test_optimize.py::TestWeakLemmas checks it).
+    """
     return _result(t, _least_injective_order(t), "permutations")
 
 

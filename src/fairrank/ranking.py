@@ -61,14 +61,20 @@ certificate.
 Backward arcs AND each vertex's out-set with its `_above` mask.  The weak
 axiom needs y -> x, hence deg(y) > deg(x), and y not ranked above x, so
 `_above` of the out-degrees gives each x the y with higher degree, and
-out-set inclusion is tested only on the pairs that they and the
-complement of the rank mask leave, in ascending x and then y; when the
-degree order and the rank order agree, as on the Copeland ranking, no
-pair is left.  The spectral axiom prunes the same way: x's spectrum lies
-below y's only if deg(x) <= deg(y), and only if x's rank sum over its
-out-set is at most y's, so its candidates are the y of at least x's
-degree and rank sum that do not rank above x, read off each rank's
-position among the others, one plus the popcount of its `_below` mask.
+x's candidates are those minus x's out-set and its rank mask; when the
+degree order and the rank order agree, as on the Copeland ranking, none
+is left.  Out-set inclusion is set algebra too: each z of x's out-set,
+lowest first, keeps the candidates that beat z, and the survivors are the
+y whose out-set holds x's.  That is at most deg(x) ANDs of O(n / 64)
+words per x, O(n^3 / 64) in the worst case, and the filter stops when no
+candidate is left: on a random tournament each z drops about half of
+them, so that takes about log2 of their count steps.  The first x with a
+survivor, and its lowest one, is the lex-least violating pair.  The
+spectral axiom prunes the same way: x's spectrum lies below y's only if
+deg(x) <= deg(y), and only if x's rank sum over its out-set is at most
+y's, so its candidates are the y of at least x's degree and rank sum
+that do not rank above x, read off each rank's position among the
+others, one plus the popcount of its `_below` mask.
 The candidates are decided in numpy chunks of sorted spectra at every n
 (`_spectral_verdict`), whose work and memory per chunk
 `tournament.CHUNK_ENTRIES` bounds, as it bounds the row blocks of every
@@ -313,15 +319,6 @@ def copeland_ranking(t: Tournament) -> Ranking:
 # -- fairness predicates ---------------------------------------------------
 
 
-def _weak_candidates(t: Tournament) -> List[Tuple[int, int, int]]:
-    """(x, out-set of x, the y that beat x and outscore x) for each x that
-    has any such y, in ascending x, built per call and kept nowhere.  The
-    y that outscore x are `_above` of the out-degrees with e = 0: they are
-    ints, which differ by 0 or by at least 1, so e = 0 serves every e < 1."""
-    outscore = _above([0, *map(int.bit_count, t.out)], 0)
-    return [(x, ox, y) for x, ox in enumerate(t.out, start=1) if (y := outscore[x] & ~ox)]
-
-
 def _monotone_verdict(
     key: Sequence[Rank],
     key_e: Rank,
@@ -369,15 +366,24 @@ def is_fair(t: Tournament, r: Ranking, c: FairnessClass) -> FairnessVerdict:
         # y+ holds x+ and x, so deg(y) > deg(x): only the y that beat x,
         # outscore x and do not rank above x can break the axiom.  The masks
         # are `_above` of r's keys, whose domain, nan and float-range checks
-        # raise first
+        # raise first; those of the out-degrees, ints that differ by 0 or by
+        # at least 1, take e = 0.  Each z of x+, lowest first, keeps the
+        # candidates that beat z, outside out[z - 1] (none is z, as each
+        # beats x and z does not): the survivors are the y with x+ ⊆ y+, at
+        # most deg(x) ANDs of O(n / 64) words, and about half the candidates
+        # go at each z of a random tournament.  The first x with survivors
+        # and its lowest one is the lex-least violating pair
         above, out = _above(*_keys(t, r)), t.out
-        for x, ox, beat in _weak_candidates(t):
-            candidates = beat & ~above[x]
-            while candidates:
-                b = candidates & -candidates
-                candidates ^= b
-                if ox & ~out[b.bit_length() - 1] == 0:
-                    return FairnessVerdict((x, b.bit_length()), "weak fairness violated")
+        outscore = _above([0, *map(int.bit_count, out)], 0)
+        for x, ox in enumerate(out, start=1):
+            candidates = outscore[x] & ~ox & ~above[x]
+            while candidates and ox:
+                z = ox & -ox
+                ox ^= z
+                candidates &= ~out[z.bit_length() - 1]
+            if candidates:
+                y = (candidates & -candidates).bit_length()
+                return FairnessVerdict((x, y), "weak fairness violated")
         return FairnessVerdict()
 
     key, e = _keys(t, r)

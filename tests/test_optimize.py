@@ -27,6 +27,7 @@ from fairrank import (
     min_backward_copeland_closed_form,
     min_backward_fair,
     min_backward_injective,
+    scc_decompose,
     verify_copeland_upper_bound,
 )
 from fairrank import optimize
@@ -48,6 +49,7 @@ from oracles import (
     min_backward_injective_bnb,
     min_backward_injective_permutations,
     min_backward_spectral_loop,
+    out_set,
     relabeled,
     spectral_verdict_lists,
     verify_copeland_upper_bound_loop,
@@ -513,6 +515,47 @@ class TestSpectralAndLinearImplyWeak:
     @pytest.mark.parametrize("seed", range(4))
     def test_random_n5(self, seed):
         assert self.fair_orders_are_weak(gen_random(5, seed)) > 0
+
+
+class TestWeakLemmas:
+    """ROADMAP items 27 and 29: what WEAK's minimum owes to out-set inclusion."""
+
+    # item 27: the exchange proof is in min_backward_injective's docstring
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_least_injective_orders_are_weak_fair_exhaustive(self, n):
+        for t in enumerate_all(n):
+            assert is_fair_pairs(t, min_backward_injective(t).witness, FC.WEAK).ok, t.out
+
+    @pytest.mark.parametrize("n", range(6, 15))
+    def test_least_injective_orders_are_weak_fair_random(self, n):
+        for seed in range(10):
+            t = gen_random(n, seed)
+            assert is_fair_pairs(t, min_backward_injective(t).witness, FC.WEAK).ok, seed
+
+    # item 29: a weak order with no backward arc puts each strong component
+    # on one level, in condensation order, which a pair x+ ⊊ y+ inside a
+    # component forbids; one across components already has y's component
+    # above x's
+
+    @staticmethod
+    def zero_iff_no_inner_inclusion(t):
+        """Whether WEAK's minimum on t is 0, checked against the lemma."""
+        inner = any(out_set(t, x) < out_set(t, y)
+                    for comp in scc_decompose(t) for x in comp for y in comp)
+        zero = min_backward_fair(t, FC.WEAK).count == 0
+        assert zero == (not inner), t.out
+        return zero
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_zero_minimum_exhaustive(self, n):
+        zeros = {self.zero_iff_no_inner_inclusion(t) for t in enumerate_all(n)}
+        # below 4 vertices no strong component holds an inclusion
+        assert zeros == ({True} if n < 4 else {True, False})
+
+    def test_zero_minimum_random_n6(self):
+        zeros = {self.zero_iff_no_inner_inclusion(gen_random(6, seed)) for seed in range(100)}
+        assert zeros == {True, False}
 
 
 def assert_pairwise_invariants(t):

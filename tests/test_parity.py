@@ -164,9 +164,11 @@ def test_float_ranks_near_eps(seed, n, base, steps):
 # -- weak axiom at scale ----------------------------------------------------------
 
 
-def plant(t, pairs):
+def plant(t, pairs, miss=False):
     """t with x+ ⊆ y+ forced for each (x, y) in turn: y beats x and every z
-    that x beats.  A later pair may undo an earlier one; the oracle judges."""
+    that x beats; with `miss`, every z but the highest-labelled, which
+    beats y, so x+ misses y+ by that one vertex.  A later pair may undo an
+    earlier one; the oracle judges."""
     out = list(t.out)
     for x, y in pairs:
         bx, by = 1 << (x - 1), 1 << (y - 1)
@@ -176,6 +178,10 @@ def plant(t, pairs):
             if out[x - 1] >> (z - 1) & 1:
                 out[z - 1] &= ~by
                 out[y - 1] |= 1 << (z - 1)
+        if miss:
+            z = out[x - 1].bit_length()
+            out[z - 1] |= by
+            out[y - 1] &= ~(1 << (z - 1))
     return Tournament(out)
 
 
@@ -185,35 +191,47 @@ def assert_weak_parity(t, r):
     return got
 
 
-@pytest.fixture(scope="module", params=[200, 1000])
+NESTED = [(200, False), (1000, False)]
+
+
+@pytest.fixture(scope="module", params=NESTED + [(200, True), (1000, True)],
+                ids=["200", "1000", "near-miss-200", "near-miss-1000"])
 def planted(request):
     """A random tournament with about n/50 dominated vertices planted, each
-    x with a y whose out-set holds x's, and the planted pairs."""
-    n = request.param
+    x with a y whose out-set holds x's, the planted pairs, and whether the
+    plant is a near miss.  A near miss has each y beat x and all of x+ but
+    its highest-labelled vertex, so where y is a candidate of x, the weak
+    check's filter of x runs through all of x+ before it drops y; then no
+    out-set holds another, and every ranking passes."""
+    n, miss = request.param
     rng = random.Random(n)
     pairs = [tuple(rng.sample(range(1, n + 1), 2)) for _ in range(n // 50)]
-    return plant(gen_random(n, 7), pairs), pairs
+    t = plant(gen_random(n, 7), pairs, miss)
+    assert bool(nested_pairs(t)) is not miss
+    return t, pairs, miss
 
 
 def test_weak_reversed_copeland(planted):
-    t, _ = planted
+    t, _, miss = planted
     cop = copeland_ranking(t)
-    assert not assert_weak_parity(t, Ranking.exact({v: -x for v, x in cop.values.items()}))
+    reversed_cop = Ranking.exact({v: -x for v, x in cop.values.items()})
+    assert assert_weak_parity(t, reversed_cop).ok is miss
     assert assert_weak_parity(t, cop)
 
 
 def test_weak_copeland_with_swaps(planted):
-    t, pairs = planted
+    t, pairs, miss = planted
     rng = random.Random(3)
     values = dict(copeland_ranking(t).values)
-    # two swaps within planted pairs, which break the axiom, and three at random
+    # two swaps within planted pairs, which break the axiom unless the
+    # plant is a near miss, and three at random
     for x, y in pairs[-2:] + [tuple(rng.sample(sorted(values), 2)) for _ in range(3)]:
         values[x], values[y] = values[y], values[x]
-    assert not assert_weak_parity(t, Ranking.exact(values))
+    assert assert_weak_parity(t, Ranking.exact(values)).ok is miss
 
 
 def test_weak_linear_fair_within_eps(planted):
-    t, pairs = planted
+    t, pairs, miss = planted
     rng = random.Random(5)
     fair = linear_fair_ranking(t).ranking
     steps = (-DEFAULT_EPS / 2, 0.0, DEFAULT_EPS / 2)
@@ -222,7 +240,7 @@ def test_weak_linear_fair_within_eps(planted):
     values = dict(fair.values)
     for x, y in pairs:
         values[y] = values[x] + rng.choice(steps)
-    assert not assert_weak_parity(t, Ranking.approx(values))
+    assert assert_weak_parity(t, Ranking.approx(values)).ok is miss
 
 
 def swap_labels(t, a, b):
@@ -238,8 +256,9 @@ def nested_pairs(t):
             if x != y and t.out[x - 1] & ~t.out[y - 1] == 0]
 
 
+@pytest.mark.parametrize("planted", NESTED, ids=["200", "1000"], indirect=True)
 def test_weak_certificate_is_lex_least_not_least_degree(planted):
-    t, _ = planted
+    t, _, _ = planted
     # give the dominated vertex of least degree the largest label
     x = min(nested_pairs(t), key=lambda p: (t.out_degree(p[0]), p))[0]
     t = swap_labels(t, x, t.n)
@@ -248,6 +267,16 @@ def test_weak_certificate_is_lex_least_not_least_degree(planted):
     # the constant ranking breaks the axiom at every nested pair
     got = assert_weak_parity(t, Ranking.exact({v: 1 for v in t.vertices()}))
     assert got.certificate == min(nested)
+
+
+def test_weak_certificate_names_the_lower_of_two_survivors():
+    # x = 100 nested in 150, then in 120; both tie with x, so both survive
+    # x's filter, and the certificate names the lower
+    t = plant(gen_random(200, 7), [(100, 150), (100, 120)])
+    assert {(100, 120), (100, 150)} <= set(nested_pairs(t))
+    values = dict(copeland_ranking(t).values)
+    values[120] = values[150] = values[100]
+    assert assert_weak_parity(t, Ranking.exact(values)).certificate == (100, 120)
 
 
 # -- matrix parser -------------------------------------------------------------
