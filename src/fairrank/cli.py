@@ -226,14 +226,9 @@ def cmd_dump(args) -> int:
     print(header)
     for x in order:
         out, back = t.out[x - 1], backward[x - 1]
-        cells = []
-        for y in order:
-            if x == y:
-                cells.append("  . ")
-            elif out >> (y - 1) & 1:
-                cells.append("[*] " if back >> (y - 1) & 1 else " *  ")
-            else:
-                cells.append(" .  ")
+        # each mark sits under its label's last digit; no vertex beats itself
+        cells = [(" [*]" if back >> (y - 1) & 1 else "  * ") if out >> (y - 1) & 1 else "  . "
+                 for y in order]
         print(f"{x:>3d} " + "".join(cells))
     return EXIT_OK
 

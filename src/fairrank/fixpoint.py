@@ -134,8 +134,8 @@ def linear_fair_ranking(t: Tournament) -> LinearFairResult:
     minus y, so sum(x) >= sum(y) + r(y) > sum(y): strict separation of the
     ranks is all that is needed.  The 1/n relative margin keeps that
     separation under float rounding, where a bare +1 vanishes at large
-    magnitudes.  The assembly is checked once; a failed check, or an
-    n * top that overflows, raises VerificationFailedError.
+    magnitudes.  The assembly is checked once; a failed check, or a top
+    rank beyond float range, raises VerificationFailedError.
     """
     solves: List[PerronResult] = []
     values: Dict[int, float] = {}
@@ -149,9 +149,8 @@ def linear_fair_ranking(t: Tournament) -> LinearFairResult:
         for v, val in p.items():
             values[v] = c * val
         top = c * max(p.values())  # the largest value placed: fl(c * a) rises with a
-    # every rank is <= top and every out-sum < n * top, so a finite n * top
-    # keeps the check below clear of overflow
-    if not math.isfinite(top * t.n):
+    # the check sums the ranks exactly, so only an infinite rank is refused
+    if not math.isfinite(top):
         raise VerificationFailedError(None, "assembled ranking is not finite")
     ranking = Ranking.approx(values)
     verdict = is_fair(t, ranking, FairnessClass.LIN)

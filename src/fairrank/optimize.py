@@ -359,7 +359,7 @@ def min_backward_fair(t: Tournament, c: FairnessClass) -> MinBackwardResult:
                 raise AssertionError(f"{c.value} array verdict refuted by is_fair on {best}")
         start, size = start + size, min(4 * size, per)
     if best is None:
-        raise EmptyClassError(f"no weak-order ranking satisfies {c.value}")
+        raise EmptyClassError(f"no ranking with levels 1..k satisfies {c.value}")
     return _result(t, best, "weakOrders")
 
 

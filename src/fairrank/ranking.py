@@ -34,15 +34,10 @@ out-set matrix A with the keys split into 32-bit limbs, one column each
 (`_int_sums`), recombined as Python ints: each limb sum is below
 n * 2**32 < 2**53, which float64 holds exactly, and the product costs
 O(n^2 ceil(w / 32)) for keys of w bits.  The spectral axiom's rank sums
-are the same product.  Float addition rounds at every step, so a float
-out-sum is defined as the out-set's keys added in ascending vertex order
-from 0.0, rounded after each add.  That is what builtin `sum` gave before
-Python 3.12, which compensates it, and what the pair-scan reference in
-`tests/oracles.py` adds in a loop, so the two agree on float verdicts to
-the last bit on every Python.  `_float_sums` adds all n out-sums in numpy,
-one pass per block of rows: the block's own out-set rows mark the terms,
-which are selected bitwise, not multiplied by 0 or 1 (0 * inf is nan),
-and one reduce adds the rows in order.
+are the same product.  Float ranks sum the same way: each float is its
+exact binary value p / q, q a power of two, so times the largest q every
+rank is an int, and a float out-sum is the exact sum of its ranks,
+compared with the others within eps.
 
 The Copeland axioms and the linear axiom share one shape: key(x) <= key(y)
 implies rank(x) <= rank(y), and key(x) < key(y) implies rank(x) < rank(y),
@@ -354,12 +349,10 @@ def is_fair(t: Tournament, r: Ranking, c: FairnessClass) -> FairnessVerdict:
     """Check a fairness axiom; on failure return the lex-least violating pair.
 
     Raises ValueError when a float ranking holds nan or an exact value
-    beyond float range, or when a float out-sum of the linear axiom
-    overflows.  A float out-sum adds the out-set's ranks in ascending
-    vertex order from 0.0, rounded after each add, on every Python: numpy
-    adds them for all vertices in one pass per row block (`_float_sums`),
-    selecting each term bitwise, since a product with 0 turns a +inf rank
-    into nan.  Exact ranks sum as ints, in 32-bit limbs (`_int_sums`).
+    beyond float range, or, for the linear axiom, an infinite rank in some
+    out-set.  The linear axiom's out-sums are exact for every ranking: int
+    sums in 32-bit limbs (`_int_sums`) of the keys, or of each float's
+    exact binary value scaled to an int.
     """
     if c is _WEAK:
         # x+ ⊆ y+ forces y -> x, since x -> y would put y in y+, and then
@@ -395,18 +388,22 @@ def is_fair(t: Tournament, r: Ranking, c: FairnessClass) -> FairnessVerdict:
         for x in t.vertices():
             if key[x] <= 0:
                 return FairnessVerdict((x, x), "non-positive rank")
-        values = key[1:]
+        values, sum_e = key[1:], e
         if e:
-            float_sums = _float_sums(t.out, values)
-            # inf - inf is nan, which no comparison counts as greater: an
-            # overflowed out-sum would hide violations, so refuse to decide
-            if not np.isfinite(float_sums).all():
-                raise ValueError("a float out-sum overflows; scale the ranking down")
-            sums = [0.0, *float_sums.tolist()]
-        else:
-            sums = [0, *_int_sums(t.out, values)]
+            # an infinite rank has no exact sum; one in no out-set is never summed
+            if any(k == math.inf and o.bit_count() < t.n - 1 for k, o in zip(values, t.out)):
+                raise ValueError("an infinite rank lies in an out-set")
+            # each float is p / q exactly, q a power of two: times the largest
+            # q every rank is an int, and an int gap exceeds eps times that
+            # scale iff it exceeds the floor of the product
+            ratios = [k.as_integer_ratio() if k < math.inf else (0, 1) for k in values]
+            scale = max(q for _, q in ratios)
+            values = [p * (scale // q) for p, q in ratios]
+            p, q = DEFAULT_EPS.as_integer_ratio()
+            sum_e = p * scale // q
         return _monotone_verdict(
-            sums, e, key, e, "non-strict linear violated", "strict linear violated"
+            [0, *_int_sums(t.out, values)], sum_e, key, e,
+            "non-strict linear violated", "strict linear violated",
         )
 
     if c in _COPELAND_CLASSES:
@@ -452,7 +449,7 @@ def _exact_sums(out: Sequence[int], columns: np.ndarray) -> np.ndarray:
 
 
 def _int_sums(out: Sequence[int], values: Sequence[int]) -> List[int]:
-    """The out-sums of positive int keys of any width, one per out-set.
+    """The out-sums of non-negative int keys of any width, one per out-set.
 
     Each key splits into 32-bit limbs, lowest first (`int.to_bytes` read
     as little-endian uint32), one column per limb; one `_exact_sums`
@@ -460,7 +457,7 @@ def _int_sums(out: Sequence[int], values: Sequence[int]) -> List[int]:
     recombined as Python ints, top limb first: O(n^2 ceil(w / 32)) for
     keys of w bits.
     """
-    nbytes = 4 * -(-max(values).bit_length() // 32)
+    nbytes = 4 * -(-max(values).bit_length() // 32) or 4  # all zero: one limb
     data = b"".join([v.to_bytes(nbytes, "little") for v in values])
     limbs = _exact_sums(out, np.frombuffer(data, "<u4").reshape(len(values), -1))
     limbs = limbs.astype(np.int64).T.tolist()
@@ -468,43 +465,6 @@ def _int_sums(out: Sequence[int], values: Sequence[int]) -> List[int]:
     for limb in reversed(limbs):
         sums = [(s << 32) + k for s, k in zip(sums, limb)]
     return sums
-
-
-def _float_sums(out: Sequence[int], values: Sequence[float]) -> np.ndarray:
-    """The out-sums of float keys, one per out-set: entry i - 1 adds the
-    values[j - 1] of j in out(i) in ascending j, starting from 0.0 and
-    rounding after each add, as builtin `sum` did before Python 3.12
-    compensated it, and as the pair-scan reference adds them.
-
-    The columns are the vertices i, and the rows are taken in blocks of j,
-    at most CHUNK_ENTRIES // n of them.  j's term belongs to column i
-    iff j is in out(i), that is iff i is not in out(j) and i != j, so the
-    block's own out-set rows (`unpack_rows`), with the diagonal set and
-    then negated, mark the terms: no transpose is needed.  A term is
-    values[j - 1] or exactly +0.0, and adding +0.0 to a positive sum
-    leaves it as it is.  A term is the value's IEEE bits ANDed with an
-    all-ones or all-zero mask, not the value times 1 or 0, since 0 * inf
-    is nan and +inf ranks are legal.  The running sums sit in the block's row 0, and
-    `np.add.reduce` over axis 0 adds the rows one after another: numpy
-    sums pairwise only along the contiguous axis, so every column is added
-    left to right.  An out-sum that overflows is +inf, which the caller
-    refuses, and raises no RuntimeWarning.
-    """
-    n = len(out)
-    bits = np.array(values, dtype=np.float64).view(np.uint64)
-    per = max(1, CHUNK_ENTRIES // n)
-    block = np.zeros((per + 1, n))
-    terms = block.view(np.uint64)
-    with np.errstate(over="ignore"):
-        for j0 in range(0, n, per):
-            m = min(per, n - j0)
-            beaten = unpack_rows(out, range(j0, j0 + m))  # beaten[j - j0, i]: j beats i
-            beaten[np.arange(m), np.arange(j0, j0 + m)] = 1
-            # 1 - 1 = 0 masks a term out, 0 - 1 wraps to all ones and keeps it
-            np.subtract(beaten, 1, out=terms[1:m + 1], dtype=np.uint64)
-            terms[1:m + 1] &= bits[j0:j0 + m, None]
-            block[0] = np.add.reduce(block[:m + 1], axis=0)
-    return block[0]
 
 
 def _spectra(out: Sequence[int], rows: np.ndarray, ranks: np.ndarray) -> np.ndarray:
@@ -670,7 +630,7 @@ def parse_ranking(text: str) -> Ranking:
                 value = Fraction(raw) if "/" in raw else float(raw)
         except (ValueError, ZeroDivisionError):
             raise TournamentSyntaxError(f"bad value {raw!r}") from None
-        # an exact value is finite, and math.isfinite overflows on one above 1e308
+        # an exact value is finite, and math.isfinite raises OverflowError on one above 1e308
         if isinstance(value, float) and not math.isfinite(value):
             raise TournamentSyntaxError(f"non-finite value {raw!r}")
         values[v] = value

@@ -225,20 +225,21 @@ def linear_sums(t: Tournament, r: Ranking) -> Dict[int, Rank]:
 
     Exact ranks sum as Fractions, or, when every denominator is 1, as the
     ints of their numerators in any order: equal sums without a Fraction
-    add.  Float ranks are added one at a time from 0.0, each add rounded,
-    in a loop rather than with builtin `sum`, which compensates float sums
-    from Python 3.12 on: the reference means the same on every Python.
+    add.  Float ranks sum exactly too, each read as the Fraction of its
+    value as a float and added in a plain loop; a sum that meets an
+    infinite rank raises KeyError, as `Fraction` has no infinity.
     """
     r.require_domain(t)
-    if r.is_exact:
-        if all(v.denominator == 1 for v in r.values.values()):
-            return {x: sum(int(r[z].numerator) for z in out_set(t, x)) for x in t.vertices()}
-        return {x: sum((r[z] for z in sorted(out_set(t, x))), Fraction(0)) for x in t.vertices()}
+    exact = r.is_exact
+    if exact and all(v.denominator == 1 for v in r.values.values()):
+        return {x: sum(int(r[z].numerator) for z in out_set(t, x)) for x in t.vertices()}
+    value = {z: Fraction(r[z] if exact else float(r[z])) for z in t.vertices()
+             if r[z] != math.inf}
     sums = {}
     for x in t.vertices():
-        s = 0.0
+        s = Fraction(0)
         for z in sorted(out_set(t, x)):
-            s += float(r[z])
+            s += value[z]
         sums[x] = s
     return sums
 
@@ -576,7 +577,7 @@ def min_backward_fair_blocks(t: Tournament, c: FairnessClass) -> MinBackwardResu
         if best is None or key < (best[0], best[1]):
             best = (key[0], key[1], r)
     if best is None:
-        raise EmptyClassError(f"no weak-order ranking satisfies {c.value}")
+        raise EmptyClassError(f"no ranking with levels 1..k satisfies {c.value}")
     count, _, witness = best
     fraction = Fraction(count, t.num_arcs) if t.num_arcs else Fraction(0)
     return MinBackwardResult(count, fraction, witness, "weakOrders")
@@ -708,11 +709,22 @@ def is_fair_pairs(t: Tournament, r: Ranking, c: FairnessClass) -> FairnessVerdic
         for x in t.vertices():
             if r[x] <= 0:
                 return FairnessVerdict((x, x), "non-positive rank")
-        sums = linear_sums(t, r)
+        sums, sum_lt = linear_sums(t, r), lt
+        if not r.is_exact:
+            # b - a > eps for the Fraction sums, exactly, with both sides
+            # times their common denominator: int differences against one
+            # Fraction compare faster than Fraction differences against a float
+            d = math.lcm(*(s.denominator for s in sums.values()))
+            sums = {x: s.numerator * (d // s.denominator) for x, s in sums.items()}
+            eps = Fraction(DEFAULT_EPS) * d
+
+            def sum_lt(a: int, b: int) -> bool:
+                return b - a > eps
+        # the rank test first: it spares most pairs an exact sum comparison
         for x, y in _ordered_pairs(t.n):
-            if leq(sums[x], sums[y]) and not leq(r[x], r[y]):
+            if not leq(r[x], r[y]) and not sum_lt(sums[y], sums[x]):
                 return FairnessVerdict((x, y), "non-strict linear violated")
-            if lt(sums[x], sums[y]) and not lt(r[x], r[y]):
+            if not lt(r[x], r[y]) and sum_lt(sums[x], sums[y]):
                 return FairnessVerdict((x, y), "strict linear violated")
         return FairnessVerdict()
 

@@ -1,5 +1,6 @@
 import io
 import json
+import re
 import shlex
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 
 from fairrank import gen_random, optimize, parse_ranking, serialize_tournament
 from fairrank.cli import main
+from oracles import backward_arcs_pairs, out_set
 
 CYCLE = "3\n010\n001\n100\n"
 RANDOM5 = "5\n01010\n00011\n11001\n00101\n10000\n"  # gen_random(5, 3)
@@ -143,16 +145,16 @@ class TestCheck:
         assert main(["check", "--in", cycle_path, "--ranking", str(r),
                      "--class", "weak"]) == 2
 
-    def test_overflowing_lin_sums_are_input_error(self, tmp_path, capsys):
+    def test_lin_sums_past_float_range_are_decided(self, tmp_path, capsys):
+        # float out-sums are exact sums: past float range they decide as the
+        # same ranking scaled down exactly does
         t = tmp_path / "t.txt"
         t.write_text("n=5\n1 2\n1 3\n1 5\n2 3\n2 4\n2 5\n3 4\n3 5\n4 1\n4 5\n")
         r = tmp_path / "r.txt"
-        r.write_text("1 1e308\n2 1e308\n3 1e308\n4 1e308\n5 9e307\n")
-        assert main(["check", "--in", str(t), "--ranking", str(r), "--class", "lin"]) == 2
-        assert "overflows" in capsys.readouterr().err
-        r.write_text("1 1\n2 1\n3 1\n4 1\n5 9/10\n")
-        assert main(["check", "--in", str(t), "--ranking", str(r), "--class", "lin"]) == 1
-        assert "pair=(3, 1) reason=strict linear violated" in capsys.readouterr().out
+        for ranks in ("1e308\n2 1e308\n3 1e308\n4 1e308\n5 9e307", "1\n2 1\n3 1\n4 1\n5 9/10"):
+            r.write_text(f"1 {ranks}\n")
+            assert main(["check", "--in", str(t), "--ranking", str(r), "--class", "lin"]) == 1
+            assert "pair=(3, 1) reason=strict linear violated" in capsys.readouterr().out
 
     def test_exact_ranks_beyond_float_range(self, tmp_path, capsys):
         # an exact rank above 1e308 is finite: only float values get the finiteness check
@@ -376,6 +378,26 @@ class TestDump:
         assert main(["dump", "--in", str(t), "--ranking", str(r)]) == 0
         assert "[*]" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize("ranked", [False, True])
+    def test_marks_sit_under_their_labels(self, tmp_path, capsys, ranked):
+        # two-digit labels: the '*' or '.' of each row's mark for y, and the
+        # '*' of a bracketed backward arc, sit under y's last digit
+        t = gen_random(12, 1)
+        path, r = tmp_path / "t.txt", tmp_path / "r.txt"
+        path.write_text(serialize_tournament(t))
+        r.write_text("".join(f"{v} {5 * v % 12}\n" for v in t.vertices()))
+        assert main(["dump", "--in", str(path)] + ["--ranking", str(r)] * ranked) == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        columns = {int(m.group()): m.end() - 1 for m in re.finditer(r"\d+", header)}
+        backward = backward_arcs_pairs(t, parse_ranking(r.read_text())) if ranked else ()
+        assert len(rows) == 12 and sorted(columns) == list(t.vertices())
+        for row in rows:
+            x = int(row[:3])
+            assert {y: row[c] for y, c in columns.items()} == {
+                y: "*" if y in out_set(t, x) else "." for y in t.vertices()}
+            assert {y for y, c in columns.items() if row[c - 1:c + 2] == "[*]"} == {
+                y for b, y in backward if b == x}
+
     def test_domain_mismatch(self, cycle_path, tmp_path, capsys):
         r = tmp_path / "r.txt"
         r.write_text("1 1\n2 2\n")
@@ -432,11 +454,11 @@ def test_copeland_outputs_read_as_with_fraction_ranks(tmp_path, capsys):
     assert main(["dump", "--in", str(t), "--ranking", str(cop)]) == 0
     assert capsys.readouterr().out == (
         "      5   1   2   4   3\n"
-        "  5   . [*]  .   .   .  \n"
-        "  1  .    .  *   *   .  \n"
-        "  2  *   .    .  *   .  \n"
-        "  4  *   .   .    . [*] \n"
-        "  3  *   *   *   .    . \n"
+        "  5   .  [*]  .   .   . \n"
+        "  1   .   .   *   *   . \n"
+        "  2   *   .   .   *   . \n"
+        "  4   *   .   .   .  [*]\n"
+        "  3   *   *   *   .   . \n"
     )
     assert main(["emn", "--exhaustive", "5"]) == 0
     assert capsys.readouterr().out == (

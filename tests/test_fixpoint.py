@@ -299,13 +299,21 @@ class TestLinearFair:
         for cls in (FC.LIN, FC.SPEC, FC.WEAK):
             assert is_fair(t, res.ranking, cls).ok
 
-    # Both exits below are defects of the float assembly (exit 4 in the
-    # CLI); ROADMAP item 1 turns both into successes.
+    # The exits below are defects of the float assembly (exit 4 in the
+    # CLI); ROADMAP item 1, 24 or 26 turns them into successes.
     def test_float_ties_fail_verification(self):
         t = stacked_blocks(TIED_BLOCK, 60)
         with pytest.raises(VerificationFailedError) as info:
             linear_fair_ranking(t)
-        assert info.value.certificate == (85, 86)
+        assert info.value.certificate == (91, 92)
+
+    @pytest.mark.parametrize("seed, pair", [(2137895388, (306, 798)), (265862673, (826, 569))])
+    def test_random_near_ties_fail_verification(self, seed, pair):
+        # one strong component: Perron entries closer than eps apart, whose
+        # out-sums differ by more than eps
+        with pytest.raises(VerificationFailedError) as info:
+            linear_fair_ranking(gen_random(1000, seed))
+        assert info.value.certificate == pair
 
     def test_geometric_scaling_overflows(self, tmp_path, capsys):
         # the top rank grows about 9x per block: 1.9e286 at 300 blocks

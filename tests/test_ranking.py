@@ -3,7 +3,6 @@ import dataclasses
 import math
 import pickle
 import random
-import warnings
 from decimal import Decimal
 from fractions import Fraction
 
@@ -37,7 +36,6 @@ from fairrank.ranking import (
     DEFAULT_EPS,
     _above,
     _below,
-    _float_sums,
     _int_sums,
     _keys,
 )
@@ -218,17 +216,16 @@ class TestLinear:
                 scaled = Ranking.exact({v: 7 * r[v] for v in t.vertices()})
                 assert is_fair(t, r, FC.LIN).ok == is_fair(t, scaled, FC.LIN).ok
 
-    def test_overflowing_float_sums_raise(self):
-        # every out-sum is inf, and inf - inf is nan, which would pass LIN;
-        # the same ranking scaled down exactly fails on (3, 1).  The overflow
-        # ends in the ValueError, not in a RuntimeWarning from numpy
+    def test_float_sums_past_float_range(self):
+        # every out-sum passes float range, yet each is an exact sum: the
+        # verdict is that of the same ranking scaled down exactly, (3, 1)
         t = build_tournament(5, OVERFLOW_ARCS)
-        with warnings.catch_warnings(), pytest.raises(ValueError, match="overflows"):
-            warnings.simplefilter("error")
-            is_fair(t, Ranking.approx({1: 1e308, 2: 1e308, 3: 1e308, 4: 1e308, 5: 9e307}), FC.LIN)
-        verdict = is_fair(t, exact(1, 1, 1, 1, Fraction(9, 10)), FC.LIN)
-        assert (verdict.ok, verdict.certificate, verdict.reason) == (
-            False, (3, 1), "strict linear violated")
+        for r in (Ranking.approx({1: 1e308, 2: 1e308, 3: 1e308, 4: 1e308, 5: 9e307}),
+                  exact(1, 1, 1, 1, Fraction(9, 10))):
+            verdict = is_fair(t, r, FC.LIN)
+            assert (verdict.ok, verdict.certificate, verdict.reason) == (
+                False, (3, 1), "strict linear violated")
+            assert verdict == is_fair_pairs(t, r, FC.LIN)
 
 
 def primes(count):
@@ -279,9 +276,9 @@ def linear_cases():
                                               for v in t.vertices()}))]
     one = Tournament([0])
     cases += [("n=1", one, Ranking({1: 1})), ("n=1-zero", one, Ranking({1: 0}))]
-    # float ranks sum left to right in numpy row blocks (`_float_sums`): the
-    # linear-fair ranking passes, the Copeland ranking as floats does not,
-    # and ranks 1 + deg * 4e-10 chain neighbours within eps
+    # float ranks sum exactly: the linear-fair ranking passes, the Copeland
+    # ranking as floats does not, and ranks 1 + deg * 4e-10 chain neighbours
+    # within eps
     for n in (65, 200):
         t = gen_random(n, n)
         cases += [
@@ -289,12 +286,13 @@ def linear_cases():
             (f"copeland-float-{n}", t, Ranking.approx(copeland_ranking(t).values)),
             (f"near-ties-{n}", t, Ranking({v: 1 + t.out_degree(v) * 4e-10 for v in t.vertices()})),
         ]
-    # vertex 1 beats all and ranks +inf: no out-set holds it, so every
-    # out-sum is finite and the verdict is decided (it passes)
+    # vertex 1 beats all and ranks +inf: no out-set holds it, so no out-sum
+    # meets it and the verdict is decided (it passes)
     t = Tournament([(1 << 65) - 2] + [o & ~1 for o in gen_random(65, 4).out[1:]])
     values = dict(linear_fair_ranking(t).ranking.values)
     values[1] = math.inf
-    cases += [("inf-on-top", t, Ranking(values)), ("n=1-float", one, Ranking({1: 0.5}))]
+    cases += [("inf-on-top", t, Ranking(values)), ("n=1-float", one, Ranking({1: 0.5})),
+              ("n=1-inf", one, Ranking({1: math.inf}))]
     return cases
 
 
@@ -341,53 +339,49 @@ class TestLinearOutSums:
         assert _int_sums(t.out, [2**32 - 1] * n) == [(x - 1) * (2**32 - 1) for x in t.vertices()]
 
 
-def float_bits(sums):
-    """The IEEE bit patterns of float sums, so that equality is to the last bit."""
-    return np.asarray(sums, dtype=np.float64).view(np.uint64).tolist()
-
-
 class TestFloatOutSums:
-    # a float out-sum adds the out-set's values in ascending vertex order
-    # from 0.0, rounding after each add, as the oracle's loop does on every
-    # Python; `_float_sums` adds them in numpy row blocks of
-    # CHUNK_ENTRIES // n vertices and must agree to the last bit
-
-    @staticmethod
-    def assert_left_to_right(t, values):
-        expected = linear_sums(t, Ranking.approx(dict(enumerate(values, start=1))))
-        assert float_bits(_float_sums(t.out, values)) == float_bits(list(expected.values()))
+    # float ranks sum exactly, each its binary value scaled to an int by one
+    # power of two, through the same `_int_sums` as exact ranks: the verdict
+    # must be the pair scan's, whose Fraction sums compare within eps exactly
 
     @pytest.mark.parametrize("entries", [ranking_module.CHUNK_ENTRIES, 1])
     def test_random_rankings(self, monkeypatch, entries):
-        # entries = 1 puts each vertex in a block of its own
+        # entries = 1 puts each out-set in a block of its own
         monkeypatch.setattr(ranking_module, "CHUNK_ENTRIES", entries)
         rng = random.Random(34)
         for n in range(1, 81):
+            t = gen_random(n, n)
             low = rng.uniform(-5, 280)  # magnitudes 1e-5 to 1e300
             values = [10 ** rng.uniform(low, low + 20) for _ in range(n)]
             if rng.random() < 0.3:
-                values[rng.randrange(n)] = math.inf
-            self.assert_left_to_right(gen_random(n, n), values)
+                # an infinite rank in an out-set has no exact sum; on a
+                # vertex that beats every other, it is never summed
+                v = rng.randrange(n)
+                values[v] = math.inf
+                r = Ranking(dict(enumerate(values, start=1)))
+                if t.out[v].bit_count() < n - 1:
+                    with pytest.raises(ValueError, match="infinite rank lies in an out-set"):
+                        is_fair(t, r, FC.LIN)
+                    t = Tournament([(1 << n) - 1 - (1 << v) if u == v else o & ~(1 << v)
+                                    for u, o in enumerate(t.out)])
+            r = Ranking(dict(enumerate(values, start=1)))
+            assert is_fair(t, r, FC.LIN) == is_fair_pairs(t, r, FC.LIN), (n, values)
+
+    @pytest.mark.parametrize("name, t, r", FLOAT_CASES, ids=[c[0] for c in FLOAT_CASES])
+    def test_linear_cases(self, monkeypatch, name, t, r):
+        # each out-set in a block of its own; `test_matches_the_pair_scan`
+        # decides the same cases in the default blocks
+        monkeypatch.setattr(ranking_module, "CHUNK_ENTRIES", 1)
+        assert is_fair(t, r, FC.LIN) == is_fair_pairs(t, r, FC.LIN)
 
     @pytest.mark.parametrize("n", [511, 512, 513, 1000, 1200])
     def test_across_block_edges(self, n):
+        # CHUNK_ENTRIES // n rows a block: 256 at n = 511 and 512, 255 at 513
+        # (a last block of 3 rows), 131 at 1000 and 109 at 1200
         t = gen_random(n, 1)
-        ranking = linear_fair_ranking(t).ranking
-        self.assert_left_to_right(t, [ranking[v] for v in t.vertices()])
-
-    @pytest.mark.parametrize("name, t, r", FLOAT_CASES, ids=[c[0] for c in FLOAT_CASES])
-    def test_linear_cases(self, name, t, r):
-        self.assert_left_to_right(t, [r[v] for v in t.vertices()])
-
-    def test_a_row_that_pairwise_summation_rounds_differently(self):
-        # vertex 10 beats 1..9 and j beats i < j: out(10) sums 1.0 and then
-        # eight halves of 1.0's last place, each of which rounds away, while
-        # numpy's pairwise sum adds most halves to each other and keeps 2**-50
-        t = Tournament([(1 << x) - 1 for x in range(10)])
-        values = [1.0] + [2.0**-53] * 8 + [2.0]
-        assert float(np.sum(values[:9])) == 1.0 + 2.0**-50
-        assert _float_sums(t.out, values)[9] == 1.0
-        self.assert_left_to_right(t, values)
+        r = linear_fair_ranking(t).ranking
+        verdict = is_fair(t, r, FC.LIN)
+        assert verdict.ok and verdict == is_fair_pairs(t, r, FC.LIN)
 
 
 class TestInjective:
