@@ -37,7 +37,10 @@ O(n^2 ceil(w / 32)) for keys of w bits.  The spectral axiom's rank sums
 are the same product.  Float ranks sum the same way: each float is its
 exact binary value p / q, q a power of two, so times the largest q every
 rank is an int, and a float out-sum is the exact sum of its ranks,
-compared with the others within eps.
+compared with the others within eps.  Before the product the keys drop
+the largest power of two that divides them all, so floats at or above
+2**53, whose q is 1, and ints with trailing zero bits sum over their
+significant bits only.
 
 The Copeland axioms and the linear axiom share one shape: key(x) <= key(y)
 implies rank(x) <= rank(y), and key(x) < key(y) implies rank(x) < rank(y),
@@ -352,7 +355,8 @@ def is_fair(t: Tournament, r: Ranking, c: FairnessClass) -> FairnessVerdict:
     beyond float range, or, for the linear axiom, an infinite rank in some
     out-set.  The linear axiom's out-sums are exact for every ranking: int
     sums in 32-bit limbs (`_int_sums`) of the keys, or of each float's
-    exact binary value scaled to an int.
+    exact binary value scaled to an int, over the largest power of two
+    that divides them all.
     """
     if c is _WEAK:
         # x+ ⊆ y+ forces y -> x, since x -> y would put y in y+, and then
@@ -388,21 +392,26 @@ def is_fair(t: Tournament, r: Ranking, c: FairnessClass) -> FairnessVerdict:
         for x in t.vertices():
             if key[x] <= 0:
                 return FairnessVerdict((x, x), "non-positive rank")
-        values, sum_e = key[1:], e
+        values, scale = key[1:], 0  # exact keys compare their sums with e = 0
         if e:
             # an infinite rank has no exact sum; one in no out-set is never summed
             if any(k == math.inf and o.bit_count() < t.n - 1 for k, o in zip(values, t.out)):
                 raise ValueError("an infinite rank lies in an out-set")
             # each float is p / q exactly, q a power of two: times the largest
-            # q every rank is an int, and an int gap exceeds eps times that
-            # scale iff it exceeds the floor of the product
+            # q every rank is an int
             ratios = [k.as_integer_ratio() if k < math.inf else (0, 1) for k in values]
             scale = max(q for _, q in ratios)
             values = [p * (scale // q) for p, q in ratios]
-            p, q = DEFAULT_EPS.as_integer_ratio()
-            sum_e = p * scale // q
+        # the largest power of two that divides every nonzero key, 2**shift,
+        # divides every sum: dropping it keeps floats above 2**53 and wide
+        # ints to their significant limbs, and an int gap of the sums over
+        # 2**shift exceeds eps * scale / 2**shift iff it exceeds its floor
+        common = math.gcd(*values)
+        shift = (common & -common or 1).bit_length() - 1
+        sums = _int_sums(t.out, [k >> shift for k in values])
+        p, q = DEFAULT_EPS.as_integer_ratio()
         return _monotone_verdict(
-            [0, *_int_sums(t.out, values)], sum_e, key, e,
+            [0, *sums], p * scale // (q << shift), key, e,
             "non-strict linear violated", "strict linear violated",
         )
 

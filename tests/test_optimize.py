@@ -371,13 +371,14 @@ class TestWeakOrderMinimum:
         assert is_fair_pairs(t, res.witness, FC.SPEC).ok
 
     # the witness is the first fair weak order in ascending (count, levels);
-    # WEAK decides each order of a chunk by one call, and here the first
-    # chunk, 256 orders, holds it, while SPEC and LIN decide every order of
-    # a chunk in one array pass and check only the witness, so an empty
-    # class makes no call
+    # WEAK decides each order of a chunk by one call, and the first chunk,
+    # 128 orders, holds every WEAK witness at n = 6
+    # (test_first_chunk_holds_every_weak_witness), so it makes 128 calls,
+    # while SPEC and LIN decide every order of a chunk in one array pass and
+    # check only the witness, so an empty class makes no call
     @pytest.mark.parametrize("c, seed, calls, witness", [
         (FC.SPEC, 1, 1, (4, 2, 4, 3, 5, 1)), (FC.LIN, 1, 1, (4, 2, 4, 3, 5, 1)),
-        (FC.WEAK, 1, 256, (2, 2, 2, 2, 3, 1)), (FC.LIN, 2, 0, None),
+        (FC.WEAK, 1, 128, (2, 2, 2, 2, 3, 1)), (FC.LIN, 2, 0, None),
     ], ids=lambda p: getattr(p, "value", p))
     def test_is_fair_calls(self, monkeypatch, c, seed, calls, witness):
         made = []
@@ -397,10 +398,51 @@ class TestWeakOrderMinimum:
             assert is_fair(t, res.witness, c).ok
         assert len(made) == calls
 
+    @staticmethod
+    def first_weak_fair(ts, n):
+        """For each tournament of `ts`, on n vertices: the column of
+        `_level_array(n)` of its first WEAK-fair order in ascending (count,
+        levels), that order's count, and its index in that order.  An
+        order is WEAK-fair iff no pair with out(x) ⊊ out(y) has
+        L[x] >= L[y] (`min_backward_fair` proves that such a pair has
+        y -> x); counts and violations of a whole batch are one float32
+        product each, exact for these small ints."""
+        levels = _level_array(n)
+        lt = (levels[:, None] < levels).reshape(n * n, -1).astype(np.float32)
+        ge = (levels[:, None] >= levels).reshape(n * n, -1).astype(np.float32)
+        outs = np.array([t.out for t in ts], dtype=np.int64)
+        arcs = (outs[:, :, None] >> np.arange(n) & 1).reshape(len(ts), -1)  # x -> y at x * n + y
+        ox, oy = outs[:, :, None], outs[:, None, :]
+        strict = ((ox & ~oy == 0) & (ox != oy)).reshape(len(ts), -1)
+        counts = (arcs.astype(np.float32) @ lt).astype(np.int8)  # at most C(6, 2) = 15
+        fair = strict.astype(np.float32) @ ge == 0
+        least = np.where(fair, counts, 127).min(axis=1, keepdims=True)
+        first = (fair & (counts == least)).argmax(axis=1)  # levels ascend with the column
+        earlier = np.arange(levels.shape[1]) < first[:, None]
+        index = (counts < least).sum(axis=1) + ((counts == least) & earlier).sum(axis=1)
+        return first, least[:, 0], index
+
+    @pytest.mark.parametrize("n, bound", [(4, 8), (5, 16), (6, 58)])
+    def test_first_chunk_holds_every_weak_witness(self, n, bound):
+        # the first chunk, 128 orders, holds every WEAK witness at n <= 6:
+        # over every labelled tournament the first WEAK-fair order in
+        # ascending (count, levels) lies at index bound - 1 or lower
+        ts = list(enumerate_all(n))
+        parts = [self.first_weak_fair(ts[i:i + 256], n) for i in range(0, len(ts), 256)]
+        first, count, index = (np.concatenate(part) for part in zip(*parts))
+        assert index.max() == bound - 1 and bound <= 128
+        # the rule gives min_backward_fair's own count and witness
+        levels = _level_array(n)
+        for i in range(0, len(ts), -(-len(ts) // 300)):
+            res = min_backward_fair(ts[i], FC.WEAK)
+            assert res.count == count[i], ts[i].out
+            assert [res.witness[v] for v in ts[i].vertices()] == levels[:, first[i]].tolist(), ts[i].out
+
     def test_weak_decides_all_75_orders_of_4_vertices(self, monkeypatch):
-        # the first chunk, 256 orders, holds every weak order of 4 vertices:
-        # the 75 calls that the benchmark's own tests count on the
-        # transitive tournament, whose one weak-fair order is the strict one
+        # the first chunk, 128 orders, holds every weak order of 4 vertices,
+        # so WEAK decides each: the 75 calls that the benchmark's own tests
+        # count on the transitive tournament, whose one weak-fair order is
+        # the strict one
         made = []
 
         def counted(*args):

@@ -331,6 +331,27 @@ class TestLinearOutSums:
             r = Ranking(dict(enumerate(levels, start=1)))
             assert is_fair(t, r, FC.LIN) == is_fair_pairs(t, r, FC.LIN), levels
 
+    @pytest.mark.parametrize("shift", [0, 1, 40, 600, 1000])
+    def test_common_power_of_two_is_dropped(self, monkeypatch, shift):
+        # ranks that share the factor 2**shift, ints or floats, sum without
+        # it: keys no wider than the ranks over 2**shift, and the pair scan's
+        # verdict
+        widths = []
+
+        def recorded(out, values):
+            widths.append(max(values).bit_length())
+            return _int_sums(out, values)
+
+        monkeypatch.setattr(ranking_module, "_int_sums", recorded)
+        rng = random.Random(shift)
+        for n in range(1, 30):
+            t = gen_random(n, n)
+            base = [rng.randint(1, 2 * n) for _ in range(n)]
+            for r in (Ranking({v: b << shift for v, b in enumerate(base, start=1)}),
+                      Ranking({v: float(b << shift) for v, b in enumerate(base, start=1)})):
+                assert is_fair(t, r, FC.LIN) == is_fair_pairs(t, r, FC.LIN), (n, base)
+                assert widths.pop() <= max(base).bit_length()
+
     def test_exact_at_the_vertex_cap(self):
         # x beats every y < x at n = 10 000, every key 2**32 - 1: the largest
         # out-sum, 9999 * (2**32 - 1), is the largest one limb reaches at the cap
@@ -626,6 +647,52 @@ class TestPerCallPaths:
             for t in (t1, t2, copy, moved, t1, copy, t2):
                 for cls in FC:
                     assert is_fair(t, r, cls) == is_fair_pairs(t, r, cls), (t.out, cls)
+
+class TestIntegerKeys:
+    # an exact ranking keys on each numerator times the LCM of the
+    # denominators over its own, as Python ints whatever the value types:
+    # ints, bools, numpy ints and whole Fractions key on their numerators
+    POOLS = {
+        "int": [1, 2, 3, 7, 2**40],
+        "bool": [True, False],
+        "numpy-int64": [np.int64(1), np.int64(3), np.int64(2**62 + 1)],
+        "whole-fraction": [Fraction(1), Fraction(4, 2), Fraction(9, 3)],
+        "mixed": [True, 2, np.int64(3), Fraction(8, 2), 5],
+        "with-a-half": [1, np.int64(2), Fraction(1, 2), Fraction(6, 2)],
+    }
+
+    @staticmethod
+    def general_keys(values):
+        scale = math.lcm(*(int(v.denominator) for v in values))
+        return [int(v.numerator) * (scale // int(v.denominator)) for v in values]
+
+    @pytest.mark.parametrize("pool", POOLS, ids=str)
+    def test_keys_are_python_ints_of_the_general_rule(self, pool):
+        rng = random.Random(pool)
+        for n in range(1, 6):
+            values = [rng.choice(self.POOLS[pool]) for _ in range(n)]
+            key, e = _keys(gen_random(n, 1), Ranking(dict(enumerate(values, start=1))))
+            assert e == 0 and key[0] == 0
+            assert key[1:] == tuple(self.general_keys(values))
+            assert all(type(k) is int for k in key)
+
+    def test_a_half_scales_by_the_lcm(self):
+        values = [1, True, np.int64(3), Fraction(6, 2), Fraction(1, 2)]
+        key, e = _keys(gen_random(5, 1), Ranking(dict(enumerate(values, start=1))))
+        assert key == (0, 2, 2, 6, 6, 1) and e == 0
+        assert all(type(k) is int for k in key)
+
+    @pytest.mark.parametrize("pool", POOLS, ids=str)
+    def test_verdicts_match_the_pair_scan(self, pool):
+        rng = random.Random(pool)
+        for n in range(1, 5):
+            for t in enumerate_all(n):
+                for _ in range(2):
+                    r = Ranking({v: rng.choice(self.POOLS[pool]) for v in t.vertices()})
+                    for cls in FC:
+                        assert is_fair(t, r, cls) == is_fair_pairs(t, r, cls), (t.out, cls, r)
+                    assert backward_pairs(backward_arcs(t, r)) == backward_arcs_pairs(t, r)
+
 
 class TestKeptKeys:
     # a check keeps nothing on its arguments: a ranking has one slot, its
