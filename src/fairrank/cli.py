@@ -96,10 +96,12 @@ def _reject_shared_stream(flags: dict) -> None:
         raise ValueError(f"{shared[0]} and {shared[1]} cannot both be '-'")
 
 
-def _read(path: str) -> str:
+def _read(path: str) -> bytes:
+    """The bytes of a file, or of stdin for `-`: `parse_tournament` reads a
+    canonical matrix in place, and a ranking is decoded as UTF-8 before it is parsed."""
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
+        return sys.stdin.buffer.read()
+    with open(path, "rb") as fh:
         return fh.read()
 
 
@@ -156,7 +158,7 @@ def cmd_rank(args) -> int:
 def cmd_check(args) -> int:
     _reject_shared_stream({"--in": args.in_path, "--ranking": args.ranking})
     t = parse_tournament(_read(args.in_path))
-    r = parse_ranking(_read(args.ranking))
+    r = parse_ranking(str(_read(args.ranking), "utf-8"))
     c = FairnessClass.from_string(args.cls)
     verdict = is_fair(t, r, c)
     report = backward_arcs(t, r)
@@ -219,7 +221,7 @@ def cmd_dump(args) -> int:
     t = parse_tournament(_read(args.in_path))
     order, backward = list(t.vertices()), (0,) * t.n
     if args.ranking:
-        r = parse_ranking(_read(args.ranking))
+        r = parse_ranking(str(_read(args.ranking), "utf-8"))
         backward = backward_arcs(t, r).rows  # raises first on a wrong domain
         order.sort(key=lambda v: (r[v], v))
     header = "    " + " ".join(f"{v:>3d}" for v in order)

@@ -405,10 +405,11 @@ def is_fair(t: Tournament, r: Ranking, c: FairnessClass) -> FairnessVerdict:
         # the largest power of two that divides every nonzero key, 2**shift,
         # divides every sum: dropping it keeps floats above 2**53 and wide
         # ints to their significant limbs, and an int gap of the sums over
-        # 2**shift exceeds eps * scale / 2**shift iff it exceeds its floor
+        # 2**shift exceeds eps * scale / 2**shift iff it exceeds its floor;
+        # with shift 0 the keys are summed as they are
         common = math.gcd(*values)
         shift = (common & -common or 1).bit_length() - 1
-        sums = _int_sums(t.out, [k >> shift for k in values])
+        sums = _int_sums(t.out, [k >> shift for k in values] if shift else values)
         p, q = DEFAULT_EPS.as_integer_ratio()
         return _monotone_verdict(
             [0, *sums], p * scale // (q << shift), key, e,

@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import combinations, islice, repeat, starmap
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -96,7 +96,9 @@ def build_tournament(n: int, arc_list: Iterable[Tuple[int, int]]) -> Tournament:
 
 
 def _from_matrix(a: np.ndarray) -> Tournament:
-    """The tournament of a checked n x n bool adjacency matrix, row x - 1 for vertex x."""
+    """The tournament of checked 0/1 adjacency rows of n, row x - 1 for
+    vertex x: an n x n matrix, or the parser's block of rows, whose out-sets
+    it keeps."""
     packed = np.packbits(a, axis=1, bitorder="little")
     data, step = packed.tobytes(), packed.shape[1]
     return Tournament([int.from_bytes(data[i:i + step], "little") for i in range(0, len(data), step)])
@@ -259,23 +261,28 @@ def _edge_list(lines: Iterable[str]) -> Iterator[Tuple[int, int]]:
         yield u, v
 
 
-def parse_tournament(text: str) -> Tournament:
-    """Parse the matrix format or the "n=<N>" edge-list format.
+def parse_tournament(text: Union[bytes, str]) -> Tournament:
+    """Parse the matrix format or the "n=<N>" edge-list format, from a
+    file's bytes or from a str, which is encoded once.
 
-    Every matrix cell is read by one reader, `_canonical_matrix`, which
-    takes the layout that `serialize_tournament` writes: an ASCII decimal
-    header and exactly n rows of n '0'/'1' characters, each ending in
-    '\\n'.  Any other text (CRLF, blank or indented lines, no final
-    newline, a bad cell, a non-ASCII character, an edge list) goes to
-    `_parse_lines`, which normalizes a matrix into that layout first, so
-    both give the same tournament or the same error.  The headers and the
-    edge endpoints are ASCII decimals: a '_' digit group or a non-ASCII
-    digit is a syntax error.  Edge lines are parsed as
-    `build_tournament` reads them, after its cap check: the first bad line
-    in file order raises, malformed or a bad arc.
+    Every matrix cell is read by one reader, `_canonical_tournament`,
+    which takes the layout that `serialize_tournament` writes: an ASCII
+    decimal header and exactly n rows of n '0'/'1' characters, each ending
+    in '\\n'.  Any other input (CRLF or CR line ends, blank or indented
+    lines, no final newline, a bad cell, a non-ASCII character, an edge
+    list) is decoded as UTF-8 and goes to `_parse_lines`, which normalizes
+    a matrix into that layout first, so both give the same tournament or
+    the same error; bytes that are not UTF-8 raise `UnicodeDecodeError`.
+    The headers and the edge endpoints are ASCII decimals: a '_' digit
+    group or a non-ASCII digit is a syntax error.  Edge lines are parsed
+    as `build_tournament` reads them, after its cap check: the first bad
+    line in file order raises, malformed or a bad arc.
     """
-    a = _canonical_matrix(text)
-    return _parse_lines(text) if a is None else _matrix_tournament(a)
+    # a non-ASCII character becomes '?', which no canonical file holds
+    t = _canonical_tournament(text.encode("ascii", "replace") if isinstance(text, str) else text)
+    if t is None:
+        t = _parse_lines(text if isinstance(text, str) else str(text, "utf-8"))
+    return t
 
 
 def _parse_lines(text: str) -> Tournament:
@@ -284,11 +291,11 @@ def _parse_lines(text: str) -> Tournament:
 
     It strips and splits the lines, reads the header, and checks the row
     count.  A matrix is then rebuilt in the canonical layout, the header
-    `str(n)` and each row ending in '\\n', and read by `_canonical_matrix`;
-    only when that fails are the rows scanned for the first one in file
-    order that is not n '0'/'1' cells.  O(n^2) time plus a step per line,
-    and beside the text the list of lines, then a second copy of the text,
-    which `_canonical_matrix` encodes beside the n x n bool matrix.
+    `str(n)` and each row ending in '\\n', and read by
+    `_canonical_tournament`; only when that fails are the rows scanned for
+    the first one in file order that is not n '0'/'1' cells.  O(n^2) time
+    plus a step per line, and beside the text the list of lines, then a
+    second copy of the text, which is encoded for the reader.
     """
     lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
     if not lines:
@@ -310,9 +317,9 @@ def _parse_lines(text: str) -> Tournament:
     lines.append("")  # the last row's '\n'; "0\n" for n = 0, which fails the size check
     text = "\n".join(lines)
     del lines  # else the lines, the new text and its encoding are all held at once
-    a = _canonical_matrix(text)
-    if a is not None:
-        return _matrix_tournament(a)
+    t = _canonical_tournament(text.encode("ascii", "replace"))
+    if t is not None:
+        return t
     # a row is bad: the first one in file order that is not n '0'/'1' cells,
     # found by walking the rows in place, with no list of them built
     cells = str.maketrans("", "", "01")  # a row of cells alone translates to ""
@@ -325,69 +332,63 @@ def _parse_lines(text: str) -> Tournament:
     raise TournamentSyntaxError(f"bad matrix row {row!r}")
 
 
-def _canonical_matrix(text: str) -> Optional[np.ndarray]:
-    """The n x n bool matrix of a text in the layout that
-    `serialize_tournament` writes, or None for any other text: the one
-    reader of matrix cells.
+def _canonical_tournament(data: bytes) -> Optional[Tournament]:
+    """The tournament of a file in the layout that `serialize_tournament`
+    writes, read in one pass over its own bytes, or None for any other
+    layout or a bad cell, which `_parse_lines` then names: the one reader
+    of matrix cells.
 
     The length is checked against the header's n(n + 1) before anything is
-    allocated.  The text is encoded once and viewed as an (n, n + 1) uint8
-    array, whose rows are checked (n cells of '0' or '1', then '\\n') and
-    copied in blocks of CHUNK_ENTRIES // n rows: O(n^2) time with no step
-    per line, and the encoded text and the n x n bool matrix beside the
-    text.  A bad block returns None; `_parse_lines` names the error.
+    allocated, and the bytes after the header are viewed as an (n, n + 1)
+    uint8 array.  Each block of CHUNK_ENTRIES // n rows is checked (n
+    cells of '0' or '1', then '\\n'), compared with the mirrored block of
+    columns of the rows above it, and packed into its out-sets.  The errors
+    then come in the order that `build_tournament` finds them when fed the
+    '1' cells in row-major order, after the vertex-count check: the first
+    '1' on the diagonal is a loop, or the first '1' below it whose mirror
+    is '1' orients its pair twice.  With neither, the pairs are all covered
+    iff the out-sets hold C(n, 2) arcs, and only when they do not does a
+    second pass find the first pair x < y with two '0's.  O(n^2) time with
+    no step per line, and beside the bytes only the out-sets and one block.
     """
-    end = text.find("\n")
-    head = text[:end]
-    if end < 1 or not (text.isascii() and head.isdigit()):
+    end = data.find(b"\n")
+    head = data[:end]
+    if end < 1 or not head.isdigit():
         return None
     try:
         n = int(head)
-    except ValueError:  # more digits than `int` reads: far too long for this text
+    except ValueError:  # more digits than `int` reads: far too long for this file
         return None
-    if len(text) != end + 1 + n * (n + 1):
+    if len(data) != end + 1 + n * (n + 1):
         return None
-    cells = np.frombuffer(text.encode("ascii"), dtype=np.uint8, offset=end + 1).reshape(n, n + 1)
-    a = np.empty((n, n), dtype=np.uint8)
+    cells = np.frombuffer(data, dtype=np.uint8, offset=end + 1).reshape(n, n + 1)
+    out, fault = [], None
     per = max(1, CHUNK_ENTRIES // max(n, 1))  # n = 0 has no rows and fails the size check
     for lo in range(0, n, per):
-        block = cells[lo:lo + per]
-        bits = np.subtract(block[:, :n], ord("0"), out=a[lo:lo + per])
+        hi = min(lo + per, n)
+        block = cells[lo:hi]
+        bits = block[:, :n] - ord("0")
         if (bits > 1).any() or (block[:, n] != ord("\n")).any():  # below '0' wraps to above 1
             return None
-    return a.view(bool)
-
-
-def _matrix_tournament(a: np.ndarray) -> Tournament:
-    """Validate the n x n bool matrix that `_canonical_matrix` reads and
-    build the tournament, after the vertex-count check.
-
-    The first error in row-major order is the one that `build_tournament`
-    finds when fed the '1' cells in that order: a '1' on the diagonal is a
-    loop, a '1' below the diagonal whose mirror is '1' orients its pair
-    twice, and only then does the first pair x < y with two '0's count as
-    missing.  With no loop and no pair oriented twice, the pairs are all
-    covered iff the matrix holds C(n, 2) '1's.  Every check works on a
-    block of rows against the mirrored block of columns, so `a` is the only
-    allocation that grows as n^2.
-    """
-    n = len(a)
+        if fault is None:
+            # '1' is odd and '0' even, so a 1 here is a '1' whose mirror is
+            # '1'; at (x, x) itself, the loop.  The column block leads, so
+            # numpy reads each row above in one run of cells, not by bytes
+            twice = (cells[:hi, lo:hi] & bits[:, :hi].T).T
+            if twice.any():  # the mirror of a hit above the diagonal is in the block
+                i, j = divmod(int(np.argmax(np.tril(twice, lo))), hi)
+                x, y = lo + i + 1, j + 1
+                fault = (LoopArcError(f"loop arc ({x},{x})") if x == y
+                         else DuplicateOrConflictError(f"pair {{{x},{y}}} oriented twice"))
+        out += _from_matrix(bits).out  # the block's rows, packed as `gen_random`'s are
     _require_size(n)
-    per = max(1, CHUNK_ENTRIES // n)
-    for lo in range(0, n, per):
-        hi = min(lo + per, n)
-        twice = a[lo:hi, :hi] & a[:hi, lo:hi].T  # at (x, x) itself, the loop
-        if twice.any():  # the mirror of a hit above the diagonal is in the block
-            i, j = divmod(int(np.argmax(np.tril(twice, lo))), hi)
-            x, y = lo + i + 1, j + 1
-            if x == y:
-                raise LoopArcError(f"loop arc ({x},{x})")
-            raise DuplicateOrConflictError(f"pair {{{x},{y}}} oriented twice")
-    if np.count_nonzero(a) != n * (n - 1) // 2:
+    if fault is not None:
+        raise fault
+    if sum(map(int.bit_count, out)) != n * (n - 1) // 2:
         for lo in range(0, n, per):
             hi = min(lo + per, n)
-            missing = np.triu(~(a[lo:hi, lo:] | a[lo:, lo:hi].T), 1)
+            missing = np.triu((cells[lo:hi, lo:n] | cells[lo:n, lo:hi].T) == ord("0"), 1)
             if missing.any():
                 i, j = divmod(int(np.argmax(missing)), n - lo)
                 raise MissingPairError(f"pair {{{lo + i + 1},{lo + j + 1}}} has no arc")
-    return _from_matrix(a)
+    return Tournament(out)

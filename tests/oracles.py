@@ -16,7 +16,10 @@ import numpy as np
 
 from fairrank import build_tournament, fixpoint
 from fairrank.errors import (
+    DuplicateOrConflictError,
     EmptyClassError,
+    LoopArcError,
+    MissingPairError,
     NoConvergenceError,
     NotStronglyConnectedError,
     ResourceLimitError,
@@ -39,7 +42,7 @@ from fairrank.ranking import (
     Rank,
     Ranking,
 )
-from fairrank.tournament import (CHUNK_ENTRIES, Tournament, _from_matrix, _matrix_tournament,
+from fairrank.tournament import (CHUNK_ENTRIES, Tournament, _from_matrix, _require_size,
                                  _score_components)
 
 # -- adjacency, decoded bit by bit ---------------------------------------
@@ -150,7 +153,7 @@ def _edge_list(lines: Iterable[str]) -> Iterator[Tuple[int, int]]:
 
 def _tournament_from_rows(n: int, rows: Sequence[str]) -> Tournament:
     """The line path: check n stripped matrix rows in blocks of
-    CHUNK_ENTRIES // n rows and build the tournament by `_matrix_tournament`.
+    CHUNK_ENTRIES // n rows and build the tournament by `matrix_tournament`.
 
     The first bad row in file order raises `TournamentSyntaxError`, whether
     its length is wrong or it holds a character other than '0' or '1'.
@@ -176,7 +179,51 @@ def _tournament_from_rows(n: int, rows: Sequence[str]) -> Tournament:
         a[lo:hi] = cells.view(bool)
     if wrong < len(rows):
         raise TournamentSyntaxError(f"bad matrix row {rows[wrong]!r}")
-    return _matrix_tournament(a)
+    return matrix_tournament(a)
+
+
+def matrix_cells(text: str) -> np.ndarray:
+    """The n x n bool matrix of a text in the canonical layout (the header
+    n, then n rows of '0'/'1' cells, each ending in '\\n'), read one cell
+    at a time: True where the cell is '1'."""
+    head, *rows = text.split("\n")[:-1]
+    n = int(head)
+    return np.array([[c == "1" for c in row] for row in rows], dtype=bool).reshape(n, n)
+
+
+def matrix_tournament(a: np.ndarray) -> Tournament:
+    """Validate an n x n bool matrix and build the tournament, after the
+    vertex-count check: the library's validator before it read the matrix
+    from the file's bytes in place, with the out-sets set bit by bit.
+
+    The first error in row-major order is the one that `build_tournament`
+    finds when fed the '1' cells in that order: a '1' on the diagonal is a
+    loop, a '1' below the diagonal whose mirror is '1' orients its pair
+    twice, and only then does the first pair x < y with two '0's count as
+    missing.  With no loop and no pair oriented twice, the pairs are all
+    covered iff the matrix holds C(n, 2) '1's.  Every check works on a
+    block of rows against the mirrored block of columns.
+    """
+    n = len(a)
+    _require_size(n)
+    per = max(1, CHUNK_ENTRIES // n)
+    for lo in range(0, n, per):
+        hi = min(lo + per, n)
+        twice = a[lo:hi, :hi] & a[:hi, lo:hi].T  # at (x, x) itself, the loop
+        if twice.any():  # the mirror of a hit above the diagonal is in the block
+            i, j = divmod(int(np.argmax(np.tril(twice, lo))), hi)
+            x, y = lo + i + 1, j + 1
+            if x == y:
+                raise LoopArcError(f"loop arc ({x},{x})")
+            raise DuplicateOrConflictError(f"pair {{{x},{y}}} oriented twice")
+    if np.count_nonzero(a) != n * (n - 1) // 2:
+        for lo in range(0, n, per):
+            hi = min(lo + per, n)
+            missing = np.triu(~(a[lo:hi, lo:] | a[lo:, lo:hi].T), 1)
+            if missing.any():
+                i, j = divmod(int(np.argmax(missing)), n - lo)
+                raise MissingPairError(f"pair {{{lo + i + 1},{lo + j + 1}}} has no arc")
+    return Tournament([sum(1 << int(y) for y in np.flatnonzero(row)) for row in a])
 
 
 def backward_pairs(report: BackwardReport) -> Tuple[Tuple[int, int], ...]:

@@ -16,6 +16,12 @@ RANDOM5 = "5\n01010\n00011\n11001\n00101\n10000\n"  # gen_random(5, 3)
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
+def _stdin(text):
+    """A stand-in for sys.stdin holding `text`: the CLI reads its bytes
+    through `.buffer`, as it reads a file's."""
+    return io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8")
+
+
 @pytest.fixture
 def cycle_path(tmp_path):
     p = tmp_path / "cycle.txt"
@@ -87,7 +93,7 @@ class TestRank:
         # stdout holds the data alone, and each summary goes to stderr
         assert main(["gen", "--family", "random", "--n", "5", "--seed", "1", "--out", "-"]) == 0
         text = capsys.readouterr().out
-        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        monkeypatch.setattr(sys, "stdin", _stdin(text))
         assert main(["rank", "--in", "-", "--method", "copeland", "--out", "-"]) == 0
         streamed = capsys.readouterr()
         t, r = tmp_path / "t.txt", tmp_path / "r.txt"
@@ -97,7 +103,7 @@ class TestRank:
         assert parse_ranking(streamed.out) == parse_ranking(r.read_text())
         assert streamed.err == summary.out and summary.out.startswith("method=copeland bw=")
         assert summary.err == ""
-        monkeypatch.setattr(sys, "stdin", io.StringIO(streamed.out))
+        monkeypatch.setattr(sys, "stdin", _stdin(streamed.out))
         assert main(["check", "--in", str(t), "--ranking", "-", "--class", "scop"]) == 0
         assert capsys.readouterr().out.startswith("PASS class=scop")
         # the JSON report on stdout, the ranking in a file
@@ -316,6 +322,35 @@ def test_bad_tournament_file_is_input_error(text, message, tmp_path, capsys):
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+def test_files_read_as_bytes_keep_line_ends_and_codec_errors(tmp_path, capsys):
+    # LF, CRLF and CR-only copies of one tournament and one ranking: the
+    # CRLF and CR copies take the parser's line path and the ranking's
+    # splitlines, and every command prints what it prints on the LF copy
+    text = serialize_tournament(gen_random(7, 1))
+    ranking = "".join(f"{v} {v}\n" for v in range(1, 8))
+    t, r = tmp_path / "t.txt", tmp_path / "r.txt"
+    runs = {}
+    for end in ("\n", "\r\n", "\r"):
+        t.write_bytes(text.replace("\n", end).encode())
+        r.write_bytes(ranking.replace("\n", end).encode())
+        runs[end] = [(main(["rank", "--in", str(t), "--method", "copeland", "--out", "-"]),
+                      capsys.readouterr())]
+        for c in ("scop", "weak", "lin", "inj"):
+            runs[end].append((main(["check", "--in", str(t), "--ranking", str(r), "--class", c]),
+                              capsys.readouterr()))
+    assert {rc for rc, _ in runs["\n"]} == {0, 1}
+    assert runs["\r\n"] == runs["\n"] and runs["\r"] == runs["\n"]
+    # a UTF-8 byte order mark is a character of the header, and a byte that
+    # is not UTF-8 is the codec's error, with its position in the file
+    t.write_bytes(b"\xef\xbb\xbf2\n01\n00\n")
+    assert main(["rank", "--in", str(t), "--method", "copeland"]) == 2
+    assert capsys.readouterr() == ("", "error: bad vertex count '\\ufeff2'\n")
+    t.write_bytes(b"3\n010\n0\xff1\n100\n")
+    assert main(["rank", "--in", str(t), "--method", "copeland"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: 'utf-8' codec can't decode byte 0xff in position 7: invalid start byte\n")
+
+
 @pytest.mark.parametrize("argv,message", [
     ("gen --family random", "--n is required for random"),
     ("gen --family random --n 0", "n must be positive"),
@@ -350,7 +385,7 @@ def test_two_flags_on_one_stream_is_input_error(argv, flags, monkeypatch, capsys
     # one stdin cannot hold both the tournament and the ranking, nor one
     # stdout both the ranking and the JSON report: nothing is read or written
     text = serialize_tournament(gen_random(4, 1))
-    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    monkeypatch.setattr(sys, "stdin", _stdin(text))
     assert main(argv.split()) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -25,13 +25,15 @@ from fairrank import (
     verify_copeland_upper_bound,
 )
 from fairrank.optimize import ENUMERATION_CAP
-from fairrank.tournament import CHUNK_ENTRIES, DEFAULT_VERTEX_CAP, _canonical_matrix, _parse_lines
+from fairrank.tournament import CHUNK_ENTRIES, DEFAULT_VERTEX_CAP, _canonical_tournament, _parse_lines
 from oracles import (
     arcs,
     composite_vertex,
     enumerate_all,
     gen_random_listcomp,
     induced,
+    matrix_cells,
+    matrix_tournament,
     out_set,
     parse_tournament_lines,
     scc_decompose_tarjan,
@@ -438,9 +440,16 @@ class TestParserPaths:
     @pytest.mark.parametrize("edit, canonical", [pytest.param(e, c, id=name) for name, e, c in PARSER_EDITS])
     def test_array_and_line_paths_agree(self, n, edit, canonical):
         text = edit(serialize_tournament(gen_random(n, 1)), n)
-        assert (_canonical_matrix(text) is not None) == canonical
+        data = text.encode("utf-8")
+        # the bytes reader returns None exactly off the canonical layout, and
+        # on it gives the matrix oracle's tournament or error
+        read = _outcome(_canonical_tournament, data)
+        assert (read is not None) == canonical
+        if canonical:
+            assert read == _outcome(matrix_tournament, matrix_cells(text))
         expected = _outcome(parse_tournament_lines, text)
         assert _outcome(parse_tournament, text) == expected
+        assert _outcome(parse_tournament, data) == expected
         assert _outcome(_parse_lines, text) == expected
 
     def test_faults_are_found_across_the_block_boundary(self):
