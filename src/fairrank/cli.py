@@ -224,14 +224,16 @@ def cmd_dump(args) -> int:
         r = parse_ranking(str(_read(args.ranking), "utf-8"))
         backward = backward_arcs(t, r).rows  # raises first on a wrong domain
         order.sort(key=lambda v: (r[v], v))
-    header = "    " + " ".join(f"{v:>3d}" for v in order)
-    print(header)
+    # labels take w columns and cells w + 1, so each mark, at offset w - 1,
+    # sits under its label's last digit; no vertex beats itself
+    w = max(3, len(str(t.n)))
+    print(" " * (w + 1) + " ".join(f"{v:>{w}d}" for v in order))
+    backward_arc, arc, no_arc = " " * (w - 2) + "[*]", " " * (w - 1) + "* ", " " * (w - 1) + ". "
     for x in order:
         out, back = t.out[x - 1], backward[x - 1]
-        # each mark sits under its label's last digit; no vertex beats itself
-        cells = [(" [*]" if back >> (y - 1) & 1 else "  * ") if out >> (y - 1) & 1 else "  . "
+        cells = [(backward_arc if back >> (y - 1) & 1 else arc) if out >> (y - 1) & 1 else no_arc
                  for y in order]
-        print(f"{x:>3d} " + "".join(cells))
+        print(f"{x:>{w}d} " + "".join(cells))
     return EXIT_OK
 
 

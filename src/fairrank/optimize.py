@@ -23,11 +23,11 @@ WEAK and LIN search the weak orders up to WEAK_ORDER_CAP, SPEC up to
 SPEC_ORDER_CAP.  The backward counts of all of them come first, from one
 array of their levels, and the witness is the first fair order in
 ascending (count, levels).  All three decide the orders in that order, in
-chunks of 128 that grow 4x up to CHUNK_ENTRIES // n^2 orders, and the
+chunks of 75 that grow 4x up to CHUNK_ENTRIES // n^2 orders, and the
 first chunk that holds a fair order ends the search.  WEAK decides each
 order of a chunk by one `is_fair` call on the ranking of its levels, since
 the benchmark's own tests count those calls (ROADMAP item 12); its first
-chunk holds every witness at n = 6, so it decides 128 of the 4683
+chunk holds every witness at n = 6, so it decides 75 of the 4683
 orders there.  SPEC and LIN decide a chunk by one array pass over the
 levels L (levels 1..k, one row per vertex) and the out-set matrix A, and
 certify their witness with one `is_fair` call:
@@ -285,18 +285,17 @@ def min_backward_fair(t: Tournament, c: FairnessClass) -> MinBackwardResult:
     level array per arc.  A stable sort of the counts keeps the ascending
     levels of `_level_array` among equal counts, so the witness is the
     first fair order in ascending (count, levels).  All three decide the
-    orders in that order (`_fair_orders`), in chunks of 128, 512, ...
+    orders in that order (`_fair_orders`), in chunks of 75, 300, ...
     orders, each 4x the last, up to CHUNK_ENTRIES // n^2, so no
     (n, n, orders) array of a pass outgrows CHUNK_ENTRIES entries, and the
     first chunk that holds a fair order ends the search.  The first chunk
-    holds all 75 orders of n = 4, and at n = 6 every WEAK witness, so WEAK
-    makes 75 calls at n = 4 and 128 at n = 5 and n = 6.  WEAK decides
-    each order of a chunk by one `is_fair` call: it constrains ranks pair
-    by pair and could be placed by a DP too, but the benchmark's own tests
-    count its `is_fair` calls (ROADMAP item 12).  SPEC and LIN decide a
-    chunk by one array pass, and only its first fair order, the witness,
-    gets an `is_fair` call, as a certificate that must agree; an empty
-    class makes none.
+    holds all 75 orders of n = 4, and at n <= 6 every WEAK witness, so WEAK
+    makes 75 calls at every n <= 6.  WEAK decides each order of a chunk by
+    one `is_fair` call: it constrains ranks pair by pair and could be
+    placed by a DP too, but the benchmark's own tests count its `is_fair`
+    calls (ROADMAP item 12).  SPEC and LIN decide a chunk by one array
+    pass, and only its first fair order, the witness, gets an `is_fair`
+    call, as a certificate that must agree; an empty class makes none.
 
     The array pass reads each order's levels L (1..k, so positive) and the
     out-set matrix A, and an order is fair iff no ordered pair (x, y)
@@ -349,13 +348,13 @@ def min_backward_fair(t: Tournament, c: FairnessClass) -> MinBackwardResult:
     # a stable sort keeps the levels order among equal counts
     order = np.argsort(counts, kind="stable")
     best: Optional[Ranking] = None
-    # the first chunk, 128 orders, must hold all 75 orders of n = 4, since
-    # bench/test_bench.py counts WEAK's 75 is_fair calls on them; over every
-    # labelled tournament of n = 6 the first WEAK-fair order lies at index 57
-    # or lower (tests/test_optimize.py::TestWeakOrderMinimum), so WEAK's
-    # first chunk holds every witness at its cap
+    # the first chunk, 75 orders, is the least that holds all 75 orders of
+    # n = 4, since bench/test_bench.py counts WEAK's 75 is_fair calls on
+    # them; over every labelled tournament of n = 6 the first WEAK-fair order
+    # lies at index 57 or lower (tests/test_optimize.py::TestWeakOrderMinimum),
+    # so WEAK's first chunk holds every witness at its cap
     per = CHUNK_ENTRIES // (t.n * t.n)
-    start, size = 0, min(128, per)
+    start, size = 0, min(75, per)
     while best is None and start < len(order):
         chunk = levels.take(order[start:start + size], axis=1)
         fair = np.flatnonzero(_fair_orders(t, chunk, c))

@@ -34,13 +34,11 @@ out-set matrix A with the keys split into 32-bit limbs, one column each
 (`_int_sums`), recombined as Python ints: each limb sum is below
 n * 2**32 < 2**53, which float64 holds exactly, and the product costs
 O(n^2 ceil(w / 32)) for keys of w bits.  The spectral axiom's rank sums
-are the same product.  Float ranks sum the same way: each float is its
-exact binary value p / q, q a power of two, so times the largest q every
-rank is an int, and a float out-sum is the exact sum of its ranks,
-compared with the others within eps.  Before the product the keys drop
-the largest power of two that divides them all, so floats at or above
-2**53, whose q is 1, and ints with trailing zero bits sum over their
-significant bits only.
+are the same product.  Every key, exact or float, is p / q exactly, q = 1
+for an int and a power of two for a float, so times the largest q every
+rank is an int, and an out-sum is the exact sum of its ranks, compared
+with the others within the floor of eps times that scale, which is 0
+when the scale is 1, as it is for exact keys.
 
 The Copeland axioms and the linear axiom share one shape: key(x) <= key(y)
 implies rank(x) <= rank(y), and key(x) < key(y) implies rank(x) < rank(y),
@@ -354,9 +352,8 @@ def is_fair(t: Tournament, r: Ranking, c: FairnessClass) -> FairnessVerdict:
     Raises ValueError when a float ranking holds nan or an exact value
     beyond float range, or, for the linear axiom, an infinite rank in some
     out-set.  The linear axiom's out-sums are exact for every ranking: int
-    sums in 32-bit limbs (`_int_sums`) of the keys, or of each float's
-    exact binary value scaled to an int, over the largest power of two
-    that divides them all.
+    sums in 32-bit limbs (`_int_sums`) of each key's exact value p / q
+    times the largest q.
     """
     if c is _WEAK:
         # x+ ⊆ y+ forces y -> x, since x -> y would put y in y+, and then
@@ -392,27 +389,19 @@ def is_fair(t: Tournament, r: Ranking, c: FairnessClass) -> FairnessVerdict:
         for x in t.vertices():
             if key[x] <= 0:
                 return FairnessVerdict((x, x), "non-positive rank")
-        values, scale = key[1:], 0  # exact keys compare their sums with e = 0
-        if e:
-            # an infinite rank has no exact sum; one in no out-set is never summed
-            if any(k == math.inf and o.bit_count() < t.n - 1 for k, o in zip(values, t.out)):
-                raise ValueError("an infinite rank lies in an out-set")
-            # each float is p / q exactly, q a power of two: times the largest
-            # q every rank is an int
-            ratios = [k.as_integer_ratio() if k < math.inf else (0, 1) for k in values]
-            scale = max(q for _, q in ratios)
-            values = [p * (scale // q) for p, q in ratios]
-        # the largest power of two that divides every nonzero key, 2**shift,
-        # divides every sum: dropping it keeps floats above 2**53 and wide
-        # ints to their significant limbs, and an int gap of the sums over
-        # 2**shift exceeds eps * scale / 2**shift iff it exceeds its floor;
-        # with shift 0 the keys are summed as they are
-        common = math.gcd(*values)
-        shift = (common & -common or 1).bit_length() - 1
-        sums = _int_sums(t.out, [k >> shift for k in values] if shift else values)
+        # an infinite rank has no exact sum; one in no out-set is never summed
+        if any(k == math.inf and o.bit_count() < t.n - 1 for k, o in zip(key[1:], t.out)):
+            raise ValueError("an infinite rank lies in an out-set")
+        # each key is p / q exactly, q = 1 for an int and a power of two for
+        # a float: times the largest q every rank is an int, and an int gap
+        # of the sums exceeds eps * scale iff it exceeds its floor, 0 when
+        # the scale is 1
+        ratios = [k.as_integer_ratio() if k < math.inf else (0, 1) for k in key[1:]]
+        scale = max(q for _, q in ratios)
+        sums = _int_sums(t.out, [p * (scale // q) for p, q in ratios])
         p, q = DEFAULT_EPS.as_integer_ratio()
         return _monotone_verdict(
-            [0, *sums], p * scale // (q << shift), key, e,
+            [0, *sums], p * scale // q, key, e,
             "non-strict linear violated", "strict linear violated",
         )
 

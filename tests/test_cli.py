@@ -413,25 +413,31 @@ class TestDump:
         assert main(["dump", "--in", str(t), "--ranking", str(r)]) == 0
         assert "[*]" not in capsys.readouterr().out
 
-    @pytest.mark.parametrize("ranked", [False, True])
-    def test_marks_sit_under_their_labels(self, tmp_path, capsys, ranked):
-        # two-digit labels: the '*' or '.' of each row's mark for y, and the
-        # '*' of a bracketed backward arc, sit under y's last digit
-        t = gen_random(12, 1)
+    @pytest.mark.parametrize("ranked, n", [(False, 12), (True, 12), (False, 1000), (True, 1000)],
+                             ids=["False", "True", "False-1000", "True-1000"])
+    def test_marks_sit_under_their_labels(self, tmp_path, capsys, ranked, n):
+        # two- and four-digit labels: the '*' or '.' of each row's mark for
+        # y, and the '*' of a bracketed backward arc, sit under y's last
+        # digit, and each row's label fills the field of the widest one
+        t = gen_random(n, 1)
         path, r = tmp_path / "t.txt", tmp_path / "r.txt"
         path.write_text(serialize_tournament(t))
         r.write_text("".join(f"{v} {5 * v % 12}\n" for v in t.vertices()))
         assert main(["dump", "--in", str(path)] + ["--ranking", str(r)] * ranked) == 0
         header, *rows = capsys.readouterr().out.splitlines()
         columns = {int(m.group()): m.end() - 1 for m in re.finditer(r"\d+", header)}
-        backward = backward_arcs_pairs(t, parse_ranking(r.read_text())) if ranked else ()
-        assert len(rows) == 12 and sorted(columns) == list(t.vertices())
+        backward = {x: set() for x in t.vertices()}
+        for x, y in backward_arcs_pairs(t, parse_ranking(r.read_text())) if ranked else ():
+            backward[x].add(y)
+        width = max(3, len(str(n)))
+        assert len(rows) == n and sorted(columns) == list(t.vertices())
         for row in rows:
-            x = int(row[:3])
+            x = int(row[:width])
+            assert row[width] == " " and len(row) == len(header) + 1
+            beaten = out_set(t, x)
             assert {y: row[c] for y, c in columns.items()} == {
-                y: "*" if y in out_set(t, x) else "." for y in t.vertices()}
-            assert {y for y, c in columns.items() if row[c - 1:c + 2] == "[*]"} == {
-                y for b, y in backward if b == x}
+                y: "*" if y in beaten else "." for y in t.vertices()}
+            assert {y for y, c in columns.items() if row[c - 1:c + 2] == "[*]"} == backward[x]
 
     def test_domain_mismatch(self, cycle_path, tmp_path, capsys):
         r = tmp_path / "r.txt"

@@ -372,13 +372,13 @@ class TestWeakOrderMinimum:
 
     # the witness is the first fair weak order in ascending (count, levels);
     # WEAK decides each order of a chunk by one call, and the first chunk,
-    # 128 orders, holds every WEAK witness at n = 6
-    # (test_first_chunk_holds_every_weak_witness), so it makes 128 calls,
+    # 75 orders, holds every WEAK witness at n = 6
+    # (test_first_chunk_holds_every_weak_witness), so it makes 75 calls,
     # while SPEC and LIN decide every order of a chunk in one array pass and
     # check only the witness, so an empty class makes no call
     @pytest.mark.parametrize("c, seed, calls, witness", [
         (FC.SPEC, 1, 1, (4, 2, 4, 3, 5, 1)), (FC.LIN, 1, 1, (4, 2, 4, 3, 5, 1)),
-        (FC.WEAK, 1, 128, (2, 2, 2, 2, 3, 1)), (FC.LIN, 2, 0, None),
+        (FC.WEAK, 1, 75, (2, 2, 2, 2, 3, 1)), (FC.LIN, 2, 0, None),
     ], ids=lambda p: getattr(p, "value", p))
     def test_is_fair_calls(self, monkeypatch, c, seed, calls, witness):
         made = []
@@ -424,13 +424,13 @@ class TestWeakOrderMinimum:
 
     @pytest.mark.parametrize("n, bound", [(4, 8), (5, 16), (6, 58)])
     def test_first_chunk_holds_every_weak_witness(self, n, bound):
-        # the first chunk, 128 orders, holds every WEAK witness at n <= 6:
+        # the first chunk, 75 orders, holds every WEAK witness at n <= 6:
         # over every labelled tournament the first WEAK-fair order in
         # ascending (count, levels) lies at index bound - 1 or lower
         ts = list(enumerate_all(n))
         parts = [self.first_weak_fair(ts[i:i + 256], n) for i in range(0, len(ts), 256)]
         first, count, index = (np.concatenate(part) for part in zip(*parts))
-        assert index.max() == bound - 1 and bound <= 128
+        assert index.max() == bound - 1 and bound <= 75
         # the rule gives min_backward_fair's own count and witness
         levels = _level_array(n)
         for i in range(0, len(ts), -(-len(ts) // 300)):
@@ -439,7 +439,7 @@ class TestWeakOrderMinimum:
             assert [res.witness[v] for v in ts[i].vertices()] == levels[:, first[i]].tolist(), ts[i].out
 
     def test_weak_decides_all_75_orders_of_4_vertices(self, monkeypatch):
-        # the first chunk, 128 orders, holds every weak order of 4 vertices,
+        # the first chunk, 75 orders, holds every weak order of 4 vertices,
         # so WEAK decides each: the 75 calls that the benchmark's own tests
         # count on the transitive tournament, whose one weak-fair order is
         # the strict one
