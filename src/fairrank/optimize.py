@@ -14,9 +14,11 @@ any n (`_dense_levels` gives the proof).  The injective class is
 minimized by one DP over the set of vertices already placed (Held and
 Karp, 1962), up to INJECTIVE_SEARCH_CAP vertices, in one numpy pass per
 placed-set size: all sets of one size are columns, all next vertices rows,
-and each set keeps its least (count, levels) in two int64 keys, the count
-and the first levels in one, the other levels, from n = 15 on, in the
-second, compared in that order, so no Python step runs per set.
+and each set keeps its least (count, levels) in two keys, the count and
+the first levels in a uint64, the other levels, from n = 15 on, in an
+int64, compared in that order, so no Python step runs per set.  The
+first key starts at 2^63, above every pack, so a vertex already placed
+reads its own set's unwritten key and never wins, and no mask removes it.
 `min_backward_injective` and `min_backward_fair(t, INJ)` both run it and
 report the same witness.
 WEAK and LIN search the weak orders up to WEAK_ORDER_CAP, SPEC up to
@@ -202,19 +204,28 @@ def _least_injective_order(t: Tournament) -> Ranking:
 
     The sets of one size read best only at the next size, so one pass
     takes every s of size k = n - 1 ... 0 as a column and every vertex y as
-    a row, masks out the y already in s, and takes each column's least; the
-    columns go in chunks of at most CHUNK_ENTRIES (set, next vertex)
-    entries, under 32 bytes an entry, beside the two int64 keys per placed
-    set, 16 MB at the cap (tests/test_memory.py).
+    a row and takes each column's least; the columns go in chunks of at
+    most CHUNK_ENTRIES (set, next vertex) entries, under 32 bytes an
+    entry, beside one uint64 and one int64 key per placed set, 16 MB at
+    the cap (tests/test_memory.py).
 
     The pack takes bit_length(C(n, 2)) + n * width bits, 87 at n = 16, so
-    it is split into two int64 keys at a 63-bit boundary: key0 holds the
-    count above the fields of vertices 1..h, with h as large as that
-    allows, and key1 the fields of vertices h + 1..n; its pass runs only
-    when h < n, from n = 15 on, and below that key1 stays 0 and is not
-    read.  The least key0, then the least key1 among its ties, is the least
-    pack, and each key adds on its own, since no field carries.  key1 fits
-    its 63 bits up to n = 23, above the cap.
+    it is split into two keys at a 63-bit boundary: key0 holds the count
+    above the fields of vertices 1..h, with h as large as that allows, and
+    key1 the fields of vertices h + 1..n; its pass runs only when h < n,
+    from n = 15 on, and below that key1 stays 0 and is not read.  The least
+    key0, then the least key1 among its ties, is the least pack, and each
+    key adds on its own, since no field carries.  key1 fits its 63 bits up
+    to n = 23, above the cap.
+
+    key0 is a uint64 that starts at 2^63 for every set but the full one,
+    which starts at 0, and each set's key is written only after its own
+    column's least is taken.  A y already in s has s | y = s, so its
+    candidate reads that unwritten 2^63, which lies above every pack, as h
+    keeps key0's packs within 63 bits; with arcs(s, y) and y's field added
+    it stays below 2^64, so nothing wraps, and it never wins: no mask of
+    the y in s is needed.  Nor does key1 need one, as it reads only the
+    rows that tie the column's least key0.
     """
     if t.n > INJECTIVE_SEARCH_CAP:
         raise ResourceLimitError(f"permutation search capped at n <= {INJECTIVE_SEARCH_CAP}")
@@ -222,30 +233,29 @@ def _least_injective_order(t: Tournament) -> Ranking:
     width = n.bit_length()  # levels run up to n
     h = min(n, (63 - (n * (n - 1) // 2).bit_length()) // width)
 
-    def column(values: List[int]) -> np.ndarray:
-        return np.array(values, dtype=np.int64)[:, None]
+    def column(values: List[int], dtype=np.int64) -> np.ndarray:
+        return np.array(values, dtype=dtype)[:, None]
 
     # one row per vertex y: its bit, the x with x -> y, and 1 in its field
     bits = column([1 << y - 1 for y in t.vertices()])
     into = column([full ^ out ^ 1 << y - 1 for y, out in enumerate(t.out, start=1)])
-    field0 = column([1 << width * (h - y) if y <= h else 0 for y in t.vertices()])
+    field0 = column([1 << width * (h - y) if y <= h else 0 for y in t.vertices()], np.uint64)
     field1 = column([0 if y <= h else 1 << width * (n - y) for y in t.vertices()])
-    counts = np.arange(n, dtype=np.int64) << width * h  # arcs(s, y) < n, placed in key0
-    key0 = np.zeros(1 << n, dtype=np.int64)
+    key0 = np.full(1 << n, 1 << 63, dtype=np.uint64)  # above every pack
+    key0[full] = 0
     key1 = np.zeros(1 << n, dtype=np.int64)
     sizes = np.bitwise_count(np.arange(1 << n, dtype=np.uint32))
     top = np.iinfo(np.int64).max  # above every candidate
     per = CHUNK_ENTRIES // n
     for k in range(n - 1, -1, -1):
         layer = np.flatnonzero(sizes == k)
-        lift0 = (k + 1) * field0
         for start in range(0, len(layer), per):
             s = layer[start:start + per]
             after = s | bits
-            cand0 = counts.take(np.bitwise_count(s & into))
+            # arcs(s, y), above key0's fields
+            cand0 = np.left_shift(np.bitwise_count(s & into), width * h, dtype=np.uint64)
             cand0 += key0.take(after)
-            cand0 += lift0
-            np.copyto(cand0, top, where=after == s)
+            cand0 += (k + 1) * field0
             least0 = cand0.min(axis=0)
             key0[s] = least0
             if h < n:  # key1 holds the fields of h + 1..n, from n = 15 on
@@ -253,9 +263,9 @@ def _least_injective_order(t: Tournament) -> Ranking:
                 cand1 += (k + 1) * field1
                 np.copyto(cand1, top, where=cand0 != least0)
                 key1[s] = cand1.min(axis=0)
-    first, rest, mask = int(key0[0]), int(key1[0]), (1 << width) - 1
-    return Ranking.exact({y: (first >> width * (h - y) if y <= h else rest >> width * (n - y)) & mask
-                          for y in t.vertices()})
+    # the whole pack: key0, shifted past the fields that key1 holds, then key1
+    pack, mask = int(key0[0]) << width * (n - h) | int(key1[0]), (1 << width) - 1
+    return Ranking.exact({y: pack >> width * (n - y) & mask for y in t.vertices()})
 
 
 def min_backward_fair(t: Tournament, c: FairnessClass) -> MinBackwardResult:

@@ -174,6 +174,8 @@ def gen_random(n: int, seed: int) -> Tournament:
     one float array, with no Python step per draw.
     """
     _require_size(n)
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     draw = random.Random(seed).random
     a = np.zeros((n, n), dtype=bool)
     for i in range(n - 1):

@@ -51,6 +51,12 @@ class TestGen:
     def test_missing_param(self, capsys):
         assert main(["gen", "--family", "rotational"]) == 2
 
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "t.txt"
+        assert main(["gen", "--family", "random", "--n", "3", "--seed", "-1", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "seed must be >= 0" in capsys.readouterr().err
+
 
 class TestRank:
     def test_copeland_on_cycle(self, cycle_path, tmp_path, capsys):

@@ -30,11 +30,12 @@ arrays of at most `CHUNK_ENTRIES` entries each, beside the backward count
 levels, kept, and about 5 MB more at SPEC's cap n = 8.  The exhaustive
 Copeland check holds one row of C(n, 2) arc bits and n degrees
 per tournament, 32 768 of them at n = 6; all are built per call and
-dropped.  The injective DP keeps two int64 keys per placed set, 16 MB at
-`INJECTIVE_SEARCH_CAP` = 20, and one popcount byte per set, and works
-through each set size in chunks of `CHUNK_ENTRIES` (set, next vertex)
-entries: the sets' next sets and two candidate keys (three int64 arrays)
-and a mask (1 byte), under 32 bytes an entry, 4 MB a chunk, beside the
+dropped.  The injective DP keeps one uint64 and one int64 key per placed
+set, 16 MB at `INJECTIVE_SEARCH_CAP` = 20, and one popcount byte per set,
+and works through each set size in chunks of `CHUNK_ENTRIES` (set, next
+vertex) entries: the sets' next sets and two candidate keys (three
+8-byte arrays, and no mask byte, since a placed vertex reads its own
+set's 2^63 sentinel), under 32 bytes an entry, 4 MB a chunk, beside the
 size's list of sets, at most C(20, 10) int64s (1.5 MB).
 """
 
@@ -222,7 +223,7 @@ def test_spectral_minimum_at_its_cap():
 
 
 def test_injective_dp_peaks_within_its_keys_and_chunks_at_the_cap():
-    # measured: 23.6 MB at n = 20, of which 16 MB are the two keys
+    # measured: 22.7 MB at n = 20, of which 16 MB are the two keys
     t = gen_random(INJECTIVE_SEARCH_CAP, 1)
     peak = traced_peak(lambda: min_backward_injective(t))
     assert peak < 48 * MB, f"the injective DP at n = {t.n} peaks at {peak / MB:.2f} MB"

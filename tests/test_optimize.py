@@ -273,10 +273,11 @@ class TestInjectiveLayers:
         assert_matches_loop(relabeled(base, random.Random(l).sample(range(1, base.n + 1), base.n)))
 
     # the whole pack, the count above one level field per vertex, fits one
-    # int64 key up to n = 14; from n = 15 the last levels move to the
+    # 63-bit key up to n = 14; from n = 15 the last levels move to the
     # second key (five of them at n = 16), and from n = 17 the first key
-    # takes all 63 bits
-    @pytest.mark.parametrize("n, seeds", [(14, [1]), (15, [1]), (16, range(3)), (17, [1])])
+    # takes all 63 bits below its 2^63 sentinel, which every pack stays
+    # under, up to the cap at n = 20
+    @pytest.mark.parametrize("n, seeds", [(14, [1]), (15, [1]), (16, range(3)), (17, [1]), (20, [1])])
     def test_around_the_key_split(self, n, seeds):
         pack_bits = (n * (n - 1) // 2).bit_length() + n * n.bit_length()
         assert (pack_bits > 63) == (n >= 15)

@@ -176,6 +176,13 @@ class TestGenerators:
         t = gen_random(1, seed=0)
         assert arcs(t) == []
 
+    def test_random_negative_seed_is_refused(self):
+        # random.Random seeds an int by its absolute value, so -1 would
+        # silently draw seed 1's tournament
+        with pytest.raises(ValueError, match="^seed must be >= 0$"):
+            gen_random(3, seed=-1)
+        assert gen_random(3, seed=0) != gen_random(3, seed=1)
+
 
 class TestBitsets:
     @pytest.mark.parametrize("n, seed, digest", [
@@ -251,7 +258,7 @@ class TestScc:
                     sub, _ = induced(t, comp)
                     assert len(scc_decompose_tarjan(sub)) == 1
 
-    @given(st.integers(min_value=1, max_value=20), st.integers())
+    @given(st.integers(min_value=1, max_value=20), st.integers(min_value=0))
     @settings(max_examples=50, deadline=None)
     def test_components_partition_vertices(self, n, seed):
         t = gen_random(n, seed)
