@@ -222,8 +222,9 @@ def cmd_dump(args) -> int:
     order, backward = list(t.vertices()), (0,) * t.n
     if args.ranking:
         r = parse_ranking(str(_read(args.ranking), "utf-8"))
-        backward = backward_arcs(t, r).rows  # raises first on a wrong domain
-        order.sort(key=lambda v: (r[v], v))
+        # raises first on a wrong domain, or on a float beside an exact value past float range
+        backward = backward_arcs(t, r).rows
+        order.sort(key=lambda v: (r[v], v))  # the values as parsed, compared exactly
     # labels take w columns and cells w + 1, so each mark, at offset w - 1,
     # sits under its label's last digit; no vertex beats itself
     w = max(3, len(str(t.n)))

@@ -152,7 +152,7 @@ def linear_fair_ranking(t: Tournament) -> LinearFairResult:
     # the check sums the ranks exactly, so only an infinite rank is refused
     if not math.isfinite(top):
         raise VerificationFailedError(None, "assembled ranking is not finite")
-    ranking = Ranking.approx(values)
+    ranking = Ranking(values)
     verdict = is_fair(t, ranking, FairnessClass.LIN)
     if not verdict.ok:
         raise VerificationFailedError(verdict.certificate)

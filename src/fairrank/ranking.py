@@ -7,9 +7,10 @@ other).
 DEFAULT_EPS is the package's one comparison tolerance: no ranking, parser
 or predicate takes another.  An exact ranking may also hold ints (the
 weak-order minimizer checks its candidates that way, `copeland_ranking`
-holds out-degrees, and `parse_ranking` keeps integer values as ints): an
-int has numerator and denominator like a Fraction, so it gets the same
-key, the same verdicts and the same text as the equal Fraction.
+holds out-degrees, and `parse_ranking` keeps every value as parsed, an
+integer as an int): an int has numerator and denominator like a Fraction,
+so it gets the same key, the same verdicts and the same text as the equal
+Fraction.
 
 Every predicate and the backward-arc report compare through one rule on
 per-vertex keys: x ranks below y iff key[y] - key[x] > e.  The keys come
@@ -602,10 +603,11 @@ def parse_ranking(text: str) -> Ranking:
     """Parse "vertex value" lines; p/q and integers give an exact ranking.
 
     Labels and values are ASCII: a '_' digit group or a non-ASCII digit is
-    a bad vertex or a bad value.  Integers stay ints and p/q values become
-    Fractions.  Floats must be finite: nan and inf have no place in a rank
-    order.  A ranking with any float is a float ranking, so its exact values
-    must be within float range.
+    a bad vertex or a bad value.  Each value is kept as parsed: integers
+    stay ints, p/q values become Fractions and the rest floats.  Floats
+    must be finite: nan and inf have no place in a rank order.  A ranking
+    with any float is a float ranking, read as floats by `_keys`, which
+    refuses an exact value beyond float range once a float is present.
     """
     values: Dict[int, Rank] = {}
     plain = text.isascii() and "_" not in text  # one scan clears every word of a plain text
@@ -635,10 +637,4 @@ def parse_ranking(text: str) -> Ranking:
         values[v] = value
     if not values:
         raise TournamentSyntaxError("empty ranking")
-    ranking = Ranking(values)
-    if ranking.is_exact:
-        return ranking
-    try:  # a float anywhere makes the ranking float, the exact values included
-        return Ranking.approx(values)
-    except OverflowError:
-        raise TournamentSyntaxError("ranking mixes floats with an exact value beyond float range") from None
+    return Ranking(values)

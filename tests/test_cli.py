@@ -3,11 +3,12 @@ import json
 import re
 import shlex
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from fairrank import gen_random, optimize, parse_ranking, serialize_tournament
+from fairrank import copeland_ranking, gen_random, optimize, parse_ranking, serialize_tournament
 from fairrank.cli import main
 from oracles import backward_arcs_pairs, out_set
 
@@ -452,6 +453,49 @@ class TestDump:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: ranking domain [1, 2] does not match 1..3\n"
+
+    @pytest.mark.parametrize("exact, near", [(f"{2**53 + 1}", "9007199254740992.0"),
+                                             ("1/3", "0.3333333333333333")], ids=["int", "fraction"])
+    def test_rows_follow_the_parsed_values(self, tmp_path, capsys, exact, near):
+        # 2**53 + 1 stays an int beside the float 2**53, and 1/3 a Fraction
+        # beside the float nearest it, so the rows follow the exact order, 2
+        # below 1; as floats the two tie, and ties are broken by label
+        t, r = tmp_path / "t.txt", tmp_path / "r.txt"
+        t.write_text("3\n011\n001\n000\n")
+        r.write_text(f"1 {exact}\n2 {near}\n3 -1\n")
+        assert main(["dump", "--in", str(t), "--ranking", str(r)]) == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert header.split() == ["3", "2", "1"]
+        assert [row.split()[0] for row in rows] == ["3", "2", "1"]
+
+
+# a mixed ranking of 12 vertices: ints, p/q and floats, with an int tied
+# to a float (2 and 3), a Fraction tied to a float (7 and 8) and two ranks
+# 1e-12 apart (10 and 11); its twin writes every value as a float
+MIXED12 = ["7/3", "2", "2.0", "1/3", "5", "0.25", "7/2", "3.5", "1", "4.000000000001", "4", "10/7"]
+
+
+@pytest.mark.parametrize("copeland", [False, True], ids=["mixed12", "copeland"])
+def test_mixed_ranking_reads_as_its_float_twin(tmp_path, capsys, copeland):
+    # the parser keeps each value as parsed, and every check of a ranking
+    # with a float reads its values as floats, so both files print alike;
+    # the out-degrees, written as ints, floats and p/q, pass the Copeland classes
+    t, mixed, twin = tmp_path / "t.txt", tmp_path / "mixed.txt", tmp_path / "twin.txt"
+    tournament = gen_random(12, 1)
+    t.write_text(serialize_tournament(tournament))
+    words = MIXED12
+    if copeland:
+        d = copeland_ranking(tournament)
+        words = [(f"{d[v]}", f"{d[v]}.0", f"{2 * d[v]}/2")[v % 3] for v in tournament.vertices()]
+    mixed.write_text("".join(f"{v} {word}\n" for v, word in enumerate(words, start=1)))
+    twin.write_text("".join(f"{v} {float(Fraction(word))!r}\n" for v, word in enumerate(words, start=1)))
+    classes = ("nscop", "scop", "cop", "weak", "spec", "lin", "inj")
+    for verb in [["check", "--class", c] for c in classes] + [["dump"]]:
+        printed = []
+        for r in (mixed, twin):
+            rc = main(verb + ["--in", str(t), "--ranking", str(r)])
+            printed.append((rc, capsys.readouterr()))
+        assert printed[0] == printed[1], verb
 
 
 class TestRepeatedCalls:

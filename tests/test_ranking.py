@@ -825,3 +825,27 @@ class TestRankingIO:
         assert not parse_ranking("1 1000\n2 1e10\n").is_exact
         # a non-ASCII space between the words separates them, as before
         assert parse_ranking("1\u00a01000\n2 10/3\n3 1\n") == r
+
+    def test_mixed_values_keep_their_types(self):
+        # one float makes a float ranking, but the parser keeps every value
+        # as parsed: `_keys` reads them all as floats, as it reads the twin's
+        r = parse_ranking("1 1\n2 0.5\n3 1/2\n")
+        assert [type(r[v]) for v in (1, 2, 3)] == [int, float, Fraction]
+        assert r.values == {1: 1, 2: 0.5, 3: Fraction(1, 2)} and not r.is_exact
+        twin = Ranking.approx(r.values)
+        assert r == twin and hash(r) == hash(twin)
+        for t in enumerate_all(3):
+            for cls in FC:
+                assert is_fair(t, r, cls) == is_fair(t, twin, cls), (t.out, cls)
+            assert backward_arcs(t, r) == backward_arcs(t, twin)
+
+    def test_exact_value_beyond_float_range_next_to_a_float(self):
+        # the parser keeps 10**400 as an int; every read of the ranking as
+        # floats refuses it
+        r = parse_ranking(f"1 {10**400}\n2 0.5\n")
+        assert r[1] == 10**400 and r[2] == 0.5
+        t = gen_random(2, 0)
+        message = "^ranking mixes floats with an exact value beyond float range$"
+        for check in [lambda: backward_arcs(t, r)] + [lambda c=c: is_fair(t, r, c) for c in FC]:
+            with pytest.raises(ValueError, match=message):
+                check()
